@@ -188,7 +188,8 @@ def cmaes_minimize(
     for iteration in range(1, cfg.max_iterations + 1):
         eigvals, eigvecs = np.linalg.eigh(state.cov)
         eigvals = np.maximum(eigvals, _EIGENVALUE_FLOOR)
-        assert eigvals.min() > 0.0, "covariance eigenvalue floor violated"
+        if not eigvals.min() > 0.0:
+            raise RuntimeError(f"covariance eigenvalue floor violated at iteration {iteration}")
         scale = eigvecs * np.sqrt(eigvals)  # B * diag(sqrt(d))
         inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 

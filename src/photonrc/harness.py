@@ -24,6 +24,7 @@ from .cmaes import CmaConfig, DEFAULT_SIGMA_SWEEP, decode_weights, train_cmaes
 from .config import ALL_3BIT_HEADERS, ExperimentConfig, config_to_dict
 from .detector import ElectricalSignal, ReadoutWeights, readout_forward
 from .reservoir import (
+    TWO_PI,
     PerturbationSpec,
     ReservoirTopology,
     StateMatrix,
@@ -31,6 +32,7 @@ from .reservoir import (
     load_topology,
     perturb_phases,
     simulate,
+    with_phases,
 )
 from .ridge import cv_alpha, invert_target
 from .signals import BitSignal, DesiredSignal, HeaderPattern, desired_signal, gen_bits, modulate
@@ -241,13 +243,9 @@ def _instance_topology(cfg: ExperimentConfig, instance: int) -> tuple[ReservoirT
         if instance > 0:
             # keep the file's geometry, redraw all phases for this instance
             rng = np.random.default_rng(seed)
-            edges = tuple(
-                replace(e, phase=float(rng.uniform(0.0, 2.0 * np.pi))) for e in topo.edges
-            )
-            ports = tuple(
-                replace(p, phase=float(rng.uniform(0.0, 2.0 * np.pi))) for p in topo.input_ports
-            )
-            topo = ReservoirTopology(topo.n_nodes, edges, ports, seed=seed)
+            edge_phases = rng.uniform(0.0, TWO_PI, size=len(topo.edges))
+            port_phases = rng.uniform(0.0, TWO_PI, size=len(topo.input_ports))
+            topo = replace(with_phases(topo, edge_phases, port_phases), seed=seed)
         return topo, seed
     topo = build_swirl(
         res.rows,

@@ -10,8 +10,11 @@ in the detector.
 
 The time-domain update runs on a grid fine enough that every waveguide
 delay is an integer number of steps and every bit period spans at least
-as many steps as the requested output resolution.  Recorded node signals
-are resampled back onto the input grid.
+as many steps as the requested output resolution.  One block recursion
+serves every delay set: one transfer matrix per distinct delay, advanced
+in blocks as long as the shortest delay, so unequal waveguide lengths run
+at block speed.  Recorded node signals are resampled back onto the input
+grid.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "StateMatrix",
     "build_swirl",
     "perturb_phases",
+    "with_phases",
     "simulate",
     "save_topology",
     "load_topology",
@@ -240,6 +244,13 @@ def build_swirl(
     return ReservoirTopology(n_nodes, edges, ports, seed=seed)
 
 
+def with_phases(topology: ReservoirTopology, edge_phases: np.ndarray, port_phases: np.ndarray) -> ReservoirTopology:
+    """Return a copy with the given waveguide and feed phases (rad), in edge and port order."""
+    edges = tuple(replace(e, phase=float(ph)) for e, ph in zip(topology.edges, edge_phases, strict=True))
+    ports = tuple(replace(p, phase=float(ph)) for p, ph in zip(topology.input_ports, port_phases, strict=True))
+    return replace(topology, edges=edges, input_ports=ports)
+
+
 def perturb_phases(topology: ReservoirTopology, spec: PerturbationSpec) -> ReservoirTopology:
     """Return a copy with every waveguide and feed phase shifted by U(0, b).
 
@@ -247,17 +258,13 @@ def perturb_phases(topology: ReservoirTopology, spec: PerturbationSpec) -> Reser
     [0, 2*pi).  The original topology is left untouched.
     """
     rng = np.random.default_rng(spec.seed)
-    edge_shift = rng.uniform(0.0, spec.b, size=len(topology.edges)) if spec.b > 0 else np.zeros(len(topology.edges))
-    port_shift = rng.uniform(0.0, spec.b, size=len(topology.input_ports)) if spec.b > 0 else np.zeros(len(topology.input_ports))
-    edges = tuple(
-        replace(e, phase=float((e.phase + s) % TWO_PI))
-        for e, s in zip(topology.edges, edge_shift)
+    edge_shift = rng.uniform(0.0, spec.b, size=len(topology.edges))
+    port_shift = rng.uniform(0.0, spec.b, size=len(topology.input_ports))
+    return with_phases(
+        topology,
+        (np.array([e.phase for e in topology.edges]) + edge_shift) % TWO_PI,
+        (np.array([p.phase for p in topology.input_ports]) + port_shift) % TWO_PI,
     )
-    ports = tuple(
-        replace(p, phase=float((p.phase + s) % TWO_PI))
-        for p, s in zip(topology.input_ports, port_shift)
-    )
-    return ReservoirTopology(topology.n_nodes, edges, ports, seed=topology.seed)
 
 
 def _interp_complex(t_new: np.ndarray, t_old: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -268,13 +275,13 @@ def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[
     """Pick the step so the shortest delay is an integer number of steps.
 
     The step never exceeds the input sample period, which keeps at least
-    the input resolution (24 samples per bit by default) in the update
-    loop across the whole bitrate sweep.  Remaining delays are rounded to
-    whole steps; with the bundled single-delay topologies the rounding is
-    exact.
+    the input resolution (24 samples per bit by default) in the block
+    recursion across the whole bitrate sweep.  Remaining delays are
+    rounded to whole steps; with the bundled single-delay topologies the
+    rounding is exact.  A topology without edges runs on the input grid.
     """
     delays = np.array([e.delay for e in topology.edges], dtype=np.float64)
-    base = float(delays.min())
+    base = float(delays.min()) if delays.size else input_period
     k = max(1, math.ceil(base / input_period - 1e-9))
     step = base / k
     steps = np.maximum(1, np.rint(delays / step).astype(np.int64))
@@ -338,48 +345,32 @@ def simulate(
         k_in[p.node] += 1.0
     combine = 1.0 / np.sqrt(np.maximum(k_in, 1.0))
 
-    # Injection term, already divided by the combiner factor of its node.
-    drive = np.zeros((n_sim, n_nodes), dtype=np.complex128)
+    # Edge transfer gains including splitter and combiner factors, summed
+    # into one transfer matrix per distinct delay (in steps).
+    transfers: dict[int, np.ndarray] = {}
+    for e, d in zip(topology.edges, delay_steps):
+        gain = 10.0 ** (-e.loss_db / 20.0) * np.exp(1j * e.phase) / np.sqrt(k_out[e.src]) * combine[e.dst]
+        transfer = transfers.setdefault(int(d), np.zeros((n_nodes, n_nodes), dtype=np.complex128))
+        transfer[e.src, e.dst] += gain
+    d_min = min(transfers, default=n_sim)
+    pad = max(transfers, default=0)
+
+    # Row pad + n holds time step n; the leading pad rows are the dark past.
+    # The injection term, already divided by the combiner factor of its
+    # node, is written first and the delayed edge arrivals are added to it.
+    buf = np.zeros((pad + n_sim, n_nodes), dtype=np.complex128)
     t_in = np.arange(n_in) * period
     for port, sig in zip(ports, inputs):
         resampled = sig.samples if same_grid else _interp_complex(t_sim, t_in, sig.samples)
-        drive[:, port.node] += resampled * np.exp(1j * port.phase) * combine[port.node]
+        buf[pad:, port.node] += resampled * np.exp(1j * port.phase) * combine[port.node]
 
-    # Edge transfer gains including splitter and combiner factors.
-    gains = np.array(
-        [
-            10.0 ** (-e.loss_db / 20.0)
-            * np.exp(1j * e.phase)
-            / np.sqrt(k_out[e.src])
-            * combine[e.dst]
-            for e in topology.edges
-        ],
-        dtype=np.complex128,
-    )
-
-    out = np.zeros((n_sim, n_nodes), dtype=np.complex128)
-    if delay_steps.size and np.all(delay_steps == delay_steps[0]):
-        # All delays equal: the recursion couples only samples D steps
-        # apart, so whole blocks of D time steps advance with one matmul.
-        d = int(delay_steps[0])
-        transfer = np.zeros((n_nodes, n_nodes), dtype=np.complex128)
-        for e, g in zip(topology.edges, gains):
-            transfer[e.dst, e.src] += g
-        transfer_t = transfer.T.copy()
-        out[: min(d, n_sim)] = drive[: min(d, n_sim)]
-        for start in range(d, n_sim, d):
-            stop = min(start + d, n_sim)
-            out[start:stop] = drive[start:stop] + out[start - d : stop - d] @ transfer_t
-    else:
-        src = np.array([e.src for e in topology.edges])
-        dst = np.array([e.dst for e in topology.edges])
-        for n in range(n_sim):
-            acc = drive[n].copy()
-            back = n - delay_steps
-            live = back >= 0
-            if live.any():
-                np.add.at(acc, dst[live], gains[live] * out[back[live], src[live]])
-            out[n] = acc
+    # Every delay spans at least d_min steps, so a block of d_min steps
+    # reads only rows that earlier blocks have already completed.
+    for start in range(pad, pad + n_sim, d_min):
+        stop = min(start + d_min, pad + n_sim)
+        for d, transfer in transfers.items():
+            buf[start:stop] += buf[start - d : stop - d] @ transfer
+    out = buf[pad:]
 
     if not same_grid:
         resampled = np.empty((n_in, n_nodes), dtype=np.complex128)

@@ -152,22 +152,31 @@ def test_detector_noise_variance():
 
 @criterion(6, "reservoir is passive on 100 random inputs and linear to 1e-12")
 def test_passivity_and_linearity():
-    topo = build_swirl(seed=123)
-    rng = np.random.default_rng(5)
-    for trial in range(100):
-        bits = gen_bits(30, int(rng.integers(0, 2**31)), 10e9)
-        sig = modulate(bits, 24, 0.025)
-        x = simulate(topo, sig, None)
-        node_power = np.sum(np.abs(x.samples) ** 2, axis=1)
-        injected = 4 * np.cumsum(np.abs(sig.samples) ** 2)
-        assert np.all(node_power <= injected * (1 + 1e-9) + 1e-30), f"trial {trial}"
+    uniform = build_swirl(seed=123)
+    # Every 4th waveguide twice as long (delay and loss): unequal delays.
+    mixed = replace(
+        uniform,
+        edges=tuple(
+            replace(e, delay=2.0 * e.delay, loss_db=2.0 * e.loss_db) if i % 4 == 3 else e
+            for i, e in enumerate(uniform.edges)
+        ),
+    )
+    for name, topo in (("uniform", uniform), ("mixed-delay", mixed)):
+        rng = np.random.default_rng(5)
+        for trial in range(100):
+            bits = gen_bits(30, int(rng.integers(0, 2**31)), 10e9)
+            sig = modulate(bits, 24, 0.025)
+            x = simulate(topo, sig, None)
+            node_power = np.sum(np.abs(x.samples) ** 2, axis=1)
+            injected = 4 * np.cumsum(np.abs(sig.samples) ** 2)
+            assert np.all(node_power <= injected * (1 + 1e-9) + 1e-30), f"{name} trial {trial}"
 
-    sig = modulate(gen_bits(40, 17, 10e9), 24, 0.025)
-    base = simulate(topo, sig, None)
-    a = -0.83 + 0.42j
-    scaled = simulate(topo, OpticalSignal(a * sig.samples, sig.sample_period), None)
-    err = np.max(np.abs(scaled.samples - a * base.samples))
-    assert err <= 1e-12 * np.max(np.abs(base.samples)), f"linearity error {err:.3e}"
+        sig = modulate(gen_bits(40, 17, 10e9), 24, 0.025)
+        base = simulate(topo, sig, None)
+        a = -0.83 + 0.42j
+        scaled = simulate(topo, OpticalSignal(a * sig.samples, sig.sample_period), None)
+        err = np.max(np.abs(scaled.samples - a * base.samples))
+        assert err <= 1e-12 * np.max(np.abs(base.samples)), f"{name} linearity error {err:.3e}"
 
 
 @criterion(7, "ridge reaches 1e-2 at 5 and 10 Gbps; state estimation is within 10x")

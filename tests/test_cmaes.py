@@ -150,6 +150,13 @@ class TestCmaesMinimize:
         with pytest.raises(RuntimeError, match="non-finite"):
             cmaes_minimize(lambda x: float("nan"), 2, cfg)
 
+    def test_degenerate_covariance_raises(self):
+        # sigma0 near the float limit overflows the samples and turns the
+        # covariance NaN; the eigenvalue check must raise even under -O.
+        cfg = CmaConfig(initial_sigma=1e308, max_iterations=5, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="iteration"):
+            cmaes_minimize(lambda x: 0.0, 2, cfg)
+
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             cmaes_minimize(lambda x: 0.0, 0, CmaConfig())

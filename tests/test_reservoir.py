@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,73 @@ from photonrc.reservoir import (
     perturb_phases,
     save_topology,
     simulate,
+    _interp_complex,
+    _simulation_step,
 )
 from photonrc.signals import OpticalSignal, gen_bits, modulate
 
 
 def _random_input(n_bits=40, bitrate=10e9, seed=0, p_node=0.025):
     return modulate(gen_bits(n_bits, seed, bitrate), 24, p_node)
+
+
+def _mixed_delay_swirl(seed):
+    """4x4 swirl with every 4th waveguide twice as long (delay and loss)."""
+    topo = build_swirl(seed=seed)
+    edges = tuple(
+        replace(e, delay=2.0 * e.delay, loss_db=2.0 * e.loss_db) if i % 4 == 3 else e
+        for i, e in enumerate(topo.edges)
+    )
+    return replace(topo, edges=edges)
+
+
+def _reference_simulate(topology, sig, bias_power=None):
+    """Per-sample oracle for ``simulate``: one input broadcast to every port.
+
+    Each time step sums every edge's delayed, attenuated and rotated source
+    output on its own, so it shares no propagation code with the block
+    recursion under test.
+    """
+    ports = topology.input_ports
+    n_nodes, n_in, period = topology.n_nodes, len(sig), sig.sample_period
+    step, delay_steps = _simulation_step(topology, period)
+    same_grid = abs(step - period) <= 1e-9 * period
+    n_sim = n_in if same_grid else int(math.ceil((n_in - 1) * period / step - 1e-9)) + 1
+    t_in = np.arange(n_in) * period
+    t_sim = np.arange(n_sim) * step
+
+    k_in = topology.in_degree().astype(np.float64)
+    k_out = topology.out_degree().astype(np.float64)
+    for p in ports:
+        k_in[p.node] += 1.0
+    combine = 1.0 / np.sqrt(np.maximum(k_in, 1.0))
+
+    drive = np.zeros((n_sim, n_nodes), dtype=np.complex128)
+    resampled = sig.samples if same_grid else _interp_complex(t_sim, t_in, sig.samples)
+    for port in ports:
+        drive[:, port.node] += resampled * np.exp(1j * port.phase) * combine[port.node]
+    gains = np.array(
+        [
+            10.0 ** (-e.loss_db / 20.0) * np.exp(1j * e.phase) / np.sqrt(k_out[e.src]) * combine[e.dst]
+            for e in topology.edges
+        ],
+        dtype=np.complex128,
+    )
+    src = np.array([e.src for e in topology.edges], dtype=int)
+    dst = np.array([e.dst for e in topology.edges], dtype=int)
+
+    out = np.zeros((n_sim, n_nodes), dtype=np.complex128)
+    for n in range(n_sim):
+        acc = drive[n].copy()
+        back = n - delay_steps
+        live = back >= 0
+        np.add.at(acc, dst[live], gains[live] * out[back[live], src[live]])
+        out[n] = acc
+    if not same_grid:
+        out = np.stack([_interp_complex(t_in, t_sim, out[:, ch]) for ch in range(n_nodes)], axis=1)
+    if bias_power is not None:
+        out = np.hstack([out, np.full((n_in, 1), np.sqrt(bias_power), dtype=np.complex128)])
+    return out
 
 
 class TestBuildSwirl:
@@ -214,6 +278,49 @@ class TestSimulate:
         sig = OpticalSignal(np.zeros(10, complex), 1e-11)
         with pytest.raises(ValueError):
             simulate(t, sig, bias_power=0.0)
+
+    @pytest.mark.parametrize("bitrate", [5e9, 10e9, 15e9])
+    def test_mixed_delay_swirl_matches_oracle(self, bitrate):
+        # 10 Gbps runs on the input grid; at 5 and 15 Gbps the simulation
+        # grid is finer and the states are resampled.
+        t = _mixed_delay_swirl(seed=11)
+        assert len({e.delay for e in t.edges}) == 2
+        sig = _random_input(30, bitrate=bitrate, seed=6)
+        x = simulate(t, sig, None)
+        ref = _reference_simulate(t, sig, None)
+        assert np.max(np.abs(x.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_chain_matches_oracle(self):
+        period = 1e-11
+        t = ReservoirTopology(
+            3,
+            (Edge(0, 1, 3 * period, 1.0, 0.1), Edge(1, 2, 7 * period, 1.0, 0.2)),
+            (InputPort(0, 0.4),),
+        )
+        rng = np.random.default_rng(8)
+        sig = OpticalSignal(rng.standard_normal(80) + 1j * rng.standard_normal(80), period)
+        x = simulate(t, sig, None)
+        ref = _reference_simulate(t, sig, None)
+        assert np.max(np.abs(x.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_bias_line_matches_oracle(self):
+        t = _mixed_delay_swirl(seed=12)
+        sig = _random_input(20, seed=7)
+        x = simulate(t, sig, 0.02)
+        ref = _reference_simulate(t, sig, 0.02)
+        assert x.channel_roles[-1] == "bias"
+        assert np.max(np.abs(x.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_edgeless_topology_returns_scaled_injection(self, tmp_path):
+        # Node 0 has two injection ports (k_in = 2); node 1 has none.
+        path = tmp_path / "edgeless.topo"
+        path.write_text("nodes 2\ninput 0 0.5\ninput 0 1.0\n")
+        t = load_topology(path)
+        sig = _random_input(10, bitrate=15e9, seed=9)
+        x = simulate(t, sig, None)
+        expected = sig.samples * (np.exp(0.5j) + np.exp(1.0j)) / np.sqrt(2.0)
+        assert np.allclose(x.samples[:, 0], expected, rtol=1e-12, atol=0.0)
+        assert np.all(x.samples[:, 1] == 0)
 
     def test_heterogeneous_delays_supported(self):
         period = 1e-11
