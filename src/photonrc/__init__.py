@@ -38,11 +38,11 @@ from .detector import (
 from .ridge import RidgeConfig, cv_alpha, invert_target, ridge_solve
 from .cmaes import (
     CmaConfig,
+    bit_sse,
     cmaes_minimize,
     decode_weights,
     default_population,
     encode_weights,
-    sse_objective,
     train_cmaes,
 )
 from .stateest import (

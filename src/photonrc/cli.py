@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,7 +63,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    records, summary = run_bitrate_sweep(cfg, out_dir=args.out, verbose=not args.quiet)
+    records, summary = run_bitrate_sweep(cfg, out_dir=args.out)
     for s in summary:
         print(
             f"{s.bitrate_gbps:g} Gbps {s.header} {s.trainer}: "
@@ -74,14 +75,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_headers(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    records, summary = run_all_headers(cfg, out_dir=args.out, verbose=not args.quiet)
+    records, summary = run_all_headers(cfg, out_dir=args.out)
     print(f"wrote {len(records)} records ({len(summary)} summary rows) to {args.out}")
     return 0
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    rows = run_perturbation(cfg, out_dir=args.out, verbose=not args.quiet)
+    rows = run_perturbation(cfg, out_dir=args.out)
     for row in rows:
         print(f"b = {row.b_over_pi:.2f} pi: mean BER {row.mean_ber:.3g} ({row.n_evaluations} evals)")
     return 0
@@ -89,7 +90,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    rows = run_convergence(cfg, out_dir=args.out, verbose=not args.quiet)
+    rows = run_convergence(cfg, out_dir=args.out)
     last = rows[-1]
     print(
         f"{last.iteration} iterations, {last.presentations} presentations, "
@@ -166,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_probe_dump)
 
     args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO, format="%(message)s")
     return args.func(args)
 
 

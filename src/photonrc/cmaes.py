@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detector import DetectorConfig, ElectricalSignal, ReadoutWeights, readout_forward
-from .reservoir import StateMatrix
+from .detector import ReadoutWeights
 from .signals import DesiredSignal
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "default_population",
     "encode_weights",
     "decode_weights",
-    "sse_objective",
+    "bit_sse",
     "cmaes_minimize",
     "train_cmaes",
     "TrainCmaesResult",
@@ -111,32 +110,20 @@ def decode_weights(vector: np.ndarray) -> ReadoutWeights:
     return ReadoutWeights(v[:half] + 1j * v[half:])
 
 
-def _subsample_per_bit(
-    y: np.ndarray, samples_per_bit: int, sample_offset: int, skip_bits: int
-) -> np.ndarray:
-    return y[sample_offset::samples_per_bit][skip_bits:]
-
-
-def sse_objective(
-    states: StateMatrix,
-    weights: ReadoutWeights | np.ndarray,
+def bit_sse(
+    y: np.ndarray,
     desired: DesiredSignal,
-    cfg: DetectorConfig,
     samples_per_bit: int,
-    sample_offset: int | None = None,
-    skip_bits: int = 0,
-    rng: np.random.Generator | None = None,
+    sample_offset: int,
+    skip_bits: int,
 ) -> float:
-    """Sum of squared errors between the per-bit detector output and the target.
+    """Sum of squared errors between a per-bit detector output and the target.
 
-    The detector output is sampled once per bit at ``sample_offset``
-    (mid-bit by default); the first ``skip_bits`` bits are excluded so the
-    reservoir transient does not enter the score.
+    The detector output ``y`` is sampled once per bit at ``sample_offset``;
+    the first ``skip_bits`` bits are excluded so the reservoir transient
+    does not enter the score.
     """
-    if sample_offset is None:
-        sample_offset = samples_per_bit // 2
-    y = readout_forward(states, weights, cfg, rng=rng).samples
-    y_bits = _subsample_per_bit(y, samples_per_bit, sample_offset, skip_bits)
+    y_bits = y[sample_offset::samples_per_bit][skip_bits:]
     d = desired.scaled[skip_bits:]
     n = min(y_bits.size, d.size)
     return float(np.sum((y_bits[:n] - d[:n]) ** 2))
@@ -272,7 +259,7 @@ class TrainCmaesResult:
     sigma0: float
     sse: float
     history: np.ndarray  # best-so-far SSE per iteration of the winning run
-    presentations: int  # total presentations across the whole sweep
+    presentations: int  # presentations used by the whole sweep
     presentations_winner: int
 
     @property
@@ -280,35 +267,8 @@ class TrainCmaesResult:
         return self.sse
 
 
-class _StatesObjective:
-    """Objective adapter that counts presentations of the training input."""
-
-    def __init__(self, states, desired, detector, samples_per_bit, sample_offset, skip_bits, rng):
-        self._states = states
-        self._desired = desired
-        self._detector = detector
-        self._spb = samples_per_bit
-        self._offset = sample_offset
-        self._skip = skip_bits
-        self._rng = rng
-        self.presentations = 0
-
-    def __call__(self, vector: np.ndarray) -> float:
-        self.presentations += 1
-        return sse_objective(
-            self._states,
-            decode_weights(vector),
-            self._desired,
-            self._detector,
-            self._spb,
-            sample_offset=self._offset,
-            skip_bits=self._skip,
-            rng=self._rng,
-        )
-
-
 class _ReadoutObjective:
-    """Same scoring, but driven through an opaque readout's presentations."""
+    """Scores an encoded weight vector by one presentation of the readout."""
 
     def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
         self._readout = readout
@@ -317,23 +277,15 @@ class _ReadoutObjective:
         self._offset = sample_offset
         self._skip = skip_bits
 
-    @property
-    def presentations(self) -> int:
-        return self._readout.presentations
-
     def __call__(self, vector: np.ndarray) -> float:
-        y: ElectricalSignal = self._readout.present(decode_weights(vector))
-        y_bits = _subsample_per_bit(y.samples, self._spb, self._offset, self._skip)
-        d = self._desired.scaled[self._skip :]
-        n = min(y_bits.size, d.size)
-        return float(np.sum((y_bits[:n] - d[:n]) ** 2))
+        y = self._readout.present(decode_weights(vector)).samples
+        return bit_sse(y, self._desired, self._spb, self._offset, self._skip)
 
 
 def train_cmaes(
     readout,
     desired: DesiredSignal,
     cma: CmaConfig,
-    detector: DetectorConfig | None = None,
     samples_per_bit: int = 24,
     sample_offset: int | None = None,
     skip_bits: int = 0,
@@ -342,28 +294,17 @@ def train_cmaes(
 ) -> TrainCmaesResult:
     """Train readout weights as a pure black box.
 
-    ``readout`` is either a :class:`StateMatrix` (paired with a detector
-    config, evaluated in simulation) or any object exposing
-    ``n_channels``/``present``/``presentations``.  Optimization starts
-    from the zero weight vector and sweeps the initial step size over
-    ``sigma_sweep`` (decades 1e-5 .. 1e2 by default); the sweep member
-    with the lowest final SSE wins, ties going to the smaller step size.
+    ``readout`` is any object exposing ``n_channels``/``present``/
+    ``presentations``, such as a ``SimulatedReadout`` over a state matrix.
+    Optimization starts from the zero weight vector and sweeps the initial
+    step size over ``sigma_sweep`` (decades 1e-5 .. 1e2 by default); the
+    sweep member with the lowest final SSE wins, ties going to the smaller
+    step size.  ``presentations`` in the result counts only this sweep's.
     """
     if sample_offset is None:
         sample_offset = samples_per_bit // 2
-    if isinstance(readout, StateMatrix):
-        if detector is None:
-            raise ValueError("a detector config is required when training from a state matrix")
-        n_channels = readout.n_channels
-        rng = np.random.default_rng(None if cma.seed is None else cma.seed + 0x5EED)
-        objective = _StatesObjective(
-            readout, desired, detector, samples_per_bit, sample_offset, skip_bits, rng
-        )
-    else:
-        n_channels = readout.n_channels
-        objective = _ReadoutObjective(readout, desired, samples_per_bit, sample_offset, skip_bits)
-
-    dim = 2 * n_channels
+    objective = _ReadoutObjective(readout, desired, samples_per_bit, sample_offset, skip_bits)
+    dim = 2 * readout.n_channels
     sweep = tuple(sigma_sweep) if sigma_sweep is not None else DEFAULT_SIGMA_SWEEP
     if not sweep:
         raise ValueError("sigma sweep is empty")
@@ -371,17 +312,18 @@ def train_cmaes(
     best: CmaResult | None = None
     best_sigma0 = None
     winner_presentations = 0
+    start = readout.presentations
     for i, sigma0 in enumerate(sweep):
         run_cfg = replace(
             cma,
             initial_sigma=float(sigma0),
             seed=None if cma.seed is None else int(np.random.SeedSequence([cma.seed, i]).generate_state(1)[0]),
         )
-        before = objective.presentations
+        before = readout.presentations
         result = cmaes_minimize(
             objective, dim, run_cfg, x0=np.zeros(dim), callback=callback if len(sweep) == 1 else None
         )
-        used = objective.presentations - before
+        used = readout.presentations - before
         if best is None or result.best_f < best.best_f:
             best = result
             best_sigma0 = float(sigma0)
@@ -393,6 +335,6 @@ def train_cmaes(
         sigma0=best_sigma0,
         sse=best.best_f,
         history=best.history,
-        presentations=objective.presentations,
+        presentations=readout.presentations - start,
         presentations_winner=winner_presentations,
     )

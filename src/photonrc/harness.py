@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -61,6 +62,8 @@ __all__ = [
 
 GEO_MEAN_CLAMP = 1e-4
 
+logger = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # Decision chain
@@ -102,12 +105,13 @@ def bit_error_rate(decided, ideal) -> float:
     return float(np.mean(decided != ideal))
 
 
-def _offset_ber(samples, d_ideal, samples_per_bit, offset, threshold) -> float:
+def _score(samples, d_ideal, samples_per_bit, offset, threshold) -> tuple[float, int]:
+    """BER of the decided stream against ``d_ideal`` and the bits scored."""
     decided = decide_bits(samples, samples_per_bit, offset, threshold)
     n = min(decided.size, len(d_ideal))
     if n == 0:
-        return 1.0
-    return bit_error_rate(decided[:n], np.asarray(d_ideal)[:n])
+        return 1.0, 0
+    return bit_error_rate(decided[:n], np.asarray(d_ideal)[:n]), n
 
 
 def best_sampling_point(
@@ -127,8 +131,14 @@ def best_sampling_point(
     if threshold is None:
         threshold = threshold_level(samples)
     offsets = range(search_bits * samples_per_bit)
-    bers = [_offset_ber(samples, d_ideal, samples_per_bit, o, threshold) for o in offsets]
+    bers = [_score(samples, d_ideal, samples_per_bit, o, threshold)[0] for o in offsets]
     return int(np.argmin(bers))
+
+
+def _freeze_decision(y, d_ideal, samples_per_bit: int, search_bits: int) -> tuple[float, int]:
+    """Threshold and sampling offset chosen on one (training) output."""
+    threshold = threshold_level(y)
+    return threshold, best_sampling_point(y, d_ideal, samples_per_bit, search_bits, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +377,8 @@ def _evaluate(
         rng=np.random.default_rng(derive_seed(cfg.master_seed, "eval-train", *key)),
     ).samples[warm * spb :]
     d_tr = d_train.ideal[warm:]
-    threshold = threshold_level(y_train)
-    offset = best_sampling_point(y_train, d_tr, spb, cfg.search_bits, threshold=threshold)
-    train_ber = _offset_ber(y_train, d_tr, spb, offset, threshold)
-    n_train_scored = min(decide_bits(y_train, spb, offset, threshold).size, d_tr.size)
+    threshold, offset = _freeze_decision(y_train, d_tr, spb, cfg.search_bits)
+    train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
 
     y_test = readout_forward(
         cell.states_test,
@@ -378,9 +386,7 @@ def _evaluate(
         cfg.detector,
         rng=np.random.default_rng(derive_seed(cfg.master_seed, "eval-test", *key)),
     ).samples[warm * spb :]
-    d_te = d_test.ideal[warm:]
-    test_ber = _offset_ber(y_test, d_te, spb, offset, threshold)
-    n_test_scored = min(decide_bits(y_test, spb, offset, threshold).size, d_te.size)
+    test_ber, n_test_scored = _score(y_test, d_test.ideal[warm:], spb, offset, threshold)
     return threshold, offset, train_ber, test_ber, n_train_scored, n_test_scored
 
 
@@ -433,7 +439,6 @@ def run_single(
 def run_bitrate_sweep(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    verbose: bool = False,
 ) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
     """Sweep (bitrate x header x trainer x instance) and aggregate.
 
@@ -447,13 +452,11 @@ def run_bitrate_sweep(
             for header in cfg.headers:
                 cell_records = _run_trainers(cfg, cell, header, cfg.trainers)
                 records.extend(cell_records)
-                if verbose:
-                    for r in cell_records:
-                        print(
-                            f"bitrate={r.bitrate_gbps:g} Gbps header={r.header} "
-                            f"trainer={r.trainer} instance={r.instance} "
-                            f"test BER={r.test_report}"
-                        )
+                for r in cell_records:
+                    logger.info(
+                        "bitrate=%g Gbps header=%s trainer=%s instance=%d test BER=%s",
+                        r.bitrate_gbps, r.header, r.trainer, r.instance, r.test_report,
+                    )
     records.sort(key=lambda r: (r.bitrate_gbps, r.header, r.trainer, r.instance))
     summary = aggregate_records(records)
     if out_dir is not None:
@@ -469,11 +472,16 @@ def run_bitrate_sweep(
 def run_all_headers(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    verbose: bool = False,
 ) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
     """Bitrate sweep over every possible 3-bit header."""
     cfg_all = replace(cfg, headers=ALL_3BIT_HEADERS)
-    return run_bitrate_sweep(cfg_all, out_dir=out_dir, verbose=verbose)
+    return run_bitrate_sweep(cfg_all, out_dir=out_dir)
+
+
+def _geo_mean(bers) -> float:
+    """Geometric mean with each BER clamped at ``GEO_MEAN_CLAMP``."""
+    clamped = np.maximum(np.asarray(bers), GEO_MEAN_CLAMP)
+    return float(np.exp(np.mean(np.log(clamped))))
 
 
 def aggregate_records(records: list[ExperimentRecord]) -> list[SummaryRow]:
@@ -488,14 +496,13 @@ def aggregate_records(records: list[ExperimentRecord]) -> list[SummaryRow]:
         groups.setdefault((r.bitrate_gbps, r.header, r.trainer), []).append(r.test_ber)
     rows = []
     for (bitrate, header, trainer), bers in sorted(groups.items()):
-        clamped = np.maximum(np.asarray(bers), GEO_MEAN_CLAMP)
         rows.append(
             SummaryRow(
                 bitrate_gbps=bitrate,
                 header=header,
                 trainer=trainer,
                 n_instances=len(bers),
-                geo_mean_test_ber=float(np.exp(np.mean(np.log(clamped)))),
+                geo_mean_test_ber=_geo_mean(bers),
                 mean_test_ber=float(np.mean(bers)),
                 min_test_ber=float(np.min(bers)),
                 max_test_ber=float(np.max(bers)),
@@ -512,7 +519,6 @@ def run_perturbation(
     cfg: ExperimentConfig,
     b_list: list[float] | None = None,
     out_dir: str | Path | None = None,
-    verbose: bool = False,
 ) -> list[PerturbationRow]:
     """Degradation of frozen ridge weights under random phase perturbations.
 
@@ -558,20 +564,18 @@ def run_perturbation(
                         derive_seed(cfg.master_seed, "perturb-eval", instance, b_idx, draw)
                     ),
                 ).samples[warm * spb :]
-                per_b[b_idx].append(_offset_ber(y, d_te, spb, offset, threshold))
-        if verbose:
-            print(f"perturbation instance {instance}: baseline test BER {baseline_ber:.3g}")
+                per_b[b_idx].append(_score(y, d_te, spb, offset, threshold)[0])
+        logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 
     rows = []
     for b_idx, b in enumerate(b_list):
         bers = np.asarray(per_b[b_idx])
-        clamped = np.maximum(bers, GEO_MEAN_CLAMP)
         rows.append(
             PerturbationRow(
                 b_over_pi=b / math.pi,
                 b_rad=b,
                 mean_ber=float(bers.mean()),
-                geo_mean_ber=float(np.exp(np.mean(np.log(clamped)))),
+                geo_mean_ber=_geo_mean(bers),
                 n_evaluations=int(bers.size),
             )
         )
@@ -595,7 +599,6 @@ def run_convergence(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
     instance: int = 0,
-    verbose: bool = False,
 ) -> list[ConvergenceRow]:
     """Black-box training with the error rate recorded at every iteration.
 
@@ -631,9 +634,8 @@ def run_convergence(
                 derive_seed(cfg.master_seed, "conv-eval", bitrate, instance, it.iteration)
             ),
         ).samples[warm * spb :]
-        threshold = threshold_level(y)
-        offset = best_sampling_point(y, d_tr, spb, cfg.search_bits, threshold=threshold)
-        ber = _offset_ber(y, d_tr, spb, offset, threshold)
+        threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
+        ber = _score(y, d_tr, spb, offset, threshold)[0]
         best_ber = min(best_ber, ber)
         rows.append(
             ConvergenceRow(
@@ -644,10 +646,10 @@ def run_convergence(
                 best_ber=best_ber,
             )
         )
-        if verbose and it.iteration % 25 == 0:
-            print(
-                f"iteration {it.iteration}: presentations={it.evaluations} "
-                f"sse={it.best_f:.4g} ber={ber:.4g}"
+        if it.iteration % 25 == 0:
+            logger.info(
+                "iteration %d: presentations=%d sse=%.4g ber=%.4g",
+                it.iteration, it.evaluations, it.best_f, ber,
             )
 
     cma = CmaConfig(

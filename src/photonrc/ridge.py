@@ -9,6 +9,7 @@ the target side, so the regression fits the optical sum ``X @ w`` against
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "ridge_solve",
     "cv_alpha",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,9 @@ def cv_alpha(
     Folds are contiguous time blocks to respect temporal correlation.
     Validation error is the mean squared gap between ``|X w|`` and the
     detector-inverted target, i.e. the quantity the intensity detector
-    can actually distinguish.  The winning alpha (smallest on ties) is
-    refit on all data.
+    can actually distinguish.  An alpha whose system is singular in any
+    fold is dropped with a warning; only an all-singular grid raises.  The
+    winning alpha (smallest on ties) is refit on all data.
     """
     x, bias_idx = _as_matrix(states)
     t = np.asarray(target)
@@ -160,14 +164,20 @@ def cv_alpha(
     rhs_total = np.sum(rhss, axis=0)
     pen_diag = _penalty_diag(x.shape[1], cfg.regularize_bias, bias_idx)
 
-    mean_errors = np.empty(len(grid))
+    mean_errors = np.full(len(grid), np.inf)
     for i, alpha in enumerate(grid):
         errors = []
-        for b, gram_b, rhs_b in zip(blocks, grams, rhss):
-            w = _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
-            pred = np.abs(x[b] @ w.values)
-            errors.append(float(np.mean((pred - t[b]) ** 2)))
+        try:
+            for b, gram_b, rhs_b in zip(blocks, grams, rhss):
+                w = _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
+                pred = np.abs(x[b] @ w.values)
+                errors.append(float(np.mean((pred - t[b]) ** 2)))
+        except np.linalg.LinAlgError as exc:
+            logger.warning("dropping alpha=%g from cross validation: %s", alpha, exc)
+            continue
         mean_errors[i] = np.mean(errors)
+    if np.isinf(mean_errors).all():
+        raise np.linalg.LinAlgError("ridge system is singular for every alpha in the grid")
 
     best = int(np.argmin(mean_errors))
     alpha_star = float(grid[best])

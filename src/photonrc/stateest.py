@@ -182,13 +182,12 @@ def probe_moduli(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    columns = []
-    n_channels = readout.n_channels
-    for f in range(n_channels):
-        w = np.zeros(n_channels, dtype=np.complex128)
-        w[f] = 1.0
-        y = _present_average(readout, w, repeats)
-        columns.append(_inverted_modulus(y, responsivity))
+    schedule = build_probe_schedule(readout.n_channels)
+    columns = [
+        _inverted_modulus(_present_average(readout, w, repeats), responsivity)
+        for w, kind in zip(schedule.weights, schedule.kinds)
+        if kind[0] == "modulus"
+    ]
     return np.stack(columns, axis=1)
 
 
@@ -317,27 +316,24 @@ def estimate_states(
 ) -> EstimatedStates:
     """Run the full 3F-2 probing round against an opaque readout.
 
-    The reference defaults to the channel with the largest mean modulus
-    (usually the bias line), which maximizes the signal-to-noise ratio of
-    every pair probe.
+    Presents the probes of :func:`build_probe_schedule` in schedule order,
+    each ``repeats`` times.  The reference defaults to the channel with the
+    largest mean modulus (usually the bias line), which maximizes the
+    signal-to-noise ratio of every pair probe.
     """
     moduli = probe_moduli(readout, responsivity, repeats=repeats)
-    n_channels = moduli.shape[1]
     if ref_channel is None:
         ref_channel = int(np.argmax(moduli.mean(axis=0)))
+    schedule = build_probe_schedule(moduli.shape[1], ref_channel)
+    # Pair and quad probes alternate per channel; each pair is reduced to
+    # a phase before the next is presented, so only two outputs are held.
+    phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
 
     phases = np.zeros_like(moduli)
     worst_excess = 0.0
     p_ref = moduli[:, ref_channel]
-    for q in range(n_channels):
-        if q == ref_channel:
-            continue
-        pair = np.zeros(n_channels, dtype=np.complex128)
-        pair[ref_channel] = 1.0
-        pair[q] = 1.0
+    for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
         p_pair = _inverted_modulus(_present_average(readout, pair, repeats), responsivity)
-        quad = pair.copy()
-        quad[ref_channel] = 1.0j
         p_quad = _inverted_modulus(_present_average(readout, quad, repeats), responsivity)
         valid = (p_ref >= eps) & (moduli[:, q] >= eps)
         phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)

@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 
 from photonrc.cmaes import (
     CmaConfig,
+    bit_sse,
     cmaes_minimize,
     decode_weights,
     default_population,
     encode_weights,
-    sse_objective,
     train_cmaes,
 )
-from photonrc.detector import DetectorConfig, ReadoutWeights
+from photonrc.detector import DetectorConfig, ReadoutWeights, readout_forward
 from photonrc.harness import bit_error_rate, decide_bits, threshold_level
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import DesiredSignal
+from photonrc.stateest import SimulatedReadout
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
 
@@ -62,16 +63,16 @@ class TestSseObjective:
         d = DesiredSignal(np.array([1, 0, 1, 1]), p_total=0.125)
         amp = np.sqrt(d.scaled / RAW.responsivity)
         states = self._held_states(amp)
-        sse = sse_objective(states, np.ones(1, complex), d, RAW, samples_per_bit=8)
-        assert sse == 0.0
+        y = readout_forward(states, np.ones(1, complex), RAW).samples
+        assert bit_sse(y, d, 8, 4, 0) == 0.0
 
     def test_constant_offset(self):
         n = 50
         d = DesiredSignal(np.zeros(n, dtype=int), p_total=0.1)
         eps = 0.003
         states = self._held_states(np.full(n, np.sqrt(eps / RAW.responsivity)))
-        sse = sse_objective(states, np.ones(1, complex), d, RAW, samples_per_bit=8)
-        assert np.isclose(sse, n * eps**2, rtol=1e-12)
+        y = readout_forward(states, np.ones(1, complex), RAW).samples
+        assert np.isclose(bit_sse(y, d, 8, 4, 0), n * eps**2, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -84,7 +85,7 @@ class TestSseObjective:
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
         offset = 4
-        got = sse_objective(states, w, d, RAW, spb, sample_offset=offset, skip_bits=2)
+        got = bit_sse(readout_forward(states, w, RAW).samples, d, spb, offset, 2)
         total = 0.0
         for m in range(2, n_bits):
             y = RAW.responsivity * abs(states.samples[offset + m * spb] @ w) ** 2
@@ -171,14 +172,12 @@ class TestTrainCmaes:
         good = np.repeat(np.sqrt(d.scaled / RAW.responsivity), spb)
         decoy = np.repeat(rng.normal(size=n_bits), spb) * 0.05
         states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10, ("a", "b"))
-        return states, d, spb
+        return states, SimulatedReadout(states, RAW), d, spb
 
     def test_separable_toy_reaches_zero_ber(self):
-        states, d, spb = self._toy_problem()
+        states, readout, d, spb = self._toy_problem()
         cma = CmaConfig(max_iterations=150, seed=21)
-        result = train_cmaes(
-            states, d, cma, detector=RAW, samples_per_bit=spb, sigma_sweep=(0.1, 1.0)
-        )
+        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
         y = RAW.responsivity * np.abs(states.samples @ result.weights.values) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
@@ -188,7 +187,7 @@ class TestTrainCmaes:
         # the per-member outcome includes a tie to check the tie-break.
         import photonrc.cmaes as cmaes_mod
 
-        states, d, spb = self._toy_problem(seed=3)
+        _, readout, d, spb = self._toy_problem(seed=3)
         outcomes = {1e-4: 3.0, 1e-2: 1.0, 1.0: 1.0, 10.0: 2.0}
         seen = []
 
@@ -207,10 +206,9 @@ class TestTrainCmaes:
 
         monkeypatch.setattr(cmaes_mod, "cmaes_minimize", fake_minimize)
         best = cmaes_mod.train_cmaes(
-            states,
+            readout,
             d,
             CmaConfig(seed=4),
-            detector=RAW,
             samples_per_bit=spb,
             sigma_sweep=tuple(outcomes),
         )
@@ -220,21 +218,23 @@ class TestTrainCmaes:
         assert best.presentations == len(outcomes)
 
     def test_presentation_accounting(self):
-        states, d, spb = self._toy_problem(seed=5)
+        _, readout, d, spb = self._toy_problem(seed=5)
         cma = CmaConfig(max_iterations=10, population=6, seed=6)
-        result = train_cmaes(
-            states, d, cma, detector=RAW, samples_per_bit=spb, sigma_sweep=(0.1, 1.0)
-        )
+        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
         assert result.presentations == 2 * 10 * 6
         assert result.presentations_winner == 10 * 6
 
-    def test_history_monotone(self):
-        states, d, spb = self._toy_problem(seed=7)
-        cma = CmaConfig(max_iterations=30, seed=8)
-        result = train_cmaes(states, d, cma, detector=RAW, samples_per_bit=spb, sigma_sweep=(0.5,))
-        assert np.all(np.diff(result.history) <= 0.0)
+    def test_presentations_on_reused_readout(self):
+        # Presentations made before the sweep are not charged to it.
+        _, readout, d, spb = self._toy_problem(seed=10)
+        readout.present(np.zeros(readout.n_channels, complex))
+        cma = CmaConfig(max_iterations=3, population=4, seed=1)
+        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1,))
+        assert result.presentations == result.presentations_winner == 3 * 4
+        assert readout.presentations == 1 + 3 * 4
 
-    def test_states_require_detector(self):
-        states, d, spb = self._toy_problem(seed=9)
-        with pytest.raises(ValueError):
-            train_cmaes(states, d, CmaConfig(), samples_per_bit=spb)
+    def test_history_monotone(self):
+        _, readout, d, spb = self._toy_problem(seed=7)
+        cma = CmaConfig(max_iterations=30, seed=8)
+        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.5,))
+        assert np.all(np.diff(result.history) <= 0.0)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -224,6 +226,13 @@ class TestSweeps:
         headers = sorted({r.header for r in records})
         assert headers == ["000", "001", "010", "011", "100", "101", "110", "111"]
         assert len(records) == 8
+
+    def test_progress_goes_to_logging(self, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="photonrc.harness"):
+            records, _ = run_bitrate_sweep(tiny_cfg(n_reservoirs=2))
+        progress = [r for r in caplog.records if "test BER" in r.getMessage()]
+        assert len(progress) == len(records) == 2
+        assert capsys.readouterr().out == ""
 
     def test_output_files(self, tmp_path):
         cfg = tiny_cfg()

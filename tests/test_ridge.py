@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ class TestCvAlpha:
         alpha, w = cv_alpha(states, t, RidgeConfig(alpha_grid=(5.0,), folds=3))
         w_oracle = _augmented_oracle(arr, t, 5.0, penalty_mask=np.array([1.0, 1.0, 0.0]))
         assert np.allclose(w.values, w_oracle, rtol=1e-8)
+
+    def test_singular_alpha_is_dropped(self, caplog):
+        # alpha = 0 leaves the all-zero column unconstrained; alpha = 1 is
+        # well posed and must still be selected.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3))
+        x[:, 1] = 0.0
+        t = np.abs(x @ np.array([1.0, 0.0, 0.5j]))
+        with caplog.at_level(logging.WARNING, logger="photonrc.ridge"):
+            alpha, w = cv_alpha(x, t, RidgeConfig(alpha_grid=(0.0, 1.0)))
+        assert alpha == 1.0
+        assert np.isfinite(w.values).all()
+        assert "alpha=0" in caplog.text and "singular" in caplog.text
+
+    def test_all_singular_grid_raises(self):
+        x = np.zeros((20, 2), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="every alpha"):
+            cv_alpha(x, np.ones(20), RidgeConfig(alpha_grid=(0.0,), folds=2))
 
     def test_default_grid_scales_with_power(self):
         small = default_alpha_grid(0.01 * np.ones((10, 2)))

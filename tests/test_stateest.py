@@ -49,6 +49,30 @@ class TestProbeSchedule:
         with pytest.raises(ValueError):
             build_probe_schedule(4, ref_channel=7)
 
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_estimation_presents_the_schedule(self, repeats):
+        # The strongest channel (2) becomes the reference, so the pair and
+        # quad probes differ from those of the default schedule.
+        class RecordingReadout(SimulatedReadout):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.seen = []
+
+            def present(self, weights):
+                self.seen.append(np.array(weights, copy=True))
+                return super().present(weights)
+
+        rng = np.random.default_rng(6)
+        arr = 0.1 * (rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
+        arr[:, 2] = 0.5
+        readout = RecordingReadout(StateMatrix(arr, 1e-11, ("a", "b", "c", "d")), RAW)
+        est = estimate_states(readout, RAW.responsivity, eps=1e-9, repeats=repeats)
+        assert est.ref_channel == 2
+        expected = [w for w in build_probe_schedule(4, est.ref_channel).weights for _ in range(repeats)]
+        assert len(readout.seen) == len(expected) == repeats * probe_count(4)
+        for got, want in zip(readout.seen, expected):
+            assert np.array_equal(got, want)
+
 
 class TestProbeModuli:
     def test_constant_channel(self):
