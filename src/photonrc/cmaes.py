@@ -2,10 +2,13 @@
 
 The optimizer is the standard (mu/mu_w, lambda) scheme: rank-based
 recombination weights, cumulative step-size adaptation, and a rank-one
-plus rank-mu covariance update.  It is used to train readout weights
-through nothing but repeated presentations of the training sequence: each
-objective evaluation sets candidate weights on the readout, plays the
-input once, and scores the detector output against the desired signal.
+plus rank-mu covariance update, run in the ask/tell form: each generation
+samples all lambda candidates, scores them with one objective call, and
+updates the distribution from the ranking.  It is used to train readout
+weights through nothing but repeated presentations of the training
+sequence: scoring a generation sets each candidate's weights on the
+readout, plays the input once per candidate, and compares every detector
+output with the desired signal.
 """
 
 from __future__ import annotations
@@ -101,13 +104,18 @@ def encode_weights(weights: ReadoutWeights | np.ndarray) -> np.ndarray:
     return np.concatenate([w.real, w.imag])
 
 
+def _decode(v: np.ndarray) -> np.ndarray:
+    """Complex weights from encoded vectors along the last axis."""
+    half = v.shape[-1] // 2
+    return v[..., :half] + 1j * v[..., half:]
+
+
 def decode_weights(vector: np.ndarray) -> ReadoutWeights:
     """Inverse of :func:`encode_weights`."""
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("encoded weight vector must have even length")
-    half = v.size // 2
-    return ReadoutWeights(v[:half] + 1j * v[half:])
+    return ReadoutWeights(_decode(v))
 
 
 def bit_sse(
@@ -116,31 +124,35 @@ def bit_sse(
     samples_per_bit: int,
     sample_offset: int,
     skip_bits: int,
-) -> float:
+) -> float | np.ndarray:
     """Sum of squared errors between a per-bit detector output and the target.
 
     The detector output ``y`` is sampled once per bit at ``sample_offset``;
     the first ``skip_bits`` bits are excluded so the reservoir transient
-    does not enter the score.
+    does not enter the score.  A K x N block of outputs, one per row, gets
+    K scores.
     """
-    y_bits = y[sample_offset::samples_per_bit][skip_bits:]
+    y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
     d = desired.scaled[skip_bits:]
-    n = min(y_bits.size, d.size)
-    return float(np.sum((y_bits[:n] - d[:n]) ** 2))
+    n = min(y_bits.shape[-1], d.size)
+    sse = np.sum((y_bits[..., :n] - d[:n]) ** 2, axis=-1)
+    return float(sse) if y.ndim == 1 else sse
 
 
 def cmaes_minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     dim: int,
     cfg: CmaConfig,
     x0: np.ndarray | None = None,
     callback: Callable[[CmaIteration], None] | None = None,
 ) -> CmaResult:
-    """Minimize ``objective`` over R^dim.
+    """Minimize a function over R^dim.
 
-    Deterministic given ``cfg.seed``.  Stops after ``max_iterations`` or
-    once the best value reaches ``target_sse``.  Non-finite objective
-    values abort with a diagnostic because they poison the ranking.
+    ``objective`` scores a whole generation: it maps a lambda x dim matrix
+    of candidates, one per row, to their lambda values.  Deterministic
+    given ``cfg.seed``.  Stops after ``max_iterations`` or once the best
+    value reaches ``target_sse``.  Non-finite objective values abort with
+    a diagnostic because they poison the ranking.
     """
     if dim < 1:
         raise ValueError("search dimension must be at least 1")
@@ -180,19 +192,22 @@ def cmaes_minimize(
         scale = eigvecs * np.sqrt(eigvals)  # B * diag(sqrt(d))
         inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
+        # ask: the whole generation, scored by one objective call
         z = rng.standard_normal((lam, n))
         candidates = state.mean + state.sigma * z @ scale.T
-        values = np.empty(lam)
-        for k in range(lam):
-            fk = float(objective(candidates[k]))
-            if not math.isfinite(fk):
-                raise RuntimeError(
-                    f"non-finite objective value {fk!r} at iteration {iteration}, "
-                    f"candidate {k} (|x| = {np.linalg.norm(candidates[k]):.3e})"
-                )
-            values[k] = fk
+        values = np.asarray(objective(candidates), dtype=np.float64)
+        if values.shape != (lam,):
+            raise ValueError(f"objective returned shape {values.shape} for {lam} candidates")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = int(bad[0])
+            raise RuntimeError(
+                f"non-finite objective value {float(values[k])!r} at iteration {iteration}, "
+                f"candidate {k} (|x| = {np.linalg.norm(candidates[k]):.3e})"
+            )
         evaluations += lam
 
+        # tell: rank the generation and update the distribution
         order = np.argsort(values, kind="stable")
         gen_best = float(values[order[0]])
         if gen_best < best_f:
@@ -268,7 +283,11 @@ class TrainCmaesResult:
 
 
 class _ReadoutObjective:
-    """Scores an encoded weight vector by one presentation of the readout."""
+    """Scores a generation of encoded weight vectors, one presentation each.
+
+    The lambda candidates go to the readout as the columns of one weight
+    matrix, and the lambda outputs are scored together by :func:`bit_sse`.
+    """
 
     def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
         self._readout = readout
@@ -277,8 +296,8 @@ class _ReadoutObjective:
         self._offset = sample_offset
         self._skip = skip_bits
 
-    def __call__(self, vector: np.ndarray) -> float:
-        y = self._readout.present(decode_weights(vector)).samples
+    def __call__(self, candidates: np.ndarray) -> np.ndarray:
+        y = self._readout.present(_decode(candidates).T).samples
         return bit_sse(y, self._desired, self._spb, self._offset, self._skip)
 
 

@@ -62,7 +62,13 @@ class OpaqueReadout(Protocol):
     n_channels: int
     presentations: int
 
-    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal: ...
+    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
+        """Present one weight vector, or each column of an F x K matrix in order.
+
+        A matrix counts as K presentations and yields a K x N block of
+        outputs, one row per column.
+        """
+        ...
 
 
 class SimulatedReadout:
@@ -70,7 +76,8 @@ class SimulatedReadout:
 
     Detector noise is drawn from an internal generator, so repeated
     presentations see independent noise while the whole experiment stays
-    reproducible from the seed.
+    reproducible from the seed.  Presenting K weight columns in one call
+    draws the same noise as K single calls in column order.
     """
 
     def __init__(self, states: StateMatrix, detector: DetectorConfig, seed: int | None = None):
@@ -96,8 +103,9 @@ class SimulatedReadout:
         return self._states.channel_roles
 
     def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
-        self.presentations += 1
-        return readout_forward(self._states, weights, self.detector, rng=self._rng)
+        w = weights.values if isinstance(weights, ReadoutWeights) else np.asarray(weights)
+        self.presentations += w.shape[1] if w.ndim == 2 else 1
+        return readout_forward(self._states, w, self.detector, rng=self._rng)
 
 
 @dataclass(frozen=True)
@@ -162,11 +170,17 @@ def _inverted_modulus(y: np.ndarray, responsivity: float) -> np.ndarray:
     return np.sqrt(np.maximum(y, 0.0) / responsivity)
 
 
-def _present_average(readout: OpaqueReadout, weights: np.ndarray, repeats: int) -> np.ndarray:
-    acc = None
-    for _ in range(repeats):
-        y = readout.present(weights).samples
-        acc = y if acc is None else acc + y
+def _present_average(readout: OpaqueReadout, probes: list[np.ndarray], repeats: int) -> np.ndarray:
+    """Mean output of each probe over ``repeats`` presentations (P x N).
+
+    One call presents every probe ``repeats`` times in a row, probe by
+    probe, as the schedule lists them.
+    """
+    columns = np.repeat(np.stack(probes, axis=1), repeats, axis=1)
+    y = readout.present(columns).samples.reshape(len(probes), repeats, -1)
+    acc = y[:, 0]
+    for r in range(1, repeats):
+        acc = acc + y[:, r]
     return acc / repeats
 
 
@@ -184,7 +198,7 @@ def probe_moduli(
         raise ValueError("repeats must be at least 1")
     schedule = build_probe_schedule(readout.n_channels)
     columns = [
-        _inverted_modulus(_present_average(readout, w, repeats), responsivity)
+        _inverted_modulus(_present_average(readout, [w], repeats)[0], responsivity)
         for w, kind in zip(schedule.weights, schedule.kinds)
         if kind[0] == "modulus"
     ]
@@ -317,7 +331,8 @@ def estimate_states(
     """Run the full 3F-2 probing round against an opaque readout.
 
     Presents the probes of :func:`build_probe_schedule` in schedule order,
-    each ``repeats`` times.  The reference defaults to the channel with the
+    each ``repeats`` times, in one call per one-hot probe and one per
+    pair/quad couple.  The reference defaults to the channel with the
     largest mean modulus (usually the bias line), which maximizes the
     signal-to-noise ratio of every pair probe.
     """
@@ -325,16 +340,19 @@ def estimate_states(
     if ref_channel is None:
         ref_channel = int(np.argmax(moduli.mean(axis=0)))
     schedule = build_probe_schedule(moduli.shape[1], ref_channel)
-    # Pair and quad probes alternate per channel; each pair is reduced to
-    # a phase before the next is presented, so only two outputs are held.
+    # Pair and quad probes alternate per channel.  Each couple is one
+    # presentation call and is reduced to a phase before the next, so only
+    # two averaged outputs are held; all 2(F-1) at once would cost about
+    # 61 MB at paper length.
     phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
 
     phases = np.zeros_like(moduli)
     worst_excess = 0.0
     p_ref = moduli[:, ref_channel]
     for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
-        p_pair = _inverted_modulus(_present_average(readout, pair, repeats), responsivity)
-        p_quad = _inverted_modulus(_present_average(readout, quad, repeats), responsivity)
+        p_pair, p_quad = _inverted_modulus(
+            _present_average(readout, [pair, quad], repeats), responsivity
+        )
         valid = (p_ref >= eps) & (moduli[:, q] >= eps)
         phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)
         worst_excess = max(worst_excess, excess)

@@ -227,7 +227,7 @@ def test_perturbation_structure():
 @criterion(9, "black-box training needs >=100 presentations; probing needs exactly 49")
 def test_convergence_presentations():
     cma = CmaConfig(initial_sigma=1.0, max_iterations=300, seed=7)
-    sphere = cmaes_minimize(lambda x: float(np.sum(x**2)), 10, cma, x0=np.full(10, 0.5))
+    sphere = cmaes_minimize(lambda c: np.sum(c**2, axis=1), 10, cma, x0=np.full(10, 0.5))
     assert sphere.best_f < 1e-10, f"sphere converged only to {sphere.best_f:.3e}"
 
     cfg = ci_profile()

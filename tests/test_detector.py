@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from scipy.signal import butter, freqz
+from scipy.signal import butter, freqz, lfilter
 
 from photonrc.detector import (
     BOLTZMANN,
     DetectorConfig,
     ELEMENTARY_CHARGE,
     ReadoutWeights,
+    _CHUNK_ROWS,
+    _butterworth,
     butterworth_cutoff,
     noise_variance,
     photodiode,
@@ -14,6 +16,7 @@ from photonrc.detector import (
 )
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
+from photonrc.stateest import SimulatedReadout
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -159,6 +162,96 @@ class TestReadoutForward:
         assert len(w) == 2
         y = readout_forward(x, w, RAW)
         assert np.allclose(y.samples, 0.5)
+
+
+def _reference_readout_forward(states, w, cfg, rng):
+    """One presentation of one weight vector, computed on its own: the oracle."""
+    current = cfg.responsivity * np.abs(states.samples @ w) ** 2
+    if cfg.noise_enabled and current.size:
+        sigma = np.sqrt(noise_variance(current.mean(), cfg))
+        current = current + rng.normal(0.0, sigma, size=current.size)
+    if cfg.filter_enabled and current.size:
+        sample_rate = 1.0 / states.sample_period
+        cutoff = butterworth_cutoff(cfg, sample_rate)
+        b, den = butter(4, cutoff, btype="low", fs=sample_rate)
+        current = lfilter(b, den, current)
+    return current
+
+
+class TestBatchedPresentation:
+    PERIOD = 1.0 / (24 * 10e9)
+
+    def _problem(self, n, k, seed=0, f=5):
+        rng = np.random.default_rng(seed)
+        x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
+        w = rng.normal(size=(f, k)) + 1j * rng.normal(size=(f, k))
+        return StateMatrix(x, self.PERIOD, tuple(f"ch{i}" for i in range(f))), w
+
+    @pytest.mark.parametrize(
+        "n", [_CHUNK_ROWS // 3, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 123, 0], ids=["sub", "one", "ragged", "empty"]
+    )
+    @pytest.mark.parametrize("cfg", [DetectorConfig(), RAW], ids=["physical", "raw"])
+    def test_rows_match_single_vector_oracle(self, n, cfg):
+        states, w = self._problem(n, 6)
+        got = readout_forward(states, w, cfg, rng=np.random.default_rng(9)).samples
+        assert got.shape == (6, n)
+        rng = np.random.default_rng(9)
+        for k in range(w.shape[1]):
+            want = _reference_readout_forward(states, w[:, k], cfg, rng)
+            scale = np.max(np.abs(want)) if n else 0.0
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_single_column_equals_vector(self):
+        states, w = self._problem(1000, 1)
+        one = SimulatedReadout(states, DetectorConfig(), seed=4)
+        vec = SimulatedReadout(states, DetectorConfig(), seed=4)
+        block = one.present(w).samples
+        assert block.shape == (1, 1000)
+        assert np.array_equal(block[0], vec.present(w[:, 0]).samples)
+
+    def test_presentations_grow_by_columns(self):
+        states, w = self._problem(64, 7)
+        readout = SimulatedReadout(states, DetectorConfig(), seed=1)
+        readout.present(w)
+        assert readout.presentations == 7
+        readout.present(w[:, 2])
+        assert readout.presentations == 8
+        readout.present(ReadoutWeights(w[:, 3]))
+        assert readout.presentations == 9
+
+    def test_non_finite_weights_rejected(self):
+        states, w = self._problem(64, 3)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            readout_forward(states, w, QUIET)
+        with pytest.raises(ValueError, match="finite"):
+            SimulatedReadout(states, QUIET).present(w[:, 2])
+
+    def test_bad_weight_shape_rejected(self):
+        states, w = self._problem(64, 2)
+        with pytest.raises(ValueError):
+            readout_forward(states, w[None], QUIET)
+        with pytest.raises(ValueError):
+            readout_forward(states, w[:-1], QUIET)
+
+
+class TestButterworthCache:
+    WIDE = DetectorConfig(bandwidth_hz=100e9)
+
+    @pytest.mark.parametrize("bitrate_gbps", [5.0, 10.0, 31.0])
+    @pytest.mark.parametrize("cfg", [DetectorConfig(), WIDE], ids=["25GHz", "100GHz"])
+    def test_cached_design_equals_fresh(self, cfg, bitrate_gbps):
+        fs = 24 * bitrate_gbps * 1e9
+        b, a = _butterworth(cfg, fs)
+        b_ref, a_ref = butter(4, butterworth_cutoff(cfg, fs), fs=fs)
+        assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+        assert _butterworth(cfg, fs)[0] is b
+        assert not b.flags.writeable
+
+    def test_capped_cutoff_is_covered(self):
+        # At 5 Gbps the 100 GHz detector sits above Nyquist (60 GHz).
+        fs = 24 * 5e9
+        assert butterworth_cutoff(self.WIDE, fs) == 0.45 * fs
 
 
 class TestConfigValidation:

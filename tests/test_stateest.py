@@ -59,7 +59,9 @@ class TestProbeSchedule:
                 self.seen = []
 
             def present(self, weights):
-                self.seen.append(np.array(weights, copy=True))
+                # a weight matrix presents its columns in order
+                w = np.array(weights, copy=True)
+                self.seen.extend(w.T if w.ndim == 2 else [w])
                 return super().present(weights)
 
         rng = np.random.default_rng(6)
@@ -70,6 +72,7 @@ class TestProbeSchedule:
         assert est.ref_channel == 2
         expected = [w for w in build_probe_schedule(4, est.ref_channel).weights for _ in range(repeats)]
         assert len(readout.seen) == len(expected) == repeats * probe_count(4)
+        assert readout.presentations == repeats * probe_count(4)
         for got, want in zip(readout.seen, expected):
             assert np.array_equal(got, want)
 
