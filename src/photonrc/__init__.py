@@ -35,7 +35,7 @@ from .detector import (
     photodiode,
     readout_forward,
 )
-from .ridge import RidgeConfig, cv_alpha, invert_target, ridge_solve
+from .ridge import RidgeConfig, cv_alpha, invert_target, ridge_problem, ridge_solve
 from .cmaes import (
     CmaConfig,
     bit_sse,

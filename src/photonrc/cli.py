@@ -12,13 +12,12 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, profile_by_name
 from .harness import (
-    derive_seed,
     run_all_headers,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
 )
-from .stateest import SimulatedReadout, build_probe_schedule, estimate_states
+from .stateest import build_probe_schedule
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -100,23 +99,20 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_dump(args: argparse.Namespace) -> int:
-    """Export the probe schedule and reconstructed states of one cell."""
-    from .harness import _prepare_cell  # deliberate: diagnostic reuses the cell builder
+    """Export the probe schedule and the states of one cell's ``nlinv`` round."""
+    # deliberate: the diagnostic reruns the harness's own cell and nlinv round
+    from .harness import _nlinv_round, _prepare_cell, _targets
 
     cfg = _resolve_config(args)
     bitrate = args.bitrate if args.bitrate is not None else cfg.bitrates_gbps[0]
+    header = cfg.headers[0]
     cell = _prepare_cell(cfg, bitrate, args.instance)
-    readout = SimulatedReadout(
-        cell.states_train,
-        cfg.detector,
-        seed=derive_seed(cfg.master_seed, "probe-noise", bitrate, cfg.headers[0], args.instance),
-    )
-    eps = 1e-6 * float(np.sqrt(cfg.p_total_w))
-    estimated = estimate_states(readout, cfg.detector.responsivity, eps=eps)
+    d_train, _ = _targets(cfg, cell, header)
+    estimated = _nlinv_round(cfg, cell, header, d_train).estimated
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    schedule = build_probe_schedule(readout.n_channels, estimated.ref_channel)
+    schedule = build_probe_schedule(cell.states_train.n_channels, estimated.ref_channel)
     probe_lines = ["probe,kind,channels,weights"]
     for i, (w, kind) in enumerate(zip(schedule.weights, schedule.kinds)):
         nz = np.nonzero(w)[0]
@@ -129,7 +125,9 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
         for n in range(estimated.samples.shape[0]):
             for ch in range(estimated.samples.shape[1]):
                 v = estimated.samples[n, ch]
-                fh.write(f"{n},{ch},{v.real!r},{v.imag!r},{int(estimated.defaulted[n, ch])}\n")
+                fh.write(
+                    f"{n},{ch},{float(v.real)!r},{float(v.imag)!r},{int(estimated.defaulted[n, ch])}\n"
+                )
     print(
         f"dumped {len(schedule)} probes and {estimated.samples.shape} states "
         f"(defaulted fraction {estimated.defaulted_fraction:.4f}) to {out}"

@@ -277,10 +277,6 @@ class TrainCmaesResult:
     presentations: int  # presentations used by the whole sweep
     presentations_winner: int
 
-    @property
-    def best_sse(self) -> float:
-        return self.sse
-
 
 class _ReadoutObjective:
     """Scores a generation of encoded weight vectors, one presentation each.
@@ -319,6 +315,7 @@ def train_cmaes(
     step size over ``sigma_sweep`` (decades 1e-5 .. 1e2 by default); the
     sweep member with the lowest final SSE wins, ties going to the smaller
     step size.  ``presentations`` in the result counts only this sweep's.
+    A ``callback`` follows one run, so it needs a single-member sweep.
     """
     if sample_offset is None:
         sample_offset = samples_per_bit // 2
@@ -327,6 +324,8 @@ def train_cmaes(
     sweep = tuple(sigma_sweep) if sigma_sweep is not None else DEFAULT_SIGMA_SWEEP
     if not sweep:
         raise ValueError("sigma sweep is empty")
+    if callback is not None and len(sweep) > 1:
+        raise ValueError(f"a callback needs a single-member sigma sweep, got {len(sweep)} members")
 
     best: CmaResult | None = None
     best_sigma0 = None
@@ -339,9 +338,7 @@ def train_cmaes(
             seed=None if cma.seed is None else int(np.random.SeedSequence([cma.seed, i]).generate_state(1)[0]),
         )
         before = readout.presentations
-        result = cmaes_minimize(
-            objective, dim, run_cfg, x0=np.zeros(dim), callback=callback if len(sweep) == 1 else None
-        )
+        result = cmaes_minimize(objective, dim, run_cfg, x0=np.zeros(dim), callback=callback)
         used = readout.presentations - before
         if best is None or result.best_f < best.best_f:
             best = result

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cmaes import CmaConfig, DEFAULT_SIGMA_SWEEP, decode_weights, train_cmaes
 from .config import ALL_3BIT_HEADERS, ExperimentConfig, config_to_dict
-from .detector import ElectricalSignal, ReadoutWeights, readout_forward
+from .detector import ReadoutWeights, readout_forward
 from .reservoir import (
     TWO_PI,
     PerturbationSpec,
@@ -35,9 +35,9 @@ from .reservoir import (
     simulate,
     with_phases,
 )
-from .ridge import cv_alpha, invert_target
+from .ridge import cv_alpha, ridge_problem
 from .signals import BitSignal, DesiredSignal, HeaderPattern, desired_signal, gen_bits, modulate
-from .stateest import SimulatedReadout, train_nlinv
+from .stateest import SimulatedReadout, TrainNlinvResult, train_nlinv
 
 __all__ = [
     "ExperimentRecord",
@@ -69,17 +69,13 @@ logger = logging.getLogger(__name__)
 # Decision chain
 
 
-def _as_samples(y) -> np.ndarray:
-    return y.samples if isinstance(y, ElectricalSignal) else np.asarray(y, dtype=np.float64)
-
-
 def threshold_level(y) -> float:
     """Decision threshold in the middle of the robust signal range.
 
     Uses the 5th and 95th percentile so isolated noise spikes do not
     drag the threshold around.
     """
-    samples = _as_samples(y)
+    samples = np.asarray(y, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("cannot compute a threshold of an empty signal")
     p5, p95 = np.percentile(samples, [5.0, 95.0])
@@ -88,7 +84,7 @@ def threshold_level(y) -> float:
 
 def decide_bits(y, samples_per_bit: int, offset: int, threshold: float) -> np.ndarray:
     """Subsample once per bit starting at ``offset`` and threshold."""
-    samples = _as_samples(y)
+    samples = np.asarray(y, dtype=np.float64)
     if offset < 0:
         raise ValueError("sampling offset must be non-negative")
     return (samples[offset::samples_per_bit] > threshold).astype(np.uint8)
@@ -119,7 +115,8 @@ def best_sampling_point(
     d_ideal,
     samples_per_bit: int,
     search_bits: int = 2,
-    threshold: float | None = None,
+    *,
+    threshold: float,
 ) -> int:
     """Offset within the first ``search_bits`` bit periods minimizing BER.
 
@@ -127,11 +124,8 @@ def best_sampling_point(
     the reservoir: the decided stream simply pairs with the target
     shifted by that many bits.  Ties go to the smallest offset.
     """
-    samples = _as_samples(y)
-    if threshold is None:
-        threshold = threshold_level(samples)
     offsets = range(search_bits * samples_per_bit)
-    bers = [_score(samples, d_ideal, samples_per_bit, o, threshold)[0] for o in offsets]
+    bers = [_score(y, d_ideal, samples_per_bit, o, threshold)[0] for o in offsets]
     return int(np.argmin(bers))
 
 
@@ -180,11 +174,11 @@ class ExperimentRecord:
     detail: str
 
     @property
-    def train_report(self) -> str:
+    def train_ber_report(self) -> str:
         return format_ber(self.train_ber, self.train_ber_floor)
 
     @property
-    def test_report(self) -> str:
+    def test_ber_report(self) -> str:
         return format_ber(self.test_ber, self.test_ber_floor)
 
 
@@ -239,7 +233,6 @@ class _Cell:
     topology_seed: int
     bits_train: BitSignal
     bits_test: BitSignal
-    sig_train: object
     sig_test: object
     states_train: StateMatrix
     states_test: StateMatrix
@@ -285,15 +278,44 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
         topology_seed=topo_seed,
         bits_train=bits_train,
         bits_test=bits_test,
-        sig_train=sig_train,
         sig_test=sig_test,
         states_train=states_train,
         states_test=states_test,
     )
 
 
-def _trimmed(states: StateMatrix, skip_samples: int) -> StateMatrix:
-    return StateMatrix(states.samples[skip_samples:], states.sample_period, states.channel_roles)
+def _targets(cfg: ExperimentConfig, cell: _Cell, header: str) -> tuple[DesiredSignal, DesiredSignal]:
+    """Train and test targets of one header."""
+    pattern = HeaderPattern.from_string(header)
+    return (
+        desired_signal(cell.bits_train, pattern, cfg.p_total_w),
+        desired_signal(cell.bits_test, pattern, cfg.p_total_w),
+    )
+
+
+def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: ReadoutWeights, *seed_key) -> np.ndarray:
+    """Detector output past the warm-up, its noise seeded by ``seed_key``."""
+    rng = np.random.default_rng(derive_seed(cfg.master_seed, *seed_key))
+    y = readout_forward(states, weights, cfg.detector, rng=rng)
+    return y.samples[cfg.warmup_bits * cfg.samples_per_bit :]
+
+
+def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, header: str, d_train: DesiredSignal) -> TrainNlinvResult:
+    """The ``nlinv`` probing round and ridge fit of one cell and header."""
+    readout = SimulatedReadout(
+        cell.states_train,
+        cfg.detector,
+        seed=derive_seed(cfg.master_seed, "probe-noise", cell.bitrate_gbps, header, cell.instance),
+    )
+    return train_nlinv(
+        readout,
+        d_train,
+        cfg.ridge,
+        cfg.detector.responsivity,
+        samples_per_bit=cfg.samples_per_bit,
+        skip_bits=cfg.warmup_bits,
+        repeats=cfg.nlinv.repeats,
+    )
 
 
 def _train(
@@ -304,20 +326,17 @@ def _train(
     d_train: DesiredSignal,
 ) -> tuple[ReadoutWeights, int, str]:
     """Run the selected trainer; returns weights, presentations used, detail."""
-    spb = cfg.samples_per_bit
-    warm = cfg.warmup_bits
-    responsivity = cfg.detector.responsivity
-    key = (cell.bitrate_gbps, header, cell.instance)
-
     if trainer == "ridge":
-        x = _trimmed(cell.states_train, warm * spb)
-        target = invert_target(np.repeat(d_train.scaled[warm:], spb), responsivity)
+        x, target = ridge_problem(
+            cell.states_train, d_train, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
+        )
         alpha, weights = cv_alpha(x, target, cfg.ridge)
         # The state capture itself corresponds to one presentation of the
         # training sequence (and is only possible with full observability).
         return weights, 1, f"alpha={alpha:.6g}"
 
     if trainer == "cmaes":
+        key = (cell.bitrate_gbps, header, cell.instance)
         readout = SimulatedReadout(
             cell.states_train, cfg.detector, seed=derive_seed(cfg.master_seed, "cmaes-noise", *key)
         )
@@ -332,25 +351,14 @@ def _train(
             readout,
             d_train,
             cma,
-            samples_per_bit=spb,
-            skip_bits=warm,
+            samples_per_bit=cfg.samples_per_bit,
+            skip_bits=cfg.warmup_bits,
             sigma_sweep=sweep,
         )
         return result.weights, result.presentations, f"sigma0={result.sigma0:g}"
 
     if trainer == "nlinv":
-        readout = SimulatedReadout(
-            cell.states_train, cfg.detector, seed=derive_seed(cfg.master_seed, "probe-noise", *key)
-        )
-        result = train_nlinv(
-            readout,
-            d_train,
-            cfg.ridge,
-            responsivity,
-            samples_per_bit=spb,
-            skip_bits=warm,
-            repeats=cfg.nlinv.repeats,
-        )
+        result = _nlinv_round(cfg, cell, header, d_train)
         return result.weights, result.presentations, f"alpha={result.alpha:.6g}"
 
     raise ValueError(f"unknown trainer {trainer!r}")
@@ -370,30 +378,18 @@ def _evaluate(
     warm = cfg.warmup_bits
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
 
-    y_train = readout_forward(
-        cell.states_train,
-        weights,
-        cfg.detector,
-        rng=np.random.default_rng(derive_seed(cfg.master_seed, "eval-train", *key)),
-    ).samples[warm * spb :]
+    y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
     d_tr = d_train.ideal[warm:]
     threshold, offset = _freeze_decision(y_train, d_tr, spb, cfg.search_bits)
     train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
 
-    y_test = readout_forward(
-        cell.states_test,
-        weights,
-        cfg.detector,
-        rng=np.random.default_rng(derive_seed(cfg.master_seed, "eval-test", *key)),
-    ).samples[warm * spb :]
+    y_test = _detected(cfg, cell.states_test, weights, "eval-test", *key)
     test_ber, n_test_scored = _score(y_test, d_test.ideal[warm:], spb, offset, threshold)
     return threshold, offset, train_ber, test_ber, n_train_scored, n_test_scored
 
 
 def _run_trainers(cfg, cell, header, trainers) -> list[ExperimentRecord]:
-    pattern = HeaderPattern.from_string(header)
-    d_train = desired_signal(cell.bits_train, pattern, cfg.p_total_w)
-    d_test = desired_signal(cell.bits_test, pattern, cfg.p_total_w)
+    d_train, d_test = _targets(cfg, cell, header)
     records = []
     for trainer in trainers:
         weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
@@ -455,16 +451,14 @@ def run_bitrate_sweep(
                 for r in cell_records:
                     logger.info(
                         "bitrate=%g Gbps header=%s trainer=%s instance=%d test BER=%s",
-                        r.bitrate_gbps, r.header, r.trainer, r.instance, r.test_report,
+                        r.bitrate_gbps, r.header, r.trainer, r.instance, r.test_ber_report,
                     )
     records.sort(key=lambda r: (r.bitrate_gbps, r.header, r.trainer, r.instance))
     summary = aggregate_records(records)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _output_dir(cfg, out_dir)
         write_records_csv(records, out / "records.csv")
         write_summary_csv(summary, out / "summary.csv")
-        write_summary_json(cfg, out / "summary.json")
         _write_dat_files(summary, out)
     return records, summary
 
@@ -532,20 +526,16 @@ def run_perturbation(
         b_list = [f * math.pi for f in cfg.perturbation_b_over_pi]
     bitrate = cfg.perturbation_bitrate_gbps
     header = cfg.headers[0]
-    spb = cfg.samples_per_bit
-    warm = cfg.warmup_bits
-    pattern = HeaderPattern.from_string(header)
 
     per_b: dict[int, list[float]] = {i: [] for i in range(len(b_list))}
     for instance in range(cfg.n_reservoirs):
         cell = _prepare_cell(cfg, bitrate, instance)
-        d_train = desired_signal(cell.bits_train, pattern, cfg.p_total_w)
-        d_test = desired_signal(cell.bits_test, pattern, cfg.p_total_w)
+        d_train, d_test = _targets(cfg, cell, header)
         weights, _, _ = _train(cfg, cell, header, "ridge", d_train)
         threshold, offset, _, baseline_ber, _, _ = _evaluate(
             cfg, cell, header, "ridge", weights, d_train, d_test
         )
-        d_te = d_test.ideal[warm:]
+        d_te = d_test.ideal[cfg.warmup_bits :]
         for b_idx, b in enumerate(b_list):
             if b == 0.0:
                 per_b[b_idx].append(baseline_ber)
@@ -556,15 +546,8 @@ def run_perturbation(
                 )
                 perturbed = perturb_phases(cell.topology, spec)
                 states = simulate(perturbed, cell.sig_test, cfg.bias_power_w)
-                y = readout_forward(
-                    states,
-                    weights,
-                    cfg.detector,
-                    rng=np.random.default_rng(
-                        derive_seed(cfg.master_seed, "perturb-eval", instance, b_idx, draw)
-                    ),
-                ).samples[warm * spb :]
-                per_b[b_idx].append(_score(y, d_te, spb, offset, threshold)[0])
+                y = _detected(cfg, states, weights, "perturb-eval", instance, b_idx, draw)
+                per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, offset, threshold)[0])
         logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 
     rows = []
@@ -580,14 +563,11 @@ def run_perturbation(
             )
         )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_rows_csv(
             rows,
-            out / "perturbation.csv",
+            _output_dir(cfg, out_dir) / "perturbation.csv",
             ["b_over_pi", "b_rad", "mean_ber", "geo_mean_ber", "n_evaluations"],
         )
-        write_summary_json(cfg, out / "summary.json")
     return rows
 
 
@@ -607,13 +587,11 @@ def run_convergence(
     The ``best_ber`` column is the running minimum of the recorded BER.
     """
     bitrate = cfg.convergence_bitrate_gbps
-    header = cfg.headers[0]
     spb = cfg.samples_per_bit
     warm = cfg.warmup_bits
-    pattern = HeaderPattern.from_string(header)
 
     cell = _prepare_cell(cfg, bitrate, instance)
-    d_train = desired_signal(cell.bits_train, pattern, cfg.p_total_w)
+    d_train, _ = _targets(cfg, cell, cfg.headers[0])
     d_tr = d_train.ideal[warm:]
     readout = SimulatedReadout(
         cell.states_train,
@@ -626,14 +604,7 @@ def run_convergence(
     def record(it) -> None:
         nonlocal best_ber
         weights = decode_weights(it.best_x)
-        y = readout_forward(
-            cell.states_train,
-            weights,
-            cfg.detector,
-            rng=np.random.default_rng(
-                derive_seed(cfg.master_seed, "conv-eval", bitrate, instance, it.iteration)
-            ),
-        ).samples[warm * spb :]
+        y = _detected(cfg, cell.states_train, weights, "conv-eval", bitrate, instance, it.iteration)
         threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
         ber = _score(y, d_tr, spb, offset, threshold)[0]
         best_ber = min(best_ber, ber)
@@ -668,14 +639,11 @@ def run_convergence(
         callback=record,
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_rows_csv(
             rows,
-            out / "convergence.csv",
+            _output_dir(cfg, out_dir) / "convergence.csv",
             ["iteration", "presentations", "best_sse", "ber", "best_ber"],
         )
-        write_summary_json(cfg, out / "summary.json")
     return rows
 
 
@@ -685,7 +653,7 @@ def run_convergence(
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -708,28 +676,7 @@ RECORD_COLUMNS = [
 
 
 def write_records_csv(records: list[ExperimentRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    _fmt(r.bitrate_gbps),
-                    r.header,
-                    r.trainer,
-                    r.instance,
-                    r.topology_seed,
-                    _fmt(r.threshold_a),
-                    r.sampling_offset,
-                    _fmt(r.train_ber),
-                    r.train_report,
-                    _fmt(r.test_ber),
-                    r.test_report,
-                    _fmt(r.test_ber_floor),
-                    r.presentations,
-                    r.detail,
-                ]
-            )
+    _write_rows_csv(records, path, RECORD_COLUMNS)
 
 
 def _write_rows_csv(rows, path: str | Path, columns: list[str]) -> None:
@@ -760,6 +707,14 @@ def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
 def write_summary_json(cfg: ExperimentConfig, path: str | Path) -> None:
     payload = {"package": "photonrc", "version": __version__, "config": config_to_dict(cfg)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _output_dir(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
+    """Create ``out_dir`` and write the run's ``summary.json`` into it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_summary_json(cfg, out / "summary.json")
+    return out
 
 
 def _write_dat_files(summary: list[SummaryRow], out: Path) -> None:

@@ -16,11 +16,13 @@ import numpy as np
 
 from .detector import ReadoutWeights
 from .reservoir import StateMatrix
+from .signals import DesiredSignal
 
 __all__ = [
     "RidgeConfig",
     "default_alpha_grid",
     "invert_target",
+    "ridge_problem",
     "ridge_solve",
     "cv_alpha",
 ]
@@ -80,6 +82,26 @@ def invert_target(d: np.ndarray, responsivity: float) -> np.ndarray:
     if not responsivity > 0:
         raise ValueError("responsivity must be positive")
     return np.sqrt(d / responsivity)
+
+
+def ridge_problem(
+    states: StateMatrix,
+    desired: DesiredSignal,
+    responsivity: float,
+    samples_per_bit: int,
+    skip_bits: int = 0,
+) -> tuple[StateMatrix, np.ndarray]:
+    """States and detector-inverted target of one readout ridge fit.
+
+    The per-bit power targets are expanded to the sample grid and passed
+    through :func:`invert_target`; both sides drop the first ``skip_bits``
+    transient bits and end at the shorter of the two.
+    """
+    target = invert_target(np.repeat(desired.scaled, samples_per_bit), responsivity)
+    skip = skip_bits * samples_per_bit
+    n = min(states.n_samples, target.size)
+    trimmed = StateMatrix(states.samples[skip:n], states.sample_period, states.channel_roles)
+    return trimmed, target[skip:n]
 
 
 def _penalty_diag(n_channels: int, regularize_bias: bool, bias_index: int | None) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .detector import DetectorConfig, ElectricalSignal, ReadoutWeights, readout_forward
 from .reservoir import StateMatrix
-from .ridge import RidgeConfig, cv_alpha, invert_target
+from .ridge import RidgeConfig, cv_alpha, ridge_problem
 from .signals import DesiredSignal
 
 __all__ = [
@@ -392,9 +392,9 @@ def train_nlinv(
 ) -> TrainNlinvResult:
     """Estimate the states through the detector, then train by ridge.
 
-    The desired per-bit power targets are expanded to the sample grid,
-    detector-inverted, and regressed against the reconstructed states
-    (skipping ``skip_bits`` transient bits).  Exactly ``repeats * (3F-2)``
+    The reconstructed states and the detector-inverted target form the
+    same ridge problem as the full-observability baseline
+    (:func:`~photonrc.ridge.ridge_problem`).  Exactly ``repeats * (3F-2)``
     presentations of the input are consumed.
     """
     if eps is None:
@@ -406,10 +406,8 @@ def train_nlinv(
     if used != expected:
         raise RuntimeError(f"probing used {used} presentations, expected {expected}")
 
-    target = invert_target(np.repeat(desired.scaled, samples_per_bit), responsivity)
-    skip = skip_bits * samples_per_bit
-    x_est = estimated.as_state_matrix()
-    n = min(x_est.n_samples, target.size)
-    trimmed = StateMatrix(x_est.samples[skip:n], x_est.sample_period, x_est.channel_roles)
-    alpha, weights = cv_alpha(trimmed, target[skip:n], ridge_cfg)
+    x, target = ridge_problem(
+        estimated.as_state_matrix(), desired, responsivity, samples_per_bit, skip_bits
+    )
+    alpha, weights = cv_alpha(x, target, ridge_cfg)
     return TrainNlinvResult(weights=weights, alpha=alpha, estimated=estimated, presentations=used)

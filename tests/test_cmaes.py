@@ -362,6 +362,19 @@ class TestTrainCmaes:
         assert result.presentations == result.presentations_winner == 3 * 4
         assert readout.presentations == 1 + 3 * 4
 
+    def test_callback_needs_single_sigma(self):
+        # A callback follows one run; a multi-member sweep must not drop it.
+        _, readout, d, spb = self._toy_problem(seed=11)
+        cma = CmaConfig(max_iterations=2, population=4, seed=2)
+        with pytest.raises(ValueError, match="single-member"):
+            train_cmaes(
+                readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0), callback=lambda it: None
+            )
+        assert readout.presentations == 0
+        seen = []
+        train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1,), callback=seen.append)
+        assert [it.iteration for it in seen] == [1, 2]
+
     def test_history_monotone(self):
         _, readout, d, spb = self._toy_problem(seed=7)
         cma = CmaConfig(max_iterations=30, seed=8)

@@ -1,9 +1,11 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 
+import photonrc.harness as harness_mod
 from photonrc.cli import main
 from photonrc.config import (
     ALL_3BIT_HEADERS,
@@ -196,6 +198,41 @@ class TestCli:
         assert len(probes) == 1 + 49  # header + 3*17-2 probes
         states = (tmp_path / "probes" / "estimated_states.csv").read_text().splitlines()
         assert states[0] == "n,channel,re,im,defaulted"
+
+    def test_probe_dump_exports_the_nlinv_round(self, tmp_path, monkeypatch):
+        # The export is the probing round the nlinv trainer trains on, repeats
+        # included, written as plain numbers.
+        cfg_file = tmp_path / "repeats.yaml"
+        cfg_file.write_text(
+            yaml.safe_dump({"n_train_bits": 160, "n_test_bits": 160, "nlinv": {"repeats": 2}})
+        )
+        out = tmp_path / "probes"
+        args = ["probe-dump", "--profile", "ci", "--config", str(cfg_file), "--bitrate", "10"]
+        assert main(args + ["--out", str(out), "--quiet"]) == 0
+
+        rounds = []
+        real_train_nlinv = harness_mod.train_nlinv
+
+        def recording_train_nlinv(*a, **kw):
+            rounds.append(real_train_nlinv(*a, **kw))
+            return rounds[-1]
+
+        monkeypatch.setattr(harness_mod, "train_nlinv", recording_train_nlinv)
+        cfg = load_config(cfg_file, base=ci_profile())
+        harness_mod.run_single(cfg, 10.0, cfg.headers[0], "nlinv")
+        (trained,) = rounds
+        assert trained.presentations == 2 * (3 * 17 - 2)
+        estimated = trained.estimated
+
+        rows = [line.split(",") for line in (out / "estimated_states.csv").read_text().splitlines()[1:]]
+        n, f = estimated.samples.shape
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(i, c) for i in range(n) for c in range(f)]
+        re = np.array([float(r[2]) for r in rows]).reshape(n, f)
+        im = np.array([float(r[3]) for r in rows]).reshape(n, f)
+        defaulted = np.array([int(r[4]) for r in rows], dtype=bool).reshape(n, f)
+        assert (re == estimated.samples.real).all()
+        assert (im == estimated.samples.imag).all()
+        assert (defaulted == estimated.defaulted).all()
 
     def test_headers_command(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

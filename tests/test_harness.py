@@ -140,8 +140,8 @@ class TestRunSingle:
         rec = run_single(cfg, 10.0, "1", "ridge")
         # 10 warm-up bits removed, so at most 150 bits are scored
         assert rec.test_ber_floor >= cfg.ber_floor_errors / 150
-        assert rec.test_report.startswith("<")
-        assert rec.test_report != "0"
+        assert rec.test_ber_report.startswith("<")
+        assert rec.test_ber_report != "0"
 
     def test_nlinv_presentation_count(self):
         cfg = tiny_cfg(trainers=("nlinv",))
