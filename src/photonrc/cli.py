@@ -120,14 +120,18 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
         probe_lines.append(f"{i},{kind[0]},{';'.join(str(int(j)) for j in nz)},{weights}")
     (out / "probes.csv").write_text("\n".join(probe_lines) + "\n")
 
+    # One format call per sample row: fields 1..F are the real parts, then
+    # the imaginary parts, then the defaulted flags, each as Python scalars
+    # so the text is repr(float) and int as before.
+    f = estimated.samples.shape[1]
+    row = "".join(
+        f"{{0}},{ch},{{{1 + ch}!r}},{{{1 + f + ch}!r}},{{{1 + 2 * f + ch}}}\n" for ch in range(f)
+    )
+    re, im = estimated.samples.real.tolist(), estimated.samples.imag.tolist()
+    flags = estimated.defaulted.astype(int).tolist()
     with open(out / "estimated_states.csv", "w") as fh:
         fh.write("n,channel,re,im,defaulted\n")
-        for n in range(estimated.samples.shape[0]):
-            for ch in range(estimated.samples.shape[1]):
-                v = estimated.samples[n, ch]
-                fh.write(
-                    f"{n},{ch},{float(v.real)!r},{float(v.imag)!r},{int(estimated.defaulted[n, ch])}\n"
-                )
+        fh.writelines(row.format(n, *r, *i, *d) for n, (r, i, d) in enumerate(zip(re, im, flags)))
     print(
         f"dumped {len(schedule)} probes and {estimated.samples.shape} states "
         f"(defaulted fraction {estimated.defaulted_fraction:.4f}) to {out}"

@@ -7,8 +7,9 @@ samples all lambda candidates, scores them with one objective call, and
 updates the distribution from the ranking.  It is used to train readout
 weights through nothing but repeated presentations of the training
 sequence: scoring a generation sets each candidate's weights on the
-readout, plays the input once per candidate, and compares every detector
-output with the desired signal.
+readout, plays the input once per candidate, and compares the detector
+output, read by a receiver sampling once per bit, with the desired
+signal bit by bit.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ class _ReadoutObjective:
     """Scores a generation of encoded weight vectors, one presentation each.
 
     The lambda candidates go to the readout as the columns of one weight
-    matrix, and the lambda outputs are scored together by :func:`bit_sse`.
+    matrix in one ``present_sampled`` call, which returns only the sample
+    ``bit_sse`` reads from each bit; the lambda outputs are scored together.
     """
 
     def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
@@ -293,8 +295,8 @@ class _ReadoutObjective:
         self._skip = skip_bits
 
     def __call__(self, candidates: np.ndarray) -> np.ndarray:
-        y = self._readout.present(_decode(candidates).T).samples
-        return bit_sse(y, self._desired, self._spb, self._offset, self._skip)
+        y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset).samples
+        return bit_sse(y, self._desired, 1, 0, self._skip)
 
 
 def train_cmaes(
@@ -309,12 +311,14 @@ def train_cmaes(
 ) -> TrainCmaesResult:
     """Train readout weights as a pure black box.
 
-    ``readout`` is any object exposing ``n_channels``/``present``/
-    ``presentations``, such as a ``SimulatedReadout`` over a state matrix.
-    Optimization starts from the zero weight vector and sweeps the initial
-    step size over ``sigma_sweep`` (decades 1e-5 .. 1e2 by default); the
-    sweep member with the lowest final SSE wins, ties going to the smaller
-    step size.  ``presentations`` in the result counts only this sweep's.
+    ``readout`` is any object exposing ``n_channels``/``present_sampled``/
+    ``presentations``, such as a ``SimulatedReadout`` over a state matrix;
+    each candidate is one presentation, of which the objective reads the
+    detector output once per bit at ``sample_offset`` (the middle of the
+    bit by default).  Optimization starts from the zero weight vector and
+    sweeps the initial step size over ``sigma_sweep`` (decades 1e-5 .. 1e2
+    by default); the sweep member with the lowest final SSE wins, ties
+    going to the smaller step size.  ``presentations`` in the result counts only this sweep's.
     A ``callback`` follows one run, so it needs a single-member sweep.
     """
     if sample_offset is None:

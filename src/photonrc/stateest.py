@@ -26,7 +26,16 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .detector import DetectorConfig, ElectricalSignal, ReadoutWeights, readout_forward
+from .detector import (
+    DetectorConfig,
+    ElectricalSignal,
+    ReadoutWeights,
+    SampledBasis,
+    _check_sampling_point,
+    readout_forward,
+    readout_sampled,
+    sampled_basis,
+)
 from .reservoir import StateMatrix
 from .ridge import RidgeConfig, cv_alpha, ridge_problem
 from .signals import DesiredSignal
@@ -70,6 +79,19 @@ class OpaqueReadout(Protocol):
         """
         ...
 
+    def present_sampled(
+        self, weights: ReadoutWeights | np.ndarray, samples_per_bit: int, sample_offset: int
+    ) -> ElectricalSignal:
+        """Present as :meth:`present` does, keeping what a receiver sampling once per bit sees.
+
+        The output holds the samples at ``sample_offset + b *
+        samples_per_bit``; it may come from a cheaper path than the full
+        detector grid, but its statistics are those of ``present(weights)
+        .samples[..., sample_offset::samples_per_bit]``, and it counts the
+        same presentations.
+        """
+        ...
+
 
 class SimulatedReadout:
     """Opaque readout driven by a simulated state matrix.
@@ -78,12 +100,22 @@ class SimulatedReadout:
     presentations see independent noise while the whole experiment stays
     reproducible from the seed.  Presenting K weight columns in one call
     draws the same noise as K single calls in column order.
+
+    :meth:`present_sampled` builds a :class:`~photonrc.detector.SampledBasis`
+    once per ``(samples_per_bit, sample_offset)`` and keeps it, when that
+    basis is no larger than the state matrix: F^2 real products per bit
+    against ``samples_per_bit`` complex samples of F channels, that is
+    ``F <= 2 * samples_per_bit``, and when there is more than one sample
+    per bit: at one there is nothing to save, and the Riccati equation of
+    the noise factor is singular.  Otherwise it slices the full-grid output
+    of :meth:`present`.
     """
 
     def __init__(self, states: StateMatrix, detector: DetectorConfig, seed: int | None = None):
         self._states = states
         self.detector = detector
         self._rng = np.random.default_rng(seed)
+        self._bases: dict[tuple[int, int], SampledBasis] = {}
         self.presentations = 0
 
     @property
@@ -102,10 +134,28 @@ class SimulatedReadout:
     def channel_roles(self) -> tuple[str, ...]:
         return self._states.channel_roles
 
-    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
+    def _counted(self, weights: ReadoutWeights | np.ndarray) -> np.ndarray:
+        """The weights as an array, counting one presentation per column."""
         w = weights.values if isinstance(weights, ReadoutWeights) else np.asarray(weights)
         self.presentations += w.shape[1] if w.ndim == 2 else 1
-        return readout_forward(self._states, w, self.detector, rng=self._rng)
+        return w
+
+    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
+        return readout_forward(self._states, self._counted(weights), self.detector, rng=self._rng)
+
+    def present_sampled(
+        self, weights: ReadoutWeights | np.ndarray, samples_per_bit: int, sample_offset: int
+    ) -> ElectricalSignal:
+        _check_sampling_point(samples_per_bit, sample_offset)
+        if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
+            y = self.present(weights)
+            return ElectricalSignal(
+                y.samples[..., sample_offset::samples_per_bit], y.sample_period * samples_per_bit
+            )
+        key = (samples_per_bit, sample_offset)
+        if key not in self._bases:
+            self._bases[key] = sampled_basis(self._states, self.detector, *key)
+        return readout_sampled(self._bases[key], self._counted(weights), rng=self._rng)
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,41 @@ class TestTrainCmaes:
         assert best.sigma0 == 1e-2  # tie between 1e-2 and 1.0 -> smaller wins
         assert best.presentations == len(outcomes)
 
+    def test_toy_trains_on_the_sampled_path(self, monkeypatch):
+        # The toy's 2 channels at 4 samples per bit are within F <= 2 * spb,
+        # so training reads one sample per bit from one basis, built once.
+        import photonrc.stateest as stateest_mod
+
+        built = []
+        original = stateest_mod.sampled_basis
+
+        def counting(states, cfg, spb, offset):
+            built.append((spb, offset))
+            return original(states, cfg, spb, offset)
+
+        monkeypatch.setattr(stateest_mod, "sampled_basis", counting)
+        states, readout, d, spb = self._toy_problem()
+        cma = CmaConfig(max_iterations=150, seed=21)
+        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
+        assert built == [(spb, spb // 2)]
+        y = RAW.responsivity * np.abs(states.samples @ result.weights.values) ** 2
+        sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
+        assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
+
+    def test_one_dimensional_candidate_is_one_presentation(self):
+        # An objective called with a single encoded vector (as a stubbed
+        # optimizer may do) presents once and returns one score.
+        from photonrc.cmaes import _ReadoutObjective
+
+        _, readout, d, spb = self._toy_problem(seed=12)
+        objective = _ReadoutObjective(readout, d, spb, spb // 2, 0)
+        value = objective(np.zeros(2 * readout.n_channels))
+        assert readout.presentations == 1
+        assert np.ndim(value) == 0
+        assert value == pytest.approx(float(np.sum(d.scaled**2)))
+        assert objective(np.zeros((3, 2 * readout.n_channels))).shape == (3,)
+        assert readout.presentations == 4
+
     def test_presentation_accounting(self):
         _, readout, d, spb = self._toy_problem(seed=5)
         cma = CmaConfig(max_iterations=10, population=6, seed=6)

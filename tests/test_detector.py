@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import butter, freqz, lfilter
@@ -7,12 +9,16 @@ from photonrc.detector import (
     DetectorConfig,
     ELEMENTARY_CHARGE,
     ReadoutWeights,
+    _BASIS_ROWS,
     _CHUNK_ROWS,
     _butterworth,
+    _sampled_noise,
     butterworth_cutoff,
     noise_variance,
     photodiode,
     readout_forward,
+    readout_sampled,
+    sampled_basis,
 )
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
@@ -233,6 +239,139 @@ class TestBatchedPresentation:
             readout_forward(states, w[None], QUIET)
         with pytest.raises(ValueError):
             readout_forward(states, w[:-1], QUIET)
+
+
+class TestSampledPresentation:
+    """The once-per-bit path against the full detector grid it stands for."""
+
+    SPB = 24
+    OFFSET = 12
+    # ragged: the grid ends inside a bit, and basis chunks end inside bits
+    N = 3 * _BASIS_ROWS + 7
+
+    def _problem(self, bitrate_gbps=10.0, f=5, k=14, seed=0, spb=SPB):
+        rng = np.random.default_rng(seed)
+        x = 0.3 * (rng.normal(size=(self.N, f)) + 1j * rng.normal(size=(self.N, f)))
+        w = rng.normal(size=(f, k)) + 1j * rng.normal(size=(f, k))
+        period = 1.0 / (spb * bitrate_gbps * 1e9)
+        return StateMatrix(x, period, tuple(f"ch{i}" for i in range(f))), w
+
+    @pytest.mark.parametrize("k", [1, 14], ids=["vector", "block"])
+    @pytest.mark.parametrize("cfg", [QUIET, RAW], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
+    def test_clean_output_equals_full_grid(self, bitrate_gbps, cfg, k):
+        states, w = self._problem(bitrate_gbps, k=k)
+        w = w[:, 0] if k == 1 else w
+        got = readout_sampled(sampled_basis(states, cfg, self.SPB, self.OFFSET), w)
+        want = readout_forward(states, w, cfg).samples[..., self.OFFSET :: self.SPB]
+        assert got.samples.shape == want.shape
+        assert got.sample_period == states.sample_period * self.SPB
+        np.testing.assert_allclose(got.samples, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_mean_current_sets_full_grid_sigma(self):
+        states, w = self._problem()
+        basis = sampled_basis(states, DetectorConfig(), self.SPB, self.OFFSET)
+        rows = readout_forward(states, w, RAW).samples  # the current _detect adds noise to
+        cfg = DetectorConfig()
+        for got, row in zip(basis.mean_current(w), rows):
+            assert noise_variance(got, cfg) == pytest.approx(noise_variance(row.mean(), cfg), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg", [DetectorConfig(), DetectorConfig(filter_enabled=False)], ids=["filter", "no-filter"]
+    )
+    def test_noise_is_one_normal_per_bit_through_the_factor(self, cfg):
+        states, w = self._problem()
+        basis = sampled_basis(states, cfg, self.SPB, self.OFFSET)
+        quiet = replace(cfg, noise_enabled=False)
+        clean = readout_sampled(sampled_basis(states, quiet, self.SPB, self.OFFSET), w).samples
+        noise = readout_sampled(basis, w, rng=np.random.default_rng(3)).samples - clean
+        draws = np.random.default_rng(3).standard_normal(clean.shape)
+        sigma = np.sqrt([noise_variance(r.mean(), cfg) for r in readout_forward(states, w, RAW).samples])
+        if cfg.filter_enabled:
+            num, den, gain = _sampled_noise(cfg, 1.0 / states.sample_period, self.SPB)
+            draws = gain * lfilter(num, den, draws, axis=1)
+        want = sigma[:, None] * draws
+        np.testing.assert_allclose(noise, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("spb", [2, 4, 8, 24])
+    @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
+    def test_noise_factor_autocovariance(self, bitrate_gbps, spb):
+        # Stationary autocovariance at lags of m bits: the filter's impulse
+        # response against itself shifted by m * spb samples, against the
+        # same sum over the ARMA factor's impulse response.
+        cfg = DetectorConfig()
+        rate = bitrate_gbps * 1e9 * spb
+        impulse = np.zeros(20000)
+        impulse[0] = 1.0
+        h = lfilter(*_butterworth(cfg, rate), impulse)
+        num, den, gain = _sampled_noise(cfg, rate, spb)
+        g = gain * lfilter(num, den, impulse)
+        want = np.array([h[: h.size - m * spb] @ h[m * spb :] for m in range(6)])
+        got = np.array([g[: g.size - m] @ g[m:] for m in range(6)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
+        assert _sampled_noise(cfg, rate, spb)[0] is num and not num.flags.writeable
+
+    def test_noise_off_draws_nothing(self):
+        states, w = self._problem()
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        readout_sampled(sampled_basis(states, QUIET, self.SPB, self.OFFSET), w, rng=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("f, spb", [(2 * SPB + 1, SPB), (5, 1)], ids=["wide", "one-sample"])
+    def test_fallback_slices_the_full_grid(self, f, spb, monkeypatch):
+        import photonrc.stateest as stateest_mod
+
+        def no_basis(*args):
+            raise AssertionError("the fallback builds no basis")
+
+        monkeypatch.setattr(stateest_mod, "sampled_basis", no_basis)
+        states, w = self._problem(f=f, k=3, spb=spb)
+        offset = spb // 2
+        sampled = SimulatedReadout(states, DetectorConfig(), seed=8)
+        full = SimulatedReadout(states, DetectorConfig(), seed=8)
+        got = sampled.present_sampled(w, spb, offset)
+        assert np.array_equal(got.samples, full.present(w).samples[..., offset::spb])
+        assert got.sample_period == states.sample_period * spb
+        assert sampled.presentations == 3
+        assert sampled.present_sampled(w[:, 0], spb, offset).samples.ndim == 1
+        assert sampled.presentations == 4
+
+    def test_sampled_presentations_count_columns(self):
+        states, w = self._problem(k=7)
+        readout = SimulatedReadout(states, DetectorConfig(), seed=1)
+        assert readout.present_sampled(w, self.SPB, self.OFFSET).samples.shape[0] == 7
+        assert readout.presentations == 7
+        assert readout.present_sampled(w[:, 2], self.SPB, self.OFFSET).samples.ndim == 1
+        assert readout.presentations == 8
+        readout.present_sampled(ReadoutWeights(w[:, 3]), self.SPB, self.OFFSET)
+        assert readout.presentations == 9
+
+    def test_basis_built_once_per_sampling_point(self, monkeypatch):
+        import photonrc.stateest as stateest_mod
+
+        built = []
+
+        def counting(states, cfg, spb, offset):
+            built.append((spb, offset))
+            return sampled_basis(states, cfg, spb, offset)
+
+        monkeypatch.setattr(stateest_mod, "sampled_basis", counting)
+        states, w = self._problem()
+        readout = SimulatedReadout(states, DetectorConfig(), seed=2)
+        for offset in (12, 12, 5, 12, 5):
+            readout.present_sampled(w, self.SPB, offset)
+        assert built == [(self.SPB, 12), (self.SPB, 5)]
+
+    def test_bad_sampling_point_rejected(self):
+        states, w = self._problem()
+        readout = SimulatedReadout(states, DetectorConfig(), seed=2)
+        for spb, offset in ((24, 24), (24, -1), (0, 0)):
+            with pytest.raises(ValueError, match="offset"):
+                readout.present_sampled(w, spb, offset)
+            with pytest.raises(ValueError, match="offset"):
+                sampled_basis(states, DetectorConfig(), spb, offset)
+        assert readout.presentations == 0
 
 
 class TestButterworthCache:
