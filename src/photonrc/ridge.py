@@ -159,14 +159,20 @@ def cv_alpha(
 ) -> tuple[float, ReadoutWeights]:
     """Pick the regularization strength by blocked cross validation.
 
-    Folds are contiguous time blocks to respect temporal correlation.
-    Validation error is the mean squared gap between ``|X w|`` and the
-    detector-inverted target, i.e. the quantity the intensity detector
-    can actually distinguish.  An alpha whose system is singular in any
-    fold is dropped with a warning; only an all-singular grid raises.  The
-    winning alpha (smallest on ties) is refit on all data.
+    Folds are contiguous time blocks to respect temporal correlation, read
+    as slices of the state matrix without copying it.  Validation error is
+    the mean squared gap between ``|X w|`` and the detector-inverted
+    target, i.e. the quantity the intensity detector can actually
+    distinguish.  Each distinct fold weight vector is scored once: alphas
+    whose penalty falls below the rounding of the Gram diagonal give
+    bit-identical weights, and so the same error.  An alpha whose system
+    is singular in any fold is dropped with a warning; only an
+    all-singular grid raises.  The winning alpha (smallest on ties) is
+    refit on all data.
     """
     x, bias_idx = _as_matrix(states)
+    # In C order every fold is a contiguous block of rows (no copy if it already is).
+    x = np.ascontiguousarray(x)
     t = np.asarray(target)
     if t.shape != (x.shape[0],):
         raise ValueError("target length must match the number of state samples")
@@ -175,9 +181,12 @@ def cv_alpha(
         raise ValueError("alpha grid is empty")
     grid = np.sort(np.asarray(grid, dtype=np.float64))
 
-    blocks = np.array_split(np.arange(x.shape[0]), cfg.folds)
-    if any(len(b) == 0 for b in blocks):
-        raise ValueError(f"not enough samples for {cfg.folds} folds")
+    n, k = x.shape[0], cfg.folds
+    if n < k:
+        raise ValueError(f"not enough samples for {k} folds")
+    # The blocks of np.array_split: the first n % k hold one extra sample.
+    bounds = [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     # Per-block Gram pieces; a fold's training Gram is the total minus its block.
     grams = [x[b].conj().T @ x[b] for b in blocks]
@@ -186,14 +195,19 @@ def cv_alpha(
     rhs_total = np.sum(rhss, axis=0)
     pen_diag = _penalty_diag(x.shape[1], cfg.regularize_bias, bias_idx)
 
+    # Validation error of each fold, keyed on the bytes of its weights.
+    scored: list[dict[bytes, float]] = [{} for _ in blocks]
     mean_errors = np.full(len(grid), np.inf)
     for i, alpha in enumerate(grid):
         errors = []
         try:
-            for b, gram_b, rhs_b in zip(blocks, grams, rhss):
+            for b, gram_b, rhs_b, seen in zip(blocks, grams, rhss, scored):
                 w = _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
-                pred = np.abs(x[b] @ w.values)
-                errors.append(float(np.mean((pred - t[b]) ** 2)))
+                key = w.values.tobytes()
+                if key not in seen:
+                    pred = np.abs(x[b] @ w.values)
+                    seen[key] = float(np.mean((pred - t[b]) ** 2))
+                errors.append(seen[key])
         except np.linalg.LinAlgError as exc:
             logger.warning("dropping alpha=%g from cross validation: %s", alpha, exc)
             continue

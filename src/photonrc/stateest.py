@@ -32,6 +32,7 @@ from .detector import (
     ReadoutWeights,
     SampledBasis,
     _check_sampling_point,
+    _weight_matrix,
     readout_forward,
     readout_sampled,
     sampled_basis,
@@ -135,8 +136,11 @@ class SimulatedReadout:
         return self._states.channel_roles
 
     def _counted(self, weights: ReadoutWeights | np.ndarray) -> np.ndarray:
-        """The weights as an array, counting one presentation per column."""
-        w = weights.values if isinstance(weights, ReadoutWeights) else np.asarray(weights)
+        """The checked weights, counting one presentation per column.
+
+        Weights that fail the check raise before anything is counted.
+        """
+        w = _weight_matrix(weights, self.n_channels)
         self.presentations += w.shape[1] if w.ndim == 2 else 1
         return w
 
@@ -241,18 +245,19 @@ def probe_moduli(
 ) -> np.ndarray:
     """Per-channel modulus estimates from one-hot probes (N x F array).
 
+    The array is the transposed view of one contiguous row per channel.
     Negative output samples, which noise or filter ringing can produce,
     are replaced by zero before the square law is inverted.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     schedule = build_probe_schedule(readout.n_channels)
-    columns = [
+    rows = [
         _inverted_modulus(_present_average(readout, [w], repeats)[0], responsivity)
         for w, kind in zip(schedule.weights, schedule.kinds)
         if kind[0] == "modulus"
     ]
-    return np.stack(columns, axis=1)
+    return np.stack(rows).T
 
 
 def _phase_from_powers(
@@ -344,7 +349,8 @@ def reconstruct_states(
     The reference channel is taken as phase zero; every other channel
     carries its estimated phase relative to it.  Where either modulus in
     a pair drops below ``eps`` the phase defaults to 0 and the sample is
-    flagged.
+    flagged.  The samples are a C-ordered N x F matrix whatever the layout
+    of the inputs, since products with the states round by their layout.
     """
     moduli = np.asarray(moduli, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -358,7 +364,10 @@ def reconstruct_states(
     defaulted[:, ref_channel] = low[:, ref_channel]
     used_phases = np.where(defaulted, 0.0, phases)
     used_phases[:, ref_channel] = 0.0
-    samples = moduli * np.exp(1j * used_phases)
+    used_phases += 0.0  # -0.0 becomes 0.0: zero phases keep a +0.0 imaginary part
+    samples = np.empty(moduli.shape, dtype=np.complex128)
+    np.multiply(np.cos(used_phases, out=samples.real), moduli, out=samples.real)
+    np.multiply(np.sin(used_phases, out=samples.imag), moduli, out=samples.imag)
     if channel_roles is None:
         channel_roles = tuple(f"ch{i}" for i in range(moduli.shape[1]))
     return EstimatedStates(
@@ -386,10 +395,12 @@ def estimate_states(
     largest mean modulus (usually the bias line), which maximizes the
     signal-to-noise ratio of every pair probe.
     """
-    moduli = probe_moduli(readout, responsivity, repeats=repeats)
+    # One contiguous row per channel (F x N); the states are assembled from
+    # the transposed views.
+    moduli = probe_moduli(readout, responsivity, repeats=repeats).T
     if ref_channel is None:
-        ref_channel = int(np.argmax(moduli.mean(axis=0)))
-    schedule = build_probe_schedule(moduli.shape[1], ref_channel)
+        ref_channel = int(np.argmax(moduli.mean(axis=1)))
+    schedule = build_probe_schedule(moduli.shape[0], ref_channel)
     # Pair and quad probes alternate per channel.  Each couple is one
     # presentation call and is reduced to a phase before the next, so only
     # two averaged outputs are held; all 2(F-1) at once would cost about
@@ -398,13 +409,13 @@ def estimate_states(
 
     phases = np.zeros_like(moduli)
     worst_excess = 0.0
-    p_ref = moduli[:, ref_channel]
+    p_ref = moduli[ref_channel]
     for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
         p_pair, p_quad = _inverted_modulus(
             _present_average(readout, [pair, quad], repeats), responsivity
         )
-        valid = (p_ref >= eps) & (moduli[:, q] >= eps)
-        phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)
+        valid = (p_ref >= eps) & (moduli[q] >= eps)
+        phases[q], excess = _phase_from_powers(p_ref, moduli[q], p_pair, p_quad, valid)
         worst_excess = max(worst_excess, excess)
 
     if worst_excess > 0:
@@ -412,8 +423,8 @@ def estimate_states(
     roles = getattr(readout, "channel_roles", None)
     period = getattr(readout, "sample_period", 1.0)
     return reconstruct_states(
-        moduli,
-        phases,
+        moduli.T,
+        phases.T,
         ref_channel,
         sample_period=period,
         channel_roles=roles,

@@ -5,7 +5,16 @@ import pytest
 
 from photonrc.detector import DetectorConfig, photodiode
 from photonrc.reservoir import StateMatrix
-from photonrc.ridge import RidgeConfig, cv_alpha, default_alpha_grid, invert_target, ridge_solve
+from photonrc.ridge import (
+    RidgeConfig,
+    _as_matrix,
+    _penalty_diag,
+    _solve_regularized,
+    cv_alpha,
+    default_alpha_grid,
+    invert_target,
+    ridge_solve,
+)
 from photonrc.signals import OpticalSignal
 
 
@@ -25,6 +34,46 @@ def _augmented_oracle(x, t, alpha, penalty_mask=None):
     rhs = np.concatenate([t, np.zeros(f)])
     w, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
     return w
+
+
+def _reference_cv_alpha(states, target, cfg):
+    """The fold loop with one copied index block per fold and alpha.
+
+    Returns the chosen alpha, its refit weights and the CV curve.
+    """
+    x, bias_idx = _as_matrix(states)
+    t = np.asarray(target)
+    grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(x)
+    grid = np.sort(np.asarray(grid, dtype=np.float64))
+    blocks = np.array_split(np.arange(x.shape[0]), cfg.folds)
+    grams = [x[b].conj().T @ x[b] for b in blocks]
+    rhss = [x[b].conj().T @ t[b] for b in blocks]
+    gram_total = np.sum(grams, axis=0)
+    rhs_total = np.sum(rhss, axis=0)
+    pen_diag = _penalty_diag(x.shape[1], cfg.regularize_bias, bias_idx)
+    mean_errors = np.full(len(grid), np.inf)
+    for i, alpha in enumerate(grid):
+        errors = []
+        try:
+            for b, gram_b, rhs_b in zip(blocks, grams, rhss):
+                w = _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
+                pred = np.abs(x[b] @ w.values)
+                errors.append(float(np.mean((pred - t[b]) ** 2)))
+        except np.linalg.LinAlgError:
+            continue
+        mean_errors[i] = np.mean(errors)
+    best = int(np.argmin(mean_errors))
+    alpha_star = float(grid[best])
+    w_final = _solve_regularized(gram_total, rhs_total, alpha_star**2 * pen_diag)
+    return alpha_star, w_final, mean_errors
+
+
+def _assert_cv_matches_reference(states, target, cfg):
+    alpha, w = cv_alpha(states, target, cfg)
+    ref_alpha, ref_w, curve = _reference_cv_alpha(states, target, cfg)
+    assert alpha == ref_alpha
+    assert w.values.tobytes() == ref_w.values.tobytes()
+    return curve
 
 
 class TestInvertTarget:
@@ -192,3 +241,74 @@ class TestCvAlpha:
         large = default_alpha_grid(1.0 * np.ones((10, 2)))
         assert len(small) == len(large) == 15
         assert small[0] < large[0]
+
+
+class TestCvAlphaReference:
+    """``cv_alpha`` selects and refits exactly as the copying fold loop does."""
+
+    @pytest.mark.parametrize("folds", [2, 3, 4, 5, 6, 7])
+    def test_ragged_folds(self, folds):
+        # 2 * 3 * 5 * 7 + 1 samples: no fold count divides them.
+        for seed in range(3):
+            x, _, t = _random_system(211, 4, 100 * folds + seed, noise=0.5)
+            grid = tuple(10.0**k for k in range(-3, 4))
+            curve = _assert_cv_matches_reference(x, np.abs(t), RidgeConfig(alpha_grid=grid, folds=folds))
+            assert np.isfinite(curve).all()
+
+    def test_interior_choice(self):
+        # A weak signal in strong noise is best fit by an alpha inside the
+        # grid, so an error reused across different weights would change
+        # the choice.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(150, 6)) + 1j * rng.normal(size=(150, 6))
+        t = 0.3 * np.abs(x[:, 0]) - 0.3 + 0.5 * rng.normal(size=150)
+        grid = tuple(10.0**k for k in np.arange(-1.0, 3.5, 0.5))
+        alpha, _ = cv_alpha(x, t, RidgeConfig(alpha_grid=grid, folds=5))
+        assert grid[0] < alpha < grid[-1]
+        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=5))
+        assert np.unique(curve).size == len(grid)
+
+    def test_default_grid_with_tied_bottom(self):
+        # The bottom alphas of the default grid add a penalty below the
+        # rounding of the Gram diagonal: their weights, and so their
+        # errors, are bit-identical.
+        x, _, t = _random_system(997, 5, 31, noise=0.3)
+        curve = _assert_cv_matches_reference(x, np.abs(t), RidgeConfig(folds=5))
+        assert curve[0] == curve[1]
+        assert np.unique(curve).size < curve.size
+
+    def test_choice_decided_by_rounding(self):
+        # Penalties of 1e-17 .. 1e-13 of the Gram diagonal: the bottom ones
+        # leave the weights bit-identical, the others move them in the last
+        # digits.  On a pure-noise target the error still falls with alpha,
+        # so an error shared by weights that differ changes the choice.
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(400, 5)) + 1j * rng.normal(size=(400, 5))
+        t = rng.normal(size=400)
+        diag = np.mean(np.sum(np.abs(x) ** 2, axis=0))
+        grid = tuple(np.sqrt(diag * 10.0**-e) for e in np.arange(17.0, 12.5, -0.5))
+        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=5))
+        assert curve[0] == curve[1]
+        assert 1 < np.unique(curve).size < curve.size
+        assert np.argmin(curve) == curve.size - 1
+
+    def test_singular_alpha(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(103, 4)) + 1j * rng.normal(size=(103, 4))
+        x[:, 2] = 0.0  # rank-deficient: alpha = 0 is singular
+        t = np.abs(x @ np.array([0.4, -1.0j, 0.0, 0.3]) + 0.2 * rng.normal(size=103))
+        grid = (0.0, 1e-3, 1e-1, 10.0)
+        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=4))
+        assert np.isinf(curve[0]) and np.isfinite(curve[1:]).all()
+
+    @pytest.mark.parametrize("regularize_bias", [False, True])
+    @pytest.mark.parametrize("roles", [("a", "b", "bias", "c"), ("a", "b", "c", "d")])
+    def test_bias_penalty(self, regularize_bias, roles):
+        rng = np.random.default_rng(51)
+        arr = rng.normal(size=(301, 4)) + 1j * rng.normal(size=(301, 4))
+        arr[:, 2] = 0.14
+        states = StateMatrix(arr, 1e-11, roles)
+        t = np.abs(arr @ np.array([0.2, -0.4j, 1.0, 0.1]) + 0.3 * rng.normal(size=301))
+        for grid in (None, (1e-2, 1.0, 3.0, 30.0)):
+            cfg = RidgeConfig(alpha_grid=grid, folds=3, regularize_bias=regularize_bias)
+            _assert_cv_matches_reference(states, t, cfg)

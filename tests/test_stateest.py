@@ -7,6 +7,9 @@ from photonrc.ridge import RidgeConfig
 from photonrc.signals import DesiredSignal, gen_bits, modulate
 from photonrc.stateest import (
     SimulatedReadout,
+    _inverted_modulus,
+    _phase_from_powers,
+    _present_average,
     build_probe_schedule,
     estimate_phase,
     estimate_states,
@@ -17,12 +20,47 @@ from photonrc.stateest import (
 )
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
+NOISY_FILTERED = DetectorConfig(noise_enabled=True, filter_enabled=True)
 
 
 def _readout_from_columns(columns, detector=RAW, seed=0, period=1e-11):
     arr = np.stack([np.asarray(c, dtype=complex) for c in columns], axis=1)
     roles = tuple(f"ch{i}" for i in range(arr.shape[1]))
     return SimulatedReadout(StateMatrix(arr, period, roles), detector, seed=seed)
+
+
+def _reference_estimate_states(readout, responsivity, eps=1e-12, repeats=1, ref_channel=None):
+    """The probing round on N x F arrays, assembled through ``np.exp``.
+
+    Returns samples, defaulted, the reference channel and the clamp excess.
+    """
+    schedule = build_probe_schedule(readout.n_channels)
+    columns = [
+        _inverted_modulus(_present_average(readout, [w], repeats)[0], responsivity)
+        for w, kind in zip(schedule.weights, schedule.kinds)
+        if kind[0] == "modulus"
+    ]
+    moduli = np.stack(columns, axis=1)
+    if ref_channel is None:
+        ref_channel = int(np.argmax(moduli.mean(axis=0)))
+    schedule = build_probe_schedule(moduli.shape[1], ref_channel)
+    phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
+    phases = np.zeros_like(moduli)
+    worst_excess = 0.0
+    p_ref = moduli[:, ref_channel]
+    for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
+        p_pair, p_quad = _inverted_modulus(
+            _present_average(readout, [pair, quad], repeats), responsivity
+        )
+        valid = (p_ref >= eps) & (moduli[:, q] >= eps)
+        phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)
+        worst_excess = max(worst_excess, excess)
+    low = moduli < eps
+    defaulted = low | low[:, [ref_channel]]
+    defaulted[:, ref_channel] = low[:, ref_channel]
+    used_phases = np.where(defaulted, 0.0, phases)
+    used_phases[:, ref_channel] = 0.0
+    return moduli * np.exp(1j * used_phases), defaulted, ref_channel, worst_excess
 
 
 class TestProbeSchedule:
@@ -269,3 +307,60 @@ class TestTrainNlinv:
         readout = _readout_from_columns([xweak, xstrong])
         est = estimate_states(readout, RAW.responsivity, eps=1e-9)
         assert est.ref_channel == 1
+
+
+class TestEstimationReference:
+    """``estimate_states`` returns exactly what the N x F round returns."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        topo = build_swirl(seed=12)
+        sig = modulate(gen_bits(120, 3, 10e9), 24, 0.025)
+        return simulate(topo, sig, 0.02)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("ref_channel", [None, 3])
+    @pytest.mark.parametrize("eps_quantile", [None, 0.2])
+    def test_matches_reference(self, states, repeats, ref_channel, eps_quantile):
+        # Noise and the Butterworth filter on: the clamp excess is far
+        # from zero and clipped samples give zero moduli.
+        eps = 1e-9 if eps_quantile is None else float(np.quantile(np.abs(states.samples), eps_quantile))
+        readout = SimulatedReadout(states, NOISY_FILTERED, seed=7)
+        est = estimate_states(
+            readout, NOISY_FILTERED.responsivity, eps=eps, repeats=repeats, ref_channel=ref_channel
+        )
+        ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=7)
+        samples, defaulted, ref, excess = _reference_estimate_states(
+            ref_readout, NOISY_FILTERED.responsivity, eps=eps, repeats=repeats, ref_channel=ref_channel
+        )
+        assert est.samples.flags["C_CONTIGUOUS"]
+        assert np.array_equal(est.samples, samples)
+        assert est.samples.tobytes() == samples.tobytes()
+        assert np.array_equal(est.defaulted, defaulted)
+        assert est.ref_channel == ref
+        assert est.clamp_excess == excess
+        assert readout.presentations == ref_readout.presentations == repeats * probe_count(17)
+        assert excess > 0
+        if eps_quantile is not None:
+            assert 0 < est.defaulted_fraction < 1
+        if eps_quantile is not None and ref_channel is not None:
+            # a weak reference alone defaults some samples of strong channels
+            ref_low = defaulted[:, ref]
+            assert ref_low.any()
+            assert np.any(np.abs(states.samples[ref_low]) > 2 * eps)
+
+
+class TestRejectedWeightsAreNotCounted:
+    def test_present_and_present_sampled(self):
+        readout = _readout_from_columns([np.ones(48), 0.5 * np.ones(48)], detector=NOISY_FILTERED)
+        readout.present(np.ones((2, 3)))
+        assert readout.presentations == 3
+        with pytest.raises(ValueError, match="finite"):
+            readout.present(np.full((2, 3), np.nan))
+        assert readout.presentations == 3
+        with pytest.raises(ValueError, match="shape"):
+            readout.present(np.ones((3, 2)))
+        assert readout.presentations == 3
+        with pytest.raises(ValueError, match="finite"):
+            readout.present_sampled(np.full((2, 3), np.nan), 4, 1)
+        assert readout.presentations == 3
