@@ -362,12 +362,18 @@ def reconstruct_states(
     low = moduli < eps
     defaulted = low | low[:, [ref_channel]]
     defaulted[:, ref_channel] = low[:, ref_channel]
-    used_phases = np.where(defaulted, 0.0, phases)
-    used_phases[:, ref_channel] = 0.0
-    used_phases += 0.0  # -0.0 becomes 0.0: zero phases keep a +0.0 imaginary part
     samples = np.empty(moduli.shape, dtype=np.complex128)
-    np.multiply(np.cos(used_phases, out=samples.real), moduli, out=samples.real)
-    np.multiply(np.sin(used_phases, out=samples.imag), moduli, out=samples.imag)
+    real, imag = samples.real, samples.imag
+    np.cos(phases, out=real)
+    np.sin(phases, out=imag)
+    # Defaulted entries and the reference column take phase 0.
+    np.copyto(real, 1.0, where=defaulted)
+    np.copyto(imag, 0.0, where=defaulted)
+    real[:, ref_channel] = 1.0
+    imag[:, ref_channel] = 0.0
+    imag += 0.0  # sin(-0.0) is -0.0: a zero phase keeps a +0.0 imaginary part
+    real *= moduli
+    imag *= moduli
     if channel_roles is None:
         channel_roles = tuple(f"ch{i}" for i in range(moduli.shape[1]))
     return EstimatedStates(

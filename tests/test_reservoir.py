@@ -17,7 +17,8 @@ from photonrc.reservoir import (
     perturb_phases,
     save_topology,
     simulate,
-    _interp_complex,
+    _RESAMPLE_ROWS,
+    _resample_into,
     _simulation_step,
 )
 from photonrc.signals import OpticalSignal, gen_bits, modulate
@@ -35,6 +36,62 @@ def _mixed_delay_swirl(seed):
         for i, e in enumerate(topo.edges)
     )
     return replace(topo, edges=edges)
+
+
+def _interp_complex(t_new, t_old, values):
+    """Oracle for ``_resample_into``: ``np.interp`` of the real and imaginary parts."""
+    return np.interp(t_new, t_old, values.real) + 1j * np.interp(t_new, t_old, values.imag)
+
+
+def _reference_block_simulate(topology, inputs, bias_power=None):
+    """Oracle for ``simulate`` with the same arithmetic, laid out the plain way.
+
+    The block recursion with a fresh product per block and delay, every
+    port's input resampled on its own, every node column resampled back
+    on its own through ``np.interp``, and the bias line appended by
+    ``np.hstack``.  ``simulate`` must return these bytes.
+    """
+    ports = topology.input_ports
+    if isinstance(inputs, OpticalSignal):
+        inputs = [inputs] * len(ports)
+    n_in, period = len(inputs[0]), inputs[0].sample_period
+    n_nodes = topology.n_nodes
+    step, delay_steps = _simulation_step(topology, period)
+    same_grid = abs(step - period) <= 1e-9 * period
+    n_sim = n_in if same_grid else int(math.ceil((n_in - 1) * period / step - 1e-9)) + 1
+    t_sim = np.arange(n_sim) * step
+
+    k_in = topology.in_degree().astype(np.float64)
+    k_out = topology.out_degree().astype(np.float64)
+    for p in ports:
+        k_in[p.node] += 1.0
+    combine = 1.0 / np.sqrt(np.maximum(k_in, 1.0))
+    transfers = {}
+    for e, d in zip(topology.edges, delay_steps):
+        gain = 10.0 ** (-e.loss_db / 20.0) * np.exp(1j * e.phase) / np.sqrt(k_out[e.src]) * combine[e.dst]
+        transfer = transfers.setdefault(int(d), np.zeros((n_nodes, n_nodes), dtype=np.complex128))
+        transfer[e.src, e.dst] += gain
+    d_min = min(transfers, default=n_sim)
+    pad = max(transfers, default=0)
+
+    buf = np.zeros((pad + n_sim, n_nodes), dtype=np.complex128)
+    t_in = np.arange(n_in) * period
+    for port, sig in zip(ports, inputs):
+        resampled = sig.samples if same_grid else _interp_complex(t_sim, t_in, sig.samples)
+        buf[pad:, port.node] += resampled * np.exp(1j * port.phase) * combine[port.node]
+    for start in range(pad, pad + n_sim, d_min):
+        stop = min(start + d_min, pad + n_sim)
+        for d, transfer in transfers.items():
+            buf[start:stop] += buf[start - d : stop - d] @ transfer
+    out = buf[pad:]
+    if not same_grid:
+        resampled = np.empty((n_in, n_nodes), dtype=np.complex128)
+        for ch in range(n_nodes):
+            resampled[:, ch] = _interp_complex(t_in, t_sim, out[:, ch])
+        out = resampled
+    if bias_power is not None:
+        out = np.hstack([out, np.full((n_in, 1), np.sqrt(bias_power), dtype=np.complex128)])
+    return out
 
 
 def _reference_simulate(topology, sig, bias_power=None):
@@ -334,6 +391,115 @@ class TestSimulate:
         x = simulate(t, OpticalSignal(impulse, period), None)
         assert np.argmax(np.abs(x.samples[:, 1]) > 0) == 3
         assert np.argmax(np.abs(x.samples[:, 2]) > 0) == 10
+
+
+def _random_columns(n, width, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+
+
+class TestResampleInto:
+    """``_resample_into`` returns the bytes of per-column ``np.interp``."""
+
+    @staticmethod
+    def _check(x, xp, width=3, seed=0):
+        fp = _random_columns(len(xp), width, seed)
+        out = np.empty((len(x), width), dtype=np.complex128)
+        _resample_into(out, x, xp, fp)
+        expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(width)], axis=1)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 25])
+    @pytest.mark.parametrize("bitrate", [5e9, 15e9, 31e9])
+    def test_simulation_grids_both_ways(self, n_in, bitrate):
+        # The grids simulate resamples between: onto the finer simulation
+        # grid and back, which ends at or past the last input time.
+        t = build_swirl(seed=0)
+        period = 1.0 / (bitrate * 24)
+        step, _ = _simulation_step(t, period)
+        n_sim = int(math.ceil((n_in - 1) * period / step - 1e-9)) + 1
+        t_in, t_sim = np.arange(n_in) * period, np.arange(n_sim) * step
+        assert t_sim[-1] >= t_in[-1]
+        self._check(t_sim, t_in)
+        self._check(t_in, t_sim)
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3])
+    @pytest.mark.parametrize("n_xp", [1, 2, 3])
+    def test_short_grids(self, n_x, n_xp):
+        xp = np.arange(n_xp) * 0.75
+        for x in (np.arange(n_x) * 0.5, np.arange(n_x) * 0.5 - 0.25, np.arange(n_x) * 2.0):
+            self._check(x, xp)
+            self._check(xp, x)
+
+    def test_exact_hits_and_both_ends(self):
+        # Every fourth point of x lies on a point of xp; x starts below
+        # xp[0] and runs past xp[-1], then ends exactly on it.
+        xp = np.arange(40) * 1.0
+        self._check(np.arange(-2, 180) * 0.25, xp)
+        self._check(np.arange(157) * 0.25, xp)
+        self._check(xp, np.arange(-2, 180) * 0.25)
+
+    @pytest.mark.parametrize("n_x", [_RESAMPLE_ROWS - 1, _RESAMPLE_ROWS, _RESAMPLE_ROWS + 1])
+    def test_chunk_edges(self, n_x):
+        xp = np.arange(n_x // 3 + 2) * 3.1
+        x = np.linspace(0.0, xp[-1], n_x)
+        self._check(x, xp, width=2)
+        self._check(xp, x, width=2)
+
+    def test_writes_a_column_slice_of_a_wider_matrix(self):
+        xp, x = np.arange(30) * 1.0, np.arange(70) * 0.4
+        fp = _random_columns(30, 4, seed=1)
+        wide = np.zeros((70, 5), dtype=np.complex128)
+        _resample_into(wide[:, :4], x, xp, fp)
+        assert np.all(wide[:, 4] == 0)
+        expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(4)], axis=1)
+        assert wide[:, :4].tobytes() == expected.tobytes()
+
+
+class TestSimulateMatchesBlockReference:
+    """``simulate`` returns the bytes of ``_reference_block_simulate``."""
+
+    @staticmethod
+    def _check(topology, inputs, bias_power):
+        x = simulate(topology, inputs, bias_power).samples
+        ref = _reference_block_simulate(topology, inputs, bias_power)
+        assert x.flags["C_CONTIGUOUS"]
+        assert x.shape == ref.shape
+        assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bias_power", [None, 0.02])
+    @pytest.mark.parametrize("bitrate", [1e9, 5e9, 10e9, 15e9, 31e9])
+    def test_swirl(self, bitrate, bias_power):
+        self._check(build_swirl(seed=3), _random_input(30, bitrate=bitrate, seed=1), bias_power)
+
+    @pytest.mark.parametrize("bias_power", [None, 0.02])
+    def test_mixed_delay_swirl(self, bias_power):
+        self._check(_mixed_delay_swirl(seed=4), _random_input(30, bitrate=5e9, seed=2), bias_power)
+
+    @pytest.mark.parametrize("bitrate", [5e9, 10e9, 15e9])
+    def test_distinct_port_signals(self, bitrate):
+        signals = [_random_input(20, bitrate=bitrate, seed=s) for s in range(4)]
+        self._check(build_swirl(seed=5), signals, 0.02)
+
+    @pytest.mark.parametrize("bitrate", [5e9, 15e9])
+    def test_list_repeating_one_signal(self, bitrate):
+        a, b = (_random_input(20, bitrate=bitrate, seed=s) for s in (6, 7))
+        self._check(build_swirl(seed=5), [a, b, a, a], None)
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_every_last_block_length(self, n):
+        # The chain advances in blocks of 3 steps and the swirl at 10 Gbps
+        # in blocks of 15, so these lengths end on every length of last
+        # block, the one-row block included.
+        chain = ReservoirTopology(
+            3,
+            (Edge(0, 1, 3e-11, 1.0, 0.1), Edge(1, 2, 7e-11, 1.0, 0.2)),
+            (InputPort(0, 0.4),),
+        )
+        rng = np.random.default_rng(n)
+        for topology, period in ((chain, 1e-11), (build_swirl(seed=8), 1.0 / (10e9 * 24))):
+            sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
+            self._check(topology, sig, 0.02)
 
 
 class TestTopologyFiles:

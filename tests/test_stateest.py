@@ -243,6 +243,28 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_states(np.ones((4, 2)), np.ones((3, 2)), 0)
 
+    def test_reconstruct_matches_exp_assembly_bytes(self):
+        # Zero phases of either sign, defaulted entries (zero and small
+        # moduli, in a channel and in the reference) and the reference
+        # column all give the bytes of modulus * exp(1j * phase) with the
+        # phase set to 0 there: a +0.0 imaginary part, never -0.0.
+        rng = np.random.default_rng(2)
+        moduli = rng.uniform(0.1, 1.0, (60, 4))
+        phases = rng.uniform(-np.pi, np.pi, (60, 4))
+        phases[::3, 1] = -0.0
+        phases[1::4, 2] = 0.0
+        phases[::5, 0] = -0.0
+        moduli[::7, 3] = 0.0
+        moduli[2::9, 2] = 1e-9
+        moduli[4::11, 0] = 1e-9
+        est = reconstruct_states(moduli, phases, ref_channel=0, eps=1e-6)
+        used = np.where(est.defaulted, 0.0, phases)
+        used[:, 0] = 0.0
+        expected = moduli * np.exp(1j * used)
+        assert est.defaulted[:, 3].any() and est.defaulted[4::11].all()
+        assert est.samples.tobytes() == expected.tobytes()
+        assert not np.signbit(est.samples.imag[phases == 0.0]).any()
+
     def test_full_pipeline_global_phase_agreement(self):
         # Noiseless probing of a simulated reservoir recovers each row up
         # to one global phase, which the detector cannot see anyway.
