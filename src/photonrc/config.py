@@ -9,7 +9,6 @@ from pathlib import Path
 import yaml
 
 from .detector import DetectorConfig
-from .ridge import RidgeConfig
 
 __all__ = [
     "ReservoirSettings",
@@ -79,12 +78,14 @@ class ExperimentConfig:
     convergence_bitrate_gbps: float = 10.0
     reservoir: ReservoirSettings = field(default_factory=ReservoirSettings)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    ridge: RidgeConfig = field(default_factory=RidgeConfig)
     cmaes: CmaesSettings = field(default_factory=CmaesSettings)
     nlinv: NlinvSettings = field(default_factory=NlinvSettings)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bitrates_gbps", tuple(float(b) for b in self.bitrates_gbps))
+        # Seeds hash a bitrate by type, so YAML 10 must draw what 10.0 draws.
+        object.__setattr__(self, "perturbation_bitrate_gbps", float(self.perturbation_bitrate_gbps))
+        object.__setattr__(self, "convergence_bitrate_gbps", float(self.convergence_bitrate_gbps))
         object.__setattr__(self, "headers", tuple(str(h) for h in self.headers))
         object.__setattr__(self, "trainers", tuple(self.trainers))
         for b in self.bitrates_gbps:
@@ -130,7 +131,6 @@ def profile_by_name(name: str) -> ExperimentConfig:
 _SECTION_TYPES = {
     "reservoir": ReservoirSettings,
     "detector": DetectorConfig,
-    "ridge": RidgeConfig,
     "cmaes": CmaesSettings,
     "nlinv": NlinvSettings,
 }
@@ -140,7 +140,6 @@ _TUPLE_FIELDS = {
     "headers",
     "trainers",
     "perturbation_b_over_pi",
-    "alpha_grid",
     "sigma_sweep",
 }
 

@@ -262,6 +262,7 @@ def _instance_topology(cfg: ExperimentConfig, instance: int) -> tuple[ReservoirT
 
 
 def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> _Cell:
+    bitrate_gbps = float(bitrate_gbps)  # an int would seed differently
     bitrate = bitrate_gbps * 1e9
     topo, topo_seed = _instance_topology(cfg, instance)
     bits_train = gen_bits(cfg.n_train_bits, derive_seed(cfg.master_seed, "train-bits"), bitrate)
@@ -310,7 +311,6 @@ def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, header: str, d_train: Desir
     return train_nlinv(
         readout,
         d_train,
-        cfg.ridge,
         cfg.detector.responsivity,
         samples_per_bit=cfg.samples_per_bit,
         skip_bits=cfg.warmup_bits,
@@ -330,7 +330,7 @@ def _train(
         x, target = ridge_problem(
             cell.states_train, d_train, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
         )
-        alpha, weights = cv_alpha(x, target, cfg.ridge)
+        alpha, weights = cv_alpha(x, target)
         # The state capture itself corresponds to one presentation of the
         # training sequence (and is only possible with full observability).
         return weights, 1, f"alpha={alpha:.6g}"

@@ -10,7 +10,6 @@ the target side, so the regression fits the optical sum ``X @ w`` against
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,55 +18,24 @@ from .reservoir import StateMatrix
 from .signals import DesiredSignal
 
 __all__ = [
-    "RidgeConfig",
-    "default_alpha_grid",
+    "candidate_alphas",
     "invert_target",
     "ridge_problem",
-    "ridge_solve",
     "cv_alpha",
 ]
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    """Regularization grid and cross-validation layout.
-
-    ``alpha_grid=None`` selects a scale-free default grid derived from the
-    mean channel power of the state matrix.  The bias channel is excluded
-    from the penalty unless ``regularize_bias`` is set.
-    """
-
-    alpha_grid: tuple[float, ...] | None = None
-    folds: int = 5
-    regularize_bias: bool = False
-
-    def __post_init__(self) -> None:
-        if self.alpha_grid is not None:
-            grid = tuple(float(a) for a in self.alpha_grid)
-            if any(a < 0 for a in grid):
-                raise ValueError("regularization strengths must be non-negative")
-            object.__setattr__(self, "alpha_grid", grid)
-        if self.folds < 2:
-            raise ValueError("cross validation needs at least 2 folds")
+# Cross validation splits the samples into this many contiguous blocks.
+_FOLDS = 5
 
 
-def default_alpha_grid(states: np.ndarray) -> tuple[float, ...]:
+def candidate_alphas(states: np.ndarray) -> tuple[float, ...]:
     """Decades 1e-12 .. 1e2 scaled by the mean channel power of ``states``."""
     scale = float(np.mean(np.abs(states) ** 2))
     if scale <= 0:
         scale = 1.0
     return tuple(scale * 10.0 ** k for k in range(-12, 3))
-
-
-def _as_matrix(states: StateMatrix | np.ndarray) -> tuple[np.ndarray, int | None]:
-    if isinstance(states, StateMatrix):
-        return states.samples, states.bias_index
-    arr = np.asarray(states)
-    if arr.ndim != 2:
-        raise ValueError("state matrix must be 2-D")
-    return arr, None
 
 
 def invert_target(d: np.ndarray, responsivity: float) -> np.ndarray:
@@ -104,39 +72,12 @@ def ridge_problem(
     return trimmed, target[skip:n]
 
 
-def _penalty_diag(n_channels: int, regularize_bias: bool, bias_index: int | None) -> np.ndarray:
-    diag = np.ones(n_channels)
-    if not regularize_bias and bias_index is not None:
-        diag[bias_index] = 0.0
+def _penalty_diag(states: StateMatrix) -> np.ndarray:
+    """Ones, with a zero at the bias line: its weight is not penalized."""
+    diag = np.ones(states.n_channels)
+    if states.bias_index is not None:
+        diag[states.bias_index] = 0.0
     return diag
-
-
-def ridge_solve(
-    states: StateMatrix | np.ndarray,
-    target: np.ndarray,
-    alpha: float,
-    regularize_bias: bool = False,
-    bias_channel: int | None = None,
-) -> ReadoutWeights:
-    """Solve ``(X^H X + alpha^2 I') w = X^H t`` for the complex weights.
-
-    ``I'`` is the identity with a zero at the bias channel when that
-    channel is exempt from the penalty.  For plain arrays the bias
-    location can be passed as ``bias_channel``.
-    """
-    x, bias_idx = _as_matrix(states)
-    if bias_channel is not None:
-        bias_idx = bias_channel
-    t = np.asarray(target)
-    if t.shape != (x.shape[0],):
-        raise ValueError("target length must match the number of state samples")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-
-    gram = x.conj().T @ x
-    rhs = x.conj().T @ t
-    penalty = alpha**2 * _penalty_diag(x.shape[1], regularize_bias, bias_idx)
-    return _solve_regularized(gram, rhs, penalty)
 
 
 def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarray) -> ReadoutWeights:
@@ -152,36 +93,29 @@ def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarr
     return ReadoutWeights(w)
 
 
-def cv_alpha(
-    states: StateMatrix | np.ndarray,
-    target: np.ndarray,
-    cfg: RidgeConfig,
-) -> tuple[float, ReadoutWeights]:
-    """Pick the regularization strength by blocked cross validation.
+def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, ReadoutWeights]:
+    """Fit the readout by ridge, its strength picked by blocked cross validation.
 
-    Folds are contiguous time blocks to respect temporal correlation, read
-    as slices of the state matrix without copying it.  Validation error is
-    the mean squared gap between ``|X w|`` and the detector-inverted
-    target, i.e. the quantity the intensity detector can actually
-    distinguish.  Each distinct fold weight vector is scored once: alphas
-    whose penalty falls below the rounding of the Gram diagonal give
-    bit-identical weights, and so the same error.  An alpha whose system
-    is singular in any fold is dropped with a warning; only an
-    all-singular grid raises.  The winning alpha (smallest on ties) is
-    refit on all data.
+    The candidates are :func:`candidate_alphas`; the bias line is exempt
+    from the penalty.  The five folds are contiguous time blocks to
+    respect temporal correlation, read as slices of the state matrix
+    without copying it.  Validation error is the mean squared gap between
+    ``|X w|`` and the detector-inverted target, i.e. the quantity the
+    intensity detector can actually distinguish.  Each distinct fold
+    weight vector is scored once: alphas whose penalty falls below the
+    rounding of the Gram diagonal give bit-identical weights, and so the
+    same error.  An alpha whose system is singular in any fold is dropped
+    with a warning; only an all-singular grid raises.  The winning alpha
+    (smallest on ties) is refit on all data.
     """
-    x, bias_idx = _as_matrix(states)
     # In C order every fold is a contiguous block of rows (no copy if it already is).
-    x = np.ascontiguousarray(x)
+    x = np.ascontiguousarray(states.samples)
     t = np.asarray(target)
     if t.shape != (x.shape[0],):
         raise ValueError("target length must match the number of state samples")
-    grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(x)
-    if len(grid) == 0:
-        raise ValueError("alpha grid is empty")
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
+    grid = np.sort(np.asarray(candidate_alphas(x), dtype=np.float64))
 
-    n, k = x.shape[0], cfg.folds
+    n, k = x.shape[0], _FOLDS
     if n < k:
         raise ValueError(f"not enough samples for {k} folds")
     # The blocks of np.array_split: the first n % k hold one extra sample.
@@ -193,7 +127,7 @@ def cv_alpha(
     rhss = [x[b].conj().T @ t[b] for b in blocks]
     gram_total = np.sum(grams, axis=0)
     rhs_total = np.sum(rhss, axis=0)
-    pen_diag = _penalty_diag(x.shape[1], cfg.regularize_bias, bias_idx)
+    pen_diag = _penalty_diag(states)
 
     # Validation error of each fold, keyed on the bytes of its weights.
     scored: list[dict[bytes, float]] = [{} for _ in blocks]

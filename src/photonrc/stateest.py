@@ -38,7 +38,7 @@ from .detector import (
     sampled_basis,
 )
 from .reservoir import StateMatrix
-from .ridge import RidgeConfig, cv_alpha, ridge_problem
+from .ridge import cv_alpha, ridge_problem
 from .signals import DesiredSignal
 
 __all__ = [
@@ -450,7 +450,6 @@ class TrainNlinvResult:
 def train_nlinv(
     readout: OpaqueReadout,
     desired: DesiredSignal,
-    ridge_cfg: RidgeConfig,
     responsivity: float,
     samples_per_bit: int = 24,
     skip_bits: int = 0,
@@ -476,5 +475,5 @@ def train_nlinv(
     x, target = ridge_problem(
         estimated.as_state_matrix(), desired, responsivity, samples_per_bit, skip_bits
     )
-    alpha, weights = cv_alpha(x, target, ridge_cfg)
+    alpha, weights = cv_alpha(x, target)
     return TrainNlinvResult(weights=weights, alpha=alpha, estimated=estimated, presentations=used)

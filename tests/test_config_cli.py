@@ -74,6 +74,21 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="DetectorConfig"):
             config_from_dict({"detector": {"gain": 2}})
 
+    def test_ridge_section_rejected(self, tmp_path):
+        # The ridge fit has no settings: a leftover section is an error.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("ridge:\n  folds: 3\n")
+        with pytest.raises(ValueError, match="ridge"):
+            load_config(path)
+
+    def test_int_bitrates_become_floats(self):
+        cfg = config_from_dict(
+            {"bitrates_gbps": [10], "perturbation_bitrate_gbps": 5, "convergence_bitrate_gbps": 10}
+        )
+        assert type(cfg.bitrates_gbps[0]) is float
+        assert type(cfg.perturbation_bitrate_gbps) is float
+        assert type(cfg.convergence_bitrate_gbps) is float
+
     def test_validation_applies(self):
         with pytest.raises(ValueError):
             config_from_dict({"trainers": ["svm"]})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from photonrc.config import ci_profile
+from photonrc.config import ci_profile, config_from_dict
 from photonrc.detector import DetectorConfig
 from photonrc.harness import (
     aggregate_records,
@@ -142,6 +142,11 @@ class TestRunSingle:
         assert rec.test_ber_floor >= cfg.ber_floor_errors / 150
         assert rec.test_ber_report.startswith("<")
         assert rec.test_ber_report != "0"
+
+    def test_int_bitrate_draws_as_float(self):
+        # Seeds hash 10 and 10.0 differently; the cell must not see the type.
+        cfg = tiny_cfg()
+        assert run_single(cfg, 10, "101", "ridge") == run_single(cfg, 10.0, "101", "ridge")
 
     def test_nlinv_presentation_count(self):
         cfg = tiny_cfg(trainers=("nlinv",))
@@ -307,6 +312,13 @@ class TestConvergence:
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
         sse = [r.best_sse for r in rows]
         assert all(s1 >= s2 for s1, s2 in zip(sse, sse[1:]))
+
+    def test_int_bitrate_draws_as_float(self):
+        cfg = tiny_cfg(trainers=("cmaes",))
+        cfg = replace(cfg, cmaes=replace(cfg.cmaes, convergence_iterations=3, population=4))
+        as_int = config_from_dict({"convergence_bitrate_gbps": 10}, base=cfg)
+        as_float = config_from_dict({"convergence_bitrate_gbps": 10.0}, base=cfg)
+        assert run_convergence(as_int) == run_convergence(as_float)
 
     def test_csv_written(self, tmp_path):
         cfg = tiny_cfg()

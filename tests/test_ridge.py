@@ -5,16 +5,8 @@ import pytest
 
 from photonrc.detector import DetectorConfig, photodiode
 from photonrc.reservoir import StateMatrix
-from photonrc.ridge import (
-    RidgeConfig,
-    _as_matrix,
-    _penalty_diag,
-    _solve_regularized,
-    cv_alpha,
-    default_alpha_grid,
-    invert_target,
-    ridge_solve,
-)
+from photonrc import ridge
+from photonrc.ridge import _penalty_diag, _solve_regularized, candidate_alphas, cv_alpha, invert_target
 from photonrc.signals import OpticalSignal
 
 
@@ -24,6 +16,32 @@ def _random_system(n, f, seed, noise=0.0):
     w_true = rng.normal(size=f) + 1j * rng.normal(size=f)
     t = x @ w_true + noise * (rng.normal(size=n) + 1j * rng.normal(size=n))
     return x, w_true, t
+
+
+def _states(x, roles=None):
+    """Wrap a sample array as a state matrix, by default without a bias line."""
+    roles = roles if roles is not None else tuple(f"node{i}" for i in range(x.shape[1]))
+    return StateMatrix(x, 1e-11, roles)
+
+
+def _ridge(x, t, alpha, penalty_mask=None):
+    """Ridge weights through the solve ``cv_alpha`` refits with.
+
+    ``(X^H X + alpha^2 diag(mask)) w = X^H t``; every channel is
+    penalized unless ``penalty_mask`` says otherwise.
+    """
+    mask = np.ones(x.shape[1]) if penalty_mask is None else np.asarray(penalty_mask, float)
+    return _solve_regularized(x.conj().T @ x, x.conj().T @ t, alpha**2 * mask)
+
+
+@pytest.fixture
+def grid(monkeypatch):
+    """Replace the candidate alphas of ``cv_alpha`` with a fixed tuple."""
+
+    def use(alphas):
+        monkeypatch.setattr(ridge, "candidate_alphas", lambda states: tuple(alphas))
+
+    return use
 
 
 def _augmented_oracle(x, t, alpha, penalty_mask=None):
@@ -36,21 +54,20 @@ def _augmented_oracle(x, t, alpha, penalty_mask=None):
     return w
 
 
-def _reference_cv_alpha(states, target, cfg):
-    """The fold loop with one copied index block per fold and alpha.
+def _reference_cv_alpha(states, target):
+    """The fold loop over five copied index blocks, one fit per fold and alpha.
 
     Returns the chosen alpha, its refit weights and the CV curve.
     """
-    x, bias_idx = _as_matrix(states)
+    x = states.samples
     t = np.asarray(target)
-    grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid(x)
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
-    blocks = np.array_split(np.arange(x.shape[0]), cfg.folds)
+    grid = np.sort(np.asarray(ridge.candidate_alphas(x), dtype=np.float64))
+    blocks = np.array_split(np.arange(x.shape[0]), 5)
     grams = [x[b].conj().T @ x[b] for b in blocks]
     rhss = [x[b].conj().T @ t[b] for b in blocks]
     gram_total = np.sum(grams, axis=0)
     rhs_total = np.sum(rhss, axis=0)
-    pen_diag = _penalty_diag(x.shape[1], cfg.regularize_bias, bias_idx)
+    pen_diag = _penalty_diag(states)
     mean_errors = np.full(len(grid), np.inf)
     for i, alpha in enumerate(grid):
         errors = []
@@ -68,9 +85,9 @@ def _reference_cv_alpha(states, target, cfg):
     return alpha_star, w_final, mean_errors
 
 
-def _assert_cv_matches_reference(states, target, cfg):
-    alpha, w = cv_alpha(states, target, cfg)
-    ref_alpha, ref_w, curve = _reference_cv_alpha(states, target, cfg)
+def _assert_cv_matches_reference(states, target):
+    alpha, w = cv_alpha(states, target)
+    ref_alpha, ref_w, curve = _reference_cv_alpha(states, target)
     assert alpha == ref_alpha
     assert w.values.tobytes() == ref_w.values.tobytes()
     return curve
@@ -100,21 +117,21 @@ class TestInvertTarget:
 
 class TestRidgeSolve:
     def test_diagonal_example(self):
-        w = ridge_solve(np.eye(2), np.array([1.0, 0.0]), alpha=1.0, regularize_bias=True)
+        w = _ridge(np.eye(2), np.array([1.0, 0.0]), alpha=1.0)
         assert np.allclose(w.values, [0.5, 0.0])
 
     def test_exact_solve_alpha_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         t = rng.normal(size=4) + 1j * rng.normal(size=4)
-        w = ridge_solve(x, t, alpha=0.0)
+        w = _ridge(x, t, alpha=0.0)
         assert np.allclose(x @ w.values, t, rtol=1e-9)
 
     def test_matches_independent_oracle(self):
         for seed in range(5):
             x, _, t = _random_system(50, 5, seed, noise=0.3)
             for alpha in (1e-3, 0.1, 1.0, 10.0):
-                w = ridge_solve(x, t, alpha).values
+                w = _ridge(x, t, alpha).values
                 w_oracle = _augmented_oracle(x, t, alpha)
                 assert np.linalg.norm(w - w_oracle) <= 1e-10 * np.linalg.norm(w_oracle)
 
@@ -122,8 +139,9 @@ class TestRidgeSolve:
         x, _, t = _random_system(60, 4, 3, noise=0.2)
         bias = np.ones((60, 1), dtype=complex)
         xb = np.hstack([x, bias])
-        w = ridge_solve(xb, t, alpha=2.0, bias_channel=4).values
-        mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        mask = _penalty_diag(_states(xb, ("a", "b", "c", "d", "bias")))
+        assert mask.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
+        w = _ridge(xb, t, alpha=2.0, penalty_mask=mask).values
         w_oracle = _augmented_oracle(xb, t, 2.0, penalty_mask=mask)
         assert np.allclose(w, w_oracle, rtol=1e-9)
 
@@ -131,19 +149,19 @@ class TestRidgeSolve:
         x = np.ones((6, 3), dtype=complex)  # rank 1
         t = np.ones(6, dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
-            ridge_solve(x, t, alpha=0.0)
+            _ridge(x, t, alpha=0.0)
 
     def test_monotone_shrinkage(self):
         x, _, t = _random_system(40, 6, 9, noise=0.5)
         alphas = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
-        norms = [np.linalg.norm(ridge_solve(x, t, a).values) for a in alphas]
+        norms = [np.linalg.norm(_ridge(x, t, a).values) for a in alphas]
         assert all(n1 >= n2 - 1e-12 for n1, n2 in zip(norms, norms[1:]))
 
     def test_real_system_gives_real_weights(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 5)).astype(complex)
         t = rng.normal(size=30)
-        w = ridge_solve(x, t, alpha=0.5).values
+        w = _ridge(x, t, alpha=0.5).values
         assert np.max(np.abs(w.imag)) <= 1e-12
 
     def test_gradient_descent_oracle(self):
@@ -157,12 +175,12 @@ class TestRidgeSolve:
         for _ in range(20000):
             grad = x.conj().T @ (x @ w - t) + alpha**2 * w
             w = w - step * grad
-        assert np.allclose(w, ridge_solve(x, t, alpha).values, atol=1e-8)
+        assert np.allclose(w, _ridge(x, t, alpha).values, atol=1e-8)
 
     def test_local_minimality(self):
         x, _, t = _random_system(25, 4, 11, noise=0.4)
         alpha = 0.9
-        w = ridge_solve(x, t, alpha).values
+        w = _ridge(x, t, alpha).values
 
         def objective(v):
             return np.sum(np.abs(x @ v - t) ** 2) + alpha**2 * np.sum(np.abs(v) ** 2)
@@ -175,70 +193,70 @@ class TestRidgeSolve:
 
 
 class TestCvAlpha:
-    def test_single_alpha_grid(self):
+    def test_single_alpha_grid(self, grid):
+        grid((0.25,))
         x, _, t = _random_system(40, 3, 1, noise=0.1)
-        alpha, w = cv_alpha(x, np.abs(t), RidgeConfig(alpha_grid=(0.25,), folds=4))
+        alpha, w = cv_alpha(_states(x), np.abs(t))
         assert alpha == 0.25
         assert len(w.values) == 3
 
-    def test_noiseless_system_picks_smallest_alpha(self):
+    def test_noiseless_system_picks_smallest_alpha(self, grid):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
         w_true = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = np.abs(x @ w_true)  # exactly representable modulus target
-        grid = (1e-6, 1e-3, 1.0, 10.0)
-        alpha, _ = cv_alpha(x, t, RidgeConfig(alpha_grid=grid, folds=5))
+        grid((1e-6, 1e-3, 1.0, 10.0))
+        alpha, _ = cv_alpha(_states(x), t)
         assert alpha == 1e-6
 
-    def test_pure_noise_target_prefers_shrinkage(self):
+    def test_pure_noise_target_prefers_shrinkage(self, grid):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
         t = rng.normal(size=200)  # independent of x
-        grid = tuple(10.0**k for k in range(-6, 4))
-        alpha, _ = cv_alpha(x, t, RidgeConfig(alpha_grid=grid, folds=5))
-        assert alpha >= np.median(grid)
-
-    def test_empty_grid_rejected(self):
-        x, _, t = _random_system(20, 2, 5)
-        with pytest.raises(ValueError):
-            cv_alpha(x, np.abs(t), RidgeConfig(alpha_grid=(), folds=2))
+        alphas = tuple(10.0**k for k in range(-6, 4))
+        grid(alphas)
+        alpha, _ = cv_alpha(_states(x), t)
+        assert alpha >= np.median(alphas)
 
     def test_too_few_samples_rejected(self):
-        x, _, t = _random_system(3, 2, 5)
-        with pytest.raises(ValueError):
-            cv_alpha(x, np.abs(t), RidgeConfig(alpha_grid=(0.1,), folds=5))
+        x, _, t = _random_system(4, 2, 5)
+        with pytest.raises(ValueError, match="folds"):
+            cv_alpha(_states(x), np.abs(t))
 
-    def test_state_matrix_bias_exemption(self):
+    def test_state_matrix_bias_exemption(self, grid):
         rng = np.random.default_rng(8)
         arr = rng.normal(size=(90, 3)) + 1j * rng.normal(size=(90, 3))
         arr[:, 2] = 0.14
         states = StateMatrix(arr, 1e-11, ("node0", "node1", "bias"))
         t = np.abs(arr @ np.array([0.2, -0.4j, 1.0]))
-        alpha, w = cv_alpha(states, t, RidgeConfig(alpha_grid=(5.0,), folds=3))
+        grid((5.0,))
+        alpha, w = cv_alpha(states, t)
         w_oracle = _augmented_oracle(arr, t, 5.0, penalty_mask=np.array([1.0, 1.0, 0.0]))
         assert np.allclose(w.values, w_oracle, rtol=1e-8)
 
-    def test_singular_alpha_is_dropped(self, caplog):
+    def test_singular_alpha_is_dropped(self, grid, caplog):
         # alpha = 0 leaves the all-zero column unconstrained; alpha = 1 is
         # well posed and must still be selected.
         rng = np.random.default_rng(12)
         x = rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3))
         x[:, 1] = 0.0
         t = np.abs(x @ np.array([1.0, 0.0, 0.5j]))
+        grid((0.0, 1.0))
         with caplog.at_level(logging.WARNING, logger="photonrc.ridge"):
-            alpha, w = cv_alpha(x, t, RidgeConfig(alpha_grid=(0.0, 1.0)))
+            alpha, w = cv_alpha(_states(x), t)
         assert alpha == 1.0
         assert np.isfinite(w.values).all()
         assert "alpha=0" in caplog.text and "singular" in caplog.text
 
-    def test_all_singular_grid_raises(self):
+    def test_all_singular_grid_raises(self, grid):
+        grid((0.0,))
         x = np.zeros((20, 2), dtype=complex)
         with pytest.raises(np.linalg.LinAlgError, match="every alpha"):
-            cv_alpha(x, np.ones(20), RidgeConfig(alpha_grid=(0.0,), folds=2))
+            cv_alpha(_states(x), np.ones(20))
 
     def test_default_grid_scales_with_power(self):
-        small = default_alpha_grid(0.01 * np.ones((10, 2)))
-        large = default_alpha_grid(1.0 * np.ones((10, 2)))
+        small = candidate_alphas(0.01 * np.ones((10, 2)))
+        large = candidate_alphas(1.0 * np.ones((10, 2)))
         assert len(small) == len(large) == 15
         assert small[0] < large[0]
 
@@ -246,38 +264,39 @@ class TestCvAlpha:
 class TestCvAlphaReference:
     """``cv_alpha`` selects and refits exactly as the copying fold loop does."""
 
-    @pytest.mark.parametrize("folds", [2, 3, 4, 5, 6, 7])
-    def test_ragged_folds(self, folds):
-        # 2 * 3 * 5 * 7 + 1 samples: no fold count divides them.
+    @pytest.mark.parametrize("n", [210, 211, 212, 213, 214])
+    def test_ragged_folds(self, grid, n):
+        # Every remainder of n modulo the 5 folds, 0 through 4.
+        grid(tuple(10.0**k for k in range(-3, 4)))
         for seed in range(3):
-            x, _, t = _random_system(211, 4, 100 * folds + seed, noise=0.5)
-            grid = tuple(10.0**k for k in range(-3, 4))
-            curve = _assert_cv_matches_reference(x, np.abs(t), RidgeConfig(alpha_grid=grid, folds=folds))
+            x, _, t = _random_system(n, 4, 10 * n + seed, noise=0.5)
+            curve = _assert_cv_matches_reference(_states(x), np.abs(t))
             assert np.isfinite(curve).all()
 
-    def test_interior_choice(self):
+    def test_interior_choice(self, grid):
         # A weak signal in strong noise is best fit by an alpha inside the
         # grid, so an error reused across different weights would change
         # the choice.
         rng = np.random.default_rng(21)
         x = rng.normal(size=(150, 6)) + 1j * rng.normal(size=(150, 6))
         t = 0.3 * np.abs(x[:, 0]) - 0.3 + 0.5 * rng.normal(size=150)
-        grid = tuple(10.0**k for k in np.arange(-1.0, 3.5, 0.5))
-        alpha, _ = cv_alpha(x, t, RidgeConfig(alpha_grid=grid, folds=5))
-        assert grid[0] < alpha < grid[-1]
-        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=5))
-        assert np.unique(curve).size == len(grid)
+        alphas = tuple(10.0**k for k in np.arange(-1.0, 3.5, 0.5))
+        grid(alphas)
+        alpha, _ = cv_alpha(_states(x), t)
+        assert alphas[0] < alpha < alphas[-1]
+        curve = _assert_cv_matches_reference(_states(x), t)
+        assert np.unique(curve).size == len(alphas)
 
     def test_default_grid_with_tied_bottom(self):
         # The bottom alphas of the default grid add a penalty below the
         # rounding of the Gram diagonal: their weights, and so their
         # errors, are bit-identical.
         x, _, t = _random_system(997, 5, 31, noise=0.3)
-        curve = _assert_cv_matches_reference(x, np.abs(t), RidgeConfig(folds=5))
+        curve = _assert_cv_matches_reference(_states(x), np.abs(t))
         assert curve[0] == curve[1]
         assert np.unique(curve).size < curve.size
 
-    def test_choice_decided_by_rounding(self):
+    def test_choice_decided_by_rounding(self, grid):
         # Penalties of 1e-17 .. 1e-13 of the Gram diagonal: the bottom ones
         # leave the weights bit-identical, the others move them in the last
         # digits.  On a pure-noise target the error still falls with alpha,
@@ -286,29 +305,30 @@ class TestCvAlphaReference:
         x = rng.normal(size=(400, 5)) + 1j * rng.normal(size=(400, 5))
         t = rng.normal(size=400)
         diag = np.mean(np.sum(np.abs(x) ** 2, axis=0))
-        grid = tuple(np.sqrt(diag * 10.0**-e) for e in np.arange(17.0, 12.5, -0.5))
-        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=5))
+        grid(tuple(np.sqrt(diag * 10.0**-e) for e in np.arange(17.0, 12.5, -0.5)))
+        curve = _assert_cv_matches_reference(_states(x), t)
         assert curve[0] == curve[1]
         assert 1 < np.unique(curve).size < curve.size
         assert np.argmin(curve) == curve.size - 1
 
-    def test_singular_alpha(self):
+    def test_singular_alpha(self, grid):
         rng = np.random.default_rng(41)
         x = rng.normal(size=(103, 4)) + 1j * rng.normal(size=(103, 4))
         x[:, 2] = 0.0  # rank-deficient: alpha = 0 is singular
         t = np.abs(x @ np.array([0.4, -1.0j, 0.0, 0.3]) + 0.2 * rng.normal(size=103))
-        grid = (0.0, 1e-3, 1e-1, 10.0)
-        curve = _assert_cv_matches_reference(x, t, RidgeConfig(alpha_grid=grid, folds=4))
+        grid((0.0, 1e-3, 1e-1, 10.0))
+        curve = _assert_cv_matches_reference(_states(x), t)
         assert np.isinf(curve[0]) and np.isfinite(curve[1:]).all()
 
-    @pytest.mark.parametrize("regularize_bias", [False, True])
     @pytest.mark.parametrize("roles", [("a", "b", "bias", "c"), ("a", "b", "c", "d")])
-    def test_bias_penalty(self, regularize_bias, roles):
+    def test_bias_penalty(self, grid, roles):
         rng = np.random.default_rng(51)
         arr = rng.normal(size=(301, 4)) + 1j * rng.normal(size=(301, 4))
         arr[:, 2] = 0.14
         states = StateMatrix(arr, 1e-11, roles)
         t = np.abs(arr @ np.array([0.2, -0.4j, 1.0, 0.1]) + 0.3 * rng.normal(size=301))
-        for grid in (None, (1e-2, 1.0, 3.0, 30.0)):
-            cfg = RidgeConfig(alpha_grid=grid, folds=3, regularize_bias=regularize_bias)
-            _assert_cv_matches_reference(states, t, cfg)
+        expected = [1.0, 1.0, 0.0 if "bias" in roles else 1.0, 1.0]
+        assert _penalty_diag(states).tolist() == expected
+        _assert_cv_matches_reference(states, t)  # the default alphas
+        grid((1e-2, 1.0, 3.0, 30.0))
+        _assert_cv_matches_reference(states, t)

@@ -3,7 +3,6 @@ import pytest
 
 from photonrc.detector import DetectorConfig
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
-from photonrc.ridge import RidgeConfig
 from photonrc.signals import DesiredSignal, gen_bits, modulate
 from photonrc.stateest import (
     SimulatedReadout,
@@ -301,7 +300,7 @@ class TestTrainNlinv:
         states = StateMatrix(arr, 1e-11, ("a", "b", "bias"))
         readout = SimulatedReadout(states, RAW, seed=1)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
-        result = train_nlinv(readout, d, RidgeConfig(folds=4), RAW.responsivity, samples_per_bit=spb)
+        result = train_nlinv(readout, d, RAW.responsivity, samples_per_bit=spb)
         assert result.presentations == 7
 
         w = result.weights.values
@@ -318,9 +317,7 @@ class TestTrainNlinv:
         noisy = DetectorConfig(noise_enabled=True, filter_enabled=False)
         readout = SimulatedReadout(states, noisy, seed=2)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
-        result = train_nlinv(
-            readout, d, RidgeConfig(folds=3), noisy.responsivity, samples_per_bit=spb, repeats=3
-        )
+        result = train_nlinv(readout, d, noisy.responsivity, samples_per_bit=spb, repeats=3)
         assert result.presentations == 3 * probe_count(2)
 
     def test_reference_channel_is_strongest(self):
