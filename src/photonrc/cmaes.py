@@ -54,7 +54,6 @@ class CmaConfig:
     population: int | None = None
     max_iterations: int = 1000
     seed: int | None = None
-    target_sse: float | None = None
 
     def __post_init__(self) -> None:
         if not self.initial_sigma > 0:
@@ -85,7 +84,6 @@ class CmaIteration:
     evaluations: int
     best_f: float
     best_x: np.ndarray
-    generation_best_f: float
     sigma: float
 
 
@@ -151,9 +149,9 @@ def cmaes_minimize(
 
     ``objective`` scores a whole generation: it maps a lambda x dim matrix
     of candidates, one per row, to their lambda values.  Deterministic
-    given ``cfg.seed``.  Stops after ``max_iterations`` or once the best
-    value reaches ``target_sse``.  Non-finite objective values abort with
-    a diagnostic because they poison the ranking.
+    given ``cfg.seed``.  Stops after ``max_iterations``.  Non-finite
+    objective values abort with a diagnostic because they poison the
+    ranking.
     """
     if dim < 1:
         raise ValueError("search dimension must be at least 1")
@@ -252,12 +250,9 @@ def cmaes_minimize(
                     evaluations=evaluations,
                     best_f=best_f,
                     best_x=best_x.copy(),
-                    generation_best_f=gen_best,
                     sigma=state.sigma,
                 )
             )
-        if cfg.target_sse is not None and best_f <= cfg.target_sse:
-            break
 
     return CmaResult(
         best_x=best_x,
@@ -276,7 +271,6 @@ class TrainCmaesResult:
     sse: float
     history: np.ndarray  # best-so-far SSE per iteration of the winning run
     presentations: int  # presentations used by the whole sweep
-    presentations_winner: int
 
 
 class _ReadoutObjective:
@@ -303,10 +297,9 @@ def train_cmaes(
     readout,
     desired: DesiredSignal,
     cma: CmaConfig,
+    sigma_sweep: Sequence[float],
     samples_per_bit: int = 24,
-    sample_offset: int | None = None,
     skip_bits: int = 0,
-    sigma_sweep: Sequence[float] | None = None,
     callback: Callable[[CmaIteration], None] | None = None,
 ) -> TrainCmaesResult:
     """Train readout weights as a pure black box.
@@ -314,18 +307,16 @@ def train_cmaes(
     ``readout`` is any object exposing ``n_channels``/``present_sampled``/
     ``presentations``, such as a ``SimulatedReadout`` over a state matrix;
     each candidate is one presentation, of which the objective reads the
-    detector output once per bit at ``sample_offset`` (the middle of the
-    bit by default).  Optimization starts from the zero weight vector and
-    sweeps the initial step size over ``sigma_sweep`` (decades 1e-5 .. 1e2
-    by default); the sweep member with the lowest final SSE wins, ties
+    detector output once per bit, in the middle of the bit.  Optimization
+    starts from the zero weight vector and runs once for each initial step
+    size in ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
+    1e-5 .. 1e2); the sweep member with the lowest final SSE wins, ties
     going to the smaller step size.  ``presentations`` in the result counts only this sweep's.
     A ``callback`` follows one run, so it needs a single-member sweep.
     """
-    if sample_offset is None:
-        sample_offset = samples_per_bit // 2
-    objective = _ReadoutObjective(readout, desired, samples_per_bit, sample_offset, skip_bits)
+    objective = _ReadoutObjective(readout, desired, samples_per_bit, samples_per_bit // 2, skip_bits)
     dim = 2 * readout.n_channels
-    sweep = tuple(sigma_sweep) if sigma_sweep is not None else DEFAULT_SIGMA_SWEEP
+    sweep = tuple(sigma_sweep)
     if not sweep:
         raise ValueError("sigma sweep is empty")
     if callback is not None and len(sweep) > 1:
@@ -333,7 +324,6 @@ def train_cmaes(
 
     best: CmaResult | None = None
     best_sigma0 = None
-    winner_presentations = 0
     start = readout.presentations
     for i, sigma0 in enumerate(sweep):
         run_cfg = replace(
@@ -341,13 +331,10 @@ def train_cmaes(
             initial_sigma=float(sigma0),
             seed=None if cma.seed is None else int(np.random.SeedSequence([cma.seed, i]).generate_state(1)[0]),
         )
-        before = readout.presentations
         result = cmaes_minimize(objective, dim, run_cfg, x0=np.zeros(dim), callback=callback)
-        used = readout.presentations - before
         if best is None or result.best_f < best.best_f:
             best = result
             best_sigma0 = float(sigma0)
-            winner_presentations = used
 
     assert best is not None
     return TrainCmaesResult(
@@ -356,5 +343,4 @@ def train_cmaes(
         sse=best.best_f,
         history=best.history,
         presentations=readout.presentations - start,
-        presentations_winner=winner_presentations,
     )

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import yaml
 
+from .cmaes import DEFAULT_SIGMA_SWEEP
 from .detector import DetectorConfig
+from .signals import HeaderPattern
 
 __all__ = [
     "ReservoirSettings",
     "CmaesSettings",
-    "NlinvSettings",
     "ExperimentConfig",
     "paper_profile",
     "ci_profile",
@@ -43,15 +44,13 @@ class ReservoirSettings:
 class CmaesSettings:
     max_iterations: int = 1000
     population: int | None = None
-    sigma_sweep: tuple[float, ...] | None = None  # None -> decades 1e-5..1e2
-    target_sse: float | None = None
+    sigma_sweep: tuple[float, ...] = DEFAULT_SIGMA_SWEEP
     convergence_sigma0: float = 0.1
     convergence_iterations: int = 500
 
-
-@dataclass(frozen=True)
-class NlinvSettings:
-    repeats: int = 1
+    def __post_init__(self) -> None:
+        if not self.sigma_sweep:
+            raise ValueError("cmaes.sigma_sweep needs at least one step size")
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class ExperimentConfig:
     reservoir: ReservoirSettings = field(default_factory=ReservoirSettings)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     cmaes: CmaesSettings = field(default_factory=CmaesSettings)
-    nlinv: NlinvSettings = field(default_factory=NlinvSettings)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bitrates_gbps", tuple(float(b) for b in self.bitrates_gbps))
@@ -88,6 +86,10 @@ class ExperimentConfig:
         object.__setattr__(self, "convergence_bitrate_gbps", float(self.convergence_bitrate_gbps))
         object.__setattr__(self, "headers", tuple(str(h) for h in self.headers))
         object.__setattr__(self, "trainers", tuple(self.trainers))
+        if not self.headers:
+            raise ValueError("need at least one header")
+        for h in self.headers:
+            HeaderPattern.from_string(h)
         for b in self.bitrates_gbps:
             if not b > 0:
                 raise ValueError("bitrates must be positive")
@@ -132,7 +134,6 @@ _SECTION_TYPES = {
     "reservoir": ReservoirSettings,
     "detector": DetectorConfig,
     "cmaes": CmaesSettings,
-    "nlinv": NlinvSettings,
 }
 
 _TUPLE_FIELDS = {
@@ -144,15 +145,23 @@ _TUPLE_FIELDS = {
 }
 
 
+def _values(data: dict) -> dict:
+    """``data`` with each list-valued key's sequence turned into a tuple."""
+    fixed = dict(data)
+    for k, v in data.items():
+        if k in _TUPLE_FIELDS:
+            if not isinstance(v, (list, tuple)):
+                raise ValueError(f"{k} must be a list, got {v!r}")
+            fixed[k] = tuple(v)
+    return fixed
+
+
 def _build_section(cls, data: dict, base):
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    fixed = {
-        k: (tuple(v) if k in _TUPLE_FIELDS and v is not None else v) for k, v in data.items()
-    }
-    return replace(base, **fixed)
+    return replace(base, **_values(data))
 
 
 def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -162,13 +171,17 @@ def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> Experi
     updates = {}
     for section, cls in _SECTION_TYPES.items():
         if section in data:
-            updates[section] = _build_section(cls, data.pop(section) or {}, getattr(cfg, section))
+            values = data.pop(section)
+            if values is None:  # a YAML section whose keys are all commented out
+                values = {}
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section} must be a mapping, got {values!r}")
+            updates[section] = _build_section(cls, values, getattr(cfg, section))
     allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for k, v in data.items():
-        updates[k] = tuple(v) if k in _TUPLE_FIELDS and v is not None else v
+    updates.update(_values(data))
     return replace(cfg, **updates)
 
 

@@ -64,7 +64,6 @@ class DetectorConfig:
     load_ohm: float = 1e6
     noise_enabled: bool = True
     filter_enabled: bool = True
-    noise_seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.responsivity > 0:
@@ -212,7 +211,7 @@ def _detect(
     if not current.shape[1]:
         return current
     if cfg.noise_enabled and rng is None:
-        rng = np.random.default_rng(cfg.noise_seed)
+        rng = np.random.default_rng()
     ba = _butterworth(cfg, 1.0 / sample_period) if cfg.filter_enabled else None
     for row in current:
         if cfg.noise_enabled:
@@ -235,7 +234,7 @@ def photodiode(
     mean photocurrent of this signal) is added before the band-limiting
     Butterworth filter, matching the physical ordering.  Negative samples
     produced by noise or filter ringing are retained.  Without ``rng`` the
-    noise comes from a fresh generator seeded with ``cfg.noise_seed``.
+    noise comes from a fresh, unseeded generator.
     """
     current = np.square(a.samples.real)[None, :]
     current += np.square(a.samples.imag)
@@ -392,7 +391,7 @@ def readout_sampled(
     filter is off).  Both start from rest, so they differ only in the
     start-up transient, which decays as ``|p|^(2 * samples_per_bit * b)``
     at bit b for the filter's largest pole p.  Without ``rng`` the noise
-    comes from a fresh generator seeded with ``cfg.noise_seed``.
+    comes from a fresh, unseeded generator.
     """
     cfg = basis.detector
     f = basis.gram.shape[0]
@@ -405,7 +404,7 @@ def readout_sampled(
     y = (cfg.responsivity * coef.T) @ basis.products
     if cfg.noise_enabled and y.size:
         if rng is None:
-            rng = np.random.default_rng(cfg.noise_seed)
+            rng = np.random.default_rng()
         sigma = np.sqrt([noise_variance(m, cfg) for m in basis.mean_current(columns)])
         noise = rng.standard_normal(y.shape)
         if cfg.filter_enabled:

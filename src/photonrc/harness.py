@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cmaes import CmaConfig, DEFAULT_SIGMA_SWEEP, decode_weights, train_cmaes
+from .cmaes import CmaConfig, decode_weights, train_cmaes
 from .config import ALL_3BIT_HEADERS, ExperimentConfig, config_to_dict
 from .detector import ReadoutWeights, readout_forward
 from .reservoir import (
@@ -314,7 +314,6 @@ def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, header: str, d_train: Desir
         cfg.detector.responsivity,
         samples_per_bit=cfg.samples_per_bit,
         skip_bits=cfg.warmup_bits,
-        repeats=cfg.nlinv.repeats,
     )
 
 
@@ -343,17 +342,15 @@ def _train(
         cma = CmaConfig(
             population=cfg.cmaes.population,
             max_iterations=cfg.cmaes.max_iterations,
-            target_sse=cfg.cmaes.target_sse,
             seed=derive_seed(cfg.master_seed, "cmaes", *key),
         )
-        sweep = cfg.cmaes.sigma_sweep if cfg.cmaes.sigma_sweep is not None else DEFAULT_SIGMA_SWEEP
         result = train_cmaes(
             readout,
             d_train,
             cma,
+            cfg.cmaes.sigma_sweep,
             samples_per_bit=cfg.samples_per_bit,
             skip_bits=cfg.warmup_bits,
-            sigma_sweep=sweep,
         )
         return result.weights, result.presentations, f"sigma0={result.sigma0:g}"
 
@@ -624,7 +621,6 @@ def run_convergence(
             )
 
     cma = CmaConfig(
-        initial_sigma=cfg.cmaes.convergence_sigma0,
         population=cfg.cmaes.population,
         max_iterations=cfg.cmaes.convergence_iterations,
         seed=derive_seed(cfg.master_seed, "conv", bitrate, instance),
@@ -633,9 +629,9 @@ def run_convergence(
         readout,
         d_train,
         cma,
+        [cfg.cmaes.convergence_sigma0],
         samples_per_bit=spb,
         skip_bits=warm,
-        sigma_sweep=[cfg.cmaes.convergence_sigma0],
         callback=record,
     )
     if out_dir is not None:

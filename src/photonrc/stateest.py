@@ -224,36 +224,21 @@ def _inverted_modulus(y: np.ndarray, responsivity: float) -> np.ndarray:
     return np.sqrt(np.maximum(y, 0.0) / responsivity)
 
 
-def _present_average(readout: OpaqueReadout, probes: list[np.ndarray], repeats: int) -> np.ndarray:
-    """Mean output of each probe over ``repeats`` presentations (P x N).
-
-    One call presents every probe ``repeats`` times in a row, probe by
-    probe, as the schedule lists them.
-    """
-    columns = np.repeat(np.stack(probes, axis=1), repeats, axis=1)
-    y = readout.present(columns).samples.reshape(len(probes), repeats, -1)
-    acc = y[:, 0]
-    for r in range(1, repeats):
-        acc = acc + y[:, r]
-    return acc / repeats
+def _present_probes(readout: OpaqueReadout, probes: list[np.ndarray]) -> np.ndarray:
+    """Output of each probe (P x N), presented in one call in schedule order."""
+    return readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
 
 
-def probe_moduli(
-    readout: OpaqueReadout,
-    responsivity: float,
-    repeats: int = 1,
-) -> np.ndarray:
+def probe_moduli(readout: OpaqueReadout, responsivity: float) -> np.ndarray:
     """Per-channel modulus estimates from one-hot probes (N x F array).
 
     The array is the transposed view of one contiguous row per channel.
     Negative output samples, which noise or filter ringing can produce,
     are replaced by zero before the square law is inverted.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     schedule = build_probe_schedule(readout.n_channels)
     rows = [
-        _inverted_modulus(_present_average(readout, [w], repeats)[0], responsivity)
+        _inverted_modulus(_present_probes(readout, [w])[0], responsivity)
         for w, kind in zip(schedule.weights, schedule.kinds)
         if kind[0] == "modulus"
     ]
@@ -389,27 +374,27 @@ def reconstruct_states(
 def estimate_states(
     readout: OpaqueReadout,
     responsivity: float,
-    eps: float = 1e-12,
-    repeats: int = 1,
+    eps: float,
     ref_channel: int | None = None,
 ) -> EstimatedStates:
     """Run the full 3F-2 probing round against an opaque readout.
 
     Presents the probes of :func:`build_probe_schedule` in schedule order,
-    each ``repeats`` times, in one call per one-hot probe and one per
-    pair/quad couple.  The reference defaults to the channel with the
-    largest mean modulus (usually the bias line), which maximizes the
-    signal-to-noise ratio of every pair probe.
+    once each, in one call per one-hot probe and one per pair/quad couple.
+    Phases are set to zero where a modulus falls below ``eps``.  The
+    reference defaults to the channel with the largest mean modulus
+    (usually the bias line), which maximizes the signal-to-noise ratio of
+    every pair probe.
     """
     # One contiguous row per channel (F x N); the states are assembled from
     # the transposed views.
-    moduli = probe_moduli(readout, responsivity, repeats=repeats).T
+    moduli = probe_moduli(readout, responsivity).T
     if ref_channel is None:
         ref_channel = int(np.argmax(moduli.mean(axis=1)))
     schedule = build_probe_schedule(moduli.shape[0], ref_channel)
     # Pair and quad probes alternate per channel.  Each couple is one
     # presentation call and is reduced to a phase before the next, so only
-    # two averaged outputs are held; all 2(F-1) at once would cost about
+    # two outputs are held; all 2(F-1) at once would cost about
     # 61 MB at paper length.
     phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
 
@@ -417,9 +402,7 @@ def estimate_states(
     worst_excess = 0.0
     p_ref = moduli[ref_channel]
     for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
-        p_pair, p_quad = _inverted_modulus(
-            _present_average(readout, [pair, quad], repeats), responsivity
-        )
+        p_pair, p_quad = _inverted_modulus(_present_probes(readout, [pair, quad]), responsivity)
         valid = (p_ref >= eps) & (moduli[q] >= eps)
         phases[q], excess = _phase_from_powers(p_ref, moduli[q], p_pair, p_quad, valid)
         worst_excess = max(worst_excess, excess)
@@ -453,22 +436,20 @@ def train_nlinv(
     responsivity: float,
     samples_per_bit: int = 24,
     skip_bits: int = 0,
-    eps: float | None = None,
-    repeats: int = 1,
 ) -> TrainNlinvResult:
     """Estimate the states through the detector, then train by ridge.
 
     The reconstructed states and the detector-inverted target form the
     same ridge problem as the full-observability baseline
-    (:func:`~photonrc.ridge.ridge_problem`).  Exactly ``repeats * (3F-2)``
-    presentations of the input are consumed.
+    (:func:`~photonrc.ridge.ridge_problem`).  Exactly 3F-2 presentations
+    of the input are consumed.  A phase defaults to zero where a modulus
+    falls below ``1e-6 * sqrt(p_total)``.
     """
-    if eps is None:
-        eps = 1e-6 * np.sqrt(desired.p_total)
+    eps = 1e-6 * np.sqrt(desired.p_total)
     before = readout.presentations
-    estimated = estimate_states(readout, responsivity, eps=eps, repeats=repeats)
+    estimated = estimate_states(readout, responsivity, eps=eps)
     used = readout.presentations - before
-    expected = repeats * probe_count(readout.n_channels)
+    expected = probe_count(readout.n_channels)
     if used != expected:
         raise RuntimeError(f"probing used {used} presentations, expected {expected}")
 

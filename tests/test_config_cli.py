@@ -7,6 +7,7 @@ import yaml
 
 import photonrc.harness as harness_mod
 from photonrc.cli import main
+from photonrc.cmaes import DEFAULT_SIGMA_SWEEP
 from photonrc.config import (
     ALL_3BIT_HEADERS,
     ci_profile,
@@ -80,6 +81,55 @@ class TestConfigIO:
         path.write_text("ridge:\n  folds: 3\n")
         with pytest.raises(ValueError, match="ridge"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("detector", "noise_seed"), ("cmaes", "target_sse"), (None, "nlinv")],
+    )
+    def test_deleted_keys_rejected(self, tmp_path, section, key):
+        # Settings that only ever took one value are gone; a leftover key is
+        # an unknown key, not a silently ignored one.
+        data = {key: {"repeats": 2}} if section is None else {section: {key: 3}}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ValueError, match=f"unknown .*{key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"headers": "101"}, "headers"),
+            ({"bitrates_gbps": 10}, "bitrates_gbps"),
+            ({"trainers": None}, "trainers"),
+            ({"perturbation_b_over_pi": 0.5}, "perturbation_b_over_pi"),
+            ({"cmaes": {"sigma_sweep": None}}, "sigma_sweep"),
+            ({"cmaes": {"sigma_sweep": 0.1}}, "sigma_sweep"),
+            ({"cmaes": {"sigma_sweep": []}}, "sigma_sweep"),
+            ({"cmaes": 5}, "cmaes"),
+            ({"detector": ["noise_enabled"]}, "detector"),
+        ],
+        ids=["str", "scalar", "null", "scalar-b", "sweep-null", "sweep-scalar", "sweep-empty", "section-int", "section-list"],
+    )
+    def test_list_keys_and_sections_need_their_shape(self, data, key):
+        # A string would split into one-bit headers and a scalar or null would
+        # fail later; both are rejected up front, naming the key.
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(data)
+
+    def test_empty_section_keeps_base(self):
+        # A YAML section whose keys are all commented out loads as null.
+        assert config_from_dict({"cmaes": None}, base=ci_profile()) == ci_profile()
+
+    def test_default_sigma_sweep_is_explicit(self):
+        cfg = paper_profile()
+        assert cfg.cmaes.sigma_sweep == DEFAULT_SIGMA_SWEEP
+        assert config_to_dict(cfg)["cmaes"]["sigma_sweep"] == list(DEFAULT_SIGMA_SWEEP)
+        assert config_from_dict({"cmaes": {"sigma_sweep": [0.1, 1]}}).cmaes.sigma_sweep == (0.1, 1)
+
+    @pytest.mark.parametrize("headers", [(), ("1x1",), ("101", "")])
+    def test_headers_checked_at_construction(self, headers):
+        with pytest.raises(ValueError, match="header"):
+            replace(ci_profile(), headers=headers)
 
     def test_int_bitrates_become_floats(self):
         cfg = config_from_dict(
@@ -192,6 +242,15 @@ class TestCli:
         assert payload["config"]["detector"]["noise_enabled"] is False
         assert payload["package"] == "photonrc"
 
+    def test_bad_header_fails_before_simulation(self, tmp_path, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the header was checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        with pytest.raises(ValueError, match="1x1"):
+            main(["sweep", *_cli_args(tmp_path, "--header", "1x1")])
+        assert not (tmp_path / "summary.json").exists()
+
     def test_probe_dump(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)
         code = main(
@@ -215,12 +274,9 @@ class TestCli:
         assert states[0] == "n,channel,re,im,defaulted"
 
     def test_probe_dump_exports_the_nlinv_round(self, tmp_path, monkeypatch):
-        # The export is the probing round the nlinv trainer trains on, repeats
-        # included, written as plain numbers.
-        cfg_file = tmp_path / "repeats.yaml"
-        cfg_file.write_text(
-            yaml.safe_dump({"n_train_bits": 160, "n_test_bits": 160, "nlinv": {"repeats": 2}})
-        )
+        # The export is the probing round the nlinv trainer trains on, written
+        # as plain numbers.
+        cfg_file = _tiny_config(tmp_path)
         out = tmp_path / "probes"
         args = ["probe-dump", "--profile", "ci", "--config", str(cfg_file), "--bitrate", "10"]
         assert main(args + ["--out", str(out), "--quiet"]) == 0
@@ -236,7 +292,7 @@ class TestCli:
         cfg = load_config(cfg_file, base=ci_profile())
         harness_mod.run_single(cfg, 10.0, cfg.headers[0], "nlinv")
         (trained,) = rounds
-        assert trained.presentations == 2 * (3 * 17 - 2)
+        assert trained.presentations == 3 * 17 - 2
         estimated = trained.estimated
 
         rows = [line.split(",") for line in (out / "estimated_states.csv").read_text().splitlines()[1:]]

@@ -8,7 +8,6 @@ from photonrc.stateest import (
     SimulatedReadout,
     _inverted_modulus,
     _phase_from_powers,
-    _present_average,
     build_probe_schedule,
     estimate_phase,
     estimate_states,
@@ -28,14 +27,14 @@ def _readout_from_columns(columns, detector=RAW, seed=0, period=1e-11):
     return SimulatedReadout(StateMatrix(arr, period, roles), detector, seed=seed)
 
 
-def _reference_estimate_states(readout, responsivity, eps=1e-12, repeats=1, ref_channel=None):
+def _reference_estimate_states(readout, responsivity, eps, ref_channel=None):
     """The probing round on N x F arrays, assembled through ``np.exp``.
 
     Returns samples, defaulted, the reference channel and the clamp excess.
     """
     schedule = build_probe_schedule(readout.n_channels)
     columns = [
-        _inverted_modulus(_present_average(readout, [w], repeats)[0], responsivity)
+        _inverted_modulus(readout.present(w).samples, responsivity)
         for w, kind in zip(schedule.weights, schedule.kinds)
         if kind[0] == "modulus"
     ]
@@ -49,7 +48,7 @@ def _reference_estimate_states(readout, responsivity, eps=1e-12, repeats=1, ref_
     p_ref = moduli[:, ref_channel]
     for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
         p_pair, p_quad = _inverted_modulus(
-            _present_average(readout, [pair, quad], repeats), responsivity
+            readout.present(np.stack([pair, quad], axis=1)).samples, responsivity
         )
         valid = (p_ref >= eps) & (moduli[:, q] >= eps)
         phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)
@@ -86,10 +85,11 @@ class TestProbeSchedule:
         with pytest.raises(ValueError):
             build_probe_schedule(4, ref_channel=7)
 
-    @pytest.mark.parametrize("repeats", [1, 2])
-    def test_estimation_presents_the_schedule(self, repeats):
-        # The strongest channel (2) becomes the reference, so the pair and
-        # quad probes differ from those of the default schedule.
+    @pytest.mark.parametrize("strong", [1, 2])
+    def test_estimation_presents_the_schedule(self, strong):
+        # The strongest channel becomes the reference, so the pair and quad
+        # probes differ from those of the default schedule; each probe is
+        # presented once.
         class RecordingReadout(SimulatedReadout):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
@@ -103,13 +103,13 @@ class TestProbeSchedule:
 
         rng = np.random.default_rng(6)
         arr = 0.1 * (rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
-        arr[:, 2] = 0.5
+        arr[:, strong] = 0.5
         readout = RecordingReadout(StateMatrix(arr, 1e-11, ("a", "b", "c", "d")), RAW)
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9, repeats=repeats)
-        assert est.ref_channel == 2
-        expected = [w for w in build_probe_schedule(4, est.ref_channel).weights for _ in range(repeats)]
-        assert len(readout.seen) == len(expected) == repeats * probe_count(4)
-        assert readout.presentations == repeats * probe_count(4)
+        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
+        assert est.ref_channel == strong
+        expected = build_probe_schedule(4, strong).weights
+        assert len(readout.seen) == len(expected) == probe_count(4)
+        assert readout.presentations == probe_count(4)
         for got, want in zip(readout.seen, expected):
             assert np.array_equal(got, want)
 
@@ -154,8 +154,8 @@ class TestProbeModuli:
         readout = _readout_from_columns([np.ones(16), np.ones(16), np.ones(16)])
         probe_moduli(readout, 0.5)
         assert readout.presentations == 3
-        probe_moduli(readout, 0.5, repeats=2)
-        assert readout.presentations == 3 + 6
+        probe_moduli(readout, 0.5)
+        assert readout.presentations == 3 + 3
 
 
 class TestEstimatePhase:
@@ -309,17 +309,6 @@ class TestTrainNlinv:
         est_out = np.abs(est @ w) ** 2
         assert np.max(np.abs(true_out - est_out)) <= 1e-9 * np.max(true_out)
 
-    def test_probe_count_with_repeats(self):
-        rng = np.random.default_rng(5)
-        n_bits, spb = 20, 4
-        arr = rng.normal(size=(n_bits * spb, 2)) + 1j * rng.normal(size=(n_bits * spb, 2))
-        states = StateMatrix(arr, 1e-11, ("a", "b"))
-        noisy = DetectorConfig(noise_enabled=True, filter_enabled=False)
-        readout = SimulatedReadout(states, noisy, seed=2)
-        d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
-        result = train_nlinv(readout, d, noisy.responsivity, samples_per_bit=spb, repeats=3)
-        assert result.presentations == 3 * probe_count(2)
-
     def test_reference_channel_is_strongest(self):
         xweak = 0.01 * np.ones(48, complex)
         xstrong = 0.5 * np.ones(48, complex)
@@ -337,20 +326,18 @@ class TestEstimationReference:
         sig = modulate(gen_bits(120, 3, 10e9), 24, 0.025)
         return simulate(topo, sig, 0.02)
 
-    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("ref_channel", [None, 3])
     @pytest.mark.parametrize("eps_quantile", [None, 0.2])
-    def test_matches_reference(self, states, repeats, ref_channel, eps_quantile):
-        # Noise and the Butterworth filter on: the clamp excess is far
-        # from zero and clipped samples give zero moduli.
+    def test_matches_reference(self, states, seed, ref_channel, eps_quantile):
+        # Noise and the Butterworth filter on, for two noise streams: the
+        # clamp excess is far from zero and clipped samples give zero moduli.
         eps = 1e-9 if eps_quantile is None else float(np.quantile(np.abs(states.samples), eps_quantile))
-        readout = SimulatedReadout(states, NOISY_FILTERED, seed=7)
-        est = estimate_states(
-            readout, NOISY_FILTERED.responsivity, eps=eps, repeats=repeats, ref_channel=ref_channel
-        )
-        ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=7)
+        readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
+        est = estimate_states(readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel)
+        ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
         samples, defaulted, ref, excess = _reference_estimate_states(
-            ref_readout, NOISY_FILTERED.responsivity, eps=eps, repeats=repeats, ref_channel=ref_channel
+            ref_readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel
         )
         assert est.samples.flags["C_CONTIGUOUS"]
         assert np.array_equal(est.samples, samples)
@@ -358,7 +345,7 @@ class TestEstimationReference:
         assert np.array_equal(est.defaulted, defaulted)
         assert est.ref_channel == ref
         assert est.clamp_excess == excess
-        assert readout.presentations == ref_readout.presentations == repeats * probe_count(17)
+        assert readout.presentations == ref_readout.presentations == probe_count(17)
         assert excess > 0
         if eps_quantile is not None:
             assert 0 < est.defaulted_fraction < 1
