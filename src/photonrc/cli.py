@@ -38,25 +38,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory (default: results/)")
     parser.add_argument("--quiet", action="store_true")
+    parser.set_defaults(parser=parser)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = profile_by_name(args.profile)
-    if args.config is not None:
-        cfg = load_config(args.config, base=cfg)
-    if args.trainer is not None:
-        cfg = replace(cfg, trainers=tuple(args.trainer))
-    if args.bitrates is not None:
-        rates = tuple(float(v) for v in args.bitrates.split(",") if v.strip())
-        cfg = replace(cfg, bitrates_gbps=rates)
-    if args.header is not None:
-        cfg = replace(cfg, headers=(args.header,))
-    if args.seeds is not None:
-        cfg = replace(cfg, n_reservoirs=args.seeds)
-    if args.noise is not None:
-        cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=args.noise == "on"))
-    if args.master_seed is not None:
-        cfg = replace(cfg, master_seed=args.master_seed)
+    """The profile with the YAML overlay and the flags applied.
+
+    A configuration the checks reject ends the command as an argparse
+    error, with its message and exit status 2.
+    """
+    try:
+        cfg = profile_by_name(args.profile)
+        if args.config is not None:
+            cfg = load_config(args.config, base=cfg)
+        if args.trainer is not None:
+            cfg = replace(cfg, trainers=tuple(args.trainer))
+        if args.bitrates is not None:
+            rates = tuple(float(v) for v in args.bitrates.split(",") if v.strip())
+            cfg = replace(cfg, bitrates_gbps=rates)
+        if args.header is not None:
+            cfg = replace(cfg, headers=(args.header,))
+        if args.seeds is not None:
+            cfg = replace(cfg, n_reservoirs=args.seeds)
+        if args.noise is not None:
+            cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=args.noise == "on"))
+        if args.master_seed is not None:
+            cfg = replace(cfg, master_seed=args.master_seed)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     return cfg
 
 

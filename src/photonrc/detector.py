@@ -206,17 +206,25 @@ def _detect(
 
     Row k draws its noise after row k - 1 and is filtered before row
     k + 1 is touched, so the rows see the same generator stream as K
-    separate detections would, and only one row-length temporary is live.
+    separate detections would.  The noise of every row is drawn into one
+    reused buffer as ``0.0 + sigma * z``, numpy's own arithmetic for
+    ``rng.normal(0.0, sigma)``, so it has the same bytes, signed zeros
+    included.
     """
     if not current.shape[1]:
         return current
-    if cfg.noise_enabled and rng is None:
-        rng = np.random.default_rng()
+    if cfg.noise_enabled:
+        if rng is None:
+            rng = np.random.default_rng()
+        noise = np.empty(current.shape[1])
     ba = _butterworth(cfg, 1.0 / sample_period) if cfg.filter_enabled else None
     for row in current:
         if cfg.noise_enabled:
             sigma = np.sqrt(noise_variance(row.mean(), cfg))
-            row += rng.normal(0.0, sigma, size=row.size)
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            noise += 0.0
+            row += noise
         if ba is not None:
             row[:] = lfilter(*ba, row)
     return current

@@ -544,6 +544,7 @@ def run_perturbation(
                 perturbed = perturb_phases(cell.topology, spec)
                 states = simulate(perturbed, cell.sig_test, cfg.bias_power_w)
                 y = _detected(cfg, states, weights, "perturb-eval", instance, b_idx, draw)
+                del states  # before the next draw simulates its own
                 per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, offset, threshold)[0])
         logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 

@@ -397,7 +397,13 @@ def simulate(
     # The injection term, already divided by the combiner factor of its
     # node, is written first and the delayed edge arrivals are added to it.
     # Each distinct input signal is resampled onto the simulation grid once.
-    buf = np.zeros((pad + n_sim, n_nodes), dtype=np.complex128)
+    # On the input grid with a bias line the buffer carries the bias column
+    # too, so its rows past the dark past are the returned matrix; ``buf``
+    # is then a view of the node columns, whose rows are F + 1 apart.
+    bias_column = same_grid and bias_power is not None
+    width = n_nodes + bias_column
+    full = np.zeros((pad + n_sim, width), dtype=np.complex128)
+    buf = full[:, :n_nodes]
     if same_grid:
         drives = {id(sig): sig.samples for sig in inputs}
     else:
@@ -413,40 +419,40 @@ def simulate(
     # blocks, then the shorter last one, and their delayed sources are read
     # as the leading index of block-shaped views; one buffer takes every
     # product.  The last block keeps its own row count, because a one-row
-    # product rounds differently from a row of a larger one.
+    # product rounds differently from a row of a larger one.  The sums run
+    # over whole buffer rows, which are contiguous where the node columns
+    # are not; the bias column of the arrivals stays zero.  Products on the
+    # strided node views were checked to give the bytes of a node-wide
+    # buffer.
     n_full, n_last = divmod(n_sim, d_min)
-    arrivals = np.empty((d_min, n_nodes), dtype=np.complex128)
+    arrivals = np.zeros((d_min, width), dtype=np.complex128)
     first = pad
     for count, rows in [(n_full, d_min), (1, n_last)]:
         size = count * rows
-        targets = buf[first : first + size].reshape(count, rows, n_nodes)
+        targets = full[first : first + size].reshape(count, rows, width)
         sources = [
-            (buf[first - d : first - d + size].reshape(targets.shape), transfer)
+            (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
             for d, transfer in transfers.items()
         ]
-        part = arrivals[:rows]
+        part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
         for k, block in enumerate(targets):
             for source, transfer in sources:
                 np.matmul(source[k], transfer, out=part)
-                block += part
+                block += arrived
         first += size
 
-    # The node columns and the bias line are written into one C-ordered
-    # matrix: resampled straight back onto the input grid, or copied once.
+    # The node columns and the bias line form one C-ordered matrix: the
+    # buffer itself on the input grid, or resampled straight back onto it.
     roles = [f"node{i}" for i in range(n_nodes)]
     if bias_power is not None:
         roles.append("bias")
-    nodes = buf[pad:]
-    if same_grid and bias_power is None:
-        out = nodes
+    if same_grid:
+        out = full[pad:]
     else:
         out = np.empty((n_in, len(roles)), dtype=np.complex128)
-        if same_grid:
-            out[:, :n_nodes] = nodes
-        else:
-            _resample_into(out[:, :n_nodes], t_in, t_sim, nodes)
-        if bias_power is not None:
-            out[:, n_nodes] = np.sqrt(bias_power)
+        _resample_into(out[:, :n_nodes], t_in, t_sim, buf[pad:])
+    if bias_power is not None:
+        out[:, n_nodes] = np.sqrt(bias_power)
     return StateMatrix(out, period, tuple(roles))
 
 

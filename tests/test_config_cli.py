@@ -242,14 +242,26 @@ class TestCli:
         assert payload["config"]["detector"]["noise_enabled"] is False
         assert payload["package"] == "photonrc"
 
-    def test_bad_header_fails_before_simulation(self, tmp_path, monkeypatch):
+    def test_bad_header_fails_before_simulation(self, tmp_path, capsys, monkeypatch):
+        # A configuration the checks reject ends as an argparse error line
+        # with exit status 2, not as a traceback.
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the header was checked")
 
         monkeypatch.setattr(harness_mod, "simulate", no_simulation)
-        with pytest.raises(ValueError, match="1x1"):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", *_cli_args(tmp_path, "--header", "1x1")])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: invalid header string '1x1'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_unknown_yaml_key_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bogus.yaml"
+        path.write_text("bogus: 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: unknown config keys: ['bogus']" in capsys.readouterr().err
 
     def test_probe_dump(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

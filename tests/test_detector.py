@@ -209,6 +209,24 @@ class TestBatchedPresentation:
             scale = np.max(np.abs(want)) if n else 0.0
             np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no-filter"])
+    def test_noise_draw_matches_normal_oracle(self, k, filtered):
+        # Each row's noise, drawn as ``rng.normal(0.0, sigma)`` and added
+        # before the filter, gives the bytes of the batched presentation.
+        cfg = DetectorConfig(filter_enabled=filtered)
+        states, w = self._problem(2 * _CHUNK_ROWS + 123, k)
+        w = w[:, 0] if k == 1 else w
+        current = readout_forward(states, w, RAW).samples.reshape(k, -1)
+        rng = np.random.default_rng(11)
+        for row in current:
+            row += rng.normal(0.0, np.sqrt(noise_variance(row.mean(), cfg)), size=row.size)
+            if filtered:
+                row[:] = lfilter(*_butterworth(cfg, 1.0 / self.PERIOD), row)
+        got = readout_forward(states, w, cfg, rng=np.random.default_rng(11)).samples
+        assert got.shape == ((k, current.shape[1]) if k > 1 else (current.shape[1],))
+        assert got.tobytes() == current.tobytes()
+
     def test_single_column_equals_vector(self):
         states, w = self._problem(1000, 1)
         one = SimulatedReadout(states, DetectorConfig(), seed=4)

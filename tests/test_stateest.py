@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,36 @@ def _readout_from_columns(columns, detector=RAW, seed=0, period=1e-11):
     arr = np.stack([np.asarray(c, dtype=complex) for c in columns], axis=1)
     roles = tuple(f"ch{i}" for i in range(arr.shape[1]))
     return SimulatedReadout(StateMatrix(arr, period, roles), detector, seed=seed)
+
+
+class RecordingReadout(SimulatedReadout):
+    """A simulated readout that records each ``present`` call's weight columns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def present(self, weights):
+        # a weight matrix presents its columns in order
+        w = np.array(weights, copy=True)
+        self.calls.append(list(w.T) if w.ndim == 2 else [w])
+        return super().present(weights)
+
+    @property
+    def seen(self):
+        return [w for call in self.calls for w in call]
+
+
+def _assert_round_calls(readout, n_channels, ref_channel):
+    """The round presents its schedule once, in order, in 1 + ceil((F-1)/4) calls."""
+    expected = build_probe_schedule(n_channels, ref_channel).weights
+    assert len(readout.calls) == 1 + math.ceil((n_channels - 1) / 4)
+    assert len(readout.calls[0]) == n_channels
+    assert all(len(call) % 2 == 0 and len(call) <= 8 for call in readout.calls[1:])
+    assert len(readout.seen) == len(expected) == probe_count(n_channels)
+    assert readout.presentations == probe_count(n_channels)
+    for got, want in zip(readout.seen, expected):
+        assert np.array_equal(got, want)
 
 
 def _reference_estimate_states(readout, responsivity, eps, ref_channel=None):
@@ -89,29 +121,16 @@ class TestProbeSchedule:
     def test_estimation_presents_the_schedule(self, strong):
         # The strongest channel becomes the reference, so the pair and quad
         # probes differ from those of the default schedule; each probe is
-        # presented once.
-        class RecordingReadout(SimulatedReadout):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.seen = []
-
-            def present(self, weights):
-                # a weight matrix presents its columns in order
-                w = np.array(weights, copy=True)
-                self.seen.extend(w.T if w.ndim == 2 else [w])
-                return super().present(weights)
-
+        # presented once, the one-hot probes in one call and the three
+        # couples in a second.
         rng = np.random.default_rng(6)
         arr = 0.1 * (rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
         arr[:, strong] = 0.5
         readout = RecordingReadout(StateMatrix(arr, 1e-11, ("a", "b", "c", "d")), RAW)
         est = estimate_states(readout, RAW.responsivity, eps=1e-9)
         assert est.ref_channel == strong
-        expected = build_probe_schedule(4, strong).weights
-        assert len(readout.seen) == len(expected) == probe_count(4)
-        assert readout.presentations == probe_count(4)
-        for got, want in zip(readout.seen, expected):
-            assert np.array_equal(got, want)
+        assert len(readout.calls) == 2
+        _assert_round_calls(readout, 4, strong)
 
 
 class TestProbeModuli:
@@ -333,7 +352,7 @@ class TestEstimationReference:
         # Noise and the Butterworth filter on, for two noise streams: the
         # clamp excess is far from zero and clipped samples give zero moduli.
         eps = 1e-9 if eps_quantile is None else float(np.quantile(np.abs(states.samples), eps_quantile))
-        readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
+        readout = RecordingReadout(states, NOISY_FILTERED, seed=seed)
         est = estimate_states(readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel)
         ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
         samples, defaulted, ref, excess = _reference_estimate_states(
@@ -346,6 +365,9 @@ class TestEstimationReference:
         assert est.ref_channel == ref
         assert est.clamp_excess == excess
         assert readout.presentations == ref_readout.presentations == probe_count(17)
+        # the one-hot call, then 16 couples four at a time
+        assert [len(call) for call in readout.calls] == [17, 8, 8, 8, 8]
+        _assert_round_calls(readout, 17, ref)
         assert excess > 0
         if eps_quantile is not None:
             assert 0 < est.defaulted_fraction < 1
