@@ -1,0 +1,170 @@
+"""Golden outputs: small ci-profile CLI runs compared with committed files.
+
+Each run below goes through ``photonrc.cli.main`` exactly as the command
+line would.  Its outputs are compared with the files under
+``tests/golden``:
+
+- integers, strings, BERs and presentation counts must match exactly;
+- the floats named in ``TOLERANT`` (thresholds, the alpha or sigma0 in
+  ``detail``, geometric means, SSEs and estimated states) may differ by a
+  relative 1e-9, measured against the larger of the value itself and a
+  millionth of the largest magnitude in its column, because the last bit
+  of a BLAS or libm result can differ between builds and CPUs.
+
+A change that moves outputs on purpose regenerates the goldens with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the moved files in its change notes.
+"""
+
+from __future__ import annotations
+
+import csv
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from photonrc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SHORT_CMAES = GOLDEN / "short_cmaes.yaml"
+
+# Every this-many-th data row of the 820,080-row estimated_states.csv.
+STATE_STRIDE = 1000
+STATES_SLICE = "probe/estimated_states_every1000.csv"
+
+# (output subdirectory, CLI arguments after the subcommand's --out)
+RUNS = (
+    ("sweep", ["sweep", "--profile", "ci", "--config", str(SHORT_CMAES),
+               "--trainer", "ridge", "nlinv", "cmaes", "--bitrates", "10", "--seeds", "1"]),
+    ("headers", ["headers", "--profile", "ci", "--trainer", "ridge", "nlinv",
+                 "--bitrates", "10", "--seeds", "1"]),
+    ("perturb", ["perturb", "--profile", "ci", "--seeds", "1"]),
+    ("converge", ["converge", "--profile", "ci", "--config", str(SHORT_CMAES)]),
+    ("probe", ["probe-dump", "--profile", "ci", "--bitrate", "10"]),
+)
+
+GOLDEN_FILES = (
+    "sweep/records.csv",
+    "sweep/summary.csv",
+    "headers/records.csv",
+    "perturb/perturbation.csv",
+    "converge/convergence.csv",
+    STATES_SLICE,
+)
+
+RTOL = 1e-9
+COLUMN_FLOOR = 1e-6
+
+TOLERANT = {
+    "threshold_a",
+    "detail",
+    "geo_mean_test_ber",
+    "geo_mean_ber",
+    "best_sse",
+    "re",
+    "im",
+}
+
+
+def run_golden_cli(out: Path) -> None:
+    """Run every golden command into ``out`` and decimate the state export."""
+    for name, args in RUNS:
+        assert main([*args, "--out", str(out / name), "--quiet"]) == 0, name
+    full = out / "probe" / "estimated_states.csv"
+    with open(full) as src, open(out / STATES_SLICE, "w") as dst:
+        dst.write(next(src))
+        for i, line in enumerate(src):
+            if i % STATE_STRIDE == 0:
+                dst.write(line)
+    full.unlink()
+
+
+def _read(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def _float_part(cell: str) -> tuple[str, float]:
+    """``"alpha=1.5e-06"`` -> ``("alpha=", 1.5e-06)``; a bare number keeps an empty label."""
+    label, _, value = cell.rpartition("=")
+    return (label + "=" if label else ""), float(value)
+
+
+def compare_csv(got_path: Path, want_path: Path) -> list[str]:
+    """Differences between two CSV files, by the rules of this module."""
+    got_header, got = _read(got_path)
+    want_header, want = _read(want_path)
+    if got_header != want_header:
+        return [f"columns {got_header} != {want_header}"]
+    if len(got) != len(want):
+        return [f"{len(got)} rows != {len(want)}"]
+    problems = []
+    for c, column in enumerate(want_header):
+        got_col = [row[c] for row in got]
+        want_col = [row[c] for row in want]
+        if column not in TOLERANT:
+            problems += [
+                f"row {r} {column}: {g!r} != {w!r}"
+                for r, (g, w) in enumerate(zip(got_col, want_col))
+                if g != w
+            ]
+            continue
+        got_parts = [_float_part(v) for v in got_col]
+        want_parts = [_float_part(v) for v in want_col]
+        problems += [
+            f"row {r} {column}: {g!r} != {w!r}"
+            for r, ((gl, _), (wl, _), g, w) in enumerate(zip(got_parts, want_parts, got_col, want_col))
+            if gl != wl
+        ]
+        g = np.array([v for _, v in got_parts])
+        w = np.array([v for _, v in want_parts])
+        scale = np.maximum(np.abs(w), COLUMN_FLOOR * np.abs(w).max(initial=0.0))
+        bad = np.flatnonzero(~(np.abs(g - w) <= RTOL * scale))
+        problems += [f"row {r} {column}: {got_col[r]} != {want_col[r]}" for r in bad]
+    return problems
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden")
+    run_golden_cli(out)
+    return out
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_matches_golden(golden_run, name):
+    problems = compare_csv(golden_run / name, GOLDEN / name)
+    assert not problems, f"{name} moved:\n" + "\n".join(problems[:20])
+
+
+def test_compare_csv_rules(tmp_path):
+    # exact columns catch a last-digit change; tolerant ones absorb a
+    # last-bit change but not a real one
+    want = tmp_path / "want.csv"
+    want.write_text("test_ber,threshold_a,detail\n0.25,1.0,alpha=2e-06\n0.5,3.0,alpha=4e-06\n")
+    got = tmp_path / "got.csv"
+    got.write_text(
+        "test_ber,threshold_a,detail\n0.25,1.0000000000000002,alpha=2.0000000000000003e-06\n"
+        "0.5,3.0,alpha=4e-06\n"
+    )
+    assert compare_csv(got, want) == []
+    got.write_text("test_ber,threshold_a,detail\n0.2500001,1.0,alpha=2e-06\n0.5,3.0,sigma0=4e-06\n")
+    assert len(compare_csv(got, want)) == 2
+    got.write_text("test_ber,threshold_a,detail\n0.25,1.001,alpha=2e-06\n0.5,3.0,alpha=4e-06\n")
+    assert compare_csv(got, want) == ["row 0 threshold_a: 1.001 != 1.0"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        run_golden_cli(Path(tmp))
+        for name in GOLDEN_FILES:
+            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+            print(f"wrote {GOLDEN / name}", file=sys.stderr)
