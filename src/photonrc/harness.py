@@ -225,7 +225,13 @@ def format_ber(ber: float, floor: float) -> str:
 
 @dataclass
 class _Cell:
-    """Working data of one (bitrate, instance) simulation, header-agnostic."""
+    """Training side of one (bitrate, instance) simulation, header-agnostic.
+
+    It holds the modulated test input but not the test states: a cell fits
+    every readout on ``states_train``, deletes that attribute, and only
+    then simulates ``sig_test`` (see :func:`_run_cell`), so the two state
+    matrices are never alive together.
+    """
 
     bitrate_gbps: float
     instance: int
@@ -235,7 +241,25 @@ class _Cell:
     bits_test: BitSignal
     sig_test: object
     states_train: StateMatrix
-    states_test: StateMatrix
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """One trained readout with its decision frozen on the training output.
+
+    It keeps only what scoring the test output needs: no readout, no
+    ``nlinv`` estimate, nothing that holds a state matrix.
+    """
+
+    header: str
+    trainer: str
+    weights: ReadoutWeights
+    presentations: int
+    detail: str
+    threshold: float
+    offset: int
+    train_ber: float
+    n_train_scored: int
 
 
 def _instance_topology(cfg: ExperimentConfig, instance: int) -> tuple[ReservoirTopology, int]:
@@ -262,6 +286,7 @@ def _instance_topology(cfg: ExperimentConfig, instance: int) -> tuple[ReservoirT
 
 
 def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> _Cell:
+    """Topology, both bit streams, the test input and the training states of a cell."""
     bitrate_gbps = float(bitrate_gbps)  # an int would seed differently
     bitrate = bitrate_gbps * 1e9
     topo, topo_seed = _instance_topology(cfg, instance)
@@ -271,7 +296,6 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
     sig_train = modulate(bits_train, cfg.samples_per_bit, p_node, cfg.smoothing)
     sig_test = modulate(bits_test, cfg.samples_per_bit, p_node, cfg.smoothing)
     states_train = simulate(topo, sig_train, cfg.bias_power_w)
-    states_test = simulate(topo, sig_test, cfg.bias_power_w)
     return _Cell(
         bitrate_gbps=bitrate_gbps,
         instance=instance,
@@ -281,7 +305,6 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
         bits_test=bits_test,
         sig_test=sig_test,
         states_train=states_train,
-        states_test=states_test,
     )
 
 
@@ -361,53 +384,66 @@ def _train(
     raise ValueError(f"unknown trainer {trainer!r}")
 
 
-def _evaluate(
-    cfg: ExperimentConfig,
-    cell: _Cell,
-    header: str,
-    trainer: str,
-    weights: ReadoutWeights,
-    d_train: DesiredSignal,
-    d_test: DesiredSignal,
-) -> tuple[float, int, float, float, int, int]:
-    """Freeze threshold and sampling point on train output, score test."""
+def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train: DesiredSignal) -> _Fit:
+    """Train one readout, then freeze threshold and sampling point on its train output."""
+    weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
     spb = cfg.samples_per_bit
-    warm = cfg.warmup_bits
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
-
     y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
-    d_tr = d_train.ideal[warm:]
+    d_tr = d_train.ideal[cfg.warmup_bits :]
     threshold, offset = _freeze_decision(y_train, d_tr, spb, cfg.search_bits)
     train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
-
-    y_test = _detected(cfg, cell.states_test, weights, "eval-test", *key)
-    test_ber, n_test_scored = _score(y_test, d_test.ideal[warm:], spb, offset, threshold)
-    return threshold, offset, train_ber, test_ber, n_train_scored, n_test_scored
+    return _Fit(header, trainer, weights, presentations, detail, threshold, offset, train_ber, n_train_scored)
 
 
-def _run_trainers(cfg, cell, header, trainers) -> list[ExperimentRecord]:
-    d_train, d_test = _targets(cfg, cell, header)
+def _test_score(
+    cfg: ExperimentConfig, cell: _Cell, fit: _Fit, states_test: StateMatrix, d_test: DesiredSignal
+) -> tuple[float, int]:
+    """Test BER of a frozen fit and the bits scored."""
+    key = (cell.bitrate_gbps, fit.header, fit.trainer, cell.instance)
+    y_test = _detected(cfg, states_test, fit.weights, "eval-test", *key)
+    return _score(y_test, d_test.ideal[cfg.warmup_bits :], cfg.samples_per_bit, fit.offset, fit.threshold)
+
+
+def _run_cell(
+    cfg: ExperimentConfig,
+    bitrate_gbps: float,
+    instance: int,
+    headers,
+    trainers,
+) -> list[ExperimentRecord]:
+    """Records of every header x trainer of one (bitrate, instance).
+
+    Every readout is fitted, and its decision frozen, on the training
+    states first.  Those states are then released and the test input is
+    simulated once, so the training and test state matrices (65 MB each
+    at paper length) are never alive together.
+    """
+    cell = _prepare_cell(cfg, bitrate_gbps, instance)
+    targets = {header: _targets(cfg, cell, header) for header in headers}
+    fits = [
+        _fit(cfg, cell, header, trainer, targets[header][0]) for header in headers for trainer in trainers
+    ]
+    del cell.states_train
+    states_test = simulate(cell.topology, cell.sig_test, cfg.bias_power_w)
     records = []
-    for trainer in trainers:
-        weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
-        threshold, offset, train_ber, test_ber, n_tr, n_te = _evaluate(
-            cfg, cell, header, trainer, weights, d_train, d_test
-        )
+    for fit in fits:
+        test_ber, n_test_scored = _test_score(cfg, cell, fit, states_test, targets[fit.header][1])
         records.append(
             ExperimentRecord(
                 bitrate_gbps=cell.bitrate_gbps,
-                header=header,
-                trainer=trainer,
+                header=fit.header,
+                trainer=fit.trainer,
                 instance=cell.instance,
                 topology_seed=cell.topology_seed,
-                threshold_a=threshold,
-                sampling_offset=offset,
-                train_ber=train_ber,
+                threshold_a=fit.threshold,
+                sampling_offset=fit.offset,
+                train_ber=fit.train_ber,
                 test_ber=test_ber,
-                train_ber_floor=cfg.ber_floor_errors / max(n_tr, 1),
-                test_ber_floor=cfg.ber_floor_errors / max(n_te, 1),
-                presentations=presentations,
-                detail=detail,
+                train_ber_floor=cfg.ber_floor_errors / max(fit.n_train_scored, 1),
+                test_ber_floor=cfg.ber_floor_errors / max(n_test_scored, 1),
+                presentations=fit.presentations,
+                detail=fit.detail,
             )
         )
     return records
@@ -421,8 +457,7 @@ def run_single(
     instance: int = 0,
 ) -> ExperimentRecord:
     """Run one full experiment cell and return its record."""
-    cell = _prepare_cell(cfg, bitrate_gbps, instance)
-    return _run_trainers(cfg, cell, header, [trainer])[0]
+    return _run_cell(cfg, bitrate_gbps, instance, [header], [trainer])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +476,13 @@ def run_bitrate_sweep(
     records: list[ExperimentRecord] = []
     for bitrate in cfg.bitrates_gbps:
         for instance in range(cfg.n_reservoirs):
-            cell = _prepare_cell(cfg, bitrate, instance)
-            for header in cfg.headers:
-                cell_records = _run_trainers(cfg, cell, header, cfg.trainers)
-                records.extend(cell_records)
-                for r in cell_records:
-                    logger.info(
-                        "bitrate=%g Gbps header=%s trainer=%s instance=%d test BER=%s",
-                        r.bitrate_gbps, r.header, r.trainer, r.instance, r.test_ber_report,
-                    )
+            cell_records = _run_cell(cfg, bitrate, instance, cfg.headers, cfg.trainers)
+            records.extend(cell_records)
+            for r in cell_records:
+                logger.info(
+                    "bitrate=%g Gbps header=%s trainer=%s instance=%d test BER=%s",
+                    r.bitrate_gbps, r.header, r.trainer, r.instance, r.test_ber_report,
+                )
     records.sort(key=lambda r: (r.bitrate_gbps, r.header, r.trainer, r.instance))
     summary = aggregate_records(records)
     if out_dir is not None:
@@ -517,7 +550,8 @@ def run_perturbation(
     trained weights, threshold, and sampling point are then reapplied to
     perturbed copies of the instance, where every waveguide phase gets an
     independent U(0, b) shift.  ``b = 0`` is the unperturbed baseline by
-    construction.
+    construction.  As in a sweep cell, the training states are released
+    before the test input is simulated.
     """
     if b_list is None:
         b_list = [f * math.pi for f in cfg.perturbation_b_over_pi]
@@ -528,10 +562,15 @@ def run_perturbation(
     for instance in range(cfg.n_reservoirs):
         cell = _prepare_cell(cfg, bitrate, instance)
         d_train, d_test = _targets(cfg, cell, header)
-        weights, _, _ = _train(cfg, cell, header, "ridge", d_train)
-        threshold, offset, _, baseline_ber, _, _ = _evaluate(
-            cfg, cell, header, "ridge", weights, d_train, d_test
-        )
+        fit = _fit(cfg, cell, header, "ridge", d_train)
+        del cell.states_train
+        # The baseline alone reads the test states, yet they stay alive until
+        # the draws are done.  Freed before them, the draws' own 13 MB
+        # ci-length matrices, which sit below glibc's dynamic mmap threshold,
+        # let it trim the heap and fault the pages back in draw after draw:
+        # about three times the page faults, and 6-8 % more time per cell.
+        states_test = simulate(cell.topology, cell.sig_test, cfg.bias_power_w)
+        baseline_ber = _test_score(cfg, cell, fit, states_test, d_test)[0]
         d_te = d_test.ideal[cfg.warmup_bits :]
         for b_idx, b in enumerate(b_list):
             if b == 0.0:
@@ -543,9 +582,10 @@ def run_perturbation(
                 )
                 perturbed = perturb_phases(cell.topology, spec)
                 states = simulate(perturbed, cell.sig_test, cfg.bias_power_w)
-                y = _detected(cfg, states, weights, "perturb-eval", instance, b_idx, draw)
+                y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
                 del states  # before the next draw simulates its own
-                per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, offset, threshold)[0])
+                per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, fit.offset, fit.threshold)[0])
+        del states_test  # before the next instance simulates its training states
         logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 
     rows = []

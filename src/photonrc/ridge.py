@@ -32,7 +32,9 @@ _FOLDS = 5
 
 def candidate_alphas(states: np.ndarray) -> tuple[float, ...]:
     """Decades 1e-12 .. 1e2 scaled by the mean channel power of ``states``."""
-    scale = float(np.mean(np.abs(states) ** 2))
+    # |x| is a fresh array, so it is squared in place: no second temporary.
+    magnitudes = np.abs(states)
+    scale = float(np.mean(np.square(magnitudes, out=magnitudes)))
     if scale <= 0:
         scale = 1.0
     return tuple(scale * 10.0 ** k for k in range(-12, 3))

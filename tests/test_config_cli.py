@@ -285,6 +285,19 @@ class TestCli:
         states = (tmp_path / "probes" / "estimated_states.csv").read_text().splitlines()
         assert states[0] == "n,channel,re,im,defaulted"
 
+    def test_probe_dump_simulates_the_training_input_only(self, tmp_path, monkeypatch):
+        calls = []
+        real_simulate = harness_mod.simulate
+
+        def counting_simulate(*a, **kw):
+            calls.append(1)
+            return real_simulate(*a, **kw)
+
+        monkeypatch.setattr(harness_mod, "simulate", counting_simulate)
+        args = ["probe-dump", "--profile", "ci", "--config", str(_tiny_config(tmp_path))]
+        assert main(args + ["--bitrate", "10", "--out", str(tmp_path / "probes"), "--quiet"]) == 0
+        assert len(calls) == 1
+
     def test_probe_dump_exports_the_nlinv_round(self, tmp_path, monkeypatch):
         # The export is the probing round the nlinv trainer trains on, written
         # as plain numbers.

@@ -1,8 +1,11 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
 from dataclasses import replace
+
+import photonrc.harness as harness_mod
 
 from photonrc.config import ci_profile, config_from_dict
 from photonrc.detector import DetectorConfig
@@ -327,6 +330,70 @@ class TestConvergence:
         text = (tmp_path / "convergence.csv").read_text().splitlines()
         assert text[0] == "iteration,presentations,best_sse,ber,best_ber"
         assert len(text) == 4
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns a view's memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.fixture
+def live_at_simulate(monkeypatch):
+    """Per ``harness.simulate`` call, how many earlier state matrices are alive.
+
+    A matrix counts as alive while its ``StateMatrix`` or the buffer behind
+    its samples is still referenced, for example by a view.
+    """
+    live: list[int] = []
+    refs = []
+    real_simulate = harness_mod.simulate
+
+    def tracking_simulate(*args, **kwargs):
+        live.append(sum(any(r() is not None for r in pair) for pair in refs))
+        states = real_simulate(*args, **kwargs)
+        refs.append((weakref.ref(states), weakref.ref(_owner(states.samples))))
+        return states
+
+    monkeypatch.setattr(harness_mod, "simulate", tracking_simulate)
+    return live
+
+
+class TestCellOrder:
+    """Every readout is fitted before the test input is simulated."""
+
+    def test_sweep_cell_releases_training_states_before_test(self, live_at_simulate):
+        cfg = tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv"))
+        records, _ = run_bitrate_sweep(cfg)
+        assert len(records) == 4
+        assert live_at_simulate == [0, 0]  # training, then test
+
+    def test_perturbation_keeps_only_test_states_for_the_draws(self, live_at_simulate):
+        cfg = tiny_cfg(
+            perturbation_b_over_pi=(0.0, 0.5),
+            n_perturbation_draws=2,
+            perturbation_bitrate_gbps=10.0,
+        )
+        run_perturbation(cfg)
+        # training, test, then each draw with the test states still alive
+        assert live_at_simulate == [0, 0, 1, 1]
+
+    def test_convergence_simulates_the_training_input_only(self, live_at_simulate):
+        cfg = tiny_cfg(trainers=("cmaes",))
+        cfg = replace(cfg, cmaes=replace(cfg.cmaes, convergence_iterations=2, population=4))
+        run_convergence(cfg)
+        assert live_at_simulate == [0]
+
+    def test_single_equals_its_sweep_cell(self):
+        cfg = tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv"), n_reservoirs=2)
+        records, _ = run_bitrate_sweep(cfg)
+        for trainer in ("ridge", "nlinv"):
+            single = run_single(cfg, 10.0, "110", trainer, instance=1)
+            (swept,) = [
+                r for r in records if (r.header, r.trainer, r.instance) == ("110", trainer, 1)
+            ]
+            assert single == swept
 
 
 class TestRecordsCsv:

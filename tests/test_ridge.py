@@ -260,6 +260,15 @@ class TestCvAlpha:
         assert len(small) == len(large) == 15
         assert small[0] < large[0]
 
+    def test_grid_bytes_match_the_squared_modulus_expression(self):
+        # The in-place square gives the grid of np.abs(x) ** 2, bit for bit.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(20000, 17)) + 1j * rng.normal(size=(20000, 17))
+        x *= np.exp(rng.uniform(-20.0, 5.0, size=(20000, 1)))
+        scale = float(np.mean(np.abs(x) ** 2))
+        old = tuple(scale * 10.0**k for k in range(-12, 3))
+        assert np.array(candidate_alphas(x)).tobytes() == np.array(old).tobytes()
+
 
 class TestCvAlphaReference:
     """``cv_alpha`` selects and refits exactly as the copying fold loop does."""
