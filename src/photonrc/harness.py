@@ -1,11 +1,12 @@
 """End-to-end experiment driver for header-recognition error-rate studies.
 
 One experiment cell = (bitrate, header, trainer, reservoir instance).
-The driver generates train/test bit streams, modulates and propagates
-them through a reservoir instance, trains the readout with the selected
-trainer, freezes decision threshold and sampling point on the training
-output, and scores the test output.  Everything is reproducible from the
-configuration and its master seed.
+The driver generates train/test bit streams, propagates the training
+input through a reservoir instance, trains the readout with the selected
+trainer, and freezes decision threshold and sampling point on the
+training output; only then does it propagate the test input and score
+it.  Everything is reproducible from the configuration and its master
+seed.
 """
 
 from __future__ import annotations
@@ -568,7 +569,8 @@ def run_perturbation(
         # the draws are done.  Freed before them, the draws' own 13 MB
         # ci-length matrices, which sit below glibc's dynamic mmap threshold,
         # let it trim the heap and fault the pages back in draw after draw:
-        # about three times the page faults, and 6-8 % more time per cell.
+        # 20-21k minor page faults per ci-length cell instead of 8k, and
+        # about 7 % more time.
         states_test = simulate(cell.topology, cell.sig_test, cfg.bias_power_w)
         baseline_ber = _test_score(cfg, cell, fit, states_test, d_test)[0]
         d_te = d_test.ideal[cfg.warmup_bits :]
