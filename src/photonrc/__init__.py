@@ -50,11 +50,8 @@ from .stateest import (
     ProbeSchedule,
     SimulatedReadout,
     build_probe_schedule,
-    estimate_phase,
     estimate_states,
     probe_count,
-    probe_moduli,
-    reconstruct_states,
     train_nlinv,
 )
 from .config import ExperimentConfig, ci_profile, load_config, paper_profile, save_config

@@ -117,7 +117,7 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
     header = cfg.headers[0]
     cell = _prepare_cell(cfg, bitrate, args.instance)
     d_train, _ = _targets(cfg, cell, header)
-    estimated = _nlinv_round(cfg, cell, header, d_train).estimated
+    estimated = _nlinv_round(cfg, cell, d_train).estimated
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

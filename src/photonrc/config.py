@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -136,23 +137,34 @@ _SECTION_TYPES = {
     "cmaes": CmaesSettings,
 }
 
-_TUPLE_FIELDS = {
-    "bitrates_gbps",
-    "headers",
-    "trainers",
-    "perturbation_b_over_pi",
-    "sigma_sweep",
-}
+
+def _float(key: str, value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
-def _values(data: dict) -> dict:
-    """``data`` with each list-valued key's sequence turned into a tuple."""
+def _values(cls, data: dict) -> dict:
+    """``data`` fitted to the field types of ``cls``.
+
+    Each list-valued field's sequence becomes a tuple.  Each float field,
+    and each element of a float list, is cast with ``float()``: PyYAML
+    reads ``1e-3`` or ``2.5e10`` as a string, since it wants a dot and a
+    signed exponent.
+    """
+    hints = typing.get_type_hints(cls)
     fixed = dict(data)
     for k, v in data.items():
-        if k in _TUPLE_FIELDS:
+        hint = hints.get(k)
+        if typing.get_origin(hint) is tuple:
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{k} must be a list, got {v!r}")
-            fixed[k] = tuple(v)
+            fixed[k] = tuple(_float(k, x) for x in v) if hint == tuple[float, ...] else tuple(v)
+        elif hint is float:
+            fixed[k] = _float(k, v)
     return fixed
 
 
@@ -161,7 +173,7 @@ def _build_section(cls, data: dict, base):
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return replace(base, **_values(data))
+    return replace(base, **_values(cls, data))
 
 
 def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -181,7 +193,7 @@ def config_from_dict(data: dict, base: ExperimentConfig | None = None) -> Experi
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    updates.update(_values(data))
+    updates.update(_values(ExperimentConfig, data))
     return replace(cfg, **updates)
 
 

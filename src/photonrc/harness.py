@@ -325,12 +325,17 @@ def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: ReadoutWeight
     return y.samples[cfg.warmup_bits * cfg.samples_per_bit :]
 
 
-def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, header: str, d_train: DesiredSignal) -> TrainNlinvResult:
-    """The ``nlinv`` probing round and ridge fit of one cell and header."""
+def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, d_train: DesiredSignal) -> TrainNlinvResult:
+    """The ``nlinv`` probing round of one cell and the ridge fit of one target.
+
+    The round never reads the target, so its noise is seeded per cell
+    without the header: every header of a cell sees the same round, as
+    one round on a chip serves every task.
+    """
     readout = SimulatedReadout(
         cell.states_train,
         cfg.detector,
-        seed=derive_seed(cfg.master_seed, "probe-noise", cell.bitrate_gbps, header, cell.instance),
+        seed=derive_seed(cfg.master_seed, "probe-noise", cell.bitrate_gbps, cell.instance),
     )
     return train_nlinv(
         readout,
@@ -379,7 +384,7 @@ def _train(
         return result.weights, result.presentations, f"sigma0={result.sigma0:g}"
 
     if trainer == "nlinv":
-        result = _nlinv_round(cfg, cell, header, d_train)
+        result = _nlinv_round(cfg, cell, d_train)
         return result.weights, result.presentations, f"alpha={result.alpha:.6g}"
 
     raise ValueError(f"unknown trainer {trainer!r}")

@@ -6,21 +6,22 @@ input repeatedly while setting structured weight vectors recovers the
 full complex state matrix up to one global phase per time sample, which
 an intensity detector cannot distinguish anyway:
 
-* one-hot weights expose each channel's modulus through the inverted
-  square law,
-* a pair probe (1 on the reference channel, 1 on channel q) exposes
-  ``cos`` of their relative phase,
-* a quadrature probe (j on the reference, 1 on q) exposes ``sin`` and
-  thereby the sign.
+* one-hot weights expose each channel's power ``P_f = R |x_f|^2``,
+* a pair probe (1 on the reference channel r, 1 on channel q) exposes
+  ``Re(x_r conj x_q) = (P+ - P_r - P_q) / 2R``,
+* a quadrature probe (j on the reference, 1 on q) exposes
+  ``Im(x_r conj x_q) = -(Pj - P_r - P_q) / 2R``.
 
 That is F one-hot probes plus 2(F-1) pair probes: 3F-2 presentations in
-total.  The reconstructed states then feed the ordinary complex ridge
-trainer, and the resulting weights can be written back to the readout.
+total.  The cross terms are linear in the detected powers, so no
+trigonometry is needed: dividing by ``|x_r|`` gives each channel rotated
+to the reference phase.  The reconstructed states then feed the ordinary
+complex ridge trainer, and the resulting weights can be written back to
+the readout.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -48,15 +49,10 @@ __all__ = [
     "EstimatedStates",
     "build_probe_schedule",
     "probe_count",
-    "probe_moduli",
-    "estimate_phase",
-    "reconstruct_states",
     "estimate_states",
     "train_nlinv",
     "TrainNlinvResult",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @runtime_checkable
@@ -219,15 +215,6 @@ def build_probe_schedule(n_channels: int, ref_channel: int = 0) -> ProbeSchedule
     return ProbeSchedule(tuple(weights), tuple(kinds), ref_channel)
 
 
-def _inverted_modulus(y: np.ndarray, responsivity: float) -> np.ndarray:
-    """Clip negative detector samples to zero, then invert the square law.
-
-    The out-of-place form of what :func:`_present_inverted` does in place;
-    the reference estimator of the tests is built on it.
-    """
-    return np.sqrt(np.maximum(y, 0.0) / responsivity)
-
-
 # Pair/quad couples per presentation call in ``estimate_states``.  Each call
 # reads the whole state matrix once, and its K x N output is live until the
 # call's couples are reduced.  Per output, the product and square law cost
@@ -237,89 +224,13 @@ def _inverted_modulus(y: np.ndarray, responsivity: float) -> np.ndarray:
 _COUPLES_PER_CALL = 4
 
 
-def _present_inverted(readout: OpaqueReadout, probes: list[np.ndarray], responsivity: float) -> np.ndarray:
-    """Inverted-square-law output of each probe (P x N), presented in one call.
-
-    The probes are presented in the given order, and the output block is
-    clipped and inverted in place, with the bytes of :func:`_inverted_modulus`.
-    """
-    y = readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
-    np.maximum(y, 0.0, out=y)
-    y /= responsivity
-    return np.sqrt(y, out=y)
-
-
-def probe_moduli(readout: OpaqueReadout, responsivity: float) -> np.ndarray:
-    """Per-channel modulus estimates from one-hot probes (N x F array).
-
-    All F one-hot probes are presented in one call; the array is the
-    transposed view of its output, one contiguous row per channel.
-    Negative output samples, which noise or filter ringing can produce,
-    are replaced by zero before the square law is inverted.
-    """
-    schedule = build_probe_schedule(readout.n_channels)
-    one_hot = [w for w, kind in zip(schedule.weights, schedule.kinds) if kind[0] == "modulus"]
-    return _present_inverted(readout, one_hot, responsivity).T
-
-
-def _phase_from_powers(
-    p_k: np.ndarray,
-    p_l: np.ndarray,
-    p_pair: np.ndarray,
-    p_quad: np.ndarray,
-    valid: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Signed relative phase and the worst pre-clamp arccos excess."""
-    denom = np.where(valid, 2.0 * p_k * p_l, 1.0)
-    ratio_pair = np.where(valid, (p_pair**2 - p_k**2 - p_l**2) / denom, 0.0)
-    ratio_quad = np.where(valid, (p_quad**2 - p_k**2 - p_l**2) / denom, 0.0)
-    excess = 0.0
-    if valid.any():
-        excess = float(
-            max(
-                np.max(np.abs(ratio_pair[valid])) - 1.0,
-                np.max(np.abs(ratio_quad[valid])) - 1.0,
-                0.0,
-            )
-        )
-    magnitude = np.arccos(np.clip(ratio_pair, -1.0, 1.0))
-    quad_angle = np.arccos(np.clip(ratio_quad, -1.0, 1.0))
-    sign = np.where(quad_angle <= np.pi / 2.0, 1.0, -1.0)
-    return sign * magnitude, excess
-
-
-def estimate_phase(
-    p_k: np.ndarray,
-    p_l: np.ndarray,
-    p_pair: np.ndarray,
-    p_pair_quad: np.ndarray,
-) -> np.ndarray:
-    """Signed relative phase of channel l with respect to channel k.
-
-    ``p_pair`` is the modulus of the plain sum, ``p_pair_quad`` the
-    modulus of the sum with the reference rotated by a quarter turn.  The
-    magnitude comes from the law of cosines; the quadrature measurement
-    settles which half-plane the phase lies in.  Ratios are clamped to
-    [-1, 1], which absorbs noise-driven excursions.
-    """
-    p_k = np.asarray(p_k, dtype=np.float64)
-    p_l = np.asarray(p_l, dtype=np.float64)
-    p_pair = np.asarray(p_pair, dtype=np.float64)
-    p_pair_quad = np.asarray(p_pair_quad, dtype=np.float64)
-    valid = (p_k > 0) & (p_l > 0)
-    phase, excess = _phase_from_powers(p_k, p_l, p_pair, p_pair_quad, valid)
-    if excess > 0:
-        logger.debug("arccos ratio exceeded [-1, 1] by %.3e before clamping", excess)
-    return phase
-
-
 @dataclass(frozen=True)
 class EstimatedStates:
     """Reconstructed complex states plus bookkeeping of unreliable samples.
 
-    ``defaulted`` marks entries whose phase was set to zero because the
-    channel or the reference modulus fell below the threshold there; the
-    phase is unobservable at vanishing intensity.
+    ``defaulted`` marks the samples where the reference modulus fell below
+    the threshold: there every channel keeps its own modulus with phase
+    zero, since no phase is observable against a dark reference.
     """
 
     samples: np.ndarray
@@ -327,7 +238,6 @@ class EstimatedStates:
     channel_roles: tuple[str, ...]
     defaulted: np.ndarray
     ref_channel: int
-    clamp_excess: float = 0.0
 
     @property
     def defaulted_fraction(self) -> float:
@@ -337,55 +247,11 @@ class EstimatedStates:
         return StateMatrix(self.samples, self.sample_period, self.channel_roles)
 
 
-def reconstruct_states(
-    moduli: np.ndarray,
-    phases: np.ndarray,
-    ref_channel: int,
-    sample_period: float = 1.0,
-    channel_roles: tuple[str, ...] | None = None,
-    eps: float = 0.0,
-    clamp_excess: float = 0.0,
-) -> EstimatedStates:
-    """Assemble complex state estimates from moduli and relative phases.
-
-    The reference channel is taken as phase zero; every other channel
-    carries its estimated phase relative to it.  Where either modulus in
-    a pair drops below ``eps`` the phase defaults to 0 and the sample is
-    flagged.  The samples are a C-ordered N x F matrix whatever the layout
-    of the inputs, since products with the states round by their layout.
-    """
-    moduli = np.asarray(moduli, dtype=np.float64)
-    phases = np.asarray(phases, dtype=np.float64)
-    if moduli.shape != phases.shape:
-        raise ValueError("moduli and phases must have the same shape")
-    if not 0 <= ref_channel < moduli.shape[1]:
-        raise ValueError("reference channel out of range")
-
-    low = moduli < eps
-    defaulted = low | low[:, [ref_channel]]
-    defaulted[:, ref_channel] = low[:, ref_channel]
-    samples = np.empty(moduli.shape, dtype=np.complex128)
-    real, imag = samples.real, samples.imag
-    np.cos(phases, out=real)
-    np.sin(phases, out=imag)
-    # Defaulted entries and the reference column take phase 0.
-    np.copyto(real, 1.0, where=defaulted)
-    np.copyto(imag, 0.0, where=defaulted)
-    real[:, ref_channel] = 1.0
-    imag[:, ref_channel] = 0.0
-    imag += 0.0  # sin(-0.0) is -0.0: a zero phase keeps a +0.0 imaginary part
-    real *= moduli
-    imag *= moduli
-    if channel_roles is None:
-        channel_roles = tuple(f"ch{i}" for i in range(moduli.shape[1]))
-    return EstimatedStates(
-        samples=samples,
-        sample_period=sample_period,
-        channel_roles=tuple(channel_roles),
-        defaulted=defaulted,
-        ref_channel=ref_channel,
-        clamp_excess=clamp_excess,
-    )
+def _moduli(powers: np.ndarray, responsivity: float, out: np.ndarray) -> np.ndarray:
+    """Invert the square law into ``out``: clip negative samples to zero, then ``sqrt(P / R)``."""
+    np.maximum(powers, 0.0, out=out)
+    out /= responsivity
+    return np.sqrt(out, out=out)
 
 
 def estimate_states(
@@ -399,51 +265,72 @@ def estimate_states(
     Presents the probes of :func:`build_probe_schedule` in schedule order,
     once each: the F one-hot probes in one call, then the F-1 pair/quad
     couples in calls of four couples, 1 + ceil((F-1)/4) calls in all.
-    Phases are set to zero where a modulus falls below ``eps``.  The
-    reference defaults to the channel with the largest mean modulus
+    The reference defaults to the channel with the largest mean modulus
     (usually the bias line), which maximizes the signal-to-noise ratio of
-    every pair probe.
-    """
-    # One contiguous row per channel (F x N); the states are assembled from
-    # the transposed views.
-    moduli = probe_moduli(readout, responsivity).T
-    if ref_channel is None:
-        ref_channel = int(np.argmax(moduli.mean(axis=1)))
-    schedule = build_probe_schedule(moduli.shape[0], ref_channel)
-    # Pair and quad probes alternate per channel.  Each call's outputs are
-    # reduced to phases couple by couple and dropped before the next call,
-    # so at most 8 outputs are held (15 MB at paper length); all 2(F-1) at
-    # once would cost about 61 MB.
-    phase_probes = [w for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
-    channels = [k[2] for k in schedule.kinds if k[0] == "pair"]
+    every couple.
 
-    phases = np.zeros_like(moduli)
-    worst_excess = 0.0
-    p_ref = moduli[ref_channel]
+    The probes are linear in intensity, so with ``s_q = P_r + P_q`` each
+    couple gives channel q rotated to the reference phase,
+    ``z_q = ((P+ - s_q) + j (Pj - s_q)) / (2 R |x_r|)``, and the reference
+    column is ``|x_r| = sqrt(max(P_r, 0) / R)``.  Where ``|x_r| < eps``
+    the reference is dark: every channel takes its own modulus with phase
+    zero there, and those samples are flagged in ``defaulted``.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    n_channels = readout.n_channels
+    # The F x N raw one-hot powers stay alive for the whole round: each
+    # couple subtracts two of its rows.
+    one_hot = build_probe_schedule(n_channels).weights[:n_channels]
+    powers = readout.present(np.stack(one_hot, axis=1)).samples.reshape(n_channels, -1)
+    n = powers.shape[1]
+    if ref_channel is None:
+        row = np.empty(n)
+        means = [_moduli(p, responsivity, row).mean() for p in powers]
+        ref_channel = int(np.argmax(means))
+    schedule = build_probe_schedule(n_channels, ref_channel)
+    p_ref = powers[ref_channel]
+    mod_ref = _moduli(p_ref, responsivity, np.empty(n))
+    dark = mod_ref < eps
+    scale = np.zeros(n)
+    np.divide(1.0, 2.0 * responsivity * mod_ref, out=scale, where=~dark)
+
+    samples = np.empty((n, n_channels), dtype=np.complex128)
+    # Channel q's real and imaginary parts are columns 2q and 2q + 1.
+    flat = samples.view(np.float64)
+    couple_probes = [w for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
+    channels = [k[2] for k in schedule.kinds if k[0] == "pair"]
+    s = np.empty(n)
     for start in range(0, len(channels), _COUPLES_PER_CALL):
-        block = _present_inverted(
-            readout, phase_probes[2 * start : 2 * (start + _COUPLES_PER_CALL)], responsivity
-        )
-        for i, q in enumerate(channels[start : start + _COUPLES_PER_CALL]):
-            valid = (p_ref >= eps) & (moduli[q] >= eps)
-            phases[q], excess = _phase_from_powers(
-                p_ref, moduli[q], block[2 * i], block[2 * i + 1], valid
-            )
-            worst_excess = max(worst_excess, excess)
+        batch = channels[start : start + _COUPLES_PER_CALL]
+        probes = couple_probes[2 * start : 2 * (start + len(batch))]
+        # Pair and quad rows alternate per channel, at most 8 rows (15 MB
+        # at paper length); all 2(F-1) at once would cost about 61 MB.
+        block = readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
+        for i, q in enumerate(batch):
+            np.add(p_ref, powers[q], out=s)
+            block[2 * i : 2 * i + 2] -= s
+        block *= scale
+        q0 = batch[0]
+        if batch == list(range(q0, q0 + len(batch))):
+            flat[:, 2 * q0 : 2 * (q0 + len(batch))] = block.T
+        else:  # the batch straddles the reference
+            for i, q in enumerate(batch):
+                flat[:, 2 * q : 2 * q + 2] = block[2 * i : 2 * i + 2].T
         del block  # before the next call allocates its own
 
-    if worst_excess > 0:
-        logger.debug("phase estimation clamp excess across channels: %.3e", worst_excess)
+    samples[:, ref_channel] = mod_ref
+    dark_powers = powers[:, dark]
+    samples[dark] = _moduli(dark_powers, responsivity, dark_powers).T
     roles = getattr(readout, "channel_roles", None)
-    period = getattr(readout, "sample_period", 1.0)
-    return reconstruct_states(
-        moduli.T,
-        phases.T,
-        ref_channel,
-        sample_period=period,
-        channel_roles=roles,
-        eps=eps,
-        clamp_excess=worst_excess,
+    if roles is None:
+        roles = tuple(f"ch{i}" for i in range(n_channels))
+    return EstimatedStates(
+        samples=samples,
+        sample_period=getattr(readout, "sample_period", 1.0),
+        channel_roles=tuple(roles),
+        defaulted=np.repeat(dark[:, None], n_channels, axis=1),
+        ref_channel=ref_channel,
     )
 
 
@@ -467,8 +354,9 @@ def train_nlinv(
     The reconstructed states and the detector-inverted target form the
     same ridge problem as the full-observability baseline
     (:func:`~photonrc.ridge.ridge_problem`).  Exactly 3F-2 presentations
-    of the input are consumed.  A phase defaults to zero where a modulus
-    falls below ``1e-6 * sqrt(p_total)``.
+    of the input are consumed.  The reference counts as dark, and every
+    channel's phase defaults to zero, where its modulus falls below
+    ``1e-6 * sqrt(p_total)``.
     """
     eps = 1e-6 * np.sqrt(desired.p_total)
     before = readout.presentations

@@ -23,7 +23,7 @@ from photonrc.harness import (
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
 from photonrc.ridge import cv_alpha, invert_target
 from photonrc.signals import OpticalSignal, gen_bits, modulate
-from photonrc.stateest import SimulatedReadout, estimate_phase, estimate_states, probe_count
+from photonrc.stateest import SimulatedReadout, estimate_states, probe_count
 from photonrc.harness import _prepare_cell  # test-only access to the cell builder
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -49,8 +49,9 @@ def criterion(number, title):
 def test_phase_estimation_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    # 1-degree steps across (-pi, pi); the exact boundaries {0, +-pi} are
-    # measure-zero points excluded by the sign rule itself.
+    # 1-degree steps across (-pi, pi), half a degree clear of the +-pi
+    # wrap of the angle.  Each trial is one probing round of a two-channel
+    # readout, states x_k and x_l, reference 0.
     angles = np.deg2rad(np.arange(-179.5, 180.0, 1.0))
     worst = 0.0
     for _ in range(100):
@@ -58,8 +59,9 @@ def test_phase_estimation_exactness():
         p_l = rng.uniform(0.1, 2.0, size=angles.size)
         xk = p_k.astype(complex)
         xl = p_l * np.exp(1j * angles)
-        phi = estimate_phase(p_k, p_l, np.abs(xk + xl), np.abs(1j * xk + xl))
-        worst = max(worst, float(np.max(np.abs(phi - angles))))
+        readout = SimulatedReadout(StateMatrix(np.stack([xk, xl], axis=1), 1e-11, ("k", "l")), RAW)
+        z = estimate_states(readout, RAW.responsivity, eps=1e-9, ref_channel=0).samples[:, 1]
+        worst = max(worst, float(np.max(np.abs(np.angle(z) - angles))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9, f"worst signed-phase error {worst:.3e}"
     assert elapsed < 1.0, f"sweep took {elapsed:.2f} s"

@@ -75,6 +75,36 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="DetectorConfig"):
             config_from_dict({"detector": {"gain": 2}})
 
+    def test_yaml_exponent_floats_are_numbers(self, tmp_path):
+        # PyYAML reads 1e-3 and 2.5e10 as strings: without a dot and a
+        # signed exponent they are not YAML 1.1 floats.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "p_total_w: 1e-3\nperturbation_b_over_pi: [0, 1e-1]\n"
+            "detector: {bandwidth_hz: 2.5e10}\ncmaes: {sigma_sweep: [1e-5, 1.0]}\n"
+        )
+        cfg = load_config(path, base=ci_profile())
+        assert cfg.p_total_w == 1e-3 and type(cfg.p_total_w) is float
+        assert cfg.detector.bandwidth_hz == 2.5e10 and type(cfg.detector.bandwidth_hz) is float
+        assert cfg.cmaes.sigma_sweep == (1e-5, 1.0)
+        assert cfg.perturbation_b_over_pi == (0.0, 0.1)
+        assert all(type(v) is float for v in cfg.cmaes.sigma_sweep + cfg.perturbation_b_over_pi)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"p_total_w": "abc"}, "p_total_w"),
+            ({"p_total_w": None}, "p_total_w"),
+            ({"bias_power_w": True}, "bias_power_w"),
+            ({"detector": {"bandwidth_hz": "wide"}}, "bandwidth_hz"),
+            ({"cmaes": {"sigma_sweep": [0.1, "big"]}}, "sigma_sweep"),
+            ({"reservoir": {"delay_s": [1.0]}}, "delay_s"),
+        ],
+    )
+    def test_non_number_float_rejected(self, data, key):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            config_from_dict(data, base=ci_profile())
+
     def test_ridge_section_rejected(self, tmp_path):
         # The ridge fit has no settings: a leftover section is an error.
         path = tmp_path / "cfg.yaml"
@@ -262,6 +292,14 @@ class TestCli:
             main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
         assert exc.value.code == 2
         assert "photonrc sweep: error: unknown config keys: ['bogus']" in capsys.readouterr().err
+
+    def test_non_number_yaml_float_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("detector: {bandwidth_hz: wide}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: bandwidth_hz must be a number, got 'wide'" in capsys.readouterr().err
 
     def test_probe_dump(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

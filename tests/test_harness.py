@@ -396,6 +396,70 @@ class TestCellOrder:
             assert single == swept
 
 
+class TestNlinvRound:
+    def test_one_round_per_bitrate_and_instance(self, monkeypatch):
+        # The probing round never reads the header, so every header of a
+        # cell sees the same round.
+        rounds = []
+        real_train_nlinv = harness_mod.train_nlinv
+
+        def recording_train_nlinv(*a, **kw):
+            rounds.append(real_train_nlinv(*a, **kw))
+            return rounds[-1]
+
+        monkeypatch.setattr(harness_mod, "train_nlinv", recording_train_nlinv)
+        run_bitrate_sweep(tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv")))
+        first, second = (r.estimated for r in rounds)
+        assert first.samples.tobytes() == second.samples.tobytes()
+        assert np.array_equal(first.defaulted, second.defaulted)
+
+
+class TestEvaluationNoiseStreams:
+    """Each evaluation's detector noise comes from its own named seed.
+
+    At desk scale the noise moves no test decision, so the records alone
+    cannot tell one evaluation stream from another; the generator states
+    handed to ``readout_forward`` can.
+    """
+
+    @pytest.fixture
+    def rng_states(self, monkeypatch):
+        states = []
+        real_forward = harness_mod.readout_forward
+
+        def recording_forward(*args, rng=None, **kwargs):
+            states.append(rng.bit_generator.state)
+            return real_forward(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "readout_forward", recording_forward)
+        return states
+
+    @staticmethod
+    def _expected(cfg, *keys):
+        return [np.random.default_rng(derive_seed(cfg.master_seed, *key)).bit_generator.state for key in keys]
+
+    def test_sweep_cell(self, rng_states):
+        cfg = tiny_cfg()
+        run_bitrate_sweep(cfg)
+        key = (10.0, "101", "ridge", 0)
+        assert rng_states == self._expected(cfg, ("eval-train", *key), ("eval-test", *key))
+
+    def test_perturbation(self, rng_states):
+        cfg = tiny_cfg(perturbation_b_over_pi=(0.0, 0.5), n_perturbation_draws=1, perturbation_bitrate_gbps=10.0)
+        run_perturbation(cfg)
+        key = (10.0, "101", "ridge", 0)
+        assert rng_states == self._expected(
+            cfg, ("eval-train", *key), ("eval-test", *key), ("perturb-eval", 0, 1, 0)
+        )
+
+    def test_convergence(self, rng_states):
+        cfg = tiny_cfg(trainers=("cmaes",))
+        cfg = replace(cfg, cmaes=replace(cfg.cmaes, convergence_iterations=2, population=4))
+        rows = run_convergence(cfg)
+        assert len(rows) == 2
+        assert rng_states == self._expected(cfg, *[("conv-eval", 10.0, 0, row.iteration) for row in rows])
+
+
 class TestRecordsCsv:
     def test_columns_and_content(self, tmp_path):
         cfg = tiny_cfg()

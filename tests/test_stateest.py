@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from photonrc.detector import DetectorConfig
+from photonrc.config import ci_profile
+from photonrc.detector import DetectorConfig, ElectricalSignal, sampled_basis
+from photonrc.harness import _prepare_cell  # test-only access to the cell builder
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
 from photonrc.signals import DesiredSignal, gen_bits, modulate
 from photonrc.stateest import (
     SimulatedReadout,
-    _inverted_modulus,
-    _phase_from_powers,
     build_probe_schedule,
-    estimate_phase,
     estimate_states,
     probe_count,
-    probe_moduli,
-    reconstruct_states,
     train_nlinv,
 )
 
@@ -59,38 +56,47 @@ def _assert_round_calls(readout, n_channels, ref_channel):
         assert np.array_equal(got, want)
 
 
-def _reference_estimate_states(readout, responsivity, eps, ref_channel=None):
-    """The probing round on N x F arrays, assembled through ``np.exp``.
+class ScriptedReadout:
+    """An opaque readout that answers each ``present`` call with the next scripted block."""
 
-    Returns samples, defaulted, the reference channel and the clamp excess.
+    def __init__(self, n_channels, blocks):
+        self.n_channels = n_channels
+        self.presentations = 0
+        self._blocks = iter(blocks)
+
+    def present(self, weights):
+        self.presentations += np.asarray(weights).shape[1]
+        return ElectricalSignal(np.array(next(self._blocks), dtype=float), 1e-11)
+
+
+def _reference_estimate_states(readout, responsivity, eps, ref_channel=None):
+    """The linear probing round on N x F arrays, one probe per ``present`` call.
+
+    Returns samples, defaulted and the reference channel.
     """
-    schedule = build_probe_schedule(readout.n_channels)
-    columns = [
-        _inverted_modulus(readout.present(w).samples, responsivity)
-        for w, kind in zip(schedule.weights, schedule.kinds)
-        if kind[0] == "modulus"
-    ]
-    moduli = np.stack(columns, axis=1)
+    f = readout.n_channels
+    powers = np.stack([readout.present(w).samples for w in build_probe_schedule(f).weights[:f]], axis=1)
+    moduli = np.sqrt(np.maximum(powers, 0.0) / responsivity)
     if ref_channel is None:
         ref_channel = int(np.argmax(moduli.mean(axis=0)))
-    schedule = build_probe_schedule(moduli.shape[1], ref_channel)
-    phase_probes = [(w, k) for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
-    phases = np.zeros_like(moduli)
-    worst_excess = 0.0
-    p_ref = moduli[:, ref_channel]
-    for (pair, (_, _, q)), (quad, _) in zip(phase_probes[::2], phase_probes[1::2]):
-        p_pair, p_quad = _inverted_modulus(
-            readout.present(np.stack([pair, quad], axis=1)).samples, responsivity
-        )
-        valid = (p_ref >= eps) & (moduli[:, q] >= eps)
-        phases[:, q], excess = _phase_from_powers(p_ref, moduli[:, q], p_pair, p_quad, valid)
-        worst_excess = max(worst_excess, excess)
-    low = moduli < eps
-    defaulted = low | low[:, [ref_channel]]
-    defaulted[:, ref_channel] = low[:, ref_channel]
-    used_phases = np.where(defaulted, 0.0, phases)
-    used_phases[:, ref_channel] = 0.0
-    return moduli * np.exp(1j * used_phases), defaulted, ref_channel, worst_excess
+    schedule = build_probe_schedule(f, ref_channel)
+    p_ref, mod_ref = powers[:, ref_channel], moduli[:, ref_channel]
+    dark = mod_ref < eps
+    scale = np.zeros_like(mod_ref)
+    np.divide(1.0, 2.0 * responsivity * mod_ref, out=scale, where=~dark)
+    samples = np.empty(powers.shape, dtype=complex)
+    for w, (kind, _, q) in zip(schedule.weights[f:], schedule.kinds[f:]):
+        part = samples.real if kind == "pair" else samples.imag
+        part[:, q] = (readout.present(w).samples - (p_ref + powers[:, q])) * scale
+    samples[:, ref_channel] = mod_ref
+    samples[dark] = moduli[dark]
+    return samples, np.repeat(dark[:, None], f, axis=1), ref_channel
+
+
+def _relative_phase(xk, xl):
+    """Phase of channel l against reference k, as ``estimate_states`` recovers it."""
+    readout = _readout_from_columns([xk, xl])
+    return np.angle(estimate_states(readout, RAW.responsivity, eps=1e-9, ref_channel=0).samples[:, 1])
 
 
 class TestProbeSchedule:
@@ -134,31 +140,23 @@ class TestProbeSchedule:
 
 
 class TestProbeModuli:
+    """The one-hot probes' inverted square law, read from the reference column."""
+
     def test_constant_channel(self):
         x = np.full(128, 0.1 * np.exp(1j * np.pi / 4))
         readout = _readout_from_columns([x])
-        moduli = probe_moduli(readout, RAW.responsivity)
+        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
         # detector sees 0.5 * 0.01 = 0.005 A, inversion recovers 0.1
-        assert np.allclose(moduli[:, 0], 0.1, rtol=1e-12)
+        assert np.allclose(est.samples[:, 0], 0.1, rtol=1e-12)
 
     def test_zero_channel(self):
         readout = _readout_from_columns([np.zeros(64)])
-        assert np.all(probe_moduli(readout, RAW.responsivity) == 0.0)
+        assert np.all(estimate_states(readout, RAW.responsivity, eps=1e-9).samples == 0.0)
 
     def test_negative_samples_clipped(self):
-        class NegativeReadout:
-            n_channels = 1
-            presentations = 0
-
-            def present(self, weights):
-                from photonrc.detector import ElectricalSignal
-
-                self.presentations += 1
-                return ElectricalSignal(np.array([-1e-3, 4e-3]), 1e-11)
-
-        moduli = probe_moduli(NegativeReadout(), 0.5)
-        assert moduli[0, 0] == 0.0
-        assert np.isclose(moduli[1, 0], np.sqrt(8e-3))
+        est = estimate_states(ScriptedReadout(1, [[[-1e-3, 4e-3]]]), 0.5, eps=1e-9)
+        assert est.samples[0, 0] == 0.0
+        assert np.isclose(est.samples[1, 0], np.sqrt(8e-3))
 
     def test_noisy_median_close_to_truth(self):
         # At <I> far above the noise floor the inverted estimates sit
@@ -166,71 +164,52 @@ class TestProbeModuli:
         noisy = DetectorConfig(noise_enabled=True, filter_enabled=False)
         x = np.full(200_000, 0.1 + 0j)
         readout = _readout_from_columns([x], detector=noisy, seed=5)
-        moduli = probe_moduli(readout, noisy.responsivity)
-        assert abs(np.median(moduli[:, 0]) - 0.1) <= 0.002
+        est = estimate_states(readout, noisy.responsivity, eps=1e-9)
+        assert abs(np.median(est.samples[:, 0].real) - 0.1) <= 0.002
 
     def test_presentation_counting(self):
         readout = _readout_from_columns([np.ones(16), np.ones(16), np.ones(16)])
-        probe_moduli(readout, 0.5)
-        assert readout.presentations == 3
-        probe_moduli(readout, 0.5)
-        assert readout.presentations == 3 + 3
+        estimate_states(readout, 0.5, eps=1e-9)
+        assert readout.presentations == 7
+        estimate_states(readout, 0.5, eps=1e-9)
+        assert readout.presentations == 7 + 7
 
 
 class TestEstimatePhase:
+    """The relative phase of ``z_1`` on a two-channel readout, reference 0."""
+
     def test_in_phase(self):
-        phi = estimate_phase(np.array([1.0]), np.array([1.0]), np.array([2.0]), np.array([np.sqrt(2.0)]))
-        assert np.isclose(phi[0], 0.0, atol=1e-12)
+        phi = _relative_phase(np.ones(4), np.ones(4))
+        assert np.allclose(phi, 0.0, atol=1e-12)
 
     def test_anti_phase(self):
-        phi = estimate_phase(np.array([1.0]), np.array([1.0]), np.array([0.0]), np.array([np.sqrt(2.0)]))
-        assert np.isclose(abs(phi[0]), np.pi, atol=1e-12)
+        phi = _relative_phase(np.ones(4), -np.ones(4))
+        assert np.allclose(np.abs(phi), np.pi, atol=1e-12)
 
     def test_plus_sixty_degrees(self):
-        # x_k = 1, x_l = e^{j pi/3}: plain sum power 3, quadrature 2 + sqrt(3).
-        p_pair = np.sqrt(3.0)
-        p_quad = np.sqrt(2.0 + np.sqrt(3.0))
-        phi = estimate_phase(np.array([1.0]), np.array([1.0]), np.array([p_pair]), np.array([p_quad]))
-        assert np.isclose(phi[0], np.pi / 3, rtol=1e-12)
+        phi = _relative_phase(np.ones(4), np.full(4, np.exp(1j * np.pi / 3)))
+        assert np.allclose(phi, np.pi / 3, rtol=1e-12)
 
     def test_sign_sweep_exhaustive(self):
-        # Full-circle sweep in 1-degree steps with random moduli.  The
-        # exact boundaries {0, +-pi} are excluded: arccos has infinite
-        # slope there, so the recovered magnitude cannot beat sqrt(eps).
+        # Full-circle sweep in 1-degree steps with random moduli and a
+        # random reference phase, which the estimate rotates away.
         rng = np.random.default_rng(1)
         degrees = np.arange(-179.5, 180.0, 1.0)
         angles = np.deg2rad(degrees)
-        p_k = rng.uniform(0.1, 2.0, size=angles.size)
-        p_l = rng.uniform(0.1, 2.0, size=angles.size)
-        xk = p_k.astype(complex)
-        xl = p_l * np.exp(1j * angles)
-        p_pair = np.abs(xk + xl)
-        p_quad = np.abs(1j * xk + xl)
-        phi = estimate_phase(p_k, p_l, p_pair, p_quad)
+        ref_phase = rng.uniform(-np.pi, np.pi, size=angles.size)
+        xk = rng.uniform(0.1, 2.0, size=angles.size) * np.exp(1j * ref_phase)
+        xl = rng.uniform(0.1, 2.0, size=angles.size) * np.exp(1j * (ref_phase + angles))
+        phi = _relative_phase(xk, xl)
         assert np.max(np.abs(phi - angles)) <= 1e-9
 
-    def test_clamp_handles_noisy_ratio(self):
-        # Powers perturbed past the geometric limit must not produce NaN.
-        phi = estimate_phase(
-            np.array([1.0, 1.0]),
-            np.array([1.0, 1.0]),
-            np.array([2.0 + 1e-9, 1e-6]),
-            np.array([np.sqrt(2.0), np.sqrt(2.0)]),
-        )
-        assert np.isfinite(phi).all()
-
-    def test_noiseless_clamp_excess_tiny(self):
-        rng = np.random.default_rng(2)
-        n = 5000
-        xk = rng.uniform(0.1, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-        xl = rng.uniform(0.1, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-        moduli = np.stack([np.abs(xk), np.abs(xl)], axis=1)
-        from photonrc.stateest import _phase_from_powers
-
-        _, excess = _phase_from_powers(
-            np.abs(xk), np.abs(xl), np.abs(xk + xl), np.abs(1j * xk + xl), np.ones(n, bool)
-        )
-        assert excess <= 1e-12
+    def test_inconsistent_powers_stay_finite(self):
+        # Pair and quad powers past the geometric limit of the one-hot
+        # powers, as noise gives them, still make finite estimates.
+        one_hot = [[1.0, 1.0], [1.0, 1e-12]]
+        couple = [[2.0 + 1e-9, 1e-6], [3.0, 5.0]]
+        est = estimate_states(ScriptedReadout(2, [one_hot, couple]), 0.5, eps=1e-9, ref_channel=0)
+        assert np.isfinite(est.samples).all()
+        assert not est.defaulted.any()
 
 
 class TestReconstruction:
@@ -249,39 +228,24 @@ class TestReconstruction:
         assert est.defaulted.all()
         assert est.defaulted_fraction == 1.0
 
-    def test_reconstruct_defaults_low_modulus_phases(self):
-        moduli = np.array([[1.0, 0.5], [1.0, 1e-12]])
-        phases = np.array([[0.0, 0.4], [0.0, 2.0]])
-        est = reconstruct_states(moduli, phases, ref_channel=0, eps=1e-6)
-        assert not est.defaulted[0, 1]
-        assert est.defaulted[1, 1]
-        assert est.samples[1, 1] == 1e-12  # phase defaulted to 0
+    def test_dark_reference_defaults_every_channel(self):
+        # A dim channel gives a small z, not an undefined phase, so only a
+        # dark reference defaults: there every channel keeps its own
+        # modulus with phase 0 (a +0.0 imaginary part).
+        x_ref = np.array([1.0, 1.0, 1e-12])
+        x_q = np.array([0.5 * np.exp(0.4j), 1e-12 * np.exp(2j), 0.5 * np.exp(0.4j)])
+        est = estimate_states(_readout_from_columns([x_ref, x_q]), RAW.responsivity, eps=1e-6, ref_channel=0)
+        assert est.defaulted.tolist() == [[False, False], [False, False], [True, True]]
+        assert np.isclose(est.samples[0, 1], 0.5 * np.exp(0.4j), rtol=1e-12)
+        assert abs(est.samples[1, 1]) < 1e-11
+        assert np.allclose(est.samples[2], [1e-12, 0.5], rtol=1e-12)
+        assert (est.samples[2].imag == 0.0).all() and not np.signbit(est.samples[2].imag).any()
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct_states(np.ones((4, 2)), np.ones((3, 2)), 0)
-
-    def test_reconstruct_matches_exp_assembly_bytes(self):
-        # Zero phases of either sign, defaulted entries (zero and small
-        # moduli, in a channel and in the reference) and the reference
-        # column all give the bytes of modulus * exp(1j * phase) with the
-        # phase set to 0 there: a +0.0 imaginary part, never -0.0.
-        rng = np.random.default_rng(2)
-        moduli = rng.uniform(0.1, 1.0, (60, 4))
-        phases = rng.uniform(-np.pi, np.pi, (60, 4))
-        phases[::3, 1] = -0.0
-        phases[1::4, 2] = 0.0
-        phases[::5, 0] = -0.0
-        moduli[::7, 3] = 0.0
-        moduli[2::9, 2] = 1e-9
-        moduli[4::11, 0] = 1e-9
-        est = reconstruct_states(moduli, phases, ref_channel=0, eps=1e-6)
-        used = np.where(est.defaulted, 0.0, phases)
-        used[:, 0] = 0.0
-        expected = moduli * np.exp(1j * used)
-        assert est.defaulted[:, 3].any() and est.defaulted[4::11].all()
-        assert est.samples.tobytes() == expected.tobytes()
-        assert not np.signbit(est.samples.imag[phases == 0.0]).any()
+    def test_nonpositive_eps_rejected(self):
+        readout = _readout_from_columns([np.ones(8), np.ones(8)])
+        with pytest.raises(ValueError, match="eps"):
+            estimate_states(readout, RAW.responsivity, eps=0.0)
+        assert readout.presentations == 0
 
     def test_full_pipeline_global_phase_agreement(self):
         # Noiseless probing of a simulated reservoir recovers each row up
@@ -347,35 +311,61 @@ class TestEstimationReference:
 
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("ref_channel", [None, 3])
-    @pytest.mark.parametrize("eps_quantile", [None, 0.2])
-    def test_matches_reference(self, states, seed, ref_channel, eps_quantile):
-        # Noise and the Butterworth filter on, for two noise streams: the
-        # clamp excess is far from zero and clipped samples give zero moduli.
-        eps = 1e-9 if eps_quantile is None else float(np.quantile(np.abs(states.samples), eps_quantile))
+    @pytest.mark.parametrize("dark_quantile", [None, 0.2])
+    def test_matches_reference(self, states, seed, ref_channel, dark_quantile):
+        # Noise and the Butterworth filter on, for two noise streams.  With a
+        # dark quantile, eps sits at that quantile of the true reference
+        # modulus, so the reference is dark at some samples.  Reference 3 is
+        # a node: its couples straddle it, and the bias line is not dark.
+        ref = states.bias_index if ref_channel is None else ref_channel
+        eps = 1e-9
+        if dark_quantile is not None:
+            eps = float(np.quantile(np.abs(states.samples[:, ref]), dark_quantile))
         readout = RecordingReadout(states, NOISY_FILTERED, seed=seed)
         est = estimate_states(readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel)
         ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
-        samples, defaulted, ref, excess = _reference_estimate_states(
+        samples, defaulted, ref_got = _reference_estimate_states(
             ref_readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel
         )
+        assert ref_got == ref == est.ref_channel
         assert est.samples.flags["C_CONTIGUOUS"]
-        assert np.array_equal(est.samples, samples)
+        # bytes, so signed zeros count too
         assert est.samples.tobytes() == samples.tobytes()
         assert np.array_equal(est.defaulted, defaulted)
-        assert est.ref_channel == ref
-        assert est.clamp_excess == excess
         assert readout.presentations == ref_readout.presentations == probe_count(17)
         # the one-hot call, then 16 couples four at a time
         assert [len(call) for call in readout.calls] == [17, 8, 8, 8, 8]
         _assert_round_calls(readout, 17, ref)
-        assert excess > 0
-        if eps_quantile is not None:
+        if dark_quantile is not None:
             assert 0 < est.defaulted_fraction < 1
-        if eps_quantile is not None and ref_channel is not None:
-            # a weak reference alone defaults some samples of strong channels
-            ref_low = defaulted[:, ref]
-            assert ref_low.any()
-            assert np.any(np.abs(states.samples[ref_low]) > 2 * eps)
+        # a dark reference defaults every channel of its samples to its modulus
+        assert (est.defaulted == est.defaulted[:, :1]).all()
+        assert np.array_equal(est.samples[est.defaulted], np.abs(est.samples[est.defaulted]))
+
+    def test_filtered_cross_terms_match_sampled_basis(self):
+        # Noise off, filter on: the couples read the filtered cross terms
+        # x_r conj(x_q), the (r, q) rows of the sampled basis, at every
+        # sampled instant.
+        filtered = DetectorConfig(noise_enabled=False, filter_enabled=True)
+        cfg = ci_profile()
+        states = _prepare_cell(cfg, 10.0, 0).states_train
+        spb, offset = cfg.samples_per_bit, cfg.samples_per_bit // 2
+        est = estimate_states(SimulatedReadout(states, filtered), filtered.responsivity, eps=1e-9)
+        basis = sampled_basis(states, filtered, spb, offset)
+        r, f = est.ref_channel, states.n_channels
+        picked = est.samples[offset::spb]
+        assert not est.defaulted[offset::spb].any()
+        pairs = list(zip(*np.triu_indices(f, 1)))
+        for q in range(f):
+            if q == r:
+                continue
+            cross = np.conj(picked[:, q]) * picked[:, r].real
+            row = f + pairs.index((min(r, q), max(r, q)))
+            want_re = basis.products[row]
+            want_im = basis.products[row + len(pairs)] * (-1.0 if r > q else 1.0)
+            bound = 1e-12 * max(np.abs(want_re).max(), np.abs(want_im).max())
+            assert np.max(np.abs(cross.real - want_re)) <= bound
+            assert np.max(np.abs(cross.imag - want_im)) <= bound
 
 
 class TestRejectedWeightsAreNotCounted:
