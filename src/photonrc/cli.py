@@ -41,6 +41,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(parser=parser)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _instance_index(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 0, got {text!r}")
+    return value
+
+
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """The profile with the YAML overlay and the flags applied.
 
@@ -173,8 +193,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("probe-dump", help="export probe schedule and reconstructed states")
     _add_common(p)
-    p.add_argument("--bitrate", type=float, default=None, help="bitrate in Gbps")
-    p.add_argument("--instance", type=int, default=0)
+    p.add_argument("--bitrate", type=_positive_float, default=None, help="bitrate in Gbps")
+    p.add_argument("--instance", type=_instance_index, default=0,
+                   help="reservoir instance index (default: 0)")
     p.set_defaults(func=_cmd_probe_dump)
 
     args = parser.parse_args(argv)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,6 +53,11 @@ class CmaesSettings:
     def __post_init__(self) -> None:
         if not self.sigma_sweep:
             raise ValueError("cmaes.sigma_sweep needs at least one step size")
+        if self.population is not None and self.population < 4:
+            raise ValueError(f"cmaes.population must be at least 4, got {self.population!r}")
+        for key in ("max_iterations", "convergence_iterations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"cmaes.{key} must be at least 1, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,7 @@ class ExperimentConfig:
         # Seeds hash a bitrate by type, so YAML 10 must draw what 10.0 draws.
         object.__setattr__(self, "perturbation_bitrate_gbps", float(self.perturbation_bitrate_gbps))
         object.__setattr__(self, "convergence_bitrate_gbps", float(self.convergence_bitrate_gbps))
+        object.__setattr__(self, "smoothing", _smoothing(self.smoothing))
         object.__setattr__(self, "headers", tuple(str(h) for h in self.headers))
         object.__setattr__(self, "trainers", tuple(self.trainers))
         if not self.headers:
@@ -94,6 +101,11 @@ class ExperimentConfig:
         for b in self.bitrates_gbps:
             if not b > 0:
                 raise ValueError("bitrates must be positive")
+        for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if self.n_perturbation_draws < 1:
+            raise ValueError(f"n_perturbation_draws must be at least 1, got {self.n_perturbation_draws!r}")
         for t in self.trainers:
             if t not in TRAINERS:
                 raise ValueError(f"unknown trainer {t!r}; expected one of {TRAINERS}")
@@ -101,6 +113,23 @@ class ExperimentConfig:
             raise ValueError("warm-up must be shorter than the bit sequences")
         if self.n_reservoirs < 1:
             raise ValueError("need at least one reservoir instance")
+
+
+def _smoothing(value):
+    """``"auto"``, ``None`` or a positive pole frequency cast with ``float()``.
+
+    PyYAML reads ``5e-1`` as a string; the cast keeps it a number in the
+    saved configuration.
+    """
+    if value is None or value == "auto":
+        return value
+    try:
+        pole_hz = _float("smoothing", value)
+    except ValueError:
+        pole_hz = math.nan
+    if not (math.isfinite(pole_hz) and pole_hz > 0):
+        raise ValueError(f"smoothing must be 'auto', null or a positive number, got {value!r}")
+    return pole_hz
 
 
 def paper_profile() -> ExperimentConfig:

@@ -282,6 +282,11 @@ def _resample_into(out: np.ndarray, x: np.ndarray, xp: np.ndarray, fp: np.ndarra
     + fp[j]`` and its edge rules: a point on ``xp[j]`` takes ``fp[j]``, one
     below ``xp[0]`` takes ``fp[0]`` and one at or past ``xp[-1]`` takes
     ``fp[-1]``.  Every output byte equals that of per-part ``np.interp``.
+
+    Each chunk gathers its two bracket rows into two reused contiguous
+    buffers of at most ``_RESAMPLE_ROWS`` x 2C floats, does the four
+    arithmetic passes there, and is copied into ``out`` once, so the
+    passes never walk the strided columns of a wider matrix.
     """
     src = fp.view(np.float64)
     dst = out.view(np.float64)
@@ -293,14 +298,20 @@ def _resample_into(out: np.ndarray, x: np.ndarray, xp: np.ndarray, fp: np.ndarra
         lo = np.minimum(at, last - 1)
         offset = (x - xp[lo])[:, None]
         width = (xp[lo + 1] - xp[lo])[:, None]
+        shape = (min(len(x), _RESAMPLE_ROWS), src.shape[1])
+        lefts, chunks = np.empty(shape), np.empty(shape)
         for r0 in range(0, len(x), _RESAMPLE_ROWS):
             rows = slice(r0, r0 + _RESAMPLE_ROWS)
-            left = src[lo[rows]]
-            chunk = dst[rows]
-            np.subtract(src[lo[rows] + 1], left, out=chunk)
+            below = lo[rows]
+            left, chunk = lefts[: len(below)], chunks[: len(below)]
+            # every index is in range, and "clip" spares take a buffered copy
+            np.take(src, below, axis=0, out=left, mode="clip")
+            np.take(src, below + 1, axis=0, out=chunk, mode="clip")
+            chunk -= left
             chunk /= width[rows]
             chunk *= offset[rows]
             chunk += left
+            dst[rows] = chunk
     dst[exact] = src[at[exact]]
 
 
@@ -344,6 +355,12 @@ def simulate(
     simulation grid once, and the node signals are resampled back straight
     into the returned C-ordered matrix; both passes give the bytes of
     per-channel ``np.interp``.
+
+    The block recursion takes each product of two or more rows with
+    ``np.dot`` into one contiguous buffer.  A one-row block, and the
+    input-grid layout with a bias line, whose product target is the
+    strided node view of the ``F + 1`` wide buffer, keep ``np.matmul``.
+    Every product gives the bytes of a node-wide ``@``.
     """
     ports = topology.input_ports
     if not ports:
@@ -416,14 +433,15 @@ def simulate(
 
     # Every delay spans at least d_min steps, so a block of d_min steps
     # reads only rows that earlier blocks have already completed.  The full
-    # blocks, then the shorter last one, and their delayed sources are read
-    # as the leading index of block-shaped views; one buffer takes every
-    # product.  The last block keeps its own row count, because a one-row
-    # product rounds differently from a row of a larger one.  The sums run
-    # over whole buffer rows, which are contiguous where the node columns
-    # are not; the bias column of the arrivals stays zero.  Products on the
-    # strided node views were checked to give the bytes of a node-wide
-    # buffer.
+    # blocks, then the shorter last one, and their delayed sources are
+    # walked as block-shaped views; one buffer takes every product.  The
+    # last block keeps its own row count, because a one-row product rounds
+    # differently from a row of a larger one.  The sums run over whole
+    # buffer rows, which are contiguous where the node columns are not; the
+    # bias column of the arrivals stays zero.  ``np.dot`` costs less per
+    # call than ``np.matmul`` but writes only a contiguous buffer.  With
+    # one delay the views are walked in step; with several, indexing the
+    # source views measured faster than unpacking a zip of them.
     n_full, n_last = divmod(n_sim, d_min)
     arrivals = np.zeros((d_min, width), dtype=np.complex128)
     first = pad
@@ -435,10 +453,17 @@ def simulate(
             for d, transfer in transfers.items()
         ]
         part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
-        for k, block in enumerate(targets):
-            for source, transfer in sources:
-                np.matmul(source[k], transfer, out=part)
+        product = np.dot if rows > 1 and part.flags.c_contiguous else np.matmul
+        if len(sources) == 1:
+            [(source, transfer)] = sources
+            for block, view in zip(targets, source):
+                product(view, transfer, out=part)
                 block += arrived
+        else:
+            for k, block in enumerate(targets):
+                for source, transfer in sources:
+                    product(source[k], transfer, out=part)
+                    block += arrived
         first += size
 
     # The node columns and the bias line form one C-ordered matrix: the

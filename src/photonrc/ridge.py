@@ -29,6 +29,10 @@ logger = logging.getLogger(__name__)
 # Cross validation splits the samples into this many contiguous blocks.
 _FOLDS = 5
 
+# Fold rows scored at a time: every distinct weight vector of a fold reads
+# one chunk (0.5 MB at 17 channels) while it is in cache.
+_SCORE_ROWS = 2048
+
 
 def candidate_alphas(states: np.ndarray) -> tuple[float, ...]:
     """Decades 1e-12 .. 1e2 scaled by the mean channel power of ``states``."""
@@ -95,20 +99,53 @@ def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarr
     return ReadoutWeights(w)
 
 
+def _score_chunks(n: int) -> list[slice]:
+    """Rows ``0 .. n`` cut into slices of ``_SCORE_ROWS`` rows, none one row long.
+
+    A one-row tail joins the chunk before it: a one-row product is a
+    matrix-vector product of its own that rounds differently, while
+    chunks of two or more rows give the bytes of the whole-fold product.
+    """
+    starts = list(range(0, n, _SCORE_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, ReadoutWeights]:
     """Fit the readout by ridge, its strength picked by blocked cross validation.
 
     The candidates are :func:`candidate_alphas`; the bias line is exempt
-    from the penalty.  The five folds are contiguous time blocks to
-    respect temporal correlation, read as slices of the state matrix
-    without copying it.  Validation error is the mean squared gap between
-    ``|X w|`` and the detector-inverted target, i.e. the quantity the
-    intensity detector can actually distinguish.  Each distinct fold
-    weight vector is scored once: alphas whose penalty falls below the
-    rounding of the Gram diagonal give bit-identical weights, and so the
-    same error.  An alpha whose system is singular in any fold is dropped
-    with a warning; only an all-singular grid raises.  The winning alpha
-    (smallest on ties) is refit on all data.
+    from the penalty.  The curve of :func:`_cv_curve` scores each alpha;
+    the winning alpha (smallest on ties) is refit on all data.
+    """
+    grid, mean_errors, (gram_total, rhs_total, pen_diag) = _cv_curve(states, target)
+    alpha_star = float(grid[int(np.argmin(mean_errors))])
+    return alpha_star, _solve_regularized(gram_total, rhs_total, alpha_star**2 * pen_diag)
+
+
+def _cv_curve(
+    states: StateMatrix, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sorted alpha grid, its cross-validation errors, and the all-data system.
+
+    The five folds are contiguous time blocks to respect temporal
+    correlation, read as slices of the state matrix without copying it.
+    Validation error is the mean squared gap between ``|X w|`` and the
+    detector-inverted target, i.e. the quantity the intensity detector
+    can actually distinguish.
+
+    Every alpha's five fold systems are solved first, in grid order; an
+    alpha whose system is singular in any fold is dropped with a warning
+    and scores ``inf``, and only an all-singular grid raises.  The folds
+    are then scored one at a time: each distinct weight vector of the
+    fold is scored once (alphas whose penalty falls below the rounding of
+    the Gram diagonal give bit-identical weights, and so the same error),
+    all of them over one chunk of ``_SCORE_ROWS`` rows before the next,
+    so the fold is read from memory once rather than once per vector.
+    Each error is the mean over the fold's whole prediction row, and an
+    alpha's score the mean of its fold errors in fold order.  The system
+    is the Gram matrix, right-hand side and penalty diagonal of the refit.
     """
     # In C order every fold is a contiguous block of rows (no copy if it already is).
     x = np.ascontiguousarray(states.samples)
@@ -136,27 +173,34 @@ def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, ReadoutWei
     rhs_total = np.sum(rhss, axis=0)
     pen_diag = _penalty_diag(states)
 
-    # Validation error of each fold, keyed on the bytes of its weights.
-    scored: list[dict[bytes, float]] = [{} for _ in blocks]
-    mean_errors = np.full(len(grid), np.inf)
+    # The fold weights of every alpha that is regular in all folds.
+    solved: list[tuple[int, list[np.ndarray]]] = []
     for i, alpha in enumerate(grid):
-        errors = []
         try:
-            for b, gram_b, rhs_b, seen in zip(blocks, grams, rhss, scored):
-                w = _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
-                key = w.values.tobytes()
-                if key not in seen:
-                    pred = np.abs(x[b] @ w.values)
-                    seen[key] = float(np.mean((pred - t[b]) ** 2))
-                errors.append(seen[key])
+            weights = [
+                _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag).values
+                for gram_b, rhs_b in zip(grams, rhss)
+            ]
         except np.linalg.LinAlgError as exc:
             logger.warning("dropping alpha=%g from cross validation: %s", alpha, exc)
             continue
-        mean_errors[i] = np.mean(errors)
+        solved.append((i, weights))
+
+    # Validation error of each fold, keyed on the bytes of its weights.
+    scored: list[dict[bytes, float]] = []
+    for f, b in enumerate(blocks):
+        fold = x[b]
+        distinct = {weights[f].tobytes(): weights[f] for _, weights in solved}
+        preds = np.empty((len(distinct), len(fold)))
+        for part in _score_chunks(len(fold)):
+            chunk = fold[part]
+            for pred, w in zip(preds, distinct.values()):
+                np.abs(chunk @ w, out=pred[part])
+        scored.append({key: float(np.mean((pred - t[b]) ** 2)) for key, pred in zip(distinct, preds)})
+
+    mean_errors = np.full(len(grid), np.inf)
+    for i, weights in solved:
+        mean_errors[i] = np.mean([seen[w.tobytes()] for seen, w in zip(scored, weights)])
     if np.isinf(mean_errors).all():
         raise np.linalg.LinAlgError("ridge system is singular for every alpha in the grid")
-
-    best = int(np.argmin(mean_errors))
-    alpha_star = float(grid[best])
-    w_final = _solve_regularized(gram_total, rhs_total, alpha_star**2 * pen_diag)
-    return alpha_star, w_final
+    return grid, mean_errors, (gram_total, rhs_total, pen_diag)

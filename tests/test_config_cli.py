@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,38 @@ class TestConfigIO:
     def test_non_number_float_rejected(self, data, key):
         with pytest.raises(ValueError, match=f"{key} must be a number"):
             config_from_dict(data, base=ci_profile())
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"smoothing": "fast"}, "smoothing"),
+            ({"perturbation_bitrate_gbps": 0}, "perturbation_bitrate_gbps"),
+            ({"convergence_bitrate_gbps": -5}, "convergence_bitrate_gbps"),
+            ({"n_perturbation_draws": 0}, "n_perturbation_draws"),
+            ({"cmaes": {"population": 3}}, "cmaes.population"),
+            ({"cmaes": {"max_iterations": 0}}, "cmaes.max_iterations"),
+            ({"cmaes": {"convergence_iterations": 0}}, "cmaes.convergence_iterations"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_bad_setting_rejected_at_construction(self, data, key):
+        # Each of these used to fail only once a cell ran, or to write NaN.
+        with pytest.raises(ValueError, match=re.escape(key)):
+            config_from_dict(data, base=ci_profile())
+
+    @pytest.mark.parametrize("value", [0, -1.0, "0", "nan", True, [1.0]])
+    def test_smoothing_must_be_auto_null_or_positive(self, value):
+        with pytest.raises(ValueError, match="smoothing must be 'auto', null or a positive number"):
+            config_from_dict({"smoothing": value})
+
+    def test_numeric_smoothing_is_a_number(self, tmp_path):
+        # PyYAML reads 5e-1 as a string; the configuration holds the float.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("smoothing: 5e-1\n")
+        cfg = load_config(path, base=ci_profile())
+        assert cfg.smoothing == 0.5 and type(cfg.smoothing) is float
+        assert config_from_dict({"smoothing": None}).smoothing is None
+        assert config_from_dict({"smoothing": "auto"}).smoothing == "auto"
 
     def test_ridge_section_rejected(self, tmp_path):
         # The ridge fit has no settings: a leftover section is an error.
@@ -300,6 +333,34 @@ class TestCli:
             main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
         assert exc.value.code == 2
         assert "photonrc sweep: error: bandwidth_hz must be a number, got 'wide'" in capsys.readouterr().err
+
+    def test_bad_smoothing_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the smoothing was checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "fast.yaml"
+        path.write_text("smoothing: fast\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: smoothing must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--bitrate", "-5", "argument --bitrate: must be a positive number, got '-5'"),
+            ("--bitrate", "0", "argument --bitrate: must be a positive number, got '0'"),
+            ("--instance", "-1", "argument --instance: must be a whole number of at least 0, got '-1'"),
+        ],
+        ids=["bitrate-negative", "bitrate-zero", "instance-negative"],
+    )
+    def test_probe_dump_bad_cell_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe-dump", *_cli_args(tmp_path, flag, value)])
+        assert exc.value.code == 2
+        assert f"photonrc probe-dump: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "probes.csv").exists()
 
     def test_probe_dump(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

@@ -455,6 +455,18 @@ class TestResampleInto:
         expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(4)], axis=1)
         assert wide[:, :4].tobytes() == expected.tobytes()
 
+    def test_short_input_into_a_strided_destination(self):
+        # Fewer rows than one chunk, written into every other row and a
+        # column slice of a wider matrix: the chunk buffers shrink to the
+        # input, and the rows and columns between stay untouched.
+        xp, x = np.arange(50) * 1.0, np.arange(_RESAMPLE_ROWS // 8) * 0.19
+        fp = _random_columns(50, 3, seed=2)
+        wide = np.zeros((2 * len(x), 5), dtype=np.complex128)
+        _resample_into(wide[1::2, 1:4], x, xp, fp)
+        expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(3)], axis=1)
+        assert wide[1::2, 1:4].tobytes() == expected.tobytes()
+        assert not wide[::2].any() and not wide[:, [0, 4]].any()
+
 
 class TestSimulateMatchesBlockReference:
     """``simulate`` returns the bytes of ``_reference_block_simulate``."""
@@ -500,6 +512,22 @@ class TestSimulateMatchesBlockReference:
         for topology, period in ((chain, 1e-11), (build_swirl(seed=8), 1.0 / (10e9 * 24))):
             sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
             self._check(topology, sig, 0.02)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["swirl", "mixed-delay"])
+    @pytest.mark.parametrize("bitrate", [5e9, 15e9, 31e9])
+    def test_resampled_without_bias_ending_on_a_one_row_block(self, bitrate, mixed):
+        # Off the input grid without a bias line the blocks of two or more
+        # rows take their products into a contiguous buffer; the input
+        # length is picked so that the last block has one row.
+        topology = _mixed_delay_swirl(seed=9) if mixed else build_swirl(seed=9)
+        period = 1.0 / (bitrate * 24)
+        step, delay_steps = _simulation_step(topology, period)
+        assert abs(step - period) > 1e-9 * period
+        n_sim = lambda n: int(math.ceil((n - 1) * period / step - 1e-9)) + 1
+        n = next(n for n in range(100, 1000) if n_sim(n) % delay_steps.min() == 1)
+        rng = np.random.default_rng(n)
+        sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
+        self._check(topology, sig, None)
 
 
 class TestTopologyFiles:

@@ -6,7 +6,14 @@ import pytest
 from photonrc.detector import DetectorConfig, photodiode
 from photonrc.reservoir import StateMatrix
 from photonrc import ridge
-from photonrc.ridge import _penalty_diag, _solve_regularized, candidate_alphas, cv_alpha, invert_target
+from photonrc.ridge import (
+    _SCORE_ROWS,
+    _penalty_diag,
+    _solve_regularized,
+    candidate_alphas,
+    cv_alpha,
+    invert_target,
+)
 from photonrc.signals import OpticalSignal
 
 
@@ -341,3 +348,36 @@ class TestCvAlphaReference:
         _assert_cv_matches_reference(states, t)  # the default alphas
         grid((1e-2, 1.0, 3.0, 30.0))
         _assert_cv_matches_reference(states, t)
+
+
+class TestCvCurveScoreChunks:
+    """Scoring a fold chunk by chunk gives the reference curve, byte for byte."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_fold_of_one_chunk_and_a_short_tail(self, grid, extra):
+        # Folds of exactly one scoring chunk, of one chunk and a one-row
+        # tail, which joins the chunk, and of one chunk and two rows.  The
+        # last row of every fold is scaled up, with its target left as it
+        # was: 17 channels leave it outside the span of the other folds'
+        # last rows, so its misfit dominates the fold error, and a tail
+        # scored as a one-row product of its own, which rounds
+        # differently, shows in the curve.
+        fold = _SCORE_ROWS + extra
+        grid(tuple(10.0**k for k in range(-3, 4)))
+        for seed in range(3):
+            x, _, t = _random_system(5 * fold, 17, 10 * extra + seed, noise=0.5)
+            x[fold - 1 :: fold] *= 1e3
+            states, target = _states(x), np.abs(t)
+            curve = _assert_cv_matches_reference(states, target)
+            assert ridge._cv_curve(states, target)[1].tobytes() == curve.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, chunks",
+        [(1, [1]), (2, [2]), (_SCORE_ROWS, [_SCORE_ROWS]), (_SCORE_ROWS + 1, [_SCORE_ROWS + 1]),
+         (_SCORE_ROWS + 2, [_SCORE_ROWS, 2]), (2 * _SCORE_ROWS + 1, [_SCORE_ROWS, _SCORE_ROWS + 1])],
+    )
+    def test_chunks_cover_the_fold_without_a_one_row_chunk(self, n, chunks):
+        parts = ridge._score_chunks(n)
+        assert [p.stop - p.start for p in parts] == chunks
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
