@@ -32,7 +32,6 @@ from .detector import (
     ElectricalSignal,
     ReadoutWeights,
     noise_variance,
-    photodiode,
     readout_forward,
 )
 from .ridge import cv_alpha, invert_target, ridge_problem

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -176,13 +177,27 @@ def _float(key: str, value) -> float:
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
+def _int(key: str, value) -> int:
+    """An integer, or a float with an integral value such as YAML ``2.0``.
+
+    Bools, strings and fractional or non-finite numbers are rejected, so a
+    bad count fails here as a usage error instead of inside a run.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _values(cls, data: dict) -> dict:
     """``data`` fitted to the field types of ``cls``.
 
     Each list-valued field's sequence becomes a tuple.  Each float field,
     and each element of a float list, is cast with ``float()``: PyYAML
     reads ``1e-3`` or ``2.5e10`` as a string, since it wants a dot and a
-    signed exponent.
+    signed exponent.  Each int field, and each ``int | None`` field that
+    is not null, must hold an integer (:func:`_int`).
     """
     hints = typing.get_type_hints(cls)
     fixed = dict(data)
@@ -194,6 +209,8 @@ def _values(cls, data: dict) -> dict:
             fixed[k] = tuple(_float(k, x) for x in v) if hint == tuple[float, ...] else tuple(v)
         elif hint is float:
             fixed[k] = _float(k, v)
+        elif hint is int or (hint == int | None and v is not None):
+            fixed[k] = _int(k, v)
     return fixed
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from photonrc.cmaes import CmaConfig, cmaes_minimize
 from photonrc.config import ci_profile
-from photonrc.detector import DetectorConfig, noise_variance, photodiode
+from photonrc.detector import DetectorConfig, noise_variance
 from photonrc.harness import (
     run_bitrate_sweep,
     run_convergence,
@@ -25,6 +25,8 @@ from photonrc.ridge import cv_alpha, invert_target
 from photonrc.signals import OpticalSignal, gen_bits, modulate
 from photonrc.stateest import SimulatedReadout, estimate_states, probe_count
 from photonrc.harness import _prepare_cell  # test-only access to the cell builder
+
+from oracles import photodiode
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
 

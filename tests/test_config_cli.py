@@ -124,6 +124,35 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=re.escape(key)):
             config_from_dict(data, base=ci_profile())
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"n_perturbation_draws": "two"}, "n_perturbation_draws"),
+            ({"n_train_bits": True}, "n_train_bits"),
+            ({"n_reservoirs": 2.5}, "n_reservoirs"),
+            ({"master_seed": "7"}, "master_seed"),
+            ({"samples_per_bit": float("inf")}, "samples_per_bit"),
+            ({"reservoir": {"rows": 4.5}}, "rows"),
+            ({"cmaes": {"max_iterations": "ten"}}, "max_iterations"),
+            ({"cmaes": {"population": 4.5}}, "population"),
+            ({"cmaes": {"population": False}}, "population"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_non_integer_int_rejected(self, data, key):
+        # Each of these used to pass, or to end in a TypeError traceback.
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            config_from_dict(data, base=ci_profile())
+
+    def test_integral_ints_accepted(self):
+        cfg = config_from_dict(
+            {"n_reservoirs": 2.0, "cmaes": {"max_iterations": 5, "population": None}}, base=ci_profile()
+        )
+        assert cfg.n_reservoirs == 2 and type(cfg.n_reservoirs) is int
+        assert cfg.cmaes.max_iterations == 5 and cfg.cmaes.population is None
+        cfg = config_from_dict({"cmaes": {"population": 6.0}})
+        assert cfg.cmaes.population == 6 and type(cfg.cmaes.population) is int
+
     @pytest.mark.parametrize("value", [0, -1.0, "0", "nan", True, [1.0]])
     def test_smoothing_must_be_auto_null_or_positive(self, value):
         with pytest.raises(ValueError, match="smoothing must be 'auto', null or a positive number"):
@@ -333,6 +362,19 @@ class TestCli:
             main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
         assert exc.value.code == 2
         assert "photonrc sweep: error: bandwidth_hz must be a number, got 'wide'" in capsys.readouterr().err
+
+    def test_non_integer_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the count was checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "two.yaml"
+        path.write_text("n_perturbation_draws: two\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--profile", "ci", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "photonrc perturb: error: n_perturbation_draws must be an integer, got 'two'" in err
 
     def test_bad_smoothing_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):

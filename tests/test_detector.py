@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,15 @@ from photonrc.detector import (
     DetectorConfig,
     ELEMENTARY_CHARGE,
     ReadoutWeights,
+    _BASIS_BITS,
     _BASIS_ROWS,
     _CHUNK_ROWS,
     _butterworth,
+    _channel_products,
+    _sampled_modes,
     _sampled_noise,
     butterworth_cutoff,
     noise_variance,
-    photodiode,
     readout_forward,
     readout_sampled,
     sampled_basis,
@@ -23,6 +26,8 @@ from photonrc.detector import (
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 from photonrc.stateest import SimulatedReadout
+
+from oracles import photodiode
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -266,7 +271,7 @@ class TestSampledPresentation:
 
     SPB = 24
     OFFSET = 12
-    # ragged: the grid ends inside a bit, and basis chunks end inside bits
+    # ragged: the grid ends inside a bit, and the Gram chunks end inside bits
     N = 3 * _BASIS_ROWS + 7
 
     def _problem(self, bitrate_gbps=10.0, f=5, k=14, seed=0, spb=SPB):
@@ -392,6 +397,117 @@ class TestSampledPresentation:
             with pytest.raises(ValueError, match="offset"):
                 sampled_basis(states, DetectorConfig(), spb, offset)
         assert readout.presentations == 0
+
+
+def _reference_sampled_basis(states, cfg, samples_per_bit, sample_offset, dtype=np.float64):
+    """``sampled_basis`` filtered at the full rate: the oracle of the modal form.
+
+    The F^2 channel products of each 256-row chunk go through ``lfilter``
+    with the filter state carried over, and the sampled columns are kept;
+    the Gram matrix accumulates in the same pass.  With ``dtype`` a long
+    double, states, products and filter run in extended precision.
+    """
+    x = states.samples.astype(np.result_type(dtype, 1j))
+    n, f = x.shape
+    i, j = np.triu_indices(f, 1)
+    products = np.empty((f * f, len(range(sample_offset, n, samples_per_bit))), dtype=dtype)
+    gram = np.zeros((f, f), dtype=x.dtype)
+    b, a = (c.astype(dtype) for c in _butterworth(cfg, 1.0 / states.sample_period))
+    zi = np.zeros((f * f, a.size - 1), dtype=dtype)
+    done = 0
+    for start in range(0, n, _BASIS_ROWS):
+        chunk = x[start : start + _BASIS_ROWS]
+        gram += chunk.conj().T @ chunk
+        picked = slice((sample_offset - start) % samples_per_bit, None, samples_per_bit)
+        if cfg.filter_enabled:
+            filtered, zi = lfilter(b, a, _channel_products(chunk, i, j), axis=1, zi=zi)
+            part = filtered[:, picked]
+        else:
+            part = _channel_products(chunk[picked], i, j)
+        products[:, done : done + part.shape[1]] = part
+        done += part.shape[1]
+    gram /= max(n, 1)
+    return products, gram
+
+
+class TestSampledBasisOracle:
+    """The modal, once-per-bit basis against the full-rate filter it replaces."""
+
+    WIDE = DetectorConfig(bandwidth_hz=100e9, noise_enabled=False)  # capped at 1 Gbps
+
+    def _states(self, n, bitrate_gbps, spb, f=4, seed=0):
+        rng = np.random.default_rng(seed)
+        x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
+        return StateMatrix(x, 1.0 / (spb * bitrate_gbps * 1e9), tuple(f"ch{k}" for k in range(f)))
+
+    @staticmethod
+    def _grid_lengths(spb, offset):
+        # 0, 1 and 2 sampled bits, ending on an instant and inside a bit, and
+        # two bit chunks plus a ragged end
+        long = (2 * _BASIS_BITS + 3) * spb + offset + spb // 2 + 1
+        return (offset, offset + 1, offset + spb, offset + spb + 1, long)
+
+    @pytest.mark.parametrize("spb", [2, 8, 24])
+    @pytest.mark.parametrize("cfg", [QUIET, WIDE], ids=["25GHz", "100GHz"])
+    @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
+    def test_products_match_full_rate_filter(self, bitrate_gbps, cfg, spb):
+        for offset in sorted({0, spb // 2, spb - 1}):
+            for n in self._grid_lengths(spb, offset):
+                states = self._states(n, bitrate_gbps, spb)
+                got = sampled_basis(states, cfg, spb, offset)
+                want, gram = _reference_sampled_basis(states, cfg, spb, offset)
+                assert got.products.shape == want.shape == (16, len(range(offset, n, spb)))
+                scale = np.abs(want).max() if want.size else 0.0
+                np.testing.assert_allclose(got.products, want, rtol=0, atol=1e-12 * scale)
+                assert got.gram.tobytes() == gram.tobytes()
+
+    @pytest.mark.parametrize("spb, offset", [(24, 12), (8, 0), (2, 1)])
+    def test_filter_off_and_gram_bytes(self, spb, offset):
+        states = self._states((2 * _BASIS_BITS + 3) * spb + 5, 10.0, spb, f=5)
+        got = sampled_basis(states, RAW, spb, offset)
+        want, gram = _reference_sampled_basis(states, RAW, spb, offset)
+        assert got.products.tobytes() == want.tobytes()
+        assert got.gram.tobytes() == gram.tobytes()
+
+    def test_modal_form_is_cached_and_read_only(self):
+        states = self._states(500, 10.0, 24)
+        _sampled_modes.cache_clear()
+        sampled_basis(states, QUIET, 24, 0)
+        sampled_basis(states, QUIET, 24, 12)
+        info = _sampled_modes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        weights, phi = _sampled_modes(QUIET, 1.0 / states.sample_period, 24)
+        assert _sampled_modes(QUIET, 1.0 / states.sample_period, 24)[0] is weights
+        assert not weights.flags.writeable and not phi.flags.writeable
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is a double here"
+    )
+    def test_extended_precision_at_31_gbps(self):
+        # Both float64 paths against the full-rate filter in long double:
+        # the modal form may lose at most a factor 4 on lfilter's own error.
+        states = self._states(4 * _BASIS_BITS * 24 + 7, 31.0, 24, f=5)
+        exact, _ = _reference_sampled_basis(states, QUIET, 24, 12, dtype=np.longdouble)
+        old, _ = _reference_sampled_basis(states, QUIET, 24, 12)
+        new = sampled_basis(states, QUIET, 24, 12).products
+        old_error = float(np.abs(old - exact).max())
+        new_error = float(np.abs(new - exact).max())
+        assert 0 < old_error and new_error <= 4 * old_error
+
+    def test_ci_length_peak_memory(self):
+        # Traced peak of one ci-length call (48240 x 17 states, 24 samples a
+        # bit at 10 Gbps, filter on): 6,927,988 bytes when the basis was
+        # filtered at the full rate in 256-row chunks.  The basis is
+        # 4,647,120 of them.
+        states = self._states(2010 * 24, 10.0, 24, f=17)
+        sampled_basis(states, DetectorConfig(), 24, 12)  # the design caches
+        tracemalloc.start()
+        try:
+            sampled_basis(states, DetectorConfig(), 24, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_927_988
 
 
 class TestButterworthCache:

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from photonrc.detector import DetectorConfig, photodiode
+from photonrc.detector import DetectorConfig
 from photonrc.reservoir import StateMatrix
 from photonrc import ridge
 from photonrc.ridge import (
@@ -15,6 +15,8 @@ from photonrc.ridge import (
     invert_target,
 )
 from photonrc.signals import OpticalSignal
+
+from oracles import photodiode
 
 
 def _random_system(n, f, seed, noise=0.0):
