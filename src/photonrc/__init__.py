@@ -45,7 +45,6 @@ from .cmaes import (
     train_cmaes,
 )
 from .stateest import (
-    EstimatedStates,
     ProbeSchedule,
     SimulatedReadout,
     build_probe_schedule,

@@ -141,7 +141,7 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    schedule = build_probe_schedule(cell.states_train.n_channels, estimated.ref_channel)
+    schedule = build_probe_schedule(estimated.n_channels, estimated.bias_index)
     probe_lines = ["probe,kind,channels,weights"]
     for i, (w, kind) in enumerate(zip(schedule.weights, schedule.kinds)):
         nz = np.nonzero(w)[0]
@@ -150,21 +150,14 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
     (out / "probes.csv").write_text("\n".join(probe_lines) + "\n")
 
     # One format call per sample row: fields 1..F are the real parts, then
-    # the imaginary parts, then the defaulted flags, each as Python scalars
-    # so the text is repr(float) and int as before.
-    f = estimated.samples.shape[1]
-    row = "".join(
-        f"{{0}},{ch},{{{1 + ch}!r}},{{{1 + f + ch}!r}},{{{1 + 2 * f + ch}}}\n" for ch in range(f)
-    )
+    # the imaginary parts, each as Python floats so the text is repr(float).
+    f = estimated.n_channels
+    row = "".join(f"{{0}},{ch},{{{1 + ch}!r}},{{{1 + f + ch}!r}}\n" for ch in range(f))
     re, im = estimated.samples.real.tolist(), estimated.samples.imag.tolist()
-    flags = estimated.defaulted.astype(int).tolist()
     with open(out / "estimated_states.csv", "w") as fh:
-        fh.write("n,channel,re,im,defaulted\n")
-        fh.writelines(row.format(n, *r, *i, *d) for n, (r, i, d) in enumerate(zip(re, im, flags)))
-    print(
-        f"dumped {len(schedule)} probes and {estimated.samples.shape} states "
-        f"(defaulted fraction {estimated.defaulted_fraction:.4f}) to {out}"
-    )
+        fh.write("n,channel,re,im\n")
+        fh.writelines(row.format(n, *r, *i) for n, (r, i) in enumerate(zip(re, im)))
+    print(f"dumped {len(schedule)} probes and {estimated.samples.shape} states to {out}")
     return 0
 
 

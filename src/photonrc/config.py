@@ -105,8 +105,19 @@ class ExperimentConfig:
         for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
-        if self.n_perturbation_draws < 1:
-            raise ValueError(f"n_perturbation_draws must be at least 1, got {self.n_perturbation_draws!r}")
+        # The bias line is the nlinv reference, so it must be bright.
+        for key in ("p_total_w", "bias_power_w"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        for key, least in (
+            ("n_perturbation_draws", 1),
+            ("samples_per_bit", 1),
+            ("search_bits", 1),
+            ("warmup_bits", 0),
+            ("ber_floor_errors", 0),
+        ):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
         for t in self.trainers:
             if t not in TRAINERS:
                 raise ValueError(f"unknown trainer {t!r}; expected one of {TRAINERS}")

@@ -328,9 +328,10 @@ def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: ReadoutWeight
 def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, d_train: DesiredSignal) -> TrainNlinvResult:
     """The ``nlinv`` probing round of one cell and the ridge fit of one target.
 
-    The round never reads the target, so its noise is seeded per cell
-    without the header: every header of a cell sees the same round, as
-    one round on a chip serves every task.
+    The reference is the bias line, bright at every sample.  The round
+    never reads the target, so its noise is seeded per cell without the
+    header: every header of a cell sees the same round, as one round on a
+    chip serves every task.
     """
     readout = SimulatedReadout(
         cell.states_train,
@@ -341,6 +342,7 @@ def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, d_train: DesiredSignal) -> 
         readout,
         d_train,
         cfg.detector.responsivity,
+        cell.states_train.bias_index,
         samples_per_bit=cfg.samples_per_bit,
         skip_bits=cfg.warmup_bits,
     )

@@ -15,9 +15,10 @@ an intensity detector cannot distinguish anyway:
 That is F one-hot probes plus 2(F-1) pair probes: 3F-2 presentations in
 total.  The cross terms are linear in the detected powers, so no
 trigonometry is needed: dividing by ``|x_r|`` gives each channel rotated
-to the reference phase.  The reconstructed states then feed the ordinary
-complex ridge trainer, and the resulting weights can be written back to
-the readout.
+to the reference phase.  The reference must therefore be bright at every
+sample; the harness uses the bias line.  The reconstructed states then
+feed the ordinary complex ridge trainer, and the resulting weights can be
+written back to the readout.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "OpaqueReadout",
     "SimulatedReadout",
     "ProbeSchedule",
-    "EstimatedStates",
     "build_probe_schedule",
     "probe_count",
     "estimate_states",
@@ -224,81 +224,40 @@ def build_probe_schedule(n_channels: int, ref_channel: int = 0) -> ProbeSchedule
 _COUPLES_PER_CALL = 4
 
 
-@dataclass(frozen=True)
-class EstimatedStates:
-    """Reconstructed complex states plus bookkeeping of unreliable samples.
-
-    ``defaulted`` marks the samples where the reference modulus fell below
-    the threshold: there every channel keeps its own modulus with phase
-    zero, since no phase is observable against a dark reference.
-    """
-
-    samples: np.ndarray
-    sample_period: float
-    channel_roles: tuple[str, ...]
-    defaulted: np.ndarray
-    ref_channel: int
-
-    @property
-    def defaulted_fraction(self) -> float:
-        return float(np.mean(self.defaulted)) if self.defaulted.size else 0.0
-
-    def as_state_matrix(self) -> StateMatrix:
-        return StateMatrix(self.samples, self.sample_period, self.channel_roles)
-
-
-def _moduli(powers: np.ndarray, responsivity: float, out: np.ndarray) -> np.ndarray:
-    """Invert the square law into ``out``: clip negative samples to zero, then ``sqrt(P / R)``."""
-    np.maximum(powers, 0.0, out=out)
-    out /= responsivity
-    return np.sqrt(out, out=out)
-
-
-def estimate_states(
-    readout: OpaqueReadout,
-    responsivity: float,
-    eps: float,
-    ref_channel: int | None = None,
-) -> EstimatedStates:
+def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: int) -> StateMatrix:
     """Run the full 3F-2 probing round against an opaque readout.
 
     Presents the probes of :func:`build_probe_schedule` in schedule order,
     once each: the F one-hot probes in one call, then the F-1 pair/quad
     couples in calls of four couples, 1 + ceil((F-1)/4) calls in all.
-    The reference defaults to the channel with the largest mean modulus
-    (usually the bias line), which maximizes the signal-to-noise ratio of
-    every couple.
+    The reference is the caller's choice; the harness passes the bias
+    line, a constant field that is bright at every sample.
 
     The probes are linear in intensity, so with ``s_q = P_r + P_q`` each
     couple gives channel q rotated to the reference phase,
     ``z_q = ((P+ - s_q) + j (Pj - s_q)) / (2 R |x_r|)``, and the reference
-    column is ``|x_r| = sqrt(max(P_r, 0) / R)``.  Where ``|x_r| < eps``
-    the reference is dark: every channel takes its own modulus with phase
-    zero there, and those samples are flagged in ``defaulted``.
+    column is ``|x_r| = sqrt(max(P_r, 0) / R)``.  No phase is observable
+    against a dark reference, so a reference with ``|x_r| == 0`` at any
+    sample raises ``ValueError`` after the F one-hot presentations.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     n_channels = readout.n_channels
+    schedule = build_probe_schedule(n_channels, ref_channel)
     # The F x N raw one-hot powers stay alive for the whole round: each
     # couple subtracts two of its rows.
-    one_hot = build_probe_schedule(n_channels).weights[:n_channels]
-    powers = readout.present(np.stack(one_hot, axis=1)).samples.reshape(n_channels, -1)
+    one_hot = np.stack(schedule.weights[:n_channels], axis=1)
+    powers = readout.present(one_hot).samples.reshape(n_channels, -1)
     n = powers.shape[1]
-    if ref_channel is None:
-        row = np.empty(n)
-        means = [_moduli(p, responsivity, row).mean() for p in powers]
-        ref_channel = int(np.argmax(means))
-    schedule = build_probe_schedule(n_channels, ref_channel)
     p_ref = powers[ref_channel]
-    mod_ref = _moduli(p_ref, responsivity, np.empty(n))
-    dark = mod_ref < eps
-    scale = np.zeros(n)
-    np.divide(1.0, 2.0 * responsivity * mod_ref, out=scale, where=~dark)
+    mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
+    n_dark = np.count_nonzero(mod_ref == 0.0)
+    if n_dark:
+        raise ValueError(f"reference channel {ref_channel} is dark at {n_dark} of {n} samples")
+    scale = 1.0 / (2.0 * responsivity * mod_ref)
 
     samples = np.empty((n, n_channels), dtype=np.complex128)
     # Channel q's real and imaginary parts are columns 2q and 2q + 1.
     flat = samples.view(np.float64)
-    couple_probes = [w for w, k in zip(schedule.weights, schedule.kinds) if k[0] != "modulus"]
+    couple_probes = schedule.weights[n_channels:]
     channels = [k[2] for k in schedule.kinds if k[0] == "pair"]
     s = np.empty(n)
     for start in range(0, len(channels), _COUPLES_PER_CALL):
@@ -320,25 +279,17 @@ def estimate_states(
         del block  # before the next call allocates its own
 
     samples[:, ref_channel] = mod_ref
-    dark_powers = powers[:, dark]
-    samples[dark] = _moduli(dark_powers, responsivity, dark_powers).T
     roles = getattr(readout, "channel_roles", None)
     if roles is None:
         roles = tuple(f"ch{i}" for i in range(n_channels))
-    return EstimatedStates(
-        samples=samples,
-        sample_period=getattr(readout, "sample_period", 1.0),
-        channel_roles=tuple(roles),
-        defaulted=np.repeat(dark[:, None], n_channels, axis=1),
-        ref_channel=ref_channel,
-    )
+    return StateMatrix(samples, getattr(readout, "sample_period", 1.0), tuple(roles))
 
 
 @dataclass(frozen=True)
 class TrainNlinvResult:
     weights: ReadoutWeights
     alpha: float
-    estimated: EstimatedStates
+    estimated: StateMatrix
     presentations: int
 
 
@@ -346,28 +297,24 @@ def train_nlinv(
     readout: OpaqueReadout,
     desired: DesiredSignal,
     responsivity: float,
+    ref_channel: int,
     samples_per_bit: int = 24,
     skip_bits: int = 0,
 ) -> TrainNlinvResult:
-    """Estimate the states through the detector, then train by ridge.
+    """Estimate the states through the detector against ``ref_channel``, then train by ridge.
 
     The reconstructed states and the detector-inverted target form the
     same ridge problem as the full-observability baseline
     (:func:`~photonrc.ridge.ridge_problem`).  Exactly 3F-2 presentations
-    of the input are consumed.  The reference counts as dark, and every
-    channel's phase defaults to zero, where its modulus falls below
-    ``1e-6 * sqrt(p_total)``.
+    of the input are consumed.
     """
-    eps = 1e-6 * np.sqrt(desired.p_total)
     before = readout.presentations
-    estimated = estimate_states(readout, responsivity, eps=eps)
+    estimated = estimate_states(readout, responsivity, ref_channel)
     used = readout.presentations - before
     expected = probe_count(readout.n_channels)
     if used != expected:
         raise RuntimeError(f"probing used {used} presentations, expected {expected}")
 
-    x, target = ridge_problem(
-        estimated.as_state_matrix(), desired, responsivity, samples_per_bit, skip_bits
-    )
+    x, target = ridge_problem(estimated, desired, responsivity, samples_per_bit, skip_bits)
     alpha, weights = cv_alpha(x, target)
     return TrainNlinvResult(weights=weights, alpha=alpha, estimated=estimated, presentations=used)

@@ -62,7 +62,7 @@ def test_phase_estimation_exactness():
         xk = p_k.astype(complex)
         xl = p_l * np.exp(1j * angles)
         readout = SimulatedReadout(StateMatrix(np.stack([xk, xl], axis=1), 1e-11, ("k", "l")), RAW)
-        z = estimate_states(readout, RAW.responsivity, eps=1e-9, ref_channel=0).samples[:, 1]
+        z = estimate_states(readout, RAW.responsivity, 0).samples[:, 1]
         worst = max(worst, float(np.max(np.abs(np.angle(z) - angles))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9, f"worst signed-phase error {worst:.3e}"
@@ -76,33 +76,32 @@ def test_state_reconstruction_oracle():
     cell = _prepare_cell(cfg, 10.0, 0)
     states = cell.states_train
     readout = SimulatedReadout(states, RAW, seed=0)
-    eps = 1e-6 * np.sqrt(cfg.p_total_w)
-    est = estimate_states(readout, RAW.responsivity, eps=eps)
+    ref = states.bias_index
+    est = estimate_states(readout, RAW.responsivity, ref)
     assert readout.presentations == 3 * states.n_channels - 2
 
     warm = cfg.warmup_bits * cfg.samples_per_bit
     true = states.samples[warm:]
     got = est.samples[warm:]
 
-    moduli_err = np.abs(np.abs(got) - np.abs(true)) / (np.abs(true) + eps)
+    floor = 1e-6 * np.sqrt(cfg.p_total_w)
+    moduli_err = np.abs(np.abs(got) - np.abs(true)) / (np.abs(true) + floor)
     assert moduli_err.max() <= 1e-6, f"moduli relative error {moduli_err.max():.3e}"
 
-    # pairwise relative phases, on samples where the phase is observable
-    ref = est.ref_channel
+    # relative phases against the bias line, on samples where the phase is observable
     aligned = true * np.exp(-1j * np.angle(true[:, ref]))[:, None]
-    observable = (np.abs(true) > eps) & ~est.defaulted[warm:]
+    observable = np.abs(true) > floor
     unit_err = np.abs(np.exp(1j * np.angle(got)) - np.exp(1j * np.angle(aligned)))
     phase_err = 2.0 * np.arcsin(np.clip(unit_err[observable] / 2.0, 0.0, 1.0))
     assert phase_err.max() <= 1e-6, f"relative phase error {phase_err.max():.3e} rad"
 
     # intensity outputs are indistinguishable for arbitrary weights
     rng = np.random.default_rng(7)
-    rows_ok = ~est.defaulted[warm:].any(axis=1)
     worst = 0.0
     for _ in range(100):
         w = rng.normal(size=states.n_channels) + 1j * rng.normal(size=states.n_channels)
-        i_true = np.abs(true[rows_ok] @ w) ** 2
-        i_est = np.abs(got[rows_ok] @ w) ** 2
+        i_true = np.abs(true @ w) ** 2
+        i_est = np.abs(got @ w) ** 2
         worst = max(worst, float(np.max(np.abs(i_true - i_est)) / np.max(i_true)))
     assert worst <= 1e-9, f"detector-output mismatch {worst:.3e}"
     elapsed = time.perf_counter() - start
@@ -116,7 +115,7 @@ def test_probe_count_is_49():
     cell = _prepare_cell(cfg, 10.0, 0)
     assert cell.states_train.n_channels == 17  # 16 nodes + bias
     readout = SimulatedReadout(cell.states_train, cfg.detector, seed=1)
-    estimate_states(readout, cfg.detector.responsivity, eps=1e-6 * np.sqrt(cfg.p_total_w))
+    estimate_states(readout, cfg.detector.responsivity, cell.states_train.bias_index)
     assert readout.presentations == 49
 
 

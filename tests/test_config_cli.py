@@ -116,6 +116,12 @@ class TestConfigIO:
             ({"cmaes": {"population": 3}}, "cmaes.population"),
             ({"cmaes": {"max_iterations": 0}}, "cmaes.max_iterations"),
             ({"cmaes": {"convergence_iterations": 0}}, "cmaes.convergence_iterations"),
+            ({"warmup_bits": -1}, "warmup_bits"),
+            ({"ber_floor_errors": -2}, "ber_floor_errors"),
+            ({"samples_per_bit": 0}, "samples_per_bit"),
+            ({"search_bits": 0}, "search_bits"),
+            ({"p_total_w": -1}, "p_total_w"),
+            ({"bias_power_w": 0}, "bias_power_w"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -423,8 +429,12 @@ class TestCli:
         assert code == 0
         probes = (tmp_path / "probes" / "probes.csv").read_text().splitlines()
         assert len(probes) == 1 + 49  # header + 3*17-2 probes
+        # the reference of every couple is the bias line, the last of 17 channels
+        couples = [row.split(",") for row in probes[1:] if row.split(",")[1] != "modulus"]
+        assert len(couples) == 2 * 16
+        assert all("16" in row[2].split(";") for row in couples)
         states = (tmp_path / "probes" / "estimated_states.csv").read_text().splitlines()
-        assert states[0] == "n,channel,re,im,defaulted"
+        assert states[0] == "n,channel,re,im"
 
     def test_probe_dump_simulates_the_training_input_only(self, tmp_path, monkeypatch):
         calls = []
@@ -464,12 +474,11 @@ class TestCli:
         rows = [line.split(",") for line in (out / "estimated_states.csv").read_text().splitlines()[1:]]
         n, f = estimated.samples.shape
         assert [(int(r[0]), int(r[1])) for r in rows] == [(i, c) for i in range(n) for c in range(f)]
+        assert {len(r) for r in rows} == {4}
         re = np.array([float(r[2]) for r in rows]).reshape(n, f)
         im = np.array([float(r[3]) for r in rows]).reshape(n, f)
-        defaulted = np.array([int(r[4]) for r in rows], dtype=bool).reshape(n, f)
         assert (re == estimated.samples.real).all()
         assert (im == estimated.samples.imag).all()
-        assert (defaulted == estimated.defaulted).all()
 
     def test_headers_command(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

@@ -411,7 +411,29 @@ class TestNlinvRound:
         run_bitrate_sweep(tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv")))
         first, second = (r.estimated for r in rounds)
         assert first.samples.tobytes() == second.samples.tobytes()
-        assert np.array_equal(first.defaulted, second.defaulted)
+
+    def test_reference_is_the_bias_line(self, monkeypatch):
+        readouts = []
+
+        class RecordingReadout(harness_mod.SimulatedReadout):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                self.columns = []
+                readouts.append(self)
+
+            def present(self, weights):
+                w = np.asarray(weights)
+                self.columns += list(w.T) if w.ndim == 2 else [w]
+                return super().present(weights)
+
+        monkeypatch.setattr(harness_mod, "SimulatedReadout", RecordingReadout)
+        cfg = tiny_cfg(trainers=("nlinv",))
+        run_single(cfg, 10.0, "101", "nlinv")
+        (readout,) = readouts
+        bias = harness_mod._prepare_cell(cfg, 10.0, 0).states_train.bias_index
+        quads = [w for w in readout.columns if np.iscomplex(w).any()]
+        assert len(quads) == readout.n_channels - 1
+        assert all(w[bias] == 1j for w in quads)
 
 
 class TestEvaluationNoiseStreams:

@@ -69,34 +69,34 @@ class ScriptedReadout:
         return ElectricalSignal(np.array(next(self._blocks), dtype=float), 1e-11)
 
 
-def _reference_estimate_states(readout, responsivity, eps, ref_channel=None):
-    """The linear probing round on N x F arrays, one probe per ``present`` call.
-
-    Returns samples, defaulted and the reference channel.
-    """
+def _reference_estimate_states(readout, responsivity, ref_channel):
+    """The linear probing round on N x F arrays, one probe per ``present`` call."""
     f = readout.n_channels
-    powers = np.stack([readout.present(w).samples for w in build_probe_schedule(f).weights[:f]], axis=1)
-    moduli = np.sqrt(np.maximum(powers, 0.0) / responsivity)
-    if ref_channel is None:
-        ref_channel = int(np.argmax(moduli.mean(axis=0)))
     schedule = build_probe_schedule(f, ref_channel)
-    p_ref, mod_ref = powers[:, ref_channel], moduli[:, ref_channel]
-    dark = mod_ref < eps
-    scale = np.zeros_like(mod_ref)
-    np.divide(1.0, 2.0 * responsivity * mod_ref, out=scale, where=~dark)
+    powers = np.stack([readout.present(w).samples for w in schedule.weights[:f]], axis=1)
+    p_ref = powers[:, ref_channel]
+    mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
+    scale = 1.0 / (2.0 * responsivity * mod_ref)
     samples = np.empty(powers.shape, dtype=complex)
     for w, (kind, _, q) in zip(schedule.weights[f:], schedule.kinds[f:]):
         part = samples.real if kind == "pair" else samples.imag
         part[:, q] = (readout.present(w).samples - (p_ref + powers[:, q])) * scale
     samples[:, ref_channel] = mod_ref
-    samples[dark] = moduli[dark]
-    return samples, np.repeat(dark[:, None], f, axis=1), ref_channel
+    return samples
+
+
+def _assert_dark_reference_raises(readout, ref_channel, n_dark, n_samples):
+    """A dark reference raises right after the F one-hot presentations."""
+    message = f"reference channel {ref_channel} is dark at {n_dark} of {n_samples} samples"
+    with pytest.raises(ValueError, match=message):
+        estimate_states(readout, RAW.responsivity, ref_channel)
+    assert readout.presentations == readout.n_channels
 
 
 def _relative_phase(xk, xl):
     """Phase of channel l against reference k, as ``estimate_states`` recovers it."""
     readout = _readout_from_columns([xk, xl])
-    return np.angle(estimate_states(readout, RAW.responsivity, eps=1e-9, ref_channel=0).samples[:, 1])
+    return np.angle(estimate_states(readout, RAW.responsivity, 0).samples[:, 1])
 
 
 class TestProbeSchedule:
@@ -125,16 +125,14 @@ class TestProbeSchedule:
 
     @pytest.mark.parametrize("strong", [1, 2])
     def test_estimation_presents_the_schedule(self, strong):
-        # The strongest channel becomes the reference, so the pair and quad
-        # probes differ from those of the default schedule; each probe is
-        # presented once, the one-hot probes in one call and the three
-        # couples in a second.
+        # The pair and quad probes follow the given reference, so they differ
+        # from those of the default schedule; each probe is presented once,
+        # the one-hot probes in one call and the three couples in a second.
         rng = np.random.default_rng(6)
         arr = 0.1 * (rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
         arr[:, strong] = 0.5
         readout = RecordingReadout(StateMatrix(arr, 1e-11, ("a", "b", "c", "d")), RAW)
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
-        assert est.ref_channel == strong
+        estimate_states(readout, RAW.responsivity, strong)
         assert len(readout.calls) == 2
         _assert_round_calls(readout, 4, strong)
 
@@ -145,18 +143,16 @@ class TestProbeModuli:
     def test_constant_channel(self):
         x = np.full(128, 0.1 * np.exp(1j * np.pi / 4))
         readout = _readout_from_columns([x])
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
+        est = estimate_states(readout, RAW.responsivity, 0)
         # detector sees 0.5 * 0.01 = 0.005 A, inversion recovers 0.1
         assert np.allclose(est.samples[:, 0], 0.1, rtol=1e-12)
 
     def test_zero_channel(self):
-        readout = _readout_from_columns([np.zeros(64)])
-        assert np.all(estimate_states(readout, RAW.responsivity, eps=1e-9).samples == 0.0)
+        _assert_dark_reference_raises(_readout_from_columns([np.zeros(64)]), 0, 64, 64)
 
     def test_negative_samples_clipped(self):
-        est = estimate_states(ScriptedReadout(1, [[[-1e-3, 4e-3]]]), 0.5, eps=1e-9)
-        assert est.samples[0, 0] == 0.0
-        assert np.isclose(est.samples[1, 0], np.sqrt(8e-3))
+        # A negative power clips to a zero modulus, which makes the reference dark there.
+        _assert_dark_reference_raises(ScriptedReadout(1, [[[-1e-3, 4e-3]]]), 0, 1, 2)
 
     def test_noisy_median_close_to_truth(self):
         # At <I> far above the noise floor the inverted estimates sit
@@ -164,14 +160,14 @@ class TestProbeModuli:
         noisy = DetectorConfig(noise_enabled=True, filter_enabled=False)
         x = np.full(200_000, 0.1 + 0j)
         readout = _readout_from_columns([x], detector=noisy, seed=5)
-        est = estimate_states(readout, noisy.responsivity, eps=1e-9)
+        est = estimate_states(readout, noisy.responsivity, 0)
         assert abs(np.median(est.samples[:, 0].real) - 0.1) <= 0.002
 
     def test_presentation_counting(self):
         readout = _readout_from_columns([np.ones(16), np.ones(16), np.ones(16)])
-        estimate_states(readout, 0.5, eps=1e-9)
+        estimate_states(readout, 0.5, 0)
         assert readout.presentations == 7
-        estimate_states(readout, 0.5, eps=1e-9)
+        estimate_states(readout, 0.5, 0)
         assert readout.presentations == 7 + 7
 
 
@@ -207,9 +203,8 @@ class TestEstimatePhase:
         # powers, as noise gives them, still make finite estimates.
         one_hot = [[1.0, 1.0], [1.0, 1e-12]]
         couple = [[2.0 + 1e-9, 1e-6], [3.0, 5.0]]
-        est = estimate_states(ScriptedReadout(2, [one_hot, couple]), 0.5, eps=1e-9, ref_channel=0)
+        est = estimate_states(ScriptedReadout(2, [one_hot, couple]), 0.5, 0)
         assert np.isfinite(est.samples).all()
-        assert not est.defaulted.any()
 
 
 class TestReconstruction:
@@ -217,35 +212,13 @@ class TestReconstruction:
         xk = np.ones(32, complex)
         xl = np.exp(1j * np.pi / 3) * np.ones(32)
         readout = _readout_from_columns([xk, xl])
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
+        est = estimate_states(readout, RAW.responsivity, 0)
         assert np.allclose(est.samples[:, 0], 1.0, rtol=1e-10)
         assert np.allclose(est.samples[:, 1], np.exp(1j * np.pi / 3), rtol=1e-10)
 
     def test_all_zero_states(self):
         readout = _readout_from_columns([np.zeros(16), np.zeros(16)])
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
-        assert np.all(est.samples == 0.0)
-        assert est.defaulted.all()
-        assert est.defaulted_fraction == 1.0
-
-    def test_dark_reference_defaults_every_channel(self):
-        # A dim channel gives a small z, not an undefined phase, so only a
-        # dark reference defaults: there every channel keeps its own
-        # modulus with phase 0 (a +0.0 imaginary part).
-        x_ref = np.array([1.0, 1.0, 1e-12])
-        x_q = np.array([0.5 * np.exp(0.4j), 1e-12 * np.exp(2j), 0.5 * np.exp(0.4j)])
-        est = estimate_states(_readout_from_columns([x_ref, x_q]), RAW.responsivity, eps=1e-6, ref_channel=0)
-        assert est.defaulted.tolist() == [[False, False], [False, False], [True, True]]
-        assert np.isclose(est.samples[0, 1], 0.5 * np.exp(0.4j), rtol=1e-12)
-        assert abs(est.samples[1, 1]) < 1e-11
-        assert np.allclose(est.samples[2], [1e-12, 0.5], rtol=1e-12)
-        assert (est.samples[2].imag == 0.0).all() and not np.signbit(est.samples[2].imag).any()
-
-    def test_nonpositive_eps_rejected(self):
-        readout = _readout_from_columns([np.ones(8), np.ones(8)])
-        with pytest.raises(ValueError, match="eps"):
-            estimate_states(readout, RAW.responsivity, eps=0.0)
-        assert readout.presentations == 0
+        _assert_dark_reference_raises(readout, 0, 16, 16)
 
     def test_full_pipeline_global_phase_agreement(self):
         # Noiseless probing of a simulated reservoir recovers each row up
@@ -254,17 +227,16 @@ class TestReconstruction:
         sig = modulate(gen_bits(120, 3, 10e9), 24, 0.025)
         states = simulate(topo, sig, 0.02)
         readout = SimulatedReadout(states, RAW, seed=0)
-        eps = 1e-6 * np.sqrt(0.1)
-        est = estimate_states(readout, RAW.responsivity, eps=eps)
+        est = estimate_states(readout, RAW.responsivity, states.bias_index)
         assert readout.presentations == probe_count(states.n_channels) == 49
 
         warm = 10 * 24
         true, got = states.samples[warm:], est.samples[warm:]
         assert np.max(np.abs(np.abs(got) - np.abs(true))) <= 1e-9 * np.max(np.abs(true))
         # align each row by the reference channel's true phase
-        g = np.exp(-1j * np.angle(true[:, est.ref_channel]))
+        g = np.exp(-1j * np.angle(true[:, states.bias_index]))
         aligned = true * g[:, None]
-        mask = np.abs(true) > eps
+        mask = np.abs(true) > 1e-6 * np.sqrt(0.1)
         err = np.abs(got - aligned)[mask]
         assert np.max(err) <= 1e-6 * np.max(np.abs(true))
 
@@ -283,7 +255,7 @@ class TestTrainNlinv:
         states = StateMatrix(arr, 1e-11, ("a", "b", "bias"))
         readout = SimulatedReadout(states, RAW, seed=1)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
-        result = train_nlinv(readout, d, RAW.responsivity, samples_per_bit=spb)
+        result = train_nlinv(readout, d, RAW.responsivity, states.bias_index, samples_per_bit=spb)
         assert result.presentations == 7
 
         w = result.weights.values
@@ -291,13 +263,6 @@ class TestTrainNlinv:
         true_out = np.abs(arr @ w) ** 2
         est_out = np.abs(est @ w) ** 2
         assert np.max(np.abs(true_out - est_out)) <= 1e-9 * np.max(true_out)
-
-    def test_reference_channel_is_strongest(self):
-        xweak = 0.01 * np.ones(48, complex)
-        xstrong = 0.5 * np.ones(48, complex)
-        readout = _readout_from_columns([xweak, xstrong])
-        est = estimate_states(readout, RAW.responsivity, eps=1e-9)
-        assert est.ref_channel == 1
 
 
 class TestEstimationReference:
@@ -310,37 +275,38 @@ class TestEstimationReference:
         return simulate(topo, sig, 0.02)
 
     @pytest.mark.parametrize("seed", [1, 3])
-    @pytest.mark.parametrize("ref_channel", [None, 3])
-    @pytest.mark.parametrize("dark_quantile", [None, 0.2])
-    def test_matches_reference(self, states, seed, ref_channel, dark_quantile):
-        # Noise and the Butterworth filter on, for two noise streams.  With a
-        # dark quantile, eps sits at that quantile of the true reference
-        # modulus, so the reference is dark at some samples.  Reference 3 is
-        # a node: its couples straddle it, and the bias line is not dark.
-        ref = states.bias_index if ref_channel is None else ref_channel
-        eps = 1e-9
-        if dark_quantile is not None:
-            eps = float(np.quantile(np.abs(states.samples[:, ref]), dark_quantile))
+    @pytest.mark.parametrize("bias_at", [None, 3])
+    def test_matches_reference(self, states, seed, bias_at):
+        # Noise and the Butterworth filter on, for two noise streams.  With
+        # the bias column moved to index 3, the first batch of couples
+        # straddles the reference.
+        if bias_at is not None:
+            order = list(range(states.n_channels - 1))
+            order.insert(bias_at, states.n_channels - 1)
+            roles = tuple(states.channel_roles[i] for i in order)
+            states = StateMatrix(states.samples[:, order], states.sample_period, roles)
+        ref = states.bias_index
         readout = RecordingReadout(states, NOISY_FILTERED, seed=seed)
-        est = estimate_states(readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel)
+        est = estimate_states(readout, NOISY_FILTERED.responsivity, ref)
         ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
-        samples, defaulted, ref_got = _reference_estimate_states(
-            ref_readout, NOISY_FILTERED.responsivity, eps=eps, ref_channel=ref_channel
-        )
-        assert ref_got == ref == est.ref_channel
+        samples = _reference_estimate_states(ref_readout, NOISY_FILTERED.responsivity, ref)
         assert est.samples.flags["C_CONTIGUOUS"]
+        assert est.channel_roles == states.channel_roles
         # bytes, so signed zeros count too
         assert est.samples.tobytes() == samples.tobytes()
-        assert np.array_equal(est.defaulted, defaulted)
         assert readout.presentations == ref_readout.presentations == probe_count(17)
         # the one-hot call, then 16 couples four at a time
         assert [len(call) for call in readout.calls] == [17, 8, 8, 8, 8]
         _assert_round_calls(readout, 17, ref)
-        if dark_quantile is not None:
-            assert 0 < est.defaulted_fraction < 1
-        # a dark reference defaults every channel of its samples to its modulus
-        assert (est.defaulted == est.defaulted[:, :1]).all()
-        assert np.array_equal(est.samples[est.defaulted], np.abs(est.samples[est.defaulted]))
+
+    def test_dark_node_reference_raises(self, states):
+        # Node 3 is unlit until light first reaches it, so its noisy power
+        # clips to zero at some samples.
+        readout = SimulatedReadout(states, NOISY_FILTERED, seed=1)
+        message = f"reference channel 3 is dark at [0-9]+ of {states.n_samples} samples"
+        with pytest.raises(ValueError, match=message):
+            estimate_states(readout, NOISY_FILTERED.responsivity, 3)
+        assert readout.presentations == 17
 
     def test_filtered_cross_terms_match_sampled_basis(self):
         # Noise off, filter on: the couples read the filtered cross terms
@@ -350,11 +316,10 @@ class TestEstimationReference:
         cfg = ci_profile()
         states = _prepare_cell(cfg, 10.0, 0).states_train
         spb, offset = cfg.samples_per_bit, cfg.samples_per_bit // 2
-        est = estimate_states(SimulatedReadout(states, filtered), filtered.responsivity, eps=1e-9)
+        r, f = states.bias_index, states.n_channels
+        est = estimate_states(SimulatedReadout(states, filtered), filtered.responsivity, r)
         basis = sampled_basis(states, filtered, spb, offset)
-        r, f = est.ref_channel, states.n_channels
         picked = est.samples[offset::spb]
-        assert not est.defaulted[offset::spb].any()
         pairs = list(zip(*np.triu_indices(f, 1)))
         for q in range(f):
             if q == r:
