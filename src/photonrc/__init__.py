@@ -50,7 +50,6 @@ from .stateest import (
     build_probe_schedule,
     estimate_states,
     probe_count,
-    train_nlinv,
 )
 from .config import ExperimentConfig, ci_profile, load_config, paper_profile, save_config
 from .harness import (

@@ -130,14 +130,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_probe_dump(args: argparse.Namespace) -> int:
     """Export the probe schedule and the states of one cell's ``nlinv`` round."""
     # deliberate: the diagnostic reruns the harness's own cell and nlinv round
-    from .harness import _nlinv_round, _prepare_cell, _targets
+    from .harness import _nlinv_round, _prepare_cell
 
     cfg = _resolve_config(args)
     bitrate = args.bitrate if args.bitrate is not None else cfg.bitrates_gbps[0]
-    header = cfg.headers[0]
-    cell = _prepare_cell(cfg, bitrate, args.instance)
-    d_train, _ = _targets(cfg, cell, header)
-    estimated = _nlinv_round(cfg, cell, d_train).estimated
+    estimated = _nlinv_round(cfg, _prepare_cell(cfg, bitrate, args.instance))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

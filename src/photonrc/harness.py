@@ -38,7 +38,7 @@ from .reservoir import (
 )
 from .ridge import cv_alpha, ridge_problem
 from .signals import BitSignal, DesiredSignal, HeaderPattern, desired_signal, gen_bits, modulate
-from .stateest import SimulatedReadout, TrainNlinvResult, train_nlinv
+from .stateest import SimulatedReadout, estimate_states, probe_count
 
 __all__ = [
     "ExperimentRecord",
@@ -229,9 +229,10 @@ class _Cell:
     """Training side of one (bitrate, instance) simulation, header-agnostic.
 
     It holds the modulated test input but not the test states: a cell fits
-    every readout on ``states_train``, deletes that attribute, and only
-    then simulates ``sig_test`` (see :func:`_run_cell`), so the two state
-    matrices are never alive together.
+    every readout on ``states_train`` or, for ``nlinv``, on the states its
+    one probing round recovered, ``states_nlinv``.  It deletes both
+    attributes and only then simulates ``sig_test`` (see
+    :func:`_run_cell`), so neither is alive with the test states.
     """
 
     bitrate_gbps: float
@@ -242,6 +243,7 @@ class _Cell:
     bits_test: BitSignal
     sig_test: object
     states_train: StateMatrix
+    states_nlinv: StateMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -325,27 +327,24 @@ def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: ReadoutWeight
     return y.samples[cfg.warmup_bits * cfg.samples_per_bit :]
 
 
-def _nlinv_round(cfg: ExperimentConfig, cell: _Cell, d_train: DesiredSignal) -> TrainNlinvResult:
-    """The ``nlinv`` probing round of one cell and the ridge fit of one target.
+def _nlinv_round(cfg: ExperimentConfig, cell: _Cell) -> StateMatrix:
+    """The states that the ``nlinv`` probing round of one cell recovers.
 
     The reference is the bias line, bright at every sample.  The round
-    never reads the target, so its noise is seeded per cell without the
-    header: every header of a cell sees the same round, as one round on a
-    chip serves every task.
+    reads no target, so its noise is seeded per cell without the header,
+    and one round serves every header of a cell, as one round on a chip
+    serves every task.  It must use exactly ``3F - 2`` presentations.
     """
     readout = SimulatedReadout(
         cell.states_train,
         cfg.detector,
         seed=derive_seed(cfg.master_seed, "probe-noise", cell.bitrate_gbps, cell.instance),
     )
-    return train_nlinv(
-        readout,
-        d_train,
-        cfg.detector.responsivity,
-        cell.states_train.bias_index,
-        samples_per_bit=cfg.samples_per_bit,
-        skip_bits=cfg.warmup_bits,
-    )
+    estimated = estimate_states(readout, cfg.detector.responsivity, cell.states_train.bias_index)
+    expected = probe_count(readout.n_channels)
+    if readout.presentations != expected:
+        raise RuntimeError(f"probing used {readout.presentations} presentations, expected {expected}")
+    return estimated
 
 
 def _train(
@@ -355,16 +354,12 @@ def _train(
     trainer: str,
     d_train: DesiredSignal,
 ) -> tuple[ReadoutWeights, int, str]:
-    """Run the selected trainer; returns weights, presentations used, detail."""
-    if trainer == "ridge":
-        x, target = ridge_problem(
-            cell.states_train, d_train, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
-        )
-        alpha, weights = cv_alpha(x, target)
-        # The state capture itself corresponds to one presentation of the
-        # training sequence (and is only possible with full observability).
-        return weights, 1, f"alpha={alpha:.6g}"
+    """Run the selected trainer; returns weights, presentations used, detail.
 
+    ``cmaes`` trains through the detector as a black box.  ``ridge`` and
+    ``nlinv`` are one fit on different states: the full states, or those
+    the cell's probing round recovered.
+    """
     if trainer == "cmaes":
         key = (cell.bitrate_gbps, header, cell.instance)
         readout = SimulatedReadout(
@@ -385,11 +380,21 @@ def _train(
         )
         return result.weights, result.presentations, f"sigma0={result.sigma0:g}"
 
-    if trainer == "nlinv":
-        result = _nlinv_round(cfg, cell, d_train)
-        return result.weights, result.presentations, f"alpha={result.alpha:.6g}"
-
-    raise ValueError(f"unknown trainer {trainer!r}")
+    if trainer == "ridge":
+        # The state capture itself corresponds to one presentation of the
+        # training sequence (and is only possible with full observability).
+        states, presentations = cell.states_train, 1
+    elif trainer == "nlinv":
+        # Every header reports the presentations of the round it shares.
+        states = cell.states_nlinv
+        presentations = probe_count(states.n_channels)
+    else:
+        raise ValueError(f"unknown trainer {trainer!r}")
+    x, target = ridge_problem(
+        states, d_train, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
+    )
+    alpha, weights = cv_alpha(x, target)
+    return weights, presentations, f"alpha={alpha:.6g}"
 
 
 def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train: DesiredSignal) -> _Fit:
@@ -422,17 +427,20 @@ def _run_cell(
 ) -> list[ExperimentRecord]:
     """Records of every header x trainer of one (bitrate, instance).
 
-    Every readout is fitted, and its decision frozen, on the training
-    states first.  Those states are then released and the test input is
-    simulated once, so the training and test state matrices (65 MB each
-    at paper length) are never alive together.
+    With ``nlinv`` among the trainers, the probing round runs once, before
+    any fit.  Every readout is fitted, and its decision frozen, on the
+    training states or the round's estimate first.  Both are then released
+    and the test input is simulated once, so neither is alive with the
+    test state matrix (65 MB each at paper length).
     """
     cell = _prepare_cell(cfg, bitrate_gbps, instance)
+    if "nlinv" in trainers:
+        cell.states_nlinv = _nlinv_round(cfg, cell)
     targets = {header: _targets(cfg, cell, header) for header in headers}
     fits = [
         _fit(cfg, cell, header, trainer, targets[header][0]) for header in headers for trainer in trainers
     ]
-    del cell.states_train
+    del cell.states_train, cell.states_nlinv
     states_test = simulate(cell.topology, cell.sig_test, cfg.bias_power_w)
     records = []
     for fit in fits:

@@ -16,9 +16,9 @@ That is F one-hot probes plus 2(F-1) pair probes: 3F-2 presentations in
 total.  The cross terms are linear in the detected powers, so no
 trigonometry is needed: dividing by ``|x_r|`` gives each channel rotated
 to the reference phase.  The reference must therefore be bright at every
-sample; the harness uses the bias line.  The reconstructed states then
-feed the ordinary complex ridge trainer, and the resulting weights can be
-written back to the readout.
+sample; the harness uses the bias line.  The module only estimates: the
+harness fits the reconstructed states by the same ridge path as the full
+states, and the resulting weights can be written back to the readout.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .detector import (
     sampled_basis,
 )
 from .reservoir import StateMatrix
-from .ridge import cv_alpha, ridge_problem
-from .signals import DesiredSignal
 
 __all__ = [
     "OpaqueReadout",
@@ -50,8 +48,6 @@ __all__ = [
     "build_probe_schedule",
     "probe_count",
     "estimate_states",
-    "train_nlinv",
-    "TrainNlinvResult",
 ]
 
 
@@ -283,38 +279,3 @@ def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: in
     if roles is None:
         roles = tuple(f"ch{i}" for i in range(n_channels))
     return StateMatrix(samples, getattr(readout, "sample_period", 1.0), tuple(roles))
-
-
-@dataclass(frozen=True)
-class TrainNlinvResult:
-    weights: ReadoutWeights
-    alpha: float
-    estimated: StateMatrix
-    presentations: int
-
-
-def train_nlinv(
-    readout: OpaqueReadout,
-    desired: DesiredSignal,
-    responsivity: float,
-    ref_channel: int,
-    samples_per_bit: int = 24,
-    skip_bits: int = 0,
-) -> TrainNlinvResult:
-    """Estimate the states through the detector against ``ref_channel``, then train by ridge.
-
-    The reconstructed states and the detector-inverted target form the
-    same ridge problem as the full-observability baseline
-    (:func:`~photonrc.ridge.ridge_problem`).  Exactly 3F-2 presentations
-    of the input are consumed.
-    """
-    before = readout.presentations
-    estimated = estimate_states(readout, responsivity, ref_channel)
-    used = readout.presentations - before
-    expected = probe_count(readout.n_channels)
-    if used != expected:
-        raise RuntimeError(f"probing used {used} presentations, expected {expected}")
-
-    x, target = ridge_problem(estimated, desired, responsivity, samples_per_bit, skip_bits)
-    alpha, weights = cv_alpha(x, target)
-    return TrainNlinvResult(weights=weights, alpha=alpha, estimated=estimated, presentations=used)

@@ -451,25 +451,34 @@ class TestCli:
 
     def test_probe_dump_exports_the_nlinv_round(self, tmp_path, monkeypatch):
         # The export is the probing round the nlinv trainer trains on, written
-        # as plain numbers.
+        # as plain numbers.  The dump itself fits nothing.
+        fits = []
+        real_cv_alpha = harness_mod.cv_alpha
+
+        def counting_cv_alpha(*a, **kw):
+            fits.append(1)
+            return real_cv_alpha(*a, **kw)
+
+        monkeypatch.setattr(harness_mod, "cv_alpha", counting_cv_alpha)
         cfg_file = _tiny_config(tmp_path)
         out = tmp_path / "probes"
         args = ["probe-dump", "--profile", "ci", "--config", str(cfg_file), "--bitrate", "10"]
         assert main(args + ["--out", str(out), "--quiet"]) == 0
+        assert fits == []
 
         rounds = []
-        real_train_nlinv = harness_mod.train_nlinv
+        real_round = harness_mod._nlinv_round
 
-        def recording_train_nlinv(*a, **kw):
-            rounds.append(real_train_nlinv(*a, **kw))
+        def recording_round(*a, **kw):
+            rounds.append(real_round(*a, **kw))
             return rounds[-1]
 
-        monkeypatch.setattr(harness_mod, "train_nlinv", recording_train_nlinv)
+        monkeypatch.setattr(harness_mod, "_nlinv_round", recording_round)
         cfg = load_config(cfg_file, base=ci_profile())
-        harness_mod.run_single(cfg, 10.0, cfg.headers[0], "nlinv")
-        (trained,) = rounds
-        assert trained.presentations == 3 * 17 - 2
-        estimated = trained.estimated
+        record = harness_mod.run_single(cfg, 10.0, cfg.headers[0], "nlinv")
+        assert record.presentations == 3 * 17 - 2
+        assert fits == [1]
+        (estimated,) = rounds
 
         rows = [line.split(",") for line in (out / "estimated_states.csv").read_text().splitlines()[1:]]
         n, f = estimated.samples.shape

@@ -15,7 +15,9 @@ A change that moves outputs on purpose regenerates the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the moved files in its change notes.
+and names the moved files in its change notes.  Regeneration rewrites
+only the files that ``compare_csv`` finds different, so the others keep
+their bytes instead of taking the host's last-bit drift; it names both.
 """
 
 from __future__ import annotations
@@ -131,6 +133,23 @@ def compare_csv(got_path: Path, want_path: Path) -> list[str]:
     return problems
 
 
+def update_goldens(run: Path, golden: Path = GOLDEN, names=GOLDEN_FILES) -> tuple[list[str], list[str]]:
+    """Copy each output of ``run`` that differs from its golden, or has none, over it.
+
+    Returns the names rewritten and the names kept.
+    """
+    written, kept = [], []
+    for name in names:
+        want = golden / name
+        if want.exists() and not compare_csv(run / name, want):
+            kept.append(name)
+            continue
+        want.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(run / name, want)
+        written.append(name)
+    return written, kept
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("golden")
@@ -161,10 +180,35 @@ def test_compare_csv_rules(tmp_path):
     assert compare_csv(got, want) == ["row 0 threshold_a: 1.001 != 1.0"]
 
 
+def test_update_rewrites_only_moved_files(tmp_path):
+    run, golden = tmp_path / "run", tmp_path / "golden"
+    files = {
+        # last-bit drift in a tolerant column: kept
+        "drift.csv": ("threshold_a\n1.0\n", "threshold_a\n1.0000000000000002\n"),
+        # a moved exact column: rewritten
+        "moved/records.csv": ("test_ber\n0.25\n", "test_ber\n0.5\n"),
+        # no golden yet: written
+        "new.csv": (None, "test_ber\n0.5\n"),
+    }
+    for name, (want, got) in files.items():
+        (run / name).parent.mkdir(parents=True, exist_ok=True)
+        (run / name).write_text(got)
+        if want is not None:
+            (golden / name).parent.mkdir(parents=True, exist_ok=True)
+            (golden / name).write_text(want)
+    written, kept = update_goldens(run, golden, names=tuple(files))
+    assert written == ["moved/records.csv", "new.csv"]
+    assert kept == ["drift.csv"]
+    assert (golden / "drift.csv").read_text() == "threshold_a\n1.0\n"
+    assert (golden / "moved/records.csv").read_text() == "test_ber\n0.5\n"
+    assert (golden / "new.csv").read_text() == "test_ber\n0.5\n"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         run_golden_cli(Path(tmp))
-        for name in GOLDEN_FILES:
-            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        written, kept = update_goldens(Path(tmp))
+    for name in written:
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+    for name in kept:
+        print(f"kept {GOLDEN / name} (within the tolerance)", file=sys.stderr)

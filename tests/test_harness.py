@@ -343,20 +343,30 @@ def _owner(array: np.ndarray) -> np.ndarray:
 def live_at_simulate(monkeypatch):
     """Per ``harness.simulate`` call, how many earlier state matrices are alive.
 
-    A matrix counts as alive while its ``StateMatrix`` or the buffer behind
-    its samples is still referenced, for example by a view.
+    The state matrices are those ``simulate`` returned and the estimates of
+    ``nlinv`` probing rounds.  A matrix counts as alive while its
+    ``StateMatrix`` or the buffer behind its samples is still referenced,
+    for example by a view.
     """
     live: list[int] = []
     refs = []
-    real_simulate = harness_mod.simulate
+
+    def track(fn):
+        def tracking(*args, **kwargs):
+            states = fn(*args, **kwargs)
+            refs.append((weakref.ref(states), weakref.ref(_owner(states.samples))))
+            return states
+
+        return tracking
+
+    real_simulate = track(harness_mod.simulate)
 
     def tracking_simulate(*args, **kwargs):
         live.append(sum(any(r() is not None for r in pair) for pair in refs))
-        states = real_simulate(*args, **kwargs)
-        refs.append((weakref.ref(states), weakref.ref(_owner(states.samples))))
-        return states
+        return real_simulate(*args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "simulate", tracking_simulate)
+    monkeypatch.setattr(harness_mod, "_nlinv_round", track(harness_mod._nlinv_round))
     return live
 
 
@@ -367,7 +377,23 @@ class TestCellOrder:
         cfg = tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv"))
         records, _ = run_bitrate_sweep(cfg)
         assert len(records) == 4
-        assert live_at_simulate == [0, 0]  # training, then test
+        # training, then test with neither the training states nor the
+        # round's estimate alive
+        assert live_at_simulate == [0, 0]
+
+    def test_a_kept_estimate_is_live(self, live_at_simulate, monkeypatch):
+        # the fixture sees the round's estimate: one kept past the fits
+        # is alive when the test input is simulated
+        kept = []
+        tracked_round = harness_mod._nlinv_round
+
+        def keeping_round(*args):
+            kept.append(tracked_round(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(harness_mod, "_nlinv_round", keeping_round)
+        run_bitrate_sweep(tiny_cfg(trainers=("nlinv",)))
+        assert live_at_simulate == [0, 1]
 
     def test_perturbation_keeps_only_test_states_for_the_draws(self, live_at_simulate):
         cfg = tiny_cfg(
@@ -396,37 +422,56 @@ class TestCellOrder:
             assert single == swept
 
 
+@pytest.fixture
+def readouts(monkeypatch):
+    """Every readout the harness builds, with its seed and presented weight columns."""
+    made = []
+
+    class RecordingReadout(harness_mod.SimulatedReadout):
+        def __init__(self, *args, seed=None, **kwargs):
+            super().__init__(*args, seed=seed, **kwargs)
+            self.seed = seed
+            self.columns = []
+            made.append(self)
+
+        def present(self, weights):
+            w = np.asarray(weights)
+            self.columns += list(w.T) if w.ndim == 2 else [w]
+            return super().present(weights)
+
+    monkeypatch.setattr(harness_mod, "SimulatedReadout", RecordingReadout)
+    return made
+
+
 class TestNlinvRound:
     def test_one_round_per_bitrate_and_instance(self, monkeypatch):
         # The probing round never reads the header, so every header of a
-        # cell sees the same round.
+        # cell shares one round; without nlinv there is none.
         rounds = []
-        real_train_nlinv = harness_mod.train_nlinv
+        real_round = harness_mod._nlinv_round
 
-        def recording_train_nlinv(*a, **kw):
-            rounds.append(real_train_nlinv(*a, **kw))
-            return rounds[-1]
+        def recording_round(cfg, cell):
+            rounds.append((cell.bitrate_gbps, cell.instance))
+            return real_round(cfg, cell)
 
-        monkeypatch.setattr(harness_mod, "train_nlinv", recording_train_nlinv)
-        run_bitrate_sweep(tiny_cfg(headers=("101", "110"), trainers=("ridge", "nlinv")))
-        first, second = (r.estimated for r in rounds)
-        assert first.samples.tobytes() == second.samples.tobytes()
+        monkeypatch.setattr(harness_mod, "_nlinv_round", recording_round)
+        cfg = tiny_cfg(bitrates_gbps=(10.0, 15.0), n_reservoirs=2, headers=("101", "110"))
+        run_bitrate_sweep(replace(cfg, trainers=("ridge", "nlinv")))
+        assert rounds == [(10.0, 0), (10.0, 1), (15.0, 0), (15.0, 1)]
+        run_bitrate_sweep(cfg)
+        assert len(rounds) == 4
 
-    def test_reference_is_the_bias_line(self, monkeypatch):
-        readouts = []
+    def test_headers_share_the_round_and_report_it(self, readouts):
+        cfg = tiny_cfg(headers=("101", "110", "011"), trainers=("ridge", "nlinv"))
+        records, _ = run_bitrate_sweep(cfg)
+        probe_seed = derive_seed(cfg.master_seed, "probe-noise", 10.0, 0)
+        probing = [r for r in readouts if r.seed == probe_seed]
+        n = 3 * probing[0].n_channels - 2
+        assert sum(r.presentations for r in probing) == n
+        nlinv = [r for r in records if r.trainer == "nlinv"]
+        assert [r.presentations for r in nlinv] == [n] * 3
 
-        class RecordingReadout(harness_mod.SimulatedReadout):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                self.columns = []
-                readouts.append(self)
-
-            def present(self, weights):
-                w = np.asarray(weights)
-                self.columns += list(w.T) if w.ndim == 2 else [w]
-                return super().present(weights)
-
-        monkeypatch.setattr(harness_mod, "SimulatedReadout", RecordingReadout)
+    def test_reference_is_the_bias_line(self, readouts):
         cfg = tiny_cfg(trainers=("nlinv",))
         run_single(cfg, 10.0, "101", "nlinv")
         (readout,) = readouts
@@ -434,6 +479,21 @@ class TestNlinvRound:
         quads = [w for w in readout.columns if np.iscomplex(w).any()]
         assert len(quads) == readout.n_channels - 1
         assert all(w[bias] == 1j for w in quads)
+
+    def test_round_checks_its_presentations(self, monkeypatch):
+        # a readout that counts one presentation too many in one call
+        class OverCounting(harness_mod.SimulatedReadout):
+            def present(self, weights):
+                if self.presentations == 0:
+                    self.presentations += 1
+                return super().present(weights)
+
+        monkeypatch.setattr(harness_mod, "SimulatedReadout", OverCounting)
+        cfg = tiny_cfg(trainers=("nlinv",))
+        cell = harness_mod._prepare_cell(cfg, 10.0, 0)
+        n = 3 * cell.states_train.n_channels - 2
+        with pytest.raises(RuntimeError, match=f"used {n + 1} presentations, expected {n}"):
+            harness_mod._nlinv_round(cfg, cell)
 
 
 class TestEvaluationNoiseStreams:
