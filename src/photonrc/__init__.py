@@ -36,7 +36,6 @@ from .detector import (
 )
 from .ridge import cv_alpha, invert_target, ridge_problem
 from .cmaes import (
-    CmaConfig,
     bit_sse,
     cmaes_minimize,
     decode_weights,

@@ -15,7 +15,7 @@ signal bit by bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,8 +24,6 @@ from .detector import ReadoutWeights
 from .signals import DesiredSignal
 
 __all__ = [
-    "CmaConfig",
-    "CmaState",
     "CmaIteration",
     "CmaResult",
     "default_population",
@@ -34,7 +32,6 @@ __all__ = [
     "bit_sse",
     "cmaes_minimize",
     "train_cmaes",
-    "TrainCmaesResult",
     "DEFAULT_SIGMA_SWEEP",
 ]
 
@@ -46,34 +43,6 @@ _EIGENVALUE_FLOOR = 1e-300
 def default_population(dim: int) -> int:
     """Population size 4 + floor(3 ln n) for search dimension n."""
     return 4 + int(3 * math.log(dim))
-
-
-@dataclass(frozen=True)
-class CmaConfig:
-    initial_sigma: float = 1.0
-    population: int | None = None
-    max_iterations: int = 1000
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.initial_sigma > 0:
-            raise ValueError("initial step size must be positive")
-        if self.population is not None and self.population < 4:
-            raise ValueError("population must be at least 4")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-@dataclass
-class CmaState:
-    """Mutation-distribution state: mean, covariance, step size, paths."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    sigma: float
-    p_sigma: np.ndarray
-    p_c: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,7 +63,8 @@ class CmaResult:
     history: np.ndarray  # best-so-far objective after each iteration
     evaluations: int
     iterations: int
-    state: CmaState
+    mean: np.ndarray  # final mean of the mutation distribution
+    cov: np.ndarray  # final covariance of the mutation distribution
 
 
 def encode_weights(weights: ReadoutWeights | np.ndarray) -> np.ndarray:
@@ -141,21 +111,32 @@ def bit_sse(
 def cmaes_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    cfg: CmaConfig,
+    sigma0: float,
+    iterations: int,
+    seed: int,
+    population: int | None = None,
     x0: np.ndarray | None = None,
     callback: Callable[[CmaIteration], None] | None = None,
 ) -> CmaResult:
     """Minimize a function over R^dim.
 
     ``objective`` scores a whole generation: it maps a lambda x dim matrix
-    of candidates, one per row, to their lambda values.  Deterministic
-    given ``cfg.seed``.  Stops after ``max_iterations``.  Non-finite
-    objective values abort with a diagnostic because they poison the
-    ranking.
+    of candidates, one per row, to their lambda values.  The search starts
+    at ``x0`` (zero by default) with step size ``sigma0`` and runs exactly
+    ``iterations`` generations of ``population`` candidates
+    (:func:`default_population` by default).  Deterministic given ``seed``.
+    Non-finite objective values abort with a diagnostic because they
+    poison the ranking.
     """
     if dim < 1:
         raise ValueError("search dimension must be at least 1")
-    lam = cfg.population if cfg.population is not None else default_population(dim)
+    if not (sigma0 > 0 and math.isfinite(sigma0)):
+        raise ValueError(f"initial step size must be positive and finite, got {sigma0!r}")
+    if population is not None and population < 4:
+        raise ValueError(f"population must be at least 4, got {population!r}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations!r}")
+    lam = population if population is not None else default_population(dim)
     mu = lam // 2
     raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
@@ -169,22 +150,21 @@ def cmaes_minimize(
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
-    rng = np.random.default_rng(cfg.seed)
-    state = CmaState(
-        mean=np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy(),
-        cov=np.eye(n),
-        sigma=float(cfg.initial_sigma),
-        p_sigma=np.zeros(n),
-        p_c=np.zeros(n),
-    )
+    # Mutation-distribution state: mean, covariance, step size, paths.
+    rng = np.random.default_rng(seed)
+    mean = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    cov = np.eye(n)
+    sigma = float(sigma0)
+    p_sigma = np.zeros(n)
+    p_c = np.zeros(n)
 
-    best_x = state.mean.copy()
+    best_x = mean.copy()
     best_f = math.inf
     history: list[float] = []
     evaluations = 0
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        eigvals, eigvecs = np.linalg.eigh(state.cov)
+    for iteration in range(1, iterations + 1):
+        eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, _EIGENVALUE_FLOOR)
         if not eigvals.min() > 0.0:
             raise RuntimeError(f"covariance eigenvalue floor violated at iteration {iteration}")
@@ -193,7 +173,7 @@ def cmaes_minimize(
 
         # ask: the whole generation, scored by one objective call
         z = rng.standard_normal((lam, n))
-        candidates = state.mean + state.sigma * z @ scale.T
+        candidates = mean + sigma * z @ scale.T
         values = np.asarray(objective(candidates), dtype=np.float64)
         if values.shape != (lam,):
             raise ValueError(f"objective returned shape {values.shape} for {lam} candidates")
@@ -214,33 +194,32 @@ def cmaes_minimize(
             best_x = candidates[order[0]].copy()
 
         selected = candidates[order[:mu]]
-        mean_old = state.mean
-        state.mean = weights @ selected
+        mean_old = mean
+        mean = weights @ selected
 
-        y_mean = (state.mean - mean_old) / state.sigma
-        state.p_sigma = (1.0 - cs) * state.p_sigma + math.sqrt(
+        y_mean = (mean - mean_old) / sigma
+        p_sigma = (1.0 - cs) * p_sigma + math.sqrt(
             cs * (2.0 - cs) * mueff
         ) * (inv_sqrt @ y_mean)
-        ps_norm = float(np.linalg.norm(state.p_sigma))
+        ps_norm = float(np.linalg.norm(p_sigma))
         denom = math.sqrt(1.0 - (1.0 - cs) ** (2.0 * iteration))
         hsig = ps_norm / denom / chi_n < 1.4 + 2.0 / (n + 1.0)
-        state.p_c = (1.0 - cc) * state.p_c + (
+        p_c = (1.0 - cc) * p_c + (
             math.sqrt(cc * (2.0 - cc) * mueff) * y_mean if hsig else 0.0
         )
 
-        y_sel = (selected - mean_old) / state.sigma
+        y_sel = (selected - mean_old) / sigma
         rank_mu = (weights[:, None] * y_sel).T @ y_sel
         # When hsig is off the rank-one path is frozen; compensate the
         # missing variance so the update stays unbiased.
         delta_hsig = (0.0 if hsig else 1.0) * cc * (2.0 - cc)
-        state.cov = (
-            (1.0 - c1 - cmu) * state.cov
-            + c1 * (np.outer(state.p_c, state.p_c) + delta_hsig * state.cov)
+        cov = (
+            (1.0 - c1 - cmu) * cov
+            + c1 * (np.outer(p_c, p_c) + delta_hsig * cov)
             + cmu * rank_mu
         )
-        state.cov = 0.5 * (state.cov + state.cov.T)
-        state.sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
-        state.iteration = iteration
+        cov = 0.5 * (cov + cov.T)
+        sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
 
         history.append(best_f)
         if callback is not None:
@@ -250,7 +229,7 @@ def cmaes_minimize(
                     evaluations=evaluations,
                     best_f=best_f,
                     best_x=best_x.copy(),
-                    sigma=state.sigma,
+                    sigma=sigma,
                 )
             )
 
@@ -260,17 +239,9 @@ def cmaes_minimize(
         history=np.asarray(history),
         evaluations=evaluations,
         iterations=len(history),
-        state=state,
+        mean=mean,
+        cov=cov,
     )
-
-
-@dataclass(frozen=True)
-class TrainCmaesResult:
-    weights: ReadoutWeights
-    sigma0: float
-    sse: float
-    history: np.ndarray  # best-so-far SSE per iteration of the winning run
-    presentations: int  # presentations used by the whole sweep
 
 
 class _ReadoutObjective:
@@ -296,23 +267,27 @@ class _ReadoutObjective:
 def train_cmaes(
     readout,
     desired: DesiredSignal,
-    cma: CmaConfig,
     sigma_sweep: Sequence[float],
-    samples_per_bit: int = 24,
-    skip_bits: int = 0,
+    iterations: int,
+    population: int | None,
+    seed: int,
+    samples_per_bit: int,
+    skip_bits: int,
     callback: Callable[[CmaIteration], None] | None = None,
-) -> TrainCmaesResult:
-    """Train readout weights as a pure black box.
+) -> tuple[float, CmaResult]:
+    """Train readout weights as a pure black box; returns ``(sigma0, run)``.
 
-    ``readout`` is any object exposing ``n_channels``/``present_sampled``/
-    ``presentations``, such as a ``SimulatedReadout`` over a state matrix;
-    each candidate is one presentation, of which the objective reads the
-    detector output once per bit, in the middle of the bit.  Optimization
-    starts from the zero weight vector and runs once for each initial step
-    size in ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
-    1e-5 .. 1e2); the sweep member with the lowest final SSE wins, ties
-    going to the smaller step size.  ``presentations`` in the result counts only this sweep's.
-    A ``callback`` follows one run, so it needs a single-member sweep.
+    ``readout`` is any object exposing ``n_channels``/``present_sampled``,
+    such as a ``SimulatedReadout`` over a state matrix, whose
+    ``presentations`` count is the cost of the sweep; each candidate is one
+    presentation, of which the objective reads the detector output once per
+    bit, in the middle of the bit.  Optimization starts from the zero
+    weight vector and runs once for each initial step size in
+    ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
+    1e-5 .. 1e2), run ``i`` seeded from ``SeedSequence([seed, i])``.  The
+    run with the lowest final SSE wins, ties going to the earlier sweep
+    member; ``decode_weights(run.best_x)`` are its weights.  A ``callback``
+    follows one run, so it needs a single-member sweep.
     """
     objective = _ReadoutObjective(readout, desired, samples_per_bit, samples_per_bit // 2, skip_bits)
     dim = 2 * readout.n_channels
@@ -322,25 +297,14 @@ def train_cmaes(
     if callback is not None and len(sweep) > 1:
         raise ValueError(f"a callback needs a single-member sigma sweep, got {len(sweep)} members")
 
-    best: CmaResult | None = None
-    best_sigma0 = None
-    start = readout.presentations
+    best: tuple[float, CmaResult] | None = None
     for i, sigma0 in enumerate(sweep):
-        run_cfg = replace(
-            cma,
-            initial_sigma=float(sigma0),
-            seed=None if cma.seed is None else int(np.random.SeedSequence([cma.seed, i]).generate_state(1)[0]),
+        run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        run = cmaes_minimize(
+            objective, dim, float(sigma0), iterations, run_seed, population, x0=np.zeros(dim), callback=callback
         )
-        result = cmaes_minimize(objective, dim, run_cfg, x0=np.zeros(dim), callback=callback)
-        if best is None or result.best_f < best.best_f:
-            best = result
-            best_sigma0 = float(sigma0)
+        if best is None or run.best_f < best[1].best_f:
+            best = (float(sigma0), run)
 
     assert best is not None
-    return TrainCmaesResult(
-        weights=decode_weights(best.best_x),
-        sigma0=best_sigma0,
-        sse=best.best_f,
-        history=best.history,
-        presentations=readout.presentations - start,
-    )
+    return best

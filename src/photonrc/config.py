@@ -48,12 +48,14 @@ class CmaesSettings:
     max_iterations: int = 1000
     population: int | None = None
     sigma_sweep: tuple[float, ...] = DEFAULT_SIGMA_SWEEP
-    convergence_sigma0: float = 0.1
     convergence_iterations: int = 500
 
     def __post_init__(self) -> None:
         if not self.sigma_sweep:
             raise ValueError("cmaes.sigma_sweep needs at least one step size")
+        for sigma0 in self.sigma_sweep:
+            if not (sigma0 > 0 and math.isfinite(sigma0)):
+                raise ValueError(f"cmaes.sigma_sweep step sizes must be positive and finite, got {sigma0!r}")
         if self.population is not None and self.population < 4:
             raise ValueError(f"cmaes.population must be at least 4, got {self.population!r}")
         for key in ("max_iterations", "convergence_iterations"):

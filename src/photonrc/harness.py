@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cmaes import CmaConfig, decode_weights, train_cmaes
+from .cmaes import decode_weights, train_cmaes
 from .config import ALL_3BIT_HEADERS, ExperimentConfig, config_to_dict
 from .detector import ReadoutWeights, readout_forward
 from .reservoir import (
@@ -365,20 +365,17 @@ def _train(
         readout = SimulatedReadout(
             cell.states_train, cfg.detector, seed=derive_seed(cfg.master_seed, "cmaes-noise", *key)
         )
-        cma = CmaConfig(
-            population=cfg.cmaes.population,
-            max_iterations=cfg.cmaes.max_iterations,
-            seed=derive_seed(cfg.master_seed, "cmaes", *key),
-        )
-        result = train_cmaes(
+        sigma0, run = train_cmaes(
             readout,
             d_train,
-            cma,
             cfg.cmaes.sigma_sweep,
-            samples_per_bit=cfg.samples_per_bit,
-            skip_bits=cfg.warmup_bits,
+            cfg.cmaes.max_iterations,
+            cfg.cmaes.population,
+            derive_seed(cfg.master_seed, "cmaes", *key),
+            cfg.samples_per_bit,
+            cfg.warmup_bits,
         )
-        return result.weights, result.presentations, f"sigma0={result.sigma0:g}"
+        return decode_weights(run.best_x), readout.presentations, f"sigma0={sigma0:g}"
 
     if trainer == "ridge":
         # The state capture itself corresponds to one presentation of the
@@ -629,6 +626,9 @@ def run_perturbation(
 # ---------------------------------------------------------------------------
 # Convergence study
 
+# Initial CMA-ES step size of the convergence study's single run.
+CONVERGENCE_SIGMA0 = 0.1
+
 
 def run_convergence(
     cfg: ExperimentConfig,
@@ -637,8 +637,9 @@ def run_convergence(
 ) -> list[ConvergenceRow]:
     """Black-box training with the error rate recorded at every iteration.
 
-    One objective evaluation equals one presentation of the training
-    sequence, so the presentation column is iterations times population.
+    One run starts at step size :data:`CONVERGENCE_SIGMA0`.  One objective
+    evaluation equals one presentation of the training sequence, so the
+    presentation column is iterations times population.
     The ``best_ber`` column is the running minimum of the recorded BER.
     """
     bitrate = cfg.convergence_bitrate_gbps
@@ -678,18 +679,15 @@ def run_convergence(
                 it.iteration, it.evaluations, it.best_f, ber,
             )
 
-    cma = CmaConfig(
-        population=cfg.cmaes.population,
-        max_iterations=cfg.cmaes.convergence_iterations,
-        seed=derive_seed(cfg.master_seed, "conv", bitrate, instance),
-    )
     train_cmaes(
         readout,
         d_train,
-        cma,
-        [cfg.cmaes.convergence_sigma0],
-        samples_per_bit=spb,
-        skip_bits=warm,
+        [CONVERGENCE_SIGMA0],
+        cfg.cmaes.convergence_iterations,
+        cfg.cmaes.population,
+        derive_seed(cfg.master_seed, "conv", bitrate, instance),
+        spb,
+        warm,
         callback=record,
     )
     if out_dir is not None:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from photonrc.cmaes import CmaConfig, cmaes_minimize
+from photonrc.cmaes import cmaes_minimize
 from photonrc.config import ci_profile
 from photonrc.detector import DetectorConfig, noise_variance
 from photonrc.harness import (
@@ -239,8 +239,7 @@ def test_perturbation_structure():
 
 @criterion(9, "black-box training needs >=100 presentations; probing needs exactly 49")
 def test_convergence_presentations():
-    cma = CmaConfig(initial_sigma=1.0, max_iterations=300, seed=7)
-    sphere = cmaes_minimize(lambda c: np.sum(c**2, axis=1), 10, cma, x0=np.full(10, 0.5))
+    sphere = cmaes_minimize(lambda c: np.sum(c**2, axis=1), 10, 1.0, 300, 7, x0=np.full(10, 0.5))
     assert sphere.best_f < 1e-10, f"sphere converged only to {sphere.best_f:.3e}"
 
     cfg = ci_profile()

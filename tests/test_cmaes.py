@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc.cmaes import (
-    CmaConfig,
     bit_sse,
     cmaes_minimize,
     decode_weights,
@@ -108,9 +107,9 @@ class TestSseObjective:
         assert np.array_equal(got, [bit_sse(row, d, 6, 2, 3) for row in y])
 
 
-def _reference_minimize(f, dim, cfg, x0=None):
+def _reference_minimize(f, dim, sigma0, iterations, seed, population=None, x0=None):
     """Scalar-loop CMA-ES: one objective call per candidate, in order (the oracle)."""
-    lam = cfg.population if cfg.population is not None else default_population(dim)
+    lam = population if population is not None else default_population(dim)
     mu = lam // 2
     raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
@@ -123,12 +122,12 @@ def _reference_minimize(f, dim, cfg, x0=None):
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     mean = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    cov, sigma = np.eye(n), float(cfg.initial_sigma)
+    cov, sigma = np.eye(n), float(sigma0)
     p_sigma, p_c = np.zeros(n), np.zeros(n)
     best_x, best_f, history, evaluations = mean.copy(), math.inf, [], 0
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, iterations + 1):
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-300)
         scale = eigvecs * np.sqrt(eigvals)
@@ -167,27 +166,27 @@ def _rosenbrock(x):
 
 class TestAskTell:
     @pytest.mark.parametrize(
-        "f, batched, dim, cfg",
+        "f, batched, dim, kw",
         [
             (
                 lambda x: float(np.sum(x**2)),
                 lambda c: np.sum(c**2, axis=1),
                 6,
-                CmaConfig(initial_sigma=0.7, max_iterations=120, seed=13),
+                dict(sigma0=0.7, iterations=120, seed=13),
             ),
             (
                 _rosenbrock,
                 lambda c: np.sum(100.0 * (c[:, 1:] - c[:, :-1] ** 2) ** 2 + (1 - c[:, :-1]) ** 2, axis=1),
                 5,
-                CmaConfig(initial_sigma=0.5, population=9, max_iterations=150, seed=29),
+                dict(sigma0=0.5, iterations=150, seed=29, population=9),
             ),
         ],
         ids=["sphere", "rosenbrock"],
     )
-    def test_generation_matches_scalar_loop(self, f, batched, dim, cfg):
-        best_x, history, evaluations = _reference_minimize(f, dim, cfg, x0=np.full(dim, 0.4))
+    def test_generation_matches_scalar_loop(self, f, batched, dim, kw):
+        best_x, history, evaluations = _reference_minimize(f, dim, **kw, x0=np.full(dim, 0.4))
         for objective in (_rowwise(f), batched):
-            result = cmaes_minimize(objective, dim, cfg, x0=np.full(dim, 0.4))
+            result = cmaes_minimize(objective, dim, **kw, x0=np.full(dim, 0.4))
             assert np.array_equal(result.best_x, best_x)
             assert np.array_equal(result.history, history)
             assert result.evaluations == evaluations
@@ -199,43 +198,38 @@ class TestAskTell:
             shapes.append(candidates.shape)
             return np.sum(candidates**2, axis=1)
 
-        cmaes_minimize(objective, 4, CmaConfig(population=7, max_iterations=5, seed=0))
+        cmaes_minimize(objective, 4, 1.0, 5, 0, population=7)
         assert shapes == [(7, 4)] * 5
 
     def test_wrong_value_count_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            cmaes_minimize(lambda c: np.zeros(len(c) - 1), 3, CmaConfig(max_iterations=2, seed=0))
+            cmaes_minimize(lambda c: np.zeros(len(c) - 1), 3, 1.0, 2, 0)
 
 
 class TestCmaesMinimize:
     def test_sphere_convergence(self):
-        cfg = CmaConfig(initial_sigma=1.0, max_iterations=300, seed=7)
-        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2))), 10, cfg, x0=np.full(10, 0.5))
+        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2))), 10, 1.0, 300, 7, x0=np.full(10, 0.5))
         assert result.best_f < 1e-10
 
     def test_one_dimensional_quadratic(self):
-        cfg = CmaConfig(initial_sigma=1.0, max_iterations=300, seed=3)
-        result = cmaes_minimize(_rowwise(lambda x: float((x[0] - 3.0) ** 2)), 1, cfg)
-        assert abs(result.state.mean[0] - 3.0) < 1e-6
+        result = cmaes_minimize(_rowwise(lambda x: float((x[0] - 3.0) ** 2)), 1, 1.0, 300, 3)
+        assert abs(result.mean[0] - 3.0) < 1e-6
 
     def test_history_is_best_so_far(self):
-        cfg = CmaConfig(initial_sigma=0.5, max_iterations=60, seed=1)
-        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2)) + 1.0), 4, cfg, x0=np.ones(4))
+        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2)) + 1.0), 4, 0.5, 60, 1, x0=np.ones(4))
         assert len(result.history) == 60
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.history[-1] == result.best_f
 
     def test_deterministic_given_seed(self):
-        cfg = CmaConfig(initial_sigma=0.3, max_iterations=40, seed=11)
         f = _rowwise(lambda x: float(np.sum((x - 1.0) ** 2)))
-        r1 = cmaes_minimize(f, 5, cfg)
-        r2 = cmaes_minimize(f, 5, cfg)
+        r1 = cmaes_minimize(f, 5, 0.3, 40, 11)
+        r2 = cmaes_minimize(f, 5, 0.3, 40, 11)
         assert np.array_equal(r1.history, r2.history)
         assert np.array_equal(r1.best_x, r2.best_x)
 
     def test_covariance_stays_positive_definite(self):
         tracked = []
-        cfg = CmaConfig(initial_sigma=1.0, max_iterations=80, seed=5)
 
         def rosenbrock(x):
             return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
@@ -243,19 +237,17 @@ class TestCmaesMinimize:
         def watch(it):
             tracked.append(it.sigma)
 
-        result = cmaes_minimize(_rowwise(rosenbrock), 6, cfg, callback=watch)
-        eigvals = np.linalg.eigvalsh(result.state.cov)
+        result = cmaes_minimize(_rowwise(rosenbrock), 6, 1.0, 80, 5, callback=watch)
+        eigvals = np.linalg.eigvalsh(result.cov)
         assert eigvals.min() > 0.0
-        assert np.allclose(result.state.cov, result.state.cov.T)
+        assert np.allclose(result.cov, result.cov.T)
         assert len(tracked) == 80
 
     def test_evaluation_budget(self):
-        cfg = CmaConfig(initial_sigma=1.0, population=8, max_iterations=25, seed=2)
-        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2))), 3, cfg)
+        result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2))), 3, 1.0, 25, 2, population=8)
         assert result.evaluations == 25 * 8
 
     def test_non_finite_objective_aborts(self):
-        cfg = CmaConfig(initial_sigma=1.0, max_iterations=10, seed=0)
         # Only the third candidate of the first generation is poisoned; the
         # message must point at it.
         def objective(candidates):
@@ -264,18 +256,41 @@ class TestCmaesMinimize:
             return values
 
         with pytest.raises(RuntimeError, match="non-finite .* iteration 1, candidate 2 "):
-            cmaes_minimize(objective, 2, cfg)
+            cmaes_minimize(objective, 2, 1.0, 10, 0)
 
     def test_degenerate_covariance_raises(self):
         # sigma0 near the float limit overflows the samples and turns the
         # covariance NaN; the eigenvalue check must raise even under -O.
-        cfg = CmaConfig(initial_sigma=1e308, max_iterations=5, seed=1)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="iteration"):
-            cmaes_minimize(lambda c: np.zeros(len(c)), 2, cfg)
+            cmaes_minimize(lambda c: np.zeros(len(c)), 2, 1e308, 5, 1)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
-            cmaes_minimize(lambda c: np.zeros(len(c)), 0, CmaConfig())
+            cmaes_minimize(lambda c: np.zeros(len(c)), 0, 1.0, 1000, 0)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(sigma0=0.0), "step size"),
+            (dict(sigma0=-1.0), "step size"),
+            (dict(sigma0=math.nan), "step size"),
+            (dict(sigma0=math.inf), "step size"),
+            (dict(population=3), "population"),
+            (dict(iterations=0), "iterations"),
+        ],
+        ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "population-3", "iterations-0"],
+    )
+    def test_bad_setting_rejected_before_any_evaluation(self, kw, message):
+        calls = []
+
+        def objective(candidates):
+            calls.append(candidates)
+            return np.zeros(len(candidates))
+
+        args = dict(sigma0=1.0, iterations=5, seed=0, population=None) | kw
+        with pytest.raises(ValueError, match=message):
+            cmaes_minimize(objective, 2, **args)
+        assert calls == []
 
 
 class TestTrainCmaes:
@@ -291,46 +306,43 @@ class TestTrainCmaes:
 
     def test_separable_toy_reaches_zero_ber(self):
         states, readout, d, spb = self._toy_problem()
-        cma = CmaConfig(max_iterations=150, seed=21)
-        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
-        y = RAW.responsivity * np.abs(states.samples @ result.weights.values) ** 2
+        _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
+        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x).values) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
 
     def test_sweep_returns_minimum_sse_member(self, monkeypatch):
         # Stub the optimizer so each sweep member lands on a known value;
-        # the per-member outcome includes a tie to check the tie-break.
+        # the per-member outcome includes a tie to check the tie-break,
+        # which keeps the earlier member in either sweep order.
         import photonrc.cmaes as cmaes_mod
 
-        _, readout, d, spb = self._toy_problem(seed=3)
         outcomes = {1e-4: 3.0, 1e-2: 1.0, 1.0: 1.0, 10.0: 2.0}
         seen = []
 
-        def fake_minimize(objective, dim, cfg, x0=None, callback=None):
+        def fake_minimize(objective, dim, sigma0, iterations, seed, population=None, x0=None, callback=None):
             objective(np.zeros(dim))  # consume one presentation
-            seen.append(cfg.initial_sigma)
-            f = outcomes[cfg.initial_sigma]
+            seen.append(sigma0)
+            f = outcomes[sigma0]
             return cmaes_mod.CmaResult(
                 best_x=np.zeros(dim),
                 best_f=f,
                 history=np.array([f]),
                 evaluations=1,
                 iterations=1,
-                state=None,
+                mean=np.zeros(dim),
+                cov=np.eye(dim),
             )
 
         monkeypatch.setattr(cmaes_mod, "cmaes_minimize", fake_minimize)
-        best = cmaes_mod.train_cmaes(
-            readout,
-            d,
-            CmaConfig(seed=4),
-            samples_per_bit=spb,
-            sigma_sweep=tuple(outcomes),
-        )
-        assert seen == sorted(outcomes)
-        assert best.sse == 1.0
-        assert best.sigma0 == 1e-2  # tie between 1e-2 and 1.0 -> smaller wins
-        assert best.presentations == len(outcomes)
+        for sweep, winner in ((sorted(outcomes), 1e-2), (sorted(outcomes, reverse=True), 1.0)):
+            _, readout, d, spb = self._toy_problem(seed=3)
+            seen.clear()
+            sigma0, run = cmaes_mod.train_cmaes(readout, d, sweep, 1000, None, 4, spb, 0)
+            assert seen == sweep
+            assert run.best_f == 1.0
+            assert sigma0 == winner  # tie between 1e-2 and 1.0 -> earlier member wins
+            assert readout.presentations == len(outcomes)
 
     def test_toy_trains_on_the_sampled_path(self, monkeypatch):
         # The toy's 2 channels at 4 samples per bit are within F <= 2 * spb,
@@ -346,10 +358,9 @@ class TestTrainCmaes:
 
         monkeypatch.setattr(stateest_mod, "sampled_basis", counting)
         states, readout, d, spb = self._toy_problem()
-        cma = CmaConfig(max_iterations=150, seed=21)
-        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
+        _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         assert built == [(spb, spb // 2)]
-        y = RAW.responsivity * np.abs(states.samples @ result.weights.values) ** 2
+        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x).values) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
 
@@ -369,34 +380,29 @@ class TestTrainCmaes:
 
     def test_presentation_accounting(self):
         _, readout, d, spb = self._toy_problem(seed=5)
-        cma = CmaConfig(max_iterations=10, population=6, seed=6)
-        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0))
-        assert result.presentations == 2 * 10 * 6
+        _, run = train_cmaes(readout, d, (0.1, 1.0), 10, 6, 6, spb, 0)
+        assert run.evaluations == 10 * 6
+        assert readout.presentations == 2 * 10 * 6
 
     def test_presentations_on_reused_readout(self):
-        # Presentations made before the sweep are not charged to it.
+        # The readout counts every presentation: the sweep adds exactly its
+        # own evaluations to the one made before it.
         _, readout, d, spb = self._toy_problem(seed=10)
         readout.present(np.zeros(readout.n_channels, complex))
-        cma = CmaConfig(max_iterations=3, population=4, seed=1)
-        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1,))
-        assert result.presentations == 3 * 4
-        assert readout.presentations == 1 + 3 * 4
+        _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
+        assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
 
     def test_callback_needs_single_sigma(self):
         # A callback follows one run; a multi-member sweep must not drop it.
         _, readout, d, spb = self._toy_problem(seed=11)
-        cma = CmaConfig(max_iterations=2, population=4, seed=2)
         with pytest.raises(ValueError, match="single-member"):
-            train_cmaes(
-                readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1, 1.0), callback=lambda it: None
-            )
+            train_cmaes(readout, d, (0.1, 1.0), 2, 4, 2, spb, 0, callback=lambda it: None)
         assert readout.presentations == 0
         seen = []
-        train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.1,), callback=seen.append)
+        train_cmaes(readout, d, (0.1,), 2, 4, 2, spb, 0, callback=seen.append)
         assert [it.iteration for it in seen] == [1, 2]
 
     def test_history_monotone(self):
         _, readout, d, spb = self._toy_problem(seed=7)
-        cma = CmaConfig(max_iterations=30, seed=8)
-        result = train_cmaes(readout, d, cma, samples_per_bit=spb, sigma_sweep=(0.5,))
-        assert np.all(np.diff(result.history) <= 0.0)
+        _, run = train_cmaes(readout, d, (0.5,), 30, None, 8, spb, 0)
+        assert np.all(np.diff(run.history) <= 0.0)

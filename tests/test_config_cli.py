@@ -394,6 +394,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "photonrc sweep: error: smoothing must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", ".nan", ".inf"], ids=["zero", "negative", "nan", "inf"])
+    def test_bad_sigma_sweep_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the step sizes were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "sigma.yaml"
+        path.write_text(f"cmaes: {{sigma_sweep: [0.1, {value}]}}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--trainer", "cmaes", "--config", str(path))])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: cmaes.sigma_sweep" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
