@@ -44,7 +44,6 @@ from .cmaes import (
     train_cmaes,
 )
 from .stateest import (
-    ProbeSchedule,
     SimulatedReadout,
     build_probe_schedule,
     estimate_states,

@@ -20,25 +20,31 @@ from .harness import (
 from .stateest import build_probe_schedule
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# Flags that overlay one configuration key, offered only by the commands that read it.
+_OVERLAYS = {
+    "--trainer": dict(nargs="+", choices=("ridge", "cmaes", "nlinv"), help="trainers to run"),
+    "--bitrates": dict(help="comma-separated bitrates in Gbps, e.g. 5,10,15"),
+    "--header": dict(help="header bit pattern, e.g. 101"),
+    "--seeds": dict(type=int, help="number of reservoir instances"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *overlays: str) -> None:
+    """The flags of every command, with the ``overlays`` of :data:`_OVERLAYS` it reads."""
     parser.add_argument("--profile", choices=("paper", "ci"), default="paper",
                         help="base configuration scale (default: paper)")
     parser.add_argument("--config", type=Path, default=None,
                         help="YAML file overlaying the profile")
-    parser.add_argument("--trainer", nargs="+", choices=("ridge", "cmaes", "nlinv"),
-                        default=None, help="trainers to run")
-    parser.add_argument("--bitrates", type=str, default=None,
-                        help="comma-separated bitrates in Gbps, e.g. 5,10,15")
-    parser.add_argument("--header", type=str, default=None, help="header bit pattern, e.g. 101")
-    parser.add_argument("--seeds", type=int, default=None,
-                        help="number of reservoir instances")
+    for flag in overlays:
+        parser.add_argument(flag, **_OVERLAYS[flag])
     parser.add_argument("--noise", choices=("on", "off"), default=None,
                         help="force detector noise on or off")
     parser.add_argument("--master-seed", type=int, default=None)
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory (default: results/)")
     parser.add_argument("--quiet", action="store_true")
-    parser.set_defaults(parser=parser)
+    # an overlay the command does not offer leaves its key as configured
+    parser.set_defaults(parser=parser, trainer=None, bitrates=None, header=None, seeds=None)
 
 
 def _positive_float(text: str) -> float:
@@ -138,12 +144,13 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    schedule = build_probe_schedule(estimated.n_channels, estimated.bias_index)
+    probes = build_probe_schedule(estimated.n_channels, estimated.bias_index)
     probe_lines = ["probe,kind,channels,weights"]
-    for i, (w, kind) in enumerate(zip(schedule.weights, schedule.kinds)):
+    for i, w in enumerate(probes.T):
         nz = np.nonzero(w)[0]
+        kind = "modulus" if nz.size == 1 else "quad" if w.imag.any() else "pair"
         weights = ";".join(f"{w[j].real:g}{w[j].imag:+g}j" for j in nz)
-        probe_lines.append(f"{i},{kind[0]},{';'.join(str(int(j)) for j in nz)},{weights}")
+        probe_lines.append(f"{i},{kind},{';'.join(str(int(j)) for j in nz)},{weights}")
     (out / "probes.csv").write_text("\n".join(probe_lines) + "\n")
 
     # One format call per sample row: fields 1..F are the real parts, then
@@ -154,7 +161,7 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
     with open(out / "estimated_states.csv", "w") as fh:
         fh.write("n,channel,re,im\n")
         fh.writelines(row.format(n, *r, *i) for n, (r, i) in enumerate(zip(re, im)))
-    print(f"dumped {len(schedule)} probes and {estimated.samples.shape} states to {out}")
+    print(f"dumped {probes.shape[1]} probes and {estimated.samples.shape} states to {out}")
     return 0
 
 
@@ -166,19 +173,19 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="BER versus bitrate for the configured trainers")
-    _add_common(p)
+    _add_common(p, "--trainer", "--bitrates", "--header", "--seeds")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("headers", help="sweep over all eight 3-bit headers")
-    _add_common(p)
+    _add_common(p, "--trainer", "--bitrates", "--seeds")
     p.set_defaults(func=_cmd_headers)
 
     p = sub.add_parser("perturb", help="phase-perturbation robustness of frozen ridge weights")
-    _add_common(p)
+    _add_common(p, "--header", "--seeds")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("converge", help="per-iteration error rate of black-box training")
-    _add_common(p)
+    _add_common(p, "--header")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("probe-dump", help="export probe schedule and reconstructed states")

@@ -24,7 +24,6 @@ from .detector import ReadoutWeights
 from .signals import DesiredSignal
 
 __all__ = [
-    "CmaIteration",
     "CmaResult",
     "default_population",
     "encode_weights",
@@ -46,21 +45,11 @@ def default_population(dim: int) -> int:
 
 
 @dataclass(frozen=True)
-class CmaIteration:
-    """Per-iteration snapshot passed to progress callbacks."""
-
-    iteration: int
-    evaluations: int
-    best_f: float
-    best_x: np.ndarray
-    sigma: float
-
-
-@dataclass(frozen=True)
 class CmaResult:
     best_x: np.ndarray
     best_f: float
     history: np.ndarray  # best-so-far objective after each iteration
+    history_x: np.ndarray  # best-so-far point after each iteration, iterations x dim
     evaluations: int
     iterations: int
     mean: np.ndarray  # final mean of the mutation distribution
@@ -116,7 +105,6 @@ def cmaes_minimize(
     seed: int,
     population: int | None = None,
     x0: np.ndarray | None = None,
-    callback: Callable[[CmaIteration], None] | None = None,
 ) -> CmaResult:
     """Minimize a function over R^dim.
 
@@ -161,6 +149,7 @@ def cmaes_minimize(
     best_x = mean.copy()
     best_f = math.inf
     history: list[float] = []
+    history_x: list[np.ndarray] = []
     evaluations = 0
 
     for iteration in range(1, iterations + 1):
@@ -222,21 +211,13 @@ def cmaes_minimize(
         sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
 
         history.append(best_f)
-        if callback is not None:
-            callback(
-                CmaIteration(
-                    iteration=iteration,
-                    evaluations=evaluations,
-                    best_f=best_f,
-                    best_x=best_x.copy(),
-                    sigma=sigma,
-                )
-            )
+        history_x.append(best_x)
 
     return CmaResult(
         best_x=best_x,
         best_f=best_f,
         history=np.asarray(history),
+        history_x=np.asarray(history_x),
         evaluations=evaluations,
         iterations=len(history),
         mean=mean,
@@ -273,7 +254,6 @@ def train_cmaes(
     seed: int,
     samples_per_bit: int,
     skip_bits: int,
-    callback: Callable[[CmaIteration], None] | None = None,
 ) -> tuple[float, CmaResult]:
     """Train readout weights as a pure black box; returns ``(sigma0, run)``.
 
@@ -286,23 +266,19 @@ def train_cmaes(
     ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
     1e-5 .. 1e2), run ``i`` seeded from ``SeedSequence([seed, i])``.  The
     run with the lowest final SSE wins, ties going to the earlier sweep
-    member; ``decode_weights(run.best_x)`` are its weights.  A ``callback``
-    follows one run, so it needs a single-member sweep.
+    member; ``decode_weights(run.best_x)`` are its weights, and
+    ``run.history_x`` holds its best point after each generation.
     """
     objective = _ReadoutObjective(readout, desired, samples_per_bit, samples_per_bit // 2, skip_bits)
     dim = 2 * readout.n_channels
     sweep = tuple(sigma_sweep)
     if not sweep:
         raise ValueError("sigma sweep is empty")
-    if callback is not None and len(sweep) > 1:
-        raise ValueError(f"a callback needs a single-member sigma sweep, got {len(sweep)} members")
 
     best: tuple[float, CmaResult] | None = None
     for i, sigma0 in enumerate(sweep):
         run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        run = cmaes_minimize(
-            objective, dim, float(sigma0), iterations, run_seed, population, x0=np.zeros(dim), callback=callback
-        )
+        run = cmaes_minimize(objective, dim, float(sigma0), iterations, run_seed, population, x0=np.zeros(dim))
         if best is None or run.best_f < best[1].best_f:
             best = (float(sigma0), run)
 

@@ -97,8 +97,12 @@ class ExperimentConfig:
         object.__setattr__(self, "smoothing", _smoothing(self.smoothing))
         object.__setattr__(self, "headers", tuple(str(h) for h in self.headers))
         object.__setattr__(self, "trainers", tuple(self.trainers))
-        if not self.headers:
-            raise ValueError("need at least one header")
+        for key in ("bitrates_gbps", "headers", "trainers"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} needs at least one entry")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         for h in self.headers:
             HeaderPattern.from_string(h)
         for b in self.bitrates_gbps:

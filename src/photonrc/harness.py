@@ -635,9 +635,11 @@ def run_convergence(
     out_dir: str | Path | None = None,
     instance: int = 0,
 ) -> list[ConvergenceRow]:
-    """Black-box training with the error rate recorded at every iteration.
+    """Black-box training, then the error rate of its best point after every iteration.
 
-    One run starts at step size :data:`CONVERGENCE_SIGMA0`.  One objective
+    One run starts at step size :data:`CONVERGENCE_SIGMA0`; each row of its
+    ``history_x`` is scored with detector noise seeded by the iteration, as
+    the training output is scored in a sweep.  One objective
     evaluation equals one presentation of the training sequence, so the
     presentation column is iterations times population.
     The ``best_ber`` column is the running minimum of the recorded BER.
@@ -654,32 +656,7 @@ def run_convergence(
         cfg.detector,
         seed=derive_seed(cfg.master_seed, "conv-noise", bitrate, instance),
     )
-    rows: list[ConvergenceRow] = []
-    best_ber = math.inf
-
-    def record(it) -> None:
-        nonlocal best_ber
-        weights = decode_weights(it.best_x)
-        y = _detected(cfg, cell.states_train, weights, "conv-eval", bitrate, instance, it.iteration)
-        threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
-        ber = _score(y, d_tr, spb, offset, threshold)[0]
-        best_ber = min(best_ber, ber)
-        rows.append(
-            ConvergenceRow(
-                iteration=it.iteration,
-                presentations=it.evaluations,
-                best_sse=it.best_f,
-                ber=ber,
-                best_ber=best_ber,
-            )
-        )
-        if it.iteration % 25 == 0:
-            logger.info(
-                "iteration %d: presentations=%d sse=%.4g ber=%.4g",
-                it.iteration, it.evaluations, it.best_f, ber,
-            )
-
-    train_cmaes(
+    _, run = train_cmaes(
         readout,
         d_train,
         [CONVERGENCE_SIGMA0],
@@ -688,8 +665,19 @@ def run_convergence(
         derive_seed(cfg.master_seed, "conv", bitrate, instance),
         spb,
         warm,
-        callback=record,
     )
+    population = run.evaluations // run.iterations
+    rows: list[ConvergenceRow] = []
+    best_ber = math.inf
+    for iteration, (x, sse) in enumerate(zip(run.history_x, run.history.tolist()), start=1):
+        y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, instance, iteration)
+        threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
+        ber = _score(y, d_tr, spb, offset, threshold)[0]
+        best_ber = min(best_ber, ber)
+        presentations = iteration * population
+        rows.append(ConvergenceRow(iteration, presentations, sse, ber, best_ber))
+        if iteration % 25 == 0:
+            logger.info("iteration %d: presentations=%d sse=%.4g ber=%.4g", iteration, presentations, sse, ber)
     if out_dir is not None:
         _write_rows_csv(
             rows,

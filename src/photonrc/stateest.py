@@ -23,9 +23,6 @@ states, and the resulting weights can be written back to the readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
 from .detector import (
@@ -42,52 +39,20 @@ from .detector import (
 from .reservoir import StateMatrix
 
 __all__ = [
-    "OpaqueReadout",
     "SimulatedReadout",
-    "ProbeSchedule",
     "build_probe_schedule",
     "probe_count",
     "estimate_states",
 ]
 
 
-@runtime_checkable
-class OpaqueReadout(Protocol):
-    """Behavioral surface of hardware with an integrated optical readout.
-
-    The internal states are invisible; one can only set weights, present
-    the predefined input sequence, and collect the detector output.
-    Repeated presentations with identical weights differ only by detector
-    noise.
-    """
-
-    n_channels: int
-    presentations: int
-
-    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
-        """Present one weight vector, or each column of an F x K matrix in order.
-
-        A matrix counts as K presentations and yields a K x N block of
-        outputs, one row per column.
-        """
-        ...
-
-    def present_sampled(
-        self, weights: ReadoutWeights | np.ndarray, samples_per_bit: int, sample_offset: int
-    ) -> ElectricalSignal:
-        """Present as :meth:`present` does, keeping what a receiver sampling once per bit sees.
-
-        The output holds the samples at ``sample_offset + b *
-        samples_per_bit``; it may come from a cheaper path than the full
-        detector grid, but its statistics are those of ``present(weights)
-        .samples[..., sample_offset::samples_per_bit]``, and it counts the
-        same presentations.
-        """
-        ...
-
-
 class SimulatedReadout:
     """Opaque readout driven by a simulated state matrix.
+
+    It behaves as hardware with an integrated optical readout: the states
+    are invisible; one can only set weights, present the predefined input
+    sequence and collect the detector output.  Repeated presentations with
+    identical weights differ only by detector noise.
 
     Detector noise is drawn from an internal generator, so repeated
     presentations see independent noise while the whole experiment stays
@@ -137,11 +102,22 @@ class SimulatedReadout:
         return w
 
     def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
+        """Present one weight vector, or each column of an F x K matrix in order.
+
+        A matrix counts as K presentations and yields a K x N block of
+        outputs, one row per column.
+        """
         return readout_forward(self._states, self._counted(weights), self.detector, rng=self._rng)
 
     def present_sampled(
         self, weights: ReadoutWeights | np.ndarray, samples_per_bit: int, sample_offset: int
     ) -> ElectricalSignal:
+        """Present as :meth:`present` does, keeping the samples ``sample_offset + b * samples_per_bit``.
+
+        Their statistics are those of ``present(weights).samples[...,
+        sample_offset::samples_per_bit]``, and they count the same
+        presentations.
+        """
         _check_sampling_point(samples_per_bit, sample_offset)
         if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
             y = self.present(weights)
@@ -154,30 +130,6 @@ class SimulatedReadout:
         return readout_sampled(self._bases[key], self._counted(weights), rng=self._rng)
 
 
-@dataclass(frozen=True)
-class ProbeSchedule:
-    """The 3F-2 weight vectors of one estimation round.
-
-    ``kinds`` labels each probe: ``("modulus", f)``, ``("pair", k, q)`` or
-    ``("quad", k, q)`` with reference channel ``k``.
-    """
-
-    weights: tuple[np.ndarray, ...]
-    kinds: tuple[tuple, ...]
-    ref_channel: int
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.kinds):
-            raise ValueError("weights and kinds must align")
-        n = self.weights[0].size if self.weights else 0
-        expected = probe_count(n)
-        if len(self.weights) != expected:
-            raise ValueError(f"schedule must hold exactly {expected} probes for {n} channels")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 def probe_count(n_channels: int) -> int:
     """Presentations needed to estimate ``n_channels`` complex channels."""
     if n_channels < 1:
@@ -185,30 +137,24 @@ def probe_count(n_channels: int) -> int:
     return 3 * n_channels - 2
 
 
-def build_probe_schedule(n_channels: int, ref_channel: int = 0) -> ProbeSchedule:
+def build_probe_schedule(n_channels: int, ref_channel: int) -> np.ndarray:
+    """The 3F-2 probes of one estimation round, one per column of an F x (3F-2) matrix.
+
+    The F one-hot probes come first, then for each channel ``q !=
+    ref_channel`` in order its pair probe (1 on the reference and on q) and
+    its quadrature probe (j on the reference, 1 on q).
+    """
     if not 0 <= ref_channel < n_channels:
         raise ValueError("reference channel out of range")
-    weights: list[np.ndarray] = []
-    kinds: list[tuple] = []
-    for f in range(n_channels):
-        w = np.zeros(n_channels, dtype=np.complex128)
-        w[f] = 1.0
-        weights.append(w)
-        kinds.append(("modulus", f))
-    for q in range(n_channels):
-        if q == ref_channel:
-            continue
-        pair = np.zeros(n_channels, dtype=np.complex128)
-        pair[ref_channel] = 1.0
-        pair[q] = 1.0
-        weights.append(pair)
-        kinds.append(("pair", ref_channel, q))
-        quad = np.zeros(n_channels, dtype=np.complex128)
-        quad[ref_channel] = 1.0j
-        quad[q] = 1.0
-        weights.append(quad)
-        kinds.append(("quad", ref_channel, q))
-    return ProbeSchedule(tuple(weights), tuple(kinds), ref_channel)
+    probes = np.zeros((n_channels, probe_count(n_channels)), dtype=np.complex128)
+    probes[:, :n_channels] = np.eye(n_channels)
+    channels = [q for q in range(n_channels) if q != ref_channel]
+    pairs = n_channels + 2 * np.arange(len(channels))
+    probes[ref_channel, pairs] = 1.0
+    probes[ref_channel, pairs + 1] = 1.0j
+    probes[channels, pairs] = 1.0
+    probes[channels, pairs + 1] = 1.0
+    return probes
 
 
 # Pair/quad couples per presentation call in ``estimate_states``.  Each call
@@ -220,7 +166,7 @@ def build_probe_schedule(n_channels: int, ref_channel: int = 0) -> ProbeSchedule
 _COUPLES_PER_CALL = 4
 
 
-def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: int) -> StateMatrix:
+def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel: int) -> StateMatrix:
     """Run the full 3F-2 probing round against an opaque readout.
 
     Presents the probes of :func:`build_probe_schedule` in schedule order,
@@ -237,11 +183,10 @@ def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: in
     sample raises ``ValueError`` after the F one-hot presentations.
     """
     n_channels = readout.n_channels
-    schedule = build_probe_schedule(n_channels, ref_channel)
+    probes = build_probe_schedule(n_channels, ref_channel)
     # The F x N raw one-hot powers stay alive for the whole round: each
     # couple subtracts two of its rows.
-    one_hot = np.stack(schedule.weights[:n_channels], axis=1)
-    powers = readout.present(one_hot).samples.reshape(n_channels, -1)
+    powers = readout.present(probes[:, :n_channels]).samples.reshape(n_channels, -1)
     n = powers.shape[1]
     p_ref = powers[ref_channel]
     mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
@@ -253,15 +198,15 @@ def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: in
     samples = np.empty((n, n_channels), dtype=np.complex128)
     # Channel q's real and imaginary parts are columns 2q and 2q + 1.
     flat = samples.view(np.float64)
-    couple_probes = schedule.weights[n_channels:]
-    channels = [k[2] for k in schedule.kinds if k[0] == "pair"]
+    channels = [q for q in range(n_channels) if q != ref_channel]
     s = np.empty(n)
     for start in range(0, len(channels), _COUPLES_PER_CALL):
         batch = channels[start : start + _COUPLES_PER_CALL]
-        probes = couple_probes[2 * start : 2 * (start + len(batch))]
+        first = n_channels + 2 * start
+        couples = probes[:, first : first + 2 * len(batch)]
         # Pair and quad rows alternate per channel, at most 8 rows (15 MB
         # at paper length); all 2(F-1) at once would cost about 61 MB.
-        block = readout.present(np.stack(probes, axis=1)).samples.reshape(len(probes), -1)
+        block = readout.present(couples).samples.reshape(2 * len(batch), -1)
         for i, q in enumerate(batch):
             np.add(p_ref, powers[q], out=s)
             block[2 * i : 2 * i + 2] -= s
@@ -275,7 +220,4 @@ def estimate_states(readout: OpaqueReadout, responsivity: float, ref_channel: in
         del block  # before the next call allocates its own
 
     samples[:, ref_channel] = mod_ref
-    roles = getattr(readout, "channel_roles", None)
-    if roles is None:
-        roles = tuple(f"ch{i}" for i in range(n_channels))
-    return StateMatrix(samples, getattr(readout, "sample_period", 1.0), tuple(roles))
+    return StateMatrix(samples, readout.sample_period, readout.channel_roles)

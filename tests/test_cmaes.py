@@ -221,6 +221,19 @@ class TestCmaesMinimize:
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.history[-1] == result.best_f
 
+    def test_trajectory_holds_each_best_point(self):
+        # The point stored after each generation scores that generation's
+        # best-so-far value, and the last one is the result.
+        def f(x):
+            return float(np.sum((x - 0.3) ** 2) + np.sum(np.cos(3.0 * x)))
+
+        result = cmaes_minimize(_rowwise(f), 4, 0.5, 40, 2, population=6, x0=np.ones(4))
+        assert result.history_x.shape == (40, 4)
+        assert [f(x) for x in result.history_x] == result.history.tolist()
+        assert np.array_equal(result.history_x[-1], result.best_x)
+        # the trajectory moves, so it is not one array stored 40 times
+        assert len({x.tobytes() for x in result.history_x}) > 1
+
     def test_deterministic_given_seed(self):
         f = _rowwise(lambda x: float(np.sum((x - 1.0) ** 2)))
         r1 = cmaes_minimize(f, 5, 0.3, 40, 11)
@@ -229,19 +242,13 @@ class TestCmaesMinimize:
         assert np.array_equal(r1.best_x, r2.best_x)
 
     def test_covariance_stays_positive_definite(self):
-        tracked = []
-
         def rosenbrock(x):
             return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
 
-        def watch(it):
-            tracked.append(it.sigma)
-
-        result = cmaes_minimize(_rowwise(rosenbrock), 6, 1.0, 80, 5, callback=watch)
+        result = cmaes_minimize(_rowwise(rosenbrock), 6, 1.0, 80, 5)
         eigvals = np.linalg.eigvalsh(result.cov)
         assert eigvals.min() > 0.0
         assert np.allclose(result.cov, result.cov.T)
-        assert len(tracked) == 80
 
     def test_evaluation_budget(self):
         result = cmaes_minimize(_rowwise(lambda x: float(np.sum(x**2))), 3, 1.0, 25, 2, population=8)
@@ -320,7 +327,7 @@ class TestTrainCmaes:
         outcomes = {1e-4: 3.0, 1e-2: 1.0, 1.0: 1.0, 10.0: 2.0}
         seen = []
 
-        def fake_minimize(objective, dim, sigma0, iterations, seed, population=None, x0=None, callback=None):
+        def fake_minimize(objective, dim, sigma0, iterations, seed, population=None, x0=None):
             objective(np.zeros(dim))  # consume one presentation
             seen.append(sigma0)
             f = outcomes[sigma0]
@@ -328,6 +335,7 @@ class TestTrainCmaes:
                 best_x=np.zeros(dim),
                 best_f=f,
                 history=np.array([f]),
+                history_x=np.zeros((1, dim)),
                 evaluations=1,
                 iterations=1,
                 mean=np.zeros(dim),
@@ -391,16 +399,6 @@ class TestTrainCmaes:
         readout.present(np.zeros(readout.n_channels, complex))
         _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
         assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
-
-    def test_callback_needs_single_sigma(self):
-        # A callback follows one run; a multi-member sweep must not drop it.
-        _, readout, d, spb = self._toy_problem(seed=11)
-        with pytest.raises(ValueError, match="single-member"):
-            train_cmaes(readout, d, (0.1, 1.0), 2, 4, 2, spb, 0, callback=lambda it: None)
-        assert readout.presentations == 0
-        seen = []
-        train_cmaes(readout, d, (0.1,), 2, 4, 2, spb, 0, callback=seen.append)
-        assert [it.iteration for it in seen] == [1, 2]
 
     def test_history_monotone(self):
         _, readout, d, spb = self._toy_problem(seed=7)

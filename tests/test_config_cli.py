@@ -229,6 +229,22 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="header"):
             replace(ci_profile(), headers=headers)
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("bitrates_gbps", ()),
+            ("bitrates_gbps", (5.0, 10.0, 5)),
+            ("headers", ("101", "110", "101")),
+            ("trainers", ()),
+            ("trainers", ("ridge", "nlinv", "ridge")),
+        ],
+        ids=["bitrates-empty", "bitrates-repeated", "headers-repeated", "trainers-empty", "trainers-repeated"],
+    )
+    def test_empty_or_repeated_list_rejected(self, key, values):
+        # A repeated entry would run a cell twice and count it as two.
+        with pytest.raises(ValueError, match=key):
+            replace(ci_profile(), **{key: values})
+
     def test_int_bitrates_become_floats(self):
         cfg = config_from_dict(
             {"bitrates_gbps": [10], "perturbation_bitrate_gbps": 5, "convergence_bitrate_gbps": 10}
@@ -418,10 +434,79 @@ class TestCli:
     )
     def test_probe_dump_bad_cell_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
-            main(["probe-dump", *_cli_args(tmp_path, flag, value)])
+            main(["probe-dump", "--profile", "ci", "--out", str(tmp_path), "--quiet", flag, value])
         assert exc.value.code == 2
         assert f"photonrc probe-dump: error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "probes.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--bitrates", "5,5"], "photonrc sweep: error: bitrates_gbps must not repeat"),
+            (["sweep", "--bitrates", ","], "photonrc sweep: error: bitrates_gbps needs at least one entry"),
+            (["sweep", "--trainer", "ridge", "ridge"], "photonrc sweep: error: trainers must not repeat"),
+            (["probe-dump", "--config", "empty.yaml"], "photonrc probe-dump: error: bitrates_gbps needs"),
+        ],
+        ids=["sweep-repeated-bitrate", "sweep-no-bitrate", "sweep-repeated-trainer", "probe-dump-no-bitrate"],
+    )
+    def test_empty_or_repeated_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the lists were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.yaml").write_text("bitrates_gbps: []\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--profile", "ci", "--out", str(tmp_path / "run"), "--quiet"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    # Every overlay flag that a command does not read, with a value it would take.
+    IGNORED_FLAGS = [
+        ("headers", "--header"),
+        ("perturb", "--trainer"),
+        ("perturb", "--bitrates"),
+        ("converge", "--trainer"),
+        ("converge", "--bitrates"),
+        ("converge", "--seeds"),
+        ("probe-dump", "--trainer"),
+        ("probe-dump", "--header"),
+        ("probe-dump", "--seeds"),
+        ("probe-dump", "--bitrates"),
+    ]
+    FLAG_VALUES = {"--trainer": "ridge", "--bitrates": "10", "--header": "101", "--seeds": "1"}
+
+    @pytest.mark.parametrize("command, flag", IGNORED_FLAGS, ids=[f"{c}{f}" for c, f in IGNORED_FLAGS])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"{command} ran with {flag}")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        value = self.FLAG_VALUES[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--profile", "ci", flag, value, "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, offered",
+        [
+            ("sweep", {"--trainer", "--bitrates", "--header", "--seeds"}),
+            ("headers", {"--trainer", "--bitrates", "--seeds"}),
+            ("perturb", {"--header", "--seeds"}),
+            ("converge", {"--header"}),
+            ("probe-dump", {"--bitrate"}),
+        ],
+    )
+    def test_each_command_offers_the_overlays_it_reads(self, capsys, command, offered):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--(?:trainer|bitrates?|header|seeds)\b", capsys.readouterr().out))
+        assert flags == offered
 
     def test_probe_dump(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

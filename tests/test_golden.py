@@ -57,6 +57,7 @@ GOLDEN_FILES = (
     "headers/records.csv",
     "perturb/perturbation.csv",
     "converge/convergence.csv",
+    "probe/probes.csv",
     STATES_SLICE,
 )
 

@@ -224,10 +224,6 @@ class TestSweeps:
             clamped = np.maximum(cell, 1e-4)
             assert np.isclose(row.geo_mean_test_ber, np.exp(np.mean(np.log(clamped))))
 
-    def test_empty_bitrates(self):
-        records, summary = run_bitrate_sweep(tiny_cfg(bitrates_gbps=()))
-        assert records == [] and summary == []
-
     def test_all_headers_enumerates_eight(self):
         cfg = tiny_cfg()
         records, summary = run_all_headers(cfg)

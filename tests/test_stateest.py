@@ -46,7 +46,7 @@ class RecordingReadout(SimulatedReadout):
 
 def _assert_round_calls(readout, n_channels, ref_channel):
     """The round presents its schedule once, in order, in 1 + ceil((F-1)/4) calls."""
-    expected = build_probe_schedule(n_channels, ref_channel).weights
+    expected = list(build_probe_schedule(n_channels, ref_channel).T)
     assert len(readout.calls) == 1 + math.ceil((n_channels - 1) / 4)
     assert len(readout.calls[0]) == n_channels
     assert all(len(call) % 2 == 0 and len(call) <= 8 for call in readout.calls[1:])
@@ -61,6 +61,8 @@ class ScriptedReadout:
 
     def __init__(self, n_channels, blocks):
         self.n_channels = n_channels
+        self.sample_period = 1e-11
+        self.channel_roles = tuple(f"ch{i}" for i in range(n_channels))
         self.presentations = 0
         self._blocks = iter(blocks)
 
@@ -72,14 +74,16 @@ class ScriptedReadout:
 def _reference_estimate_states(readout, responsivity, ref_channel):
     """The linear probing round on N x F arrays, one probe per ``present`` call."""
     f = readout.n_channels
-    schedule = build_probe_schedule(f, ref_channel)
-    powers = np.stack([readout.present(w).samples for w in schedule.weights[:f]], axis=1)
+    schedule = build_probe_schedule(f, ref_channel).T
+    powers = np.stack([readout.present(w).samples for w in schedule[:f]], axis=1)
     p_ref = powers[:, ref_channel]
     mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
     scale = 1.0 / (2.0 * responsivity * mod_ref)
     samples = np.empty(powers.shape, dtype=complex)
-    for w, (kind, _, q) in zip(schedule.weights[f:], schedule.kinds[f:]):
-        part = samples.real if kind == "pair" else samples.imag
+    for w in schedule[f:]:
+        # a pair probe is 1 on the reference, a quadrature probe j
+        (q,) = [j for j in np.flatnonzero(w) if j != ref_channel]
+        part = samples.real if w[ref_channel] == 1.0 else samples.imag
         part[:, q] = (readout.present(w).samples - (p_ref + powers[:, q])) * scale
     samples[:, ref_channel] = mod_ref
     return samples
@@ -107,17 +111,48 @@ class TestProbeSchedule:
 
     def test_schedule_structure(self):
         sched = build_probe_schedule(5, ref_channel=2)
-        assert len(sched) == 13
-        kinds = [k[0] for k in sched.kinds]
-        assert kinds.count("modulus") == 5
-        assert kinds.count("pair") == 4
-        assert kinds.count("quad") == 4
-        for w, kind in zip(sched.weights, sched.kinds):
-            nonzero = np.nonzero(w)[0]
-            assert 1 <= nonzero.size <= 2
-            assert np.allclose(np.abs(w[nonzero]), 1.0)
-            if kind[0] == "quad":
-                assert w[sched.ref_channel] == 1.0j
+        assert sched.shape == (5, 13)
+        assert sched.dtype == np.complex128
+        assert np.array_equal(sched[:, :5], np.eye(5))
+        for k, q in enumerate([0, 1, 3, 4]):
+            pair, quad = sched[:, 5 + 2 * k], sched[:, 6 + 2 * k]
+            assert np.flatnonzero(pair).tolist() == np.flatnonzero(quad).tolist() == sorted([2, q])
+            assert pair[2] == 1.0 and quad[2] == 1.0j
+            assert pair[q] == quad[q] == 1.0
+
+    @pytest.mark.parametrize(
+        "n_channels, ref_channel, want",
+        [
+            (
+                3,
+                1,
+                [
+                    [1, 0, 0, 1, 1, 0, 0],
+                    [0, 1, 0, 1, 1j, 1, 1j],
+                    [0, 0, 1, 0, 0, 1, 1],
+                ],
+            ),
+            (
+                4,
+                3,
+                [
+                    [1, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+                    [0, 1, 0, 0, 0, 0, 1, 1, 0, 0],
+                    [0, 0, 1, 0, 0, 0, 0, 0, 1, 1],
+                    [0, 0, 0, 1, 1, 1j, 1, 1j, 1, 1j],
+                ],
+            ),
+        ],
+        ids=["3-ref1", "4-ref3"],
+    )
+    def test_schedule_matrix(self, n_channels, ref_channel, want):
+        # one probe per column: the one-hots, then a pair and a quad per channel
+        got = build_probe_schedule(n_channels, ref_channel)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.array(want, dtype=complex))
+
+    def test_single_channel_schedule_is_its_one_hot(self):
+        assert np.array_equal(build_probe_schedule(1, 0), np.ones((1, 1), dtype=complex))
 
     def test_bad_ref_rejected(self):
         with pytest.raises(ValueError):
