@@ -12,6 +12,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, profile_by_name
 from .harness import (
+    _study_header,
     run_all_headers,
     run_bitrate_sweep,
     run_convergence,
@@ -67,11 +68,12 @@ def _instance_index(text: str) -> int:
     return value
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace, *checks) -> ExperimentConfig:
     """The profile with the YAML overlay and the flags applied.
 
-    A configuration the checks reject ends the command as an argparse
-    error, with its message and exit status 2.
+    A configuration that the checks of its construction, or the command's
+    own ``checks`` (each called with it), reject ends the command as an
+    argparse error, with its message and exit status 2.
     """
     try:
         cfg = profile_by_name(args.profile)
@@ -90,6 +92,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=args.noise == "on"))
         if args.master_seed is not None:
             cfg = replace(cfg, master_seed=args.master_seed)
+        for check in checks:
+            check(cfg)
     except ValueError as exc:
         args.parser.error(str(exc))
     return cfg
@@ -115,7 +119,7 @@ def _cmd_headers(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, _study_header)
     rows = run_perturbation(cfg, out_dir=args.out)
     for row in rows:
         print(f"b = {row.b_over_pi:.2f} pi: mean BER {row.mean_ber:.3g} ({row.n_evaluations} evals)")
@@ -123,7 +127,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, _study_header)
     rows = run_convergence(cfg, out_dir=args.out)
     last = rows[-1]
     print(
@@ -131,6 +135,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         f"final best BER {last.best_ber:.3g}"
     )
     return 0
+
+
+# Sample rows per write of ``probe-dump``'s estimated_states.csv.
+_DUMP_ROWS = 4096
 
 
 def _cmd_probe_dump(args: argparse.Namespace) -> int:
@@ -155,12 +163,18 @@ def _cmd_probe_dump(args: argparse.Namespace) -> int:
 
     # One format call per sample row: fields 1..F are the real parts, then
     # the imaginary parts, each as Python floats so the text is repr(float).
+    # The rows go out _DUMP_ROWS at a time, so only that many are ever
+    # Python floats: the whole matrix as lists peaked at 540 MB RSS at
+    # paper length and 10 Gbps.
+    samples = estimated.samples
     f = estimated.n_channels
     row = "".join(f"{{0}},{ch},{{{1 + ch}!r}},{{{1 + f + ch}!r}}\n" for ch in range(f))
-    re, im = estimated.samples.real.tolist(), estimated.samples.imag.tolist()
     with open(out / "estimated_states.csv", "w") as fh:
         fh.write("n,channel,re,im\n")
-        fh.writelines(row.format(n, *r, *i) for n, (r, i) in enumerate(zip(re, im)))
+        for start in range(0, samples.shape[0], _DUMP_ROWS):
+            chunk = samples[start : start + _DUMP_ROWS]
+            re, im = chunk.real.tolist(), chunk.imag.tolist()
+            fh.writelines(row.format(n, *r, *i) for n, (r, i) in enumerate(zip(re, im), start))
     print(f"dumped {probes.shape[1]} probes and {estimated.samples.shape} states to {out}")
     return 0
 

@@ -552,6 +552,19 @@ def aggregate_records(records: list[ExperimentRecord]) -> list[SummaryRow]:
 # Perturbation study
 
 
+def _study_header(cfg: ExperimentConfig) -> str:
+    """The one header that the perturbation or the convergence study trains on.
+
+    Their outputs name no header, so a configuration with more than one
+    raises ``ValueError`` instead of using the first in silence.
+    """
+    if len(cfg.headers) != 1:
+        raise ValueError(
+            f"this study trains on one header, got {len(cfg.headers)}: {', '.join(cfg.headers)}"
+        )
+    return cfg.headers[0]
+
+
 def run_perturbation(
     cfg: ExperimentConfig,
     b_list: list[float] | None = None,
@@ -564,12 +577,13 @@ def run_perturbation(
     perturbed copies of the instance, where every waveguide phase gets an
     independent U(0, b) shift.  ``b = 0`` is the unperturbed baseline by
     construction.  As in a sweep cell, the training states are released
-    before the test input is simulated.
+    before the test input is simulated.  The configuration must name one
+    header.
     """
+    header = _study_header(cfg)
     if b_list is None:
         b_list = [f * math.pi for f in cfg.perturbation_b_over_pi]
     bitrate = cfg.perturbation_bitrate_gbps
-    header = cfg.headers[0]
 
     per_b: dict[int, list[float]] = {i: [] for i in range(len(b_list))}
     for instance in range(cfg.n_reservoirs):
@@ -643,13 +657,15 @@ def run_convergence(
     evaluation equals one presentation of the training sequence, so the
     presentation column is iterations times population.
     The ``best_ber`` column is the running minimum of the recorded BER.
+    The configuration must name one header.
     """
+    header = _study_header(cfg)
     bitrate = cfg.convergence_bitrate_gbps
     spb = cfg.samples_per_bit
     warm = cfg.warmup_bits
 
     cell = _prepare_cell(cfg, bitrate, instance)
-    d_train, _ = _targets(cfg, cell, cfg.headers[0])
+    d_train, _ = _targets(cfg, cell, header)
     d_tr = d_train.ideal[warm:]
     readout = SimulatedReadout(
         cell.states_train,

@@ -16,9 +16,12 @@ That is F one-hot probes plus 2(F-1) pair probes: 3F-2 presentations in
 total.  The cross terms are linear in the detected powers, so no
 trigonometry is needed: dividing by ``|x_r|`` gives each channel rotated
 to the reference phase.  The reference must therefore be bright at every
-sample; the harness uses the bias line.  The module only estimates: the
-harness fits the reconstructed states by the same ridge path as the full
-states, and the resulting weights can be written back to the readout.
+sample; the harness uses the bias line.  Beside the N x F estimate, the
+round keeps one presentation block at a time: the one-hot powers are
+folded into the estimate before the first pair probe is presented.  The
+module only estimates: the harness fits the reconstructed states by the
+same ridge path as the full states, and the resulting weights can be
+written back to the readout.
 """
 
 from __future__ import annotations
@@ -165,6 +168,39 @@ def build_probe_schedule(n_channels: int, ref_channel: int) -> np.ndarray:
 # thread, 2-vCPU host), so wider calls gain little; they cost peak memory.
 _COUPLES_PER_CALL = 4
 
+# Sample rows per step of the fold and of each couple reduction in
+# ``estimate_states``, so the strided reads and writes of the N x 2F float
+# view stay in cache.  At paper length a four-couple reduction takes about
+# 15 ms in steps of 2048 rows and 24 ms in one step over all rows.
+_ROWS = 2048
+
+
+def _fold_one_hots(powers: np.ndarray, ref_channel: int, slots: np.ndarray) -> None:
+    """Write ``s_q = P_q + P_r`` into channel q's real slot, for every q.
+
+    ``powers`` is the F x N one-hot block; the reference's own slot gets
+    ``2 P_r``.
+    """
+    p_ref = powers[ref_channel]
+    for start in range(0, powers.shape[1], _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.add(powers[:, rows].T, p_ref[rows, None], out=slots[rows, :, 0])
+
+
+def _reduce_couples(block: np.ndarray, scale: np.ndarray, slots: np.ndarray) -> None:
+    """Write ``(P - s_q) * scale`` into the slots (N x k x 2) of k consecutive channels.
+
+    ``block`` holds their couple outputs P as k x 2 x N, the pair output
+    before the quadrature output, and is reduced in place; ``s_q`` is read
+    from each channel's real slot.
+    """
+    for start in range(0, slots.shape[0], _ROWS):
+        rows = slice(start, start + _ROWS)
+        part = block[:, :, rows]
+        part -= slots[rows, :, 0].T[:, None, :]
+        part *= scale[rows]
+        slots[rows] = part.transpose(2, 0, 1)
+
 
 def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel: int) -> StateMatrix:
     """Run the full 3F-2 probing round against an opaque readout.
@@ -181,42 +217,46 @@ def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel:
     column is ``|x_r| = sqrt(max(P_r, 0) / R)``.  No phase is observable
     against a dark reference, so a reference with ``|x_r| == 0`` at any
     sample raises ``ValueError`` after the F one-hot presentations.
+
+    The F x N one-hot powers live only until they are folded into the
+    estimate: each ``s_q`` waits in the real slot of channel q in the
+    estimate's float view (real part at column 2q, imaginary at 2q + 1),
+    and each couple block is reduced against it into both slots, as
+    ``(P+ - s_q) * scale`` and ``(Pj - s_q) * scale`` with ``scale = 1 /
+    (2 R |x_r|)``.  These are the floating-point operations, in the same
+    order, of a round that keeps the powers, so the estimate has its
+    bytes; but the round never holds the powers beside a couple block.
     """
     n_channels = readout.n_channels
     probes = build_probe_schedule(n_channels, ref_channel)
-    # The F x N raw one-hot powers stay alive for the whole round: each
-    # couple subtracts two of its rows.
     powers = readout.present(probes[:, :n_channels]).samples.reshape(n_channels, -1)
     n = powers.shape[1]
-    p_ref = powers[ref_channel]
-    mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
+    mod_ref = np.sqrt(np.maximum(powers[ref_channel], 0.0) / responsivity)
     n_dark = np.count_nonzero(mod_ref == 0.0)
     if n_dark:
         raise ValueError(f"reference channel {ref_channel} is dark at {n_dark} of {n} samples")
-    scale = 1.0 / (2.0 * responsivity * mod_ref)
 
     samples = np.empty((n, n_channels), dtype=np.complex128)
-    # Channel q's real and imaginary parts are columns 2q and 2q + 1.
-    flat = samples.view(np.float64)
+    # slots[:, q] holds channel q's real and imaginary parts.
+    slots = samples.view(np.float64).reshape(n, n_channels, 2)
+    _fold_one_hots(powers, ref_channel, slots)
+    del powers
+    # only now, so the fold's peak is the powers and the estimate
+    scale = 1.0 / (2.0 * responsivity * mod_ref)
+
     channels = [q for q in range(n_channels) if q != ref_channel]
-    s = np.empty(n)
     for start in range(0, len(channels), _COUPLES_PER_CALL):
         batch = channels[start : start + _COUPLES_PER_CALL]
         first = n_channels + 2 * start
         couples = probes[:, first : first + 2 * len(batch)]
         # Pair and quad rows alternate per channel, at most 8 rows (15 MB
         # at paper length); all 2(F-1) at once would cost about 61 MB.
-        block = readout.present(couples).samples.reshape(2 * len(batch), -1)
-        for i, q in enumerate(batch):
-            np.add(p_ref, powers[q], out=s)
-            block[2 * i : 2 * i + 2] -= s
-        block *= scale
-        q0 = batch[0]
-        if batch == list(range(q0, q0 + len(batch))):
-            flat[:, 2 * q0 : 2 * (q0 + len(batch))] = block.T
-        else:  # the batch straddles the reference
-            for i, q in enumerate(batch):
-                flat[:, 2 * q : 2 * q + 2] = block[2 * i : 2 * i + 2].T
+        block = readout.present(couples).samples.reshape(len(batch), 2, n)
+        # A batch that straddles the reference is two runs of consecutive channels.
+        below = sum(q < ref_channel for q in batch)
+        for i, run in ((0, batch[:below]), (below, batch[below:])):
+            if run:
+                _reduce_couples(block[i : i + len(run)], scale, slots[:, run[0] : run[0] + len(run)])
         del block  # before the next call allocates its own
 
     samples[:, ref_channel] = mod_ref

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import photonrc.cli as cli_mod
 import photonrc.harness as harness_mod
 from photonrc.cli import main
 from photonrc.cmaes import DEFAULT_SIGMA_SWEEP
@@ -398,6 +399,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "photonrc perturb: error: n_perturbation_draws must be an integer, got 'two'" in err
 
+    @pytest.mark.parametrize("command", ["perturb", "converge"])
+    def test_study_with_two_headers_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the headers were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "two.yaml"
+        path.write_text('headers: ["101", "110"]\n')
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--profile", "ci", "--config", str(path), "--out", str(out), "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"photonrc {command}: error: this study trains on one header, got 2: 101, 110" in err
+        assert not out.exists()
+
     def test_bad_smoothing_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the smoothing was checked")
@@ -586,6 +603,29 @@ class TestCli:
         im = np.array([float(r[3]) for r in rows]).reshape(n, f)
         assert (re == estimated.samples.real).all()
         assert (im == estimated.samples.imag).all()
+
+    def test_probe_dump_states_file_is_the_whole_matrix_writer(self, tmp_path, monkeypatch):
+        # Written a row chunk at a time (several chunks and a short tail at
+        # ci length), the file has the bytes of one format call per sample
+        # row over the whole matrix as Python lists.
+        rounds = []
+        real_round = harness_mod._nlinv_round
+
+        def recording_round(*a, **kw):
+            rounds.append(real_round(*a, **kw))
+            return rounds[-1]
+
+        monkeypatch.setattr(harness_mod, "_nlinv_round", recording_round)
+        out = tmp_path / "probes"
+        assert main(["probe-dump", "--profile", "ci", "--bitrate", "10", "--out", str(out), "--quiet"]) == 0
+        (estimated,) = rounds
+        n, f = estimated.samples.shape
+        assert n > 2 * cli_mod._DUMP_ROWS and n % cli_mod._DUMP_ROWS
+
+        row = "".join(f"{{0}},{ch},{{{1 + ch}!r}},{{{1 + f + ch}!r}}\n" for ch in range(f))
+        re, im = estimated.samples.real.tolist(), estimated.samples.imag.tolist()
+        want = "n,channel,re,im\n" + "".join(row.format(i, *r, *j) for i, (r, j) in enumerate(zip(re, im)))
+        assert (out / "estimated_states.csv").read_bytes() == want.encode()
 
     def test_headers_command(self, tmp_path, capsys):
         cfg_file = _tiny_config(tmp_path)

@@ -296,6 +296,17 @@ class TestPerturbation:
         assert [r.b_rad for r in rows] == [0.0, 0.1 * np.pi, np.pi]
 
 
+@pytest.mark.parametrize("study", [run_perturbation, run_convergence], ids=["perturb", "converge"])
+def test_study_rejects_more_than_one_header(study, monkeypatch):
+    # Neither study's output names its header, so it takes only one.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the headers were checked")
+
+    monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+    with pytest.raises(ValueError, match="this study trains on one header, got 2: 101, 110"):
+        study(tiny_cfg(headers=("101", "110")))
+
+
 class TestConvergence:
     def test_history_and_presentations(self):
         cfg = tiny_cfg(trainers=("cmaes",))

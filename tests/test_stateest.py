@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,25 @@ class TestEstimationReference:
             bound = 1e-12 * max(np.abs(want_re).max(), np.abs(want_im).max())
             assert np.max(np.abs(cross.real - want_re)) <= bound
             assert np.max(np.abs(cross.imag - want_im)) <= bound
+
+
+def test_round_never_holds_the_one_hot_powers_beside_a_couple_block():
+    # The F x N one-hot powers are folded into the estimate and dropped
+    # before the first couple call, so the traced peak of a ci-length round
+    # is the estimate and the one-hot block, plus small change: 20.2 MB
+    # against a bound of 20.7 MB.  Holding the powers through the couples,
+    # as the round once did, peaked at 25.1 MB here.
+    states = _prepare_cell(ci_profile(), 10.0, 0).states_train
+    n, f = states.samples.shape
+    readout = SimulatedReadout(states, NOISY_FILTERED, seed=1)
+    tracemalloc.start()
+    try:
+        estimated = estimate_states(readout, NOISY_FILTERED.responsivity, states.bias_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimated.samples.nbytes == 16 * n * f
+    assert peak <= 16 * n * f + 8 * f * n + 2**20
 
 
 class TestRejectedWeightsAreNotCounted:
