@@ -40,7 +40,6 @@ from .cmaes import (
     cmaes_minimize,
     decode_weights,
     default_population,
-    encode_weights,
     train_cmaes,
 )
 from .stateest import (
@@ -49,7 +48,7 @@ from .stateest import (
     estimate_states,
     probe_count,
 )
-from .config import ExperimentConfig, ci_profile, load_config, paper_profile, save_config
+from .config import ExperimentConfig, ci_profile, load_config, paper_profile
 from .harness import (
     ExperimentRecord,
     best_sampling_point,

@@ -26,7 +26,6 @@ from .signals import DesiredSignal
 __all__ = [
     "CmaResult",
     "default_population",
-    "encode_weights",
     "decode_weights",
     "bit_sse",
     "cmaes_minimize",
@@ -56,12 +55,6 @@ class CmaResult:
     cov: np.ndarray  # final covariance of the mutation distribution
 
 
-def encode_weights(weights: ReadoutWeights | np.ndarray) -> np.ndarray:
-    """Stack a complex weight vector as [real parts; imaginary parts]."""
-    w = weights.values if isinstance(weights, ReadoutWeights) else np.asarray(weights, dtype=np.complex128)
-    return np.concatenate([w.real, w.imag])
-
-
 def _decode(v: np.ndarray) -> np.ndarray:
     """Complex weights from encoded vectors along the last axis."""
     half = v.shape[-1] // 2
@@ -69,7 +62,7 @@ def _decode(v: np.ndarray) -> np.ndarray:
 
 
 def decode_weights(vector: np.ndarray) -> ReadoutWeights:
-    """Inverse of :func:`encode_weights`."""
+    """Complex weights from a vector stacked as [real parts; imaginary parts]."""
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("encoded weight vector must have even length")

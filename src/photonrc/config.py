@@ -25,7 +25,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "load_config",
-    "save_config",
 ]
 
 TRAINERS = ("ridge", "cmaes", "nlinv")
@@ -278,8 +277,3 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None) -> Exper
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a mapping")
     return config_from_dict(data, base=base)
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)

@@ -20,12 +20,14 @@ input grid, linearly and to the bit of ``np.interp``.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .signals import OpticalSignal
 
@@ -43,6 +45,8 @@ __all__ = [
     "load_topology",
     "default_swirl4x4",
 ]
+
+logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -322,14 +326,88 @@ def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[
     the input resolution (24 samples per bit by default) in the block
     recursion across the whole bitrate sweep.  Remaining delays are
     rounded to whole steps; with the bundled single-delay topologies the
-    rounding is exact.  A topology without edges runs on the input grid.
+    rounding is exact.  When a delay lies more than 1e-6 of a step off the
+    grid, one warning names the edge rounded furthest and the delay it is
+    simulated with.  A topology without edges runs on the input grid.
     """
     delays = np.array([e.delay for e in topology.edges], dtype=np.float64)
     base = float(delays.min()) if delays.size else input_period
     k = max(1, math.ceil(base / input_period - 1e-9))
     step = base / k
-    steps = np.maximum(1, np.rint(delays / step).astype(np.int64))
+    exact = delays / step
+    steps = np.maximum(1, np.rint(exact).astype(np.int64))
+    off = np.abs(exact - steps)
+    if off.size and off.max() > 1e-6:
+        i = int(np.argmax(off))
+        e = topology.edges[i]
+        simulated = steps[i] * step
+        logger.warning(
+            "edge %d (%d->%d): delay %.6g s is %.4f steps of %.6g s; simulated as %d steps, %.6g s (%+.2f %%)",
+            i, e.src, e.dst, e.delay, exact[i], step, steps[i], simulated, 100.0 * (simulated / e.delay - 1.0),
+        )
     return step, steps
+
+
+def _advance(full: np.ndarray, n_nodes: int, pad: int, transfers: dict[int, np.ndarray]) -> None:
+    """Add every delayed edge arrival to the rows of ``full`` past ``pad``, in place.
+
+    Row ``pad + n`` holds time step n, nodes in the first ``n_nodes``
+    columns; ``transfers`` maps each delay, in steps, to its transfer
+    matrix.  Every delay spans at least ``d_min`` steps, so a block of
+    ``d_min`` steps reads only rows that earlier blocks have completed.
+    The full blocks, then the shorter last one, and their delayed sources
+    are walked as block-shaped views; each block and delay gets the bytes
+    of a node-wide ``block += source @ transfer``.
+
+    On a node-wide buffer a block of two or more rows takes one zgemm,
+    ``block.T += transfer.T @ source.T`` on the node-major views with
+    ``beta = 1``.  It writes in place only into a Fortran-contiguous
+    target and otherwise silently returns a fresh array, so a buffer that
+    is not C-contiguous, or a call that does not return its target,
+    raises ``RuntimeError``.  A one-row block keeps ``np.matmul`` and an
+    add, because a one-row ``@`` rounds differently from zgemm, and so
+    does the input-grid layout with a bias line, whose node columns are a
+    strided view of the ``F + 1`` wide buffer: padding the transfer to
+    that width for zgemm changed the bytes of a 3-node chain at 195 of
+    199 input lengths.  There the product goes into a reused buffer as
+    wide as ``full``, whose bias column stays zero, and is added to whole
+    rows.  With one delay the views are walked in step; with several,
+    indexing the source views measured faster than unpacking a zip.
+    """
+    n_sim, width = full.shape[0] - pad, full.shape[1]
+    node_wide = width == n_nodes
+    if node_wide and not full.flags.c_contiguous:
+        raise RuntimeError("the block recursion needs a C-contiguous node-wide buffer")
+    buf = full[:, :n_nodes]
+    d_min = min(transfers, default=n_sim)
+    n_full, n_last = divmod(n_sim, d_min)
+    arrivals = np.zeros((d_min, width), dtype=np.complex128)
+    first = pad
+    for count, rows in [(n_full, d_min), (1, n_last)]:
+        size = count * rows
+        targets = full[first : first + size].reshape(count, rows, width)
+        sources = [
+            (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
+            for d, transfer in transfers.items()
+        ]
+        part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
+        if node_wide and rows > 1:
+            node_major = [(source.transpose(0, 2, 1), transfer.T) for source, transfer in sources]
+            for k, block in enumerate(targets.transpose(0, 2, 1)):
+                for source, transfer in node_major:
+                    if zgemm(1.0, transfer, source[k], 1.0, block, 0, 0, 1) is not block:
+                        raise RuntimeError("zgemm returned a copy and left its block unchanged")
+        elif len(sources) == 1:
+            [(source, transfer)] = sources
+            for block, view in zip(targets, source):
+                np.matmul(view, transfer, out=part)
+                block += arrived
+        else:
+            for k, block in enumerate(targets):
+                for source, transfer in sources:
+                    np.matmul(source[k], transfer, out=part)
+                    block += arrived
+        first += size
 
 
 def simulate(
@@ -356,11 +434,12 @@ def simulate(
     into the returned C-ordered matrix; both passes give the bytes of
     per-channel ``np.interp``.
 
-    The block recursion takes each product of two or more rows with
-    ``np.dot`` into one contiguous buffer.  A one-row block, and the
-    input-grid layout with a bias line, whose product target is the
-    strided node view of the ``F + 1`` wide buffer, keep ``np.matmul``.
-    Every product gives the bytes of a node-wide ``@``.
+    The block recursion (``_advance``) adds each block's arrivals in
+    place with one zgemm per block and delay wherever the buffer is node
+    wide: off the input grid, and on it without a bias line.  A one-row
+    block, and the input-grid layout with a bias line, whose node columns
+    are a strided view of the ``F + 1`` wide buffer, keep ``np.matmul``
+    and an add.  Every product gives the bytes of a node-wide ``@``.
     """
     ports = topology.input_ports
     if not ports:
@@ -407,7 +486,6 @@ def simulate(
         gain = 10.0 ** (-e.loss_db / 20.0) * np.exp(1j * e.phase) / np.sqrt(k_out[e.src]) * combine[e.dst]
         transfer = transfers.setdefault(int(d), np.zeros((n_nodes, n_nodes), dtype=np.complex128))
         transfer[e.src, e.dst] += gain
-    d_min = min(transfers, default=n_sim)
     pad = max(transfers, default=0)
 
     # Row pad + n holds time step n; the leading pad rows are the dark past.
@@ -431,40 +509,7 @@ def simulate(
     for port, sig in zip(ports, inputs):
         buf[pad:, port.node] += drives[id(sig)] * np.exp(1j * port.phase) * combine[port.node]
 
-    # Every delay spans at least d_min steps, so a block of d_min steps
-    # reads only rows that earlier blocks have already completed.  The full
-    # blocks, then the shorter last one, and their delayed sources are
-    # walked as block-shaped views; one buffer takes every product.  The
-    # last block keeps its own row count, because a one-row product rounds
-    # differently from a row of a larger one.  The sums run over whole
-    # buffer rows, which are contiguous where the node columns are not; the
-    # bias column of the arrivals stays zero.  ``np.dot`` costs less per
-    # call than ``np.matmul`` but writes only a contiguous buffer.  With
-    # one delay the views are walked in step; with several, indexing the
-    # source views measured faster than unpacking a zip of them.
-    n_full, n_last = divmod(n_sim, d_min)
-    arrivals = np.zeros((d_min, width), dtype=np.complex128)
-    first = pad
-    for count, rows in [(n_full, d_min), (1, n_last)]:
-        size = count * rows
-        targets = full[first : first + size].reshape(count, rows, width)
-        sources = [
-            (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
-            for d, transfer in transfers.items()
-        ]
-        part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
-        product = np.dot if rows > 1 and part.flags.c_contiguous else np.matmul
-        if len(sources) == 1:
-            [(source, transfer)] = sources
-            for block, view in zip(targets, source):
-                product(view, transfer, out=part)
-                block += arrived
-        else:
-            for k, block in enumerate(targets):
-                for source, transfer in sources:
-                    product(source[k], transfer, out=part)
-                    block += arrived
-        first += size
+    _advance(full, n_nodes, pad, transfers)
 
     # The node columns and the bias line form one C-ordered matrix: the
     # buffer itself on the input grid, or resampled straight back onto it.

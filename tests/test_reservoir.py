@@ -1,9 +1,11 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import photonrc.reservoir as reservoir_mod
 from photonrc.reservoir import (
     Edge,
     InputPort,
@@ -18,6 +20,7 @@ from photonrc.reservoir import (
     save_topology,
     simulate,
     _RESAMPLE_ROWS,
+    _advance,
     _resample_into,
     _simulation_step,
 )
@@ -34,6 +37,15 @@ def _mixed_delay_swirl(seed):
     edges = tuple(
         replace(e, delay=2.0 * e.delay, loss_db=2.0 * e.loss_db) if i % 4 == 3 else e
         for i, e in enumerate(topo.edges)
+    )
+    return replace(topo, edges=edges)
+
+
+def _three_delay_swirl(seed):
+    """4x4 swirl whose waveguides run 1, 2 and 3 times the shortest delay, in turn."""
+    topo = build_swirl(seed=seed)
+    edges = tuple(
+        replace(e, delay=(1 + i % 3) * e.delay, loss_db=(1 + i % 3) * e.loss_db) for i, e in enumerate(topo.edges)
     )
     return replace(topo, edges=edges)
 
@@ -528,6 +540,62 @@ class TestSimulateMatchesBlockReference:
         rng = np.random.default_rng(n)
         sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
         self._check(topology, sig, None)
+
+    @pytest.mark.parametrize("bias_power", [None, 0.02])
+    @pytest.mark.parametrize("bitrate", [5e9, 15e9])
+    def test_long_resampled_input(self, bitrate, bias_power):
+        # 2010 bits run thousands of blocks of each of the two delays
+        self._check(_mixed_delay_swirl(seed=10), _random_input(2010, bitrate=bitrate, seed=3), bias_power)
+
+    @pytest.mark.parametrize("bias_power", [None, 0.02])
+    @pytest.mark.parametrize("bitrate", [5e9, 15e9])
+    def test_three_delay_groups(self, bitrate, bias_power):
+        topology = _three_delay_swirl(seed=11)
+        assert len({e.delay for e in topology.edges}) == 3
+        self._check(topology, _random_input(200, bitrate=bitrate, seed=4), bias_power)
+
+
+class TestAdvanceInPlace:
+    """The in-place product either updates its block or raises."""
+
+    def test_strided_node_wide_buffer_rejected(self):
+        # zgemm would return a fresh array for each strided block and leave
+        # the buffer untouched
+        full = np.ones((40, 6), dtype=np.complex128)[:, ::2]
+        with pytest.raises(RuntimeError, match="C-contiguous"):
+            _advance(full, 3, 3, {3: np.eye(3, dtype=np.complex128)})
+
+    def test_returned_copy_raises(self, monkeypatch):
+        monkeypatch.setattr(reservoir_mod, "zgemm", lambda *args: args[4].copy())
+        with pytest.raises(RuntimeError, match="copy"):
+            simulate(build_swirl(seed=1), _random_input(10, bitrate=5e9), None)
+
+
+def _chain_with_second_delay(delay):
+    return ReservoirTopology(
+        3,
+        (Edge(0, 1, 62.5e-12, 0.1, 0.1), Edge(1, 2, delay, 0.1, 0.2)),
+        (InputPort(0, 0.0),),
+    )
+
+
+class TestDelayRounding:
+    def test_rounded_delay_warns_once(self, caplog):
+        # at 10 Gbps the step is 62.5 ps / 15, so 90 ps spans 21.6 steps
+        with caplog.at_level(logging.WARNING, logger="photonrc.reservoir"):
+            simulate(_chain_with_second_delay(90e-12), _random_input(10, bitrate=10e9), None)
+        [record] = caplog.records
+        message = record.getMessage()
+        assert "edge 1 (1->2)" in message
+        assert "21.6000 steps" in message and "simulated as 22 steps, 9.16667e-11 s" in message
+
+    def test_exact_delays_are_silent(self, caplog):
+        # at 10 Gbps 3 x 62.5 ps divides into 45 steps with a float residue
+        # of about 1e-14 step, which is not a rounding
+        with caplog.at_level(logging.WARNING, logger="photonrc.reservoir"):
+            simulate(_chain_with_second_delay(125e-12), _random_input(10, bitrate=10e9), None)
+            simulate(_three_delay_swirl(seed=1), _random_input(10, bitrate=10e9), 0.02)
+        assert not caplog.records
 
 
 class TestTopologyFiles:
