@@ -34,6 +34,7 @@ from .reservoir import (
     load_topology,
     perturb_phases,
     simulate,
+    simulate_each,
     with_phases,
 )
 from .ridge import cv_alpha, ridge_problem
@@ -577,8 +578,9 @@ def run_perturbation(
     perturbed copies of the instance, where every waveguide phase gets an
     independent U(0, b) shift.  ``b = 0`` is the unperturbed baseline by
     construction.  As in a sweep cell, the training states are released
-    before the test input is simulated.  The configuration must name one
-    header.
+    before the test input is simulated; one ``simulate_each`` call runs it
+    through the instance and all its perturbed copies.  The configuration
+    must name one header.
     """
     header = _study_header(cfg)
     if b_list is None:
@@ -591,29 +593,38 @@ def run_perturbation(
         d_train, d_test = _targets(cfg, cell, header)
         fit = _fit(cfg, cell, header, "ridge", d_train)
         del cell.states_train
-        # The baseline alone reads the test states, yet they stay alive until
-        # the draws are done.  Freed before them, the draws' own 13 MB
-        # ci-length matrices, which sit below glibc's dynamic mmap threshold,
-        # let it trim the heap and fault the pages back in draw after draw:
-        # 20-21k minor page faults per ci-length cell instead of 8k, and
-        # about 7 % more time.
-        states_test = simulate(cell.topology, cell.sig_test, cfg.bias_power_w)
+        # The instance and its perturbed copies share their delays, so one
+        # simulate_each call runs the test input through all of them on one
+        # grid.  The baseline alone reads the test states, yet they stay
+        # alive until the draws are done.  Freed before them, the draws' own
+        # 13 MB ci-length matrices, which sit below glibc's dynamic mmap
+        # threshold, let it trim the heap and fault the pages back in draw
+        # after draw: 20-21k minor page faults per ci-length cell instead of
+        # 8k, and about 7 % more time.  Each draw's states are dropped before
+        # the next is asked for, so no two draws are alive together.
+        draws = [
+            (b_idx, draw, PerturbationSpec(b, seed=derive_seed(cfg.master_seed, "perturb", instance, b_idx, draw)))
+            for b_idx, b in enumerate(b_list)
+            if b != 0.0
+            for draw in range(cfg.n_perturbation_draws)
+        ]
+        sims = simulate_each(
+            [cell.topology] + [perturb_phases(cell.topology, spec) for _, _, spec in draws],
+            cell.sig_test,
+            cfg.bias_power_w,
+        )
+        states_test = next(sims)
         baseline_ber = _test_score(cfg, cell, fit, states_test, d_test)[0]
-        d_te = d_test.ideal[cfg.warmup_bits :]
         for b_idx, b in enumerate(b_list):
             if b == 0.0:
                 per_b[b_idx].append(baseline_ber)
-                continue
-            for draw in range(cfg.n_perturbation_draws):
-                spec = PerturbationSpec(
-                    b, seed=derive_seed(cfg.master_seed, "perturb", instance, b_idx, draw)
-                )
-                perturbed = perturb_phases(cell.topology, spec)
-                states = simulate(perturbed, cell.sig_test, cfg.bias_power_w)
-                y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
-                del states  # before the next draw simulates its own
-                per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, fit.offset, fit.threshold)[0])
-        del states_test  # before the next instance simulates its training states
+        d_te = d_test.ideal[cfg.warmup_bits :]
+        for b_idx, draw, _ in draws:
+            states = next(sims)
+            y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
+            del states
+            per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, fit.offset, fit.threshold)[0])
+        del states_test, sims  # before the next instance simulates its training states
         logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 
     rows = []

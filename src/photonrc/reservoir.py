@@ -16,12 +16,19 @@ in blocks as long as the shortest delay, so unequal waveguide lengths run
 at block speed.  When the simulation grid is finer than the input grid,
 inputs are resampled onto it and the recorded node signals back onto the
 input grid, linearly and to the bit of ``np.interp``.
+
+``simulate_each`` runs one input through several reservoirs with the same
+delays, such as phase-perturbed copies of one chip: the grid, each
+resampled input and both resampling brackets are computed once, and only
+the transfers and the recursion are each topology's own.  ``simulate`` is
+its one-topology case.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -41,6 +48,7 @@ __all__ = [
     "perturb_phases",
     "with_phases",
     "simulate",
+    "simulate_each",
     "save_topology",
     "load_topology",
     "default_swirl4x4",
@@ -275,16 +283,40 @@ def perturb_phases(topology: ReservoirTopology, spec: PerturbationSpec) -> Reser
 _RESAMPLE_ROWS = 2048
 
 
-def _resample_into(out: np.ndarray, x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> None:
+def _bracket(x: np.ndarray, xp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each point of ``x`` falls on the strictly rising ``xp``, for ``_resample_into``.
+
+    Returns ``lo``, the left end of each point's interval (the last
+    interval for a point at or past ``xp[-1]``), ``exact``, the points
+    that take a value of ``fp`` outright (below ``xp[0]``, at or past
+    ``xp[-1]``, or on a point of ``xp``), and the index in ``xp`` of each
+    of those.  A pair of grids needs this search once, however many
+    signals are resampled between them.
+    """
+    last = len(xp) - 1
+    j = np.searchsorted(xp, x, side="right") - 1
+    at = np.clip(j, 0, last)
+    exact = np.flatnonzero((j < 0) | (j == last) | (x == xp[at]))
+    return np.minimum(at, max(last - 1, 0)), exact, at[exact]
+
+
+def _resample_into(
+    out: np.ndarray,
+    x: np.ndarray,
+    xp: np.ndarray,
+    fp: np.ndarray,
+    bracket: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
     """Write ``np.interp(x, xp, column)`` of every part of every column of ``fp`` into ``out``.
 
     ``fp`` is a len(xp) x C complex matrix and ``out`` a len(x) x C complex
-    matrix (a column slice of a wider one will do); ``xp`` rises strictly.
-    The real and imaginary parts of all columns share one bracket search
-    and are interpolated together, ``_RESAMPLE_ROWS`` rows at a time, with
-    numpy's formula ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j])
-    + fp[j]`` and its edge rules: a point on ``xp[j]`` takes ``fp[j]``, one
-    below ``xp[0]`` takes ``fp[0]`` and one at or past ``xp[-1]`` takes
+    matrix (a column slice of a wider one will do); ``xp`` rises strictly
+    and ``bracket`` is ``_bracket(x, xp)``.  The real and imaginary parts
+    of all columns share that one bracket search and are interpolated
+    together, ``_RESAMPLE_ROWS`` rows at a time, with numpy's formula
+    ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j]) + fp[j]`` and
+    its edge rules: a point on ``xp[j]`` takes ``fp[j]``, one below
+    ``xp[0]`` takes ``fp[0]`` and one at or past ``xp[-1]`` takes
     ``fp[-1]``.  Every output byte equals that of per-part ``np.interp``.
 
     Each chunk gathers its two bracket rows into two reused contiguous
@@ -292,14 +324,10 @@ def _resample_into(out: np.ndarray, x: np.ndarray, xp: np.ndarray, fp: np.ndarra
     arithmetic passes there, and is copied into ``out`` once, so the
     passes never walk the strided columns of a wider matrix.
     """
+    lo, exact, hits = bracket
     src = fp.view(np.float64)
     dst = out.view(np.float64)
-    last = len(xp) - 1
-    j = np.searchsorted(xp, x, side="right") - 1
-    at = np.clip(j, 0, last)
-    exact = np.flatnonzero((j < 0) | (j == last) | (x == xp[at]))
-    if last > 0:  # a single grid point has no interval to interpolate in
-        lo = np.minimum(at, last - 1)
+    if len(xp) > 1:  # a single grid point has no interval to interpolate in
         offset = (x - xp[lo])[:, None]
         width = (xp[lo + 1] - xp[lo])[:, None]
         shape = (min(len(x), _RESAMPLE_ROWS), src.shape[1])
@@ -316,7 +344,7 @@ def _resample_into(out: np.ndarray, x: np.ndarray, xp: np.ndarray, fp: np.ndarra
             chunk *= offset[rows]
             chunk += left
             dst[rows] = chunk
-    dst[exact] = src[at[exact]]
+    dst[exact] = src[hits]
 
 
 def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[float, np.ndarray]:
@@ -348,6 +376,44 @@ def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[
     return step, steps
 
 
+# Blocks whose node-major views the recursion builds and holds at once.
+# The views of every block at once held 24 MB in the recursion of a
+# paper-length input at 1 Gbps, about 160k blocks of two steps.
+_VIEW_BLOCKS = 1024
+
+
+def _node_major_tilings(
+    buf: np.ndarray, first: int, count: int, rows: int, transfers: dict[int, np.ndarray]
+) -> tuple[list[np.ndarray], list[tuple[list[np.ndarray], np.ndarray]]]:
+    """The ``count`` blocks of ``rows`` rows from row ``first`` of ``buf``, and each delay's sources.
+
+    Returns the blocks and, per delay in ``transfers`` order, the list of
+    the source block each one reads (its block ``k`` is the rows ``d``
+    steps before block ``k``) with the transposed transfer, every block
+    and source a node-major view.  A delay ``d = q rows + r`` reads block
+    ``k - q`` of the blocks shifted back by ``r`` rows, so one list of
+    views per distinct residue ``r`` serves every delay with that residue,
+    each view built once; residue 0 is the blocks themselves.
+    """
+    n_nodes = buf.shape[1]
+    reach = {0: 0}  # per residue, the most blocks a delay with it reaches back
+    for d in transfers:
+        q, r = divmod(d, rows)
+        reach[r] = max(reach.get(r, 0), q)
+    tilings = {
+        r: list(
+            buf[first - r - q * rows : first - r + count * rows]
+            .reshape(count + q, rows, n_nodes)
+            .transpose(0, 2, 1)
+        )
+        for r, q in reach.items()
+    }
+    sources = [
+        (tilings[d % rows][reach[d % rows] - d // rows :], transfer.T) for d, transfer in transfers.items()
+    ]
+    return tilings[0][reach[0] :], sources
+
+
 def _advance(full: np.ndarray, n_nodes: int, pad: int, transfers: dict[int, np.ndarray]) -> None:
     """Add every delayed edge arrival to the rows of ``full`` past ``pad``, in place.
 
@@ -361,18 +427,21 @@ def _advance(full: np.ndarray, n_nodes: int, pad: int, transfers: dict[int, np.n
 
     On a node-wide buffer a block of two or more rows takes one zgemm,
     ``block.T += transfer.T @ source.T`` on the node-major views with
-    ``beta = 1``.  It writes in place only into a Fortran-contiguous
-    target and otherwise silently returns a fresh array, so a buffer that
-    is not C-contiguous, or a call that does not return its target,
-    raises ``RuntimeError``.  A one-row block keeps ``np.matmul`` and an
-    add, because a one-row ``@`` rounds differently from zgemm, and so
-    does the input-grid layout with a bias line, whose node columns are a
-    strided view of the ``F + 1`` wide buffer: padding the transfer to
-    that width for zgemm changed the bytes of a 3-node chain at 195 of
-    199 input lengths.  There the product goes into a reused buffer as
-    wide as ``full``, whose bias column stays zero, and is added to whole
-    rows.  With one delay the views are walked in step; with several,
-    indexing the source views measured faster than unpacking a zip.
+    ``beta = 1``, and each of those views is built once
+    (``_node_major_tilings``, for ``_VIEW_BLOCKS`` blocks at a time).
+    zgemm writes in place only into a
+    Fortran-contiguous target and otherwise silently returns a fresh
+    array, so a buffer that is not C-contiguous, or a call that does not
+    return its target, raises ``RuntimeError``.  A one-row block keeps
+    ``np.matmul`` and an add, because a one-row ``@`` rounds differently
+    from zgemm, and so does the input-grid layout with a bias line, whose
+    node columns are a strided view of the ``F + 1`` wide buffer: padding
+    the transfer to that width for zgemm changed the bytes of a 3-node
+    chain at 195 of 199 input lengths.  There the product goes into a
+    reused buffer as wide as ``full``, whose bias column stays zero, and
+    is added to whole rows.  With one delay the views are walked in step;
+    with several, indexing the source views measured faster than
+    unpacking a zip.
     """
     n_sim, width = full.shape[0] - pad, full.shape[1]
     node_wide = width == n_nodes
@@ -385,28 +454,32 @@ def _advance(full: np.ndarray, n_nodes: int, pad: int, transfers: dict[int, np.n
     first = pad
     for count, rows in [(n_full, d_min), (1, n_last)]:
         size = count * rows
-        targets = full[first : first + size].reshape(count, rows, width)
-        sources = [
-            (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
-            for d, transfer in transfers.items()
-        ]
-        part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
         if node_wide and rows > 1:
-            node_major = [(source.transpose(0, 2, 1), transfer.T) for source, transfer in sources]
-            for k, block in enumerate(targets.transpose(0, 2, 1)):
-                for source, transfer in node_major:
-                    if zgemm(1.0, transfer, source[k], 1.0, block, 0, 0, 1) is not block:
-                        raise RuntimeError("zgemm returned a copy and left its block unchanged")
-        elif len(sources) == 1:
-            [(source, transfer)] = sources
-            for block, view in zip(targets, source):
-                np.matmul(view, transfer, out=part)
-                block += arrived
+            for done in range(0, count, _VIEW_BLOCKS):
+                blocks, node_major = _node_major_tilings(
+                    buf, first + done * rows, min(_VIEW_BLOCKS, count - done), rows, transfers
+                )
+                for k, block in enumerate(blocks):
+                    for source, transfer in node_major:
+                        if zgemm(1.0, transfer, source[k], 1.0, block, 0, 0, 1) is not block:
+                            raise RuntimeError("zgemm returned a copy and left its block unchanged")
         else:
-            for k, block in enumerate(targets):
-                for source, transfer in sources:
-                    np.matmul(source[k], transfer, out=part)
+            targets = full[first : first + size].reshape(count, rows, width)
+            sources = [
+                (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
+                for d, transfer in transfers.items()
+            ]
+            part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
+            if len(sources) == 1:
+                [(source, transfer)] = sources
+                for block, view in zip(targets, source):
+                    np.matmul(view, transfer, out=part)
                     block += arrived
+            else:
+                for k, block in enumerate(targets):
+                    for source, transfer in sources:
+                        np.matmul(source[k], transfer, out=part)
+                        block += arrived
         first += size
 
 
@@ -440,18 +513,51 @@ def simulate(
     block, and the input-grid layout with a bias line, whose node columns
     are a strided view of the ``F + 1`` wide buffer, keep ``np.matmul``
     and an add.  Every product gives the bytes of a node-wide ``@``.
+
+    This is ``simulate_each`` with one topology.
     """
-    ports = topology.input_ports
-    if not ports:
-        raise ValueError("topology has no input ports")
-    if isinstance(inputs, OpticalSignal):
-        inputs = [inputs] * len(ports)
-    inputs = list(inputs)
-    if len(inputs) != len(ports):
-        raise ValueError(f"expected {len(ports)} input signals, got {len(inputs)}")
-    n_in = len(inputs[0])
-    period = inputs[0].sample_period
-    for sig in inputs[1:]:
+    [states] = simulate_each([topology], inputs, bias_power)
+    return states
+
+
+def simulate_each(
+    topologies: Iterable[ReservoirTopology],
+    inputs: OpticalSignal | list[OpticalSignal] | tuple[OpticalSignal, ...],
+    bias_power: float | None = None,
+) -> Iterator[StateMatrix]:
+    """``simulate`` of one input through each of several reservoirs with identical edge delays.
+
+    Yields one ``StateMatrix`` per topology, in order, each with the bytes
+    of ``simulate(topology, inputs, bias_power)``.  Equal delays give the
+    topologies, phase-perturbed copies of one chip for instance, one
+    simulation grid, so the grid, each distinct input signal resampled
+    onto it and the bracket search of the back-resampling are computed
+    once, and a delay off the grid is warned about once.  Each topology's
+    transfers and recursion run when its matrix is asked for, and the
+    iterator keeps no reference to a matrix it has yielded: a caller that
+    drops each one before asking for the next holds one at a time.
+
+    Every argument is checked before the first topology is simulated:
+    topologies whose edge delays differ, in edge order, raise
+    ``ValueError``, as does any input that ``simulate`` rejects.
+    """
+    topologies = tuple(topologies)
+    broadcast = isinstance(inputs, OpticalSignal)
+    signals = [inputs] if broadcast else list(inputs)
+    delays = [e.delay for e in topologies[0].edges] if topologies else []
+    for topology in topologies:
+        ports = topology.input_ports
+        if not ports:
+            raise ValueError("topology has no input ports")
+        if not broadcast and len(signals) != len(ports):
+            raise ValueError(f"expected {len(ports)} input signals, got {len(signals)}")
+        if [e.delay for e in topology.edges] != delays:
+            raise ValueError("simulate_each needs topologies with identical edge delays")
+    if not topologies:
+        return iter(())
+    n_in = len(signals[0])
+    period = signals[0].sample_period
+    for sig in signals[1:]:
         if len(sig) != n_in:
             raise ValueError("all input signals must have the same length")
         if not np.isclose(sig.sample_period, period, rtol=1e-12, atol=0.0):
@@ -460,22 +566,60 @@ def simulate(
         raise ValueError("bias_power must be positive when the bias line is enabled")
     if n_in == 0:
         raise ValueError("input signals are empty")
+    return _simulate_each(topologies, signals, broadcast, bias_power)
 
-    n_nodes = topology.n_nodes
-    step, delay_steps = _simulation_step(topology, period)
-    same_grid = abs(step - period) <= 1e-9 * period
-    if same_grid:
-        n_sim = n_in
+
+def _simulate_each(
+    topologies: tuple[ReservoirTopology, ...],
+    signals: list[OpticalSignal],
+    broadcast: bool,
+    bias_power: float | None,
+) -> Iterator[StateMatrix]:
+    """The generator behind ``simulate_each``, on checked arguments."""
+    n_in, period = len(signals[0]), signals[0].sample_period
+    step, delay_steps = _simulation_step(topologies[0], period)
+    if abs(step - period) <= 1e-9 * period:
+        n_sim, back = n_in, None
+        drives = [sig.samples for sig in signals]
     else:
         # cover the final input sample time so the back-resampling never
         # extrapolates
         n_sim = int(math.ceil((n_in - 1) * period / step - 1e-9)) + 1
         t_in = np.arange(n_in) * period
         t_sim = np.arange(n_sim) * step
+        # each distinct signal object is resampled onto the simulation grid once
+        distinct = list({id(sig): sig for sig in signals}.values())
+        resampled = np.empty((n_sim, len(distinct)), dtype=np.complex128)
+        fp = np.stack([sig.samples for sig in distinct], axis=1)
+        _resample_into(resampled, t_sim, t_in, fp, _bracket(t_sim, t_in))
+        del fp  # the generator's frame outlives the call
+        column = {id(sig): c for c, sig in enumerate(distinct)}
+        drives = [resampled[:, column[id(sig)]] for sig in signals]
+        back = (t_in, t_sim, _bracket(t_in, t_sim))
+    for topology in topologies:
+        port_drives = drives * len(topology.input_ports) if broadcast else drives
+        yield _propagate(topology, port_drives, delay_steps, n_sim, back, bias_power, period)
 
+
+def _propagate(
+    topology: ReservoirTopology,
+    drives: list[np.ndarray],
+    delay_steps: np.ndarray,
+    n_sim: int,
+    back: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None,
+    bias_power: float | None,
+    period: float,
+) -> StateMatrix:
+    """One topology's states from its ports' drives on the simulation grid.
+
+    ``drives`` holds each port's input on the simulation grid and ``back``
+    the input grid, the simulation grid and the bracket to resample the
+    node signals back onto the former, or ``None`` on the input grid.
+    """
+    n_nodes = topology.n_nodes
     k_in = topology.in_degree().astype(np.float64)
     k_out = topology.out_degree().astype(np.float64)
-    for p in ports:
+    for p in topology.input_ports:
         k_in[p.node] += 1.0
     combine = 1.0 / np.sqrt(np.maximum(k_in, 1.0))
 
@@ -491,23 +635,14 @@ def simulate(
     # Row pad + n holds time step n; the leading pad rows are the dark past.
     # The injection term, already divided by the combiner factor of its
     # node, is written first and the delayed edge arrivals are added to it.
-    # Each distinct input signal is resampled onto the simulation grid once.
     # On the input grid with a bias line the buffer carries the bias column
     # too, so its rows past the dark past are the returned matrix; ``buf``
     # is then a view of the node columns, whose rows are F + 1 apart.
-    bias_column = same_grid and bias_power is not None
-    width = n_nodes + bias_column
-    full = np.zeros((pad + n_sim, width), dtype=np.complex128)
+    bias_column = back is None and bias_power is not None
+    full = np.zeros((pad + n_sim, n_nodes + bias_column), dtype=np.complex128)
     buf = full[:, :n_nodes]
-    if same_grid:
-        drives = {id(sig): sig.samples for sig in inputs}
-    else:
-        distinct = list({id(sig): sig for sig in inputs}.values())
-        resampled = np.empty((n_sim, len(distinct)), dtype=np.complex128)
-        _resample_into(resampled, t_sim, t_in, np.stack([sig.samples for sig in distinct], axis=1))
-        drives = {id(sig): resampled[:, i] for i, sig in enumerate(distinct)}
-    for port, sig in zip(ports, inputs):
-        buf[pad:, port.node] += drives[id(sig)] * np.exp(1j * port.phase) * combine[port.node]
+    for port, drive in zip(topology.input_ports, drives):
+        buf[pad:, port.node] += drive * np.exp(1j * port.phase) * combine[port.node]
 
     _advance(full, n_nodes, pad, transfers)
 
@@ -516,11 +651,12 @@ def simulate(
     roles = [f"node{i}" for i in range(n_nodes)]
     if bias_power is not None:
         roles.append("bias")
-    if same_grid:
+    if back is None:
         out = full[pad:]
     else:
-        out = np.empty((n_in, len(roles)), dtype=np.complex128)
-        _resample_into(out[:, :n_nodes], t_in, t_sim, buf[pad:])
+        t_in, t_sim, bracket = back
+        out = np.empty((len(t_in), len(roles)), dtype=np.complex128)
+        _resample_into(out[:, :n_nodes], t_in, t_sim, buf[pad:], bracket)
     if bias_power is not None:
         out[:, n_nodes] = np.sqrt(bias_power)
     return StateMatrix(out, period, tuple(roles))

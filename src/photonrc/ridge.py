@@ -162,13 +162,15 @@ def _cv_curve(
     blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     # Per-block Gram pieces; a fold's training Gram is the total minus its block.
-    # Each block is conjugated once, for its Gram and its right-hand side.
+    # Each block is conjugated once, for its Gram and its right-hand side,
+    # and released before the next is conjugated, so at most one conjugate
+    # (13 MB at paper length) is held and none once the folds are scored.
     grams, rhss = [], []
     for b in blocks:
         xh = x[b].conj().T
         grams.append(xh @ x[b])
         rhss.append(xh @ t[b])
-    del xh  # free the last conjugate (13 MB at paper length) before the folds are scored
+        del xh
     gram_total = np.sum(grams, axis=0)
     rhs_total = np.sum(rhss, axis=0)
     pen_diag = _penalty_diag(states)

@@ -348,31 +348,51 @@ def _owner(array: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def live_at_simulate(monkeypatch):
-    """Per ``harness.simulate`` call, how many earlier state matrices are alive.
+    """Per simulated state matrix, how many earlier state matrices are alive.
 
-    The state matrices are those ``simulate`` returned and the estimates of
-    ``nlinv`` probing rounds.  A matrix counts as alive while its
-    ``StateMatrix`` or the buffer behind its samples is still referenced,
-    for example by a view.
+    A matrix is simulated by a ``harness.simulate`` call or by each step of
+    a ``harness.simulate_each`` iterator; the count is taken before it is
+    computed.  The state matrices are those two returned or yielded and the
+    estimates of ``nlinv`` probing rounds.  A matrix counts as alive while
+    its ``StateMatrix`` or the buffer behind its samples is still
+    referenced, for example by a view.
     """
     live: list[int] = []
     refs = []
 
+    def count_live():
+        live.append(sum(any(r() is not None for r in pair) for pair in refs))
+
+    def keep_ref(states):
+        refs.append((weakref.ref(states), weakref.ref(_owner(states.samples))))
+        return states
+
     def track(fn):
         def tracking(*args, **kwargs):
-            states = fn(*args, **kwargs)
-            refs.append((weakref.ref(states), weakref.ref(_owner(states.samples))))
-            return states
+            return keep_ref(fn(*args, **kwargs))
 
         return tracking
 
-    real_simulate = track(harness_mod.simulate)
+    real_simulate = harness_mod.simulate
+    real_simulate_each = harness_mod.simulate_each
 
     def tracking_simulate(*args, **kwargs):
-        live.append(sum(any(r() is not None for r in pair) for pair in refs))
-        return real_simulate(*args, **kwargs)
+        count_live()
+        return keep_ref(real_simulate(*args, **kwargs))
+
+    def tracking_simulate_each(*args, **kwargs):
+        # counts before each step and holds no yielded matrix while suspended
+        sims = real_simulate_each(*args, **kwargs)
+        while True:
+            count_live()
+            try:
+                yield keep_ref(next(sims))
+            except StopIteration:
+                live.pop()
+                return
 
     monkeypatch.setattr(harness_mod, "simulate", tracking_simulate)
+    monkeypatch.setattr(harness_mod, "simulate_each", tracking_simulate_each)
     monkeypatch.setattr(harness_mod, "_nlinv_round", track(harness_mod._nlinv_round))
     return live
 

@@ -1,5 +1,7 @@
 import logging
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from photonrc.reservoir import (
     simulate,
     _RESAMPLE_ROWS,
     _advance,
+    _bracket,
     _resample_into,
     _simulation_step,
 )
@@ -417,7 +420,7 @@ class TestResampleInto:
     def _check(x, xp, width=3, seed=0):
         fp = _random_columns(len(xp), width, seed)
         out = np.empty((len(x), width), dtype=np.complex128)
-        _resample_into(out, x, xp, fp)
+        _resample_into(out, x, xp, fp, _bracket(x, xp))
         expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(width)], axis=1)
         assert out.tobytes() == expected.tobytes()
 
@@ -462,7 +465,7 @@ class TestResampleInto:
         xp, x = np.arange(30) * 1.0, np.arange(70) * 0.4
         fp = _random_columns(30, 4, seed=1)
         wide = np.zeros((70, 5), dtype=np.complex128)
-        _resample_into(wide[:, :4], x, xp, fp)
+        _resample_into(wide[:, :4], x, xp, fp, _bracket(x, xp))
         assert np.all(wide[:, 4] == 0)
         expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(4)], axis=1)
         assert wide[:, :4].tobytes() == expected.tobytes()
@@ -474,7 +477,7 @@ class TestResampleInto:
         xp, x = np.arange(50) * 1.0, np.arange(_RESAMPLE_ROWS // 8) * 0.19
         fp = _random_columns(50, 3, seed=2)
         wide = np.zeros((2 * len(x), 5), dtype=np.complex128)
-        _resample_into(wide[1::2, 1:4], x, xp, fp)
+        _resample_into(wide[1::2, 1:4], x, xp, fp, _bracket(x, xp))
         expected = np.stack([_interp_complex(x, xp, fp[:, c]) for c in range(3)], axis=1)
         assert wide[1::2, 1:4].tobytes() == expected.tobytes()
         assert not wide[::2].any() and not wide[:, [0, 4]].any()
@@ -555,6 +558,38 @@ class TestSimulateMatchesBlockReference:
         self._check(topology, _random_input(200, bitrate=bitrate, seed=4), bias_power)
 
 
+    @pytest.mark.parametrize(
+        "steps",
+        [(4, 6), (4, 9, 7, 8, 5)],
+        ids=["residues-0-2", "residues-0-1-3"],
+    )
+    @pytest.mark.parametrize("view_blocks", [2, reservoir_mod._VIEW_BLOCKS])
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_delays_off_the_shortest_multiple(self, n, steps, view_blocks, monkeypatch):
+        # Each delay reads the blocks shifted back by its residue modulo the
+        # block length.  The second case has three residues: two delays on
+        # residue 0 and two on residue 1, which reach back one and two
+        # blocks, the farther one first.
+        # On the input grid without a bias line and off it with one, the
+        # buffer is node wide, and these lengths end on every length of last
+        # block, against which the residues of the delays change too.  Views
+        # built two blocks at a time put a seam between most pairs of blocks.
+        monkeypatch.setattr(reservoir_mod, "_VIEW_BLOCKS", view_blocks)
+        period = 1e-11
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]
+        topology = ReservoirTopology(
+            4,
+            tuple(Edge(a, b, d * period, 0.5, 0.3 + i) for i, ((a, b), d) in enumerate(zip(edges, steps))),
+            (InputPort(0, 0.4),),
+        )
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        self._check(topology, OpticalSignal(samples, period), None)
+        # a 1.2x longer input period keeps the 1e-11 s step, 4 steps a block
+        m = int(math.ceil(n / 1.2))
+        self._check(topology, OpticalSignal(samples[:m], 1.2 * period), 0.02)
+
+
 class TestAdvanceInPlace:
     """The in-place product either updates its block or raises."""
 
@@ -569,6 +604,102 @@ class TestAdvanceInPlace:
         monkeypatch.setattr(reservoir_mod, "zgemm", lambda *args: args[4].copy())
         with pytest.raises(RuntimeError, match="copy"):
             simulate(build_swirl(seed=1), _random_input(10, bitrate=5e9), None)
+
+
+def test_recursion_holds_a_bounded_number_of_views():
+    # 60k blocks of two steps and two delays: the node-major views of every
+    # block at once held 17.8 MB (traced) beside the buffer
+    n_blocks, pad = 60_000, 3
+    full = np.zeros((pad + 2 * n_blocks, 2), dtype=np.complex128)
+    full[pad] = 1.0
+    transfers = {2: np.full((2, 2), 0.3, dtype=np.complex128), 3: np.eye(2, dtype=np.complex128) * 0.2}
+    tracemalloc.start()
+    try:
+        _advance(full, 2, pad, transfers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert full[pad + 2].any()  # the recursion ran
+
+
+class TestSimulateEach:
+    """``simulate_each`` yields the bytes of one ``simulate`` per topology."""
+
+    @pytest.mark.parametrize("ports", ["shared", "per-port"])
+    @pytest.mark.parametrize("bias_power", [None, 0.02])
+    @pytest.mark.parametrize("bitrate", [5e9, 10e9, 15e9])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["swirl", "mixed-delay"])
+    def test_matches_simulate_per_topology(self, mixed, bitrate, bias_power, ports):
+        # 10 Gbps runs on the input grid, 5 and 15 Gbps off it
+        base = _mixed_delay_swirl(seed=12) if mixed else build_swirl(seed=12)
+        copies = [perturb_phases(base, PerturbationSpec(b, seed=s)) for s, b in enumerate((0.3, 3.0))]
+        topologies = [base] + copies
+        if ports == "shared":
+            inputs = _random_input(30, bitrate=bitrate, seed=5)
+        else:
+            inputs = [_random_input(30, bitrate=bitrate, seed=s) for s in range(4)]
+        got = list(reservoir_mod.simulate_each(topologies, inputs, bias_power))
+        assert len(got) == len(topologies)
+        for states, topology in zip(got, topologies):
+            alone = simulate(topology, inputs, bias_power)
+            assert states.samples.flags["C_CONTIGUOUS"]
+            assert states.samples.tobytes() == alone.samples.tobytes()
+            assert (states.sample_period, states.channel_roles) == (alone.sample_period, alone.channel_roles)
+
+    @pytest.mark.parametrize(
+        "second, inputs, bias_power, match",
+        [
+            (_mixed_delay_swirl(seed=1), None, None, "identical edge delays"),
+            (build_swirl(seed=2), None, 0.0, "bias_power must be positive"),
+            (build_swirl(seed=2), 3, None, "expected 4 input signals"),
+        ],
+        ids=["delays", "bias", "port-count"],
+    )
+    def test_bad_arguments_rejected_before_any_simulation(self, monkeypatch, second, inputs, bias_power, match):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr(reservoir_mod, "_simulation_step", no_simulation)
+        sig = _random_input(10, bitrate=5e9)
+        inputs = sig if inputs is None else [sig] * inputs
+        with pytest.raises(ValueError, match=match):
+            reservoir_mod.simulate_each([build_swirl(seed=1), second], inputs, bias_power)
+
+    def test_off_grid_delay_warns_once_per_call(self, caplog, monkeypatch):
+        steps = []
+        real_step = reservoir_mod._simulation_step
+
+        def counting_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(reservoir_mod, "_simulation_step", counting_step)
+        base = _chain_with_second_delay(90e-12)
+        topologies = [base] + [perturb_phases(base, PerturbationSpec(1.0, seed=s)) for s in range(3)]
+        with caplog.at_level(logging.WARNING, logger="photonrc.reservoir"):
+            got = list(reservoir_mod.simulate_each(topologies, _random_input(10, bitrate=10e9), None))
+        assert len(got) == 4
+        assert len(steps) == 1
+        [record] = caplog.records
+        assert "simulated as 22 steps" in record.getMessage()
+
+    @pytest.mark.parametrize("bitrate", [5e9, 10e9])
+    def test_keeps_no_yielded_matrix(self, bitrate):
+        # on the input grid the samples are a view of the recursion buffer
+        base = _mixed_delay_swirl(seed=3)
+        topologies = [base, perturb_phases(base, PerturbationSpec(1.0, seed=0))]
+        sims = reservoir_mod.simulate_each(topologies, _random_input(20, bitrate=bitrate), 0.02)
+        first = next(sims)
+        owner = first.samples if first.samples.base is None else first.samples.base
+        refs = [weakref.ref(first), weakref.ref(owner)]
+        del first, owner
+        assert all(r() is None for r in refs)
+        next(sims)
+        assert next(sims, None) is None
+
+    def test_no_topologies_yield_nothing(self):
+        assert list(reservoir_mod.simulate_each([], _random_input(10))) == []
 
 
 def _chain_with_second_delay(delay):
