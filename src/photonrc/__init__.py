@@ -21,7 +21,6 @@ from .reservoir import (
     ReservoirTopology,
     StateMatrix,
     build_swirl,
-    default_swirl4x4,
     load_topology,
     perturb_phases,
     save_topology,

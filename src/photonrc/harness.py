@@ -503,7 +503,6 @@ def run_bitrate_sweep(
         out = _output_dir(cfg, out_dir)
         write_records_csv(records, out / "records.csv")
         write_summary_csv(summary, out / "summary.csv")
-        _write_dat_files(summary, out)
     return records, summary
 
 
@@ -783,13 +782,3 @@ def _output_dir(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     write_summary_json(cfg, out / "summary.json")
     return out
 
-
-def _write_dat_files(summary: list[SummaryRow], out: Path) -> None:
-    """Plain-column data files for BER-vs-bitrate plotting."""
-    keys = sorted({(s.header, s.trainer) for s in summary})
-    for header, trainer in keys:
-        rows = [s for s in summary if s.header == header and s.trainer == trainer]
-        lines = ["# bitrate_gbps geo_mean_test_ber mean_test_ber"]
-        for s in sorted(rows, key=lambda s: s.bitrate_gbps):
-            lines.append(f"{_fmt(s.bitrate_gbps)} {_fmt(s.geo_mean_test_ber)} {_fmt(s.mean_test_ber)}")
-        (out / f"ber_vs_bitrate_{header}_{trainer}.dat").write_text("\n".join(lines) + "\n")

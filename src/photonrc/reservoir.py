@@ -13,9 +13,13 @@ delay is an integer number of steps and every bit period spans at least
 as many steps as the requested output resolution.  One block recursion
 serves every delay set: one transfer matrix per distinct delay, advanced
 in blocks as long as the shortest delay, so unequal waveguide lengths run
-at block speed.  When the simulation grid is finer than the input grid,
-inputs are resampled onto it and the recorded node signals back onto the
-input grid, linearly and to the bit of ``np.interp``.
+at block speed.  The recursion always runs in a node-wide buffer, each
+block of two or more rows with one in-place zgemm per delay; on the input
+grid with a bias line that buffer is the head of the state matrix's own
+memory and is spread out to its F + 1 stride afterwards.  When the
+simulation grid is finer than the input grid, inputs are resampled onto
+it and the recorded node signals back onto the input grid, linearly and
+to the bit of ``np.interp``.
 
 ``simulate_each`` runs one input through several reservoirs with the same
 delays, such as phase-perturbed copies of one chip: the grid, each
@@ -30,7 +34,6 @@ import logging
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +54,6 @@ __all__ = [
     "simulate_each",
     "save_topology",
     "load_topology",
-    "default_swirl4x4",
 ]
 
 logger = logging.getLogger(__name__)
@@ -353,10 +355,11 @@ def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[
     The step never exceeds the input sample period, which keeps at least
     the input resolution (24 samples per bit by default) in the block
     recursion across the whole bitrate sweep.  Remaining delays are
-    rounded to whole steps; with the bundled single-delay topologies the
-    rounding is exact.  When a delay lies more than 1e-6 of a step off the
-    grid, one warning names the edge rounded furthest and the delay it is
-    simulated with.  A topology without edges runs on the input grid.
+    rounded to whole steps; with the single-delay topologies of
+    ``build_swirl`` the rounding is exact.  When a delay lies more than
+    1e-6 of a step off the grid, one warning names the edge rounded
+    furthest and the delay it is simulated with.  A topology without
+    edges runs on the input grid.
     """
     delays = np.array([e.delay for e in topology.edges], dtype=np.float64)
     base = float(delays.min()) if delays.size else input_period
@@ -375,6 +378,11 @@ def _simulation_step(topology: ReservoirTopology, input_period: float) -> tuple[
         )
     return step, steps
 
+
+# Rows that spread a node-wide recursion buffer out to the F + 1 stride of
+# the state matrix at a time: numpy copies each chunk's overlapping source
+# aside, 2048 x F complex values (0.5 MB for 16 nodes).
+_SPREAD_ROWS = 2048
 
 # Blocks whose node-major views the recursion builds and holds at once.
 # The views of every block at once held 24 MB in the recursion of a
@@ -414,73 +422,50 @@ def _node_major_tilings(
     return tilings[0][reach[0] :], sources
 
 
-def _advance(full: np.ndarray, n_nodes: int, pad: int, transfers: dict[int, np.ndarray]) -> None:
+def _advance(full: np.ndarray, pad: int, transfers: dict[int, np.ndarray]) -> None:
     """Add every delayed edge arrival to the rows of ``full`` past ``pad``, in place.
 
-    Row ``pad + n`` holds time step n, nodes in the first ``n_nodes``
-    columns; ``transfers`` maps each delay, in steps, to its transfer
-    matrix.  Every delay spans at least ``d_min`` steps, so a block of
-    ``d_min`` steps reads only rows that earlier blocks have completed.
-    The full blocks, then the shorter last one, and their delayed sources
-    are walked as block-shaped views; each block and delay gets the bytes
-    of a node-wide ``block += source @ transfer``.
+    ``full`` is a C-contiguous node-wide buffer whose row ``pad + n``
+    holds time step n; ``transfers`` maps each delay, in steps, to its
+    transfer matrix.  Every delay spans at least ``d_min`` steps, so a
+    block of ``d_min`` steps reads only rows that earlier blocks have
+    completed.  The full blocks, then the shorter last one, and their
+    delayed sources are walked as block-shaped views; each block and
+    delay gets the bytes of ``block += source @ transfer``.
 
-    On a node-wide buffer a block of two or more rows takes one zgemm,
+    A block of two or more rows takes one zgemm per delay,
     ``block.T += transfer.T @ source.T`` on the node-major views with
     ``beta = 1``, and each of those views is built once
     (``_node_major_tilings``, for ``_VIEW_BLOCKS`` blocks at a time).
-    zgemm writes in place only into a
-    Fortran-contiguous target and otherwise silently returns a fresh
-    array, so a buffer that is not C-contiguous, or a call that does not
-    return its target, raises ``RuntimeError``.  A one-row block keeps
-    ``np.matmul`` and an add, because a one-row ``@`` rounds differently
-    from zgemm, and so does the input-grid layout with a bias line, whose
-    node columns are a strided view of the ``F + 1`` wide buffer: padding
-    the transfer to that width for zgemm changed the bytes of a 3-node
-    chain at 195 of 199 input lengths.  There the product goes into a
-    reused buffer as wide as ``full``, whose bias column stays zero, and
-    is added to whole rows.  With one delay the views are walked in step;
-    with several, indexing the source views measured faster than
-    unpacking a zip.
+    zgemm writes in place only into a Fortran-contiguous target and
+    otherwise silently returns a fresh array, so a buffer that is not
+    C-contiguous and node wide, or a call that does not return its
+    target, raises ``RuntimeError``.  A one-row block keeps
+    ``row += source @ transfer``, because a one-row ``@`` rounds
+    differently from zgemm.
     """
-    n_sim, width = full.shape[0] - pad, full.shape[1]
-    node_wide = width == n_nodes
-    if node_wide and not full.flags.c_contiguous:
+    n_nodes = full.shape[1]
+    if not full.flags.c_contiguous or any(t.shape != (n_nodes, n_nodes) for t in transfers.values()):
         raise RuntimeError("the block recursion needs a C-contiguous node-wide buffer")
-    buf = full[:, :n_nodes]
+    n_sim = full.shape[0] - pad
     d_min = min(transfers, default=n_sim)
     n_full, n_last = divmod(n_sim, d_min)
-    arrivals = np.zeros((d_min, width), dtype=np.complex128)
     first = pad
     for count, rows in [(n_full, d_min), (1, n_last)]:
-        size = count * rows
-        if node_wide and rows > 1:
+        if rows == 1:
+            for row in range(first, first + count):
+                for d, transfer in transfers.items():
+                    full[row : row + 1] += full[row - d : row - d + 1] @ transfer
+        elif rows > 1:
             for done in range(0, count, _VIEW_BLOCKS):
                 blocks, node_major = _node_major_tilings(
-                    buf, first + done * rows, min(_VIEW_BLOCKS, count - done), rows, transfers
+                    full, first + done * rows, min(_VIEW_BLOCKS, count - done), rows, transfers
                 )
                 for k, block in enumerate(blocks):
                     for source, transfer in node_major:
                         if zgemm(1.0, transfer, source[k], 1.0, block, 0, 0, 1) is not block:
                             raise RuntimeError("zgemm returned a copy and left its block unchanged")
-        else:
-            targets = full[first : first + size].reshape(count, rows, width)
-            sources = [
-                (buf[first - d : first - d + size].reshape(count, rows, n_nodes), transfer)
-                for d, transfer in transfers.items()
-            ]
-            part, arrived = arrivals[:rows, :n_nodes], arrivals[:rows]
-            if len(sources) == 1:
-                [(source, transfer)] = sources
-                for block, view in zip(targets, source):
-                    np.matmul(view, transfer, out=part)
-                    block += arrived
-            else:
-                for k, block in enumerate(targets):
-                    for source, transfer in sources:
-                        np.matmul(source[k], transfer, out=part)
-                        block += arrived
-        first += size
+        first += count * rows
 
 
 def simulate(
@@ -508,11 +493,12 @@ def simulate(
     per-channel ``np.interp``.
 
     The block recursion (``_advance``) adds each block's arrivals in
-    place with one zgemm per block and delay wherever the buffer is node
-    wide: off the input grid, and on it without a bias line.  A one-row
-    block, and the input-grid layout with a bias line, whose node columns
-    are a strided view of the ``F + 1`` wide buffer, keep ``np.matmul``
-    and an add.  Every product gives the bytes of a node-wide ``@``.
+    place with one zgemm per block and delay in a node-wide buffer, and a
+    one-row block with ``@`` and an add; every product gives the bytes of
+    a node-wide ``@``.  On the input grid with a bias line the recursion
+    runs in the head of the returned matrix's memory, node wide, and its
+    rows are then spread out to the ``F + 1`` stride, so no second
+    ``N x F`` matrix is held beside the result.
 
     This is ``simulate_each`` with one topology.
     """
@@ -615,6 +601,13 @@ def _propagate(
     ``drives`` holds each port's input on the simulation grid and ``back``
     the input grid, the simulation grid and the bracket to resample the
     node signals back onto the former, or ``None`` on the input grid.
+
+    ``_advance`` runs in a node-wide buffer in every layout.  On the input
+    grid with a bias line that buffer is the head of the flat memory of
+    the returned ``F + 1`` wide matrix, and its rows are spread out to
+    that stride afterwards, ``_SPREAD_ROWS`` at a time: a node-wide
+    buffer copied into a fresh matrix would hold a second ``N x F``
+    matrix beside the result.
     """
     n_nodes = topology.n_nodes
     k_in = topology.in_degree().astype(np.float64)
@@ -635,16 +628,17 @@ def _propagate(
     # Row pad + n holds time step n; the leading pad rows are the dark past.
     # The injection term, already divided by the combiner factor of its
     # node, is written first and the delayed edge arrivals are added to it.
-    # On the input grid with a bias line the buffer carries the bias column
-    # too, so its rows past the dark past are the returned matrix; ``buf``
-    # is then a view of the node columns, whose rows are F + 1 apart.
-    bias_column = back is None and bias_power is not None
-    full = np.zeros((pad + n_sim, n_nodes + bias_column), dtype=np.complex128)
-    buf = full[:, :n_nodes]
+    # On the input grid with a bias line the returned matrix is the rows of
+    # an F + 1 wide buffer past the dark past; the recursion runs node wide
+    # in its head and is then spread out to that stride.
+    n_rows = pad + n_sim
+    spread = back is None and bias_power is not None
+    flat = np.zeros(n_rows * (n_nodes + spread), dtype=np.complex128)
+    buf = flat[: n_rows * n_nodes].reshape(n_rows, n_nodes)
     for port, drive in zip(topology.input_ports, drives):
         buf[pad:, port.node] += drive * np.exp(1j * port.phase) * combine[port.node]
 
-    _advance(full, n_nodes, pad, transfers)
+    _advance(buf, pad, transfers)
 
     # The node columns and the bias line form one C-ordered matrix: the
     # buffer itself on the input grid, or resampled straight back onto it.
@@ -652,6 +646,14 @@ def _propagate(
     if bias_power is not None:
         roles.append("bias")
     if back is None:
+        full = flat.reshape(n_rows, len(roles))
+        if spread:
+            # A row's destination never lies below its source, so the
+            # chunks go last first: the chunks spread before one wrote only
+            # past the rows it reads.  numpy buffers the overlap inside it.
+            for start in reversed(range(0, n_rows, _SPREAD_ROWS)):
+                rows = slice(start, start + _SPREAD_ROWS)
+                full[rows, :n_nodes] = buf[rows]
         out = full[pad:]
     else:
         t_in, t_sim, bracket = back
@@ -678,11 +680,12 @@ def save_topology(topology: ReservoirTopology, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_topology(text: str, origin: str) -> ReservoirTopology:
+def load_topology(path: str | Path) -> ReservoirTopology:
+    path = Path(path)
     n_nodes = None
     edges: list[Edge] = []
     ports: list[InputPort] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -700,18 +703,7 @@ def _parse_topology(text: str, origin: str) -> ReservoirTopology:
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"{origin}:{lineno}: bad topology record {raw!r}") from exc
+            raise ValueError(f"{path}:{lineno}: bad topology record {raw!r}") from exc
     if n_nodes is None:
-        raise ValueError(f"{origin}: missing 'nodes' record")
+        raise ValueError(f"{path}: missing 'nodes' record")
     return ReservoirTopology(n_nodes, tuple(edges), tuple(ports))
-
-
-def load_topology(path: str | Path) -> ReservoirTopology:
-    path = Path(path)
-    return _parse_topology(path.read_text(), str(path))
-
-
-def default_swirl4x4() -> ReservoirTopology:
-    """The bundled 4x4 swirl instance (62.5 ps delays, 3 dB/cm loss)."""
-    text = resources.files("photonrc").joinpath("data/swirl4x4.topo").read_text()
-    return _parse_topology(text, "data/swirl4x4.topo")

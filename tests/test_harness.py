@@ -244,13 +244,12 @@ class TestSweeps:
         assert (tmp_path / "records.csv").exists()
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        assert (tmp_path / "ber_vs_bitrate_101_ridge.dat").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_cfg()
         run_bitrate_sweep(cfg, out_dir=tmp_path / "a")
         run_bitrate_sweep(cfg, out_dir=tmp_path / "b")
-        for name in ("records.csv", "summary.csv", "summary.json", "ber_vs_bitrate_101_ridge.dat"):
+        for name in ("records.csv", "summary.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -16,17 +16,18 @@ from photonrc.reservoir import (
     SPEED_OF_LIGHT,
     build_swirl,
     central_input_nodes,
-    default_swirl4x4,
     load_topology,
     perturb_phases,
     save_topology,
     simulate,
     _RESAMPLE_ROWS,
+    _SPREAD_ROWS,
     _advance,
     _bracket,
     _resample_into,
     _simulation_step,
 )
+from photonrc.config import ci_profile
 from photonrc.signals import OpticalSignal, gen_bits, modulate
 
 
@@ -528,12 +529,36 @@ class TestSimulateMatchesBlockReference:
             sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
             self._check(topology, sig, 0.02)
 
+    @pytest.mark.parametrize(
+        "total_rows",
+        [_SPREAD_ROWS - 1, _SPREAD_ROWS, _SPREAD_ROWS + 1, 2 * _SPREAD_ROWS + 1],
+    )
+    @pytest.mark.parametrize("kind", ["swirl", "chain"])
+    def test_spread_on_its_chunk_seams(self, kind, total_rows):
+        # On the input grid with a bias line the node-wide recursion rows,
+        # dark past included, are spread out to the F + 1 stride a chunk
+        # at a time; these lengths end one row before, on and after a seam.
+        if kind == "swirl":
+            topology, period = build_swirl(seed=13), 1.0 / (10e9 * 24)
+        else:
+            topology = ReservoirTopology(
+                3,
+                (Edge(0, 1, 3e-11, 1.0, 0.1), Edge(1, 2, 7e-11, 1.0, 0.2)),
+                (InputPort(0, 0.4),),
+            )
+            period = 1e-11
+        step, delay_steps = _simulation_step(topology, period)
+        assert abs(step - period) <= 1e-9 * period
+        n = total_rows - int(delay_steps.max())
+        rng = np.random.default_rng(total_rows)
+        sig = OpticalSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), period)
+        self._check(topology, sig, 0.02)
+
     @pytest.mark.parametrize("mixed", [False, True], ids=["swirl", "mixed-delay"])
     @pytest.mark.parametrize("bitrate", [5e9, 15e9, 31e9])
     def test_resampled_without_bias_ending_on_a_one_row_block(self, bitrate, mixed):
-        # Off the input grid without a bias line the blocks of two or more
-        # rows take their products into a contiguous buffer; the input
-        # length is picked so that the last block has one row.
+        # Off the input grid without a bias line, with the input length
+        # picked so that the last block has one row.
         topology = _mixed_delay_swirl(seed=9) if mixed else build_swirl(seed=9)
         period = 1.0 / (bitrate * 24)
         step, delay_steps = _simulation_step(topology, period)
@@ -570,10 +595,10 @@ class TestSimulateMatchesBlockReference:
         # block length.  The second case has three residues: two delays on
         # residue 0 and two on residue 1, which reach back one and two
         # blocks, the farther one first.
-        # On the input grid without a bias line and off it with one, the
-        # buffer is node wide, and these lengths end on every length of last
-        # block, against which the residues of the delays change too.  Views
-        # built two blocks at a time put a seam between most pairs of blocks.
+        # These lengths end on every length of last block, against which the
+        # residues of the delays change too, on the input grid with and
+        # without a bias line and off it.  Views built two blocks at a time
+        # put a seam between most pairs of blocks.
         monkeypatch.setattr(reservoir_mod, "_VIEW_BLOCKS", view_blocks)
         period = 1e-11
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]
@@ -585,6 +610,7 @@ class TestSimulateMatchesBlockReference:
         rng = np.random.default_rng(n)
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         self._check(topology, OpticalSignal(samples, period), None)
+        self._check(topology, OpticalSignal(samples, period), 0.02)
         # a 1.2x longer input period keeps the 1e-11 s step, 4 steps a block
         m = int(math.ceil(n / 1.2))
         self._check(topology, OpticalSignal(samples[:m], 1.2 * period), 0.02)
@@ -597,8 +623,14 @@ class TestAdvanceInPlace:
         # zgemm would return a fresh array for each strided block and leave
         # the buffer untouched
         full = np.ones((40, 6), dtype=np.complex128)[:, ::2]
-        with pytest.raises(RuntimeError, match="C-contiguous"):
-            _advance(full, 3, 3, {3: np.eye(3, dtype=np.complex128)})
+        with pytest.raises(RuntimeError, match="C-contiguous node-wide"):
+            _advance(full, 3, {3: np.eye(3, dtype=np.complex128)})
+
+    def test_buffer_wider_than_the_nodes_rejected(self):
+        # an F + 1 wide buffer with a bias column is not node wide
+        full = np.ones((40, 4), dtype=np.complex128)
+        with pytest.raises(RuntimeError, match="C-contiguous node-wide"):
+            _advance(full, 3, {3: np.eye(3, dtype=np.complex128)})
 
     def test_returned_copy_raises(self, monkeypatch):
         monkeypatch.setattr(reservoir_mod, "zgemm", lambda *args: args[4].copy())
@@ -615,12 +647,28 @@ def test_recursion_holds_a_bounded_number_of_views():
     transfers = {2: np.full((2, 2), 0.3, dtype=np.complex128), 3: np.eye(2, dtype=np.complex128) * 0.2}
     tracemalloc.start()
     try:
-        _advance(full, 2, pad, transfers)
+        _advance(full, pad, transfers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     assert full[pad + 2].any()  # the recursion ran
+
+
+def test_bias_layout_holds_no_second_state_matrix():
+    # On the input grid with a bias line the recursion runs in the head of
+    # the returned matrix's own memory; a node-wide buffer copied into a
+    # fresh F + 1 wide matrix held another 12 MB here.
+    cfg = ci_profile()
+    sig = _random_input(cfg.n_test_bits, bitrate=10e9, seed=8)
+    tracemalloc.start()
+    try:
+        states = simulate(build_swirl(seed=14), sig, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.channel_roles[-1] == "bias"
+    assert peak <= states.samples.nbytes + 2_000_000
 
 
 class TestSimulateEach:
@@ -738,15 +786,6 @@ class TestTopologyFiles:
         assert loaded.n_nodes == t.n_nodes
         assert loaded.edges == t.edges
         assert loaded.input_ports == t.input_ports
-
-    def test_bundled_default(self):
-        t = default_swirl4x4()
-        assert t.n_nodes == 16
-        assert len(t.edges) == 24
-        assert tuple(p.node for p in t.input_ports) == (5, 6, 9, 10)
-        sig = _random_input(12, seed=0)
-        x = simulate(t, sig, 0.02)
-        assert x.n_channels == 17
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.topo"
