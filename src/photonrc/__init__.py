@@ -17,7 +17,6 @@ from .signals import BitSignal, DesiredSignal, HeaderPattern, OpticalSignal, des
 from .reservoir import (
     Edge,
     InputPort,
-    PerturbationSpec,
     ReservoirTopology,
     StateMatrix,
     build_swirl,
@@ -26,13 +25,7 @@ from .reservoir import (
     save_topology,
     simulate,
 )
-from .detector import (
-    DetectorConfig,
-    ElectricalSignal,
-    ReadoutWeights,
-    noise_variance,
-    readout_forward,
-)
+from .detector import DetectorConfig, noise_variance, readout_forward
 from .ridge import cv_alpha, invert_target, ridge_problem
 from .cmaes import (
     bit_sse,
@@ -52,7 +45,6 @@ from .harness import (
     ExperimentRecord,
     best_sampling_point,
     bit_error_rate,
-    run_all_headers,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, profile_by_name
+from .config import ALL_3BIT_HEADERS, TRAINERS, ExperimentConfig, load_config, profile_by_name
 from .harness import (
     _study_header,
-    run_all_headers,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
@@ -23,7 +22,7 @@ from .stateest import build_probe_schedule
 
 # Flags that overlay one configuration key, offered only by the commands that read it.
 _OVERLAYS = {
-    "--trainer": dict(nargs="+", choices=("ridge", "cmaes", "nlinv"), help="trainers to run"),
+    "--trainer": dict(nargs="+", choices=TRAINERS, help="trainers to run"),
     "--bitrates": dict(help="comma-separated bitrates in Gbps, e.g. 5,10,15"),
     "--header": dict(help="header bit pattern, e.g. 101"),
     "--seeds": dict(type=int, help="number of reservoir instances"),
@@ -112,8 +111,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_headers(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    records, summary = run_all_headers(cfg, out_dir=args.out)
+    cfg = replace(_resolve_config(args), headers=ALL_3BIT_HEADERS)
+    records, summary = run_bitrate_sweep(cfg, out_dir=args.out)
     print(f"wrote {len(records)} records ({len(summary)} summary rows) to {args.out}")
     return 0
 

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detector import ReadoutWeights
 from .signals import DesiredSignal
 
 __all__ = [
@@ -61,12 +60,12 @@ def _decode(v: np.ndarray) -> np.ndarray:
     return v[..., :half] + 1j * v[..., half:]
 
 
-def decode_weights(vector: np.ndarray) -> ReadoutWeights:
-    """Complex weights from a vector stacked as [real parts; imaginary parts]."""
+def decode_weights(vector: np.ndarray) -> np.ndarray:
+    """The complex weight vector encoded as [real parts; imaginary parts]."""
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("encoded weight vector must have even length")
-    return ReadoutWeights(_decode(v))
+    return _decode(v)
 
 
 def bit_sse(
@@ -234,7 +233,7 @@ class _ReadoutObjective:
         self._skip = skip_bits
 
     def __call__(self, candidates: np.ndarray) -> np.ndarray:
-        y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset).samples
+        y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset)
         return bit_sse(y, self._desired, 1, 0, self._skip)
 
 

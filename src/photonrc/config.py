@@ -110,6 +110,9 @@ class ExperimentConfig:
         for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        for b in self.perturbation_b_over_pi:
+            if not 0 <= b < math.inf:
+                raise ValueError(f"perturbation_b_over_pi entries must be non-negative and finite, got {b!r}")
         # The bias line is the nlinv reference, so it must be bright.
         for key in ("p_total_w", "bias_power_w"):
             if not getattr(self, key) > 0:

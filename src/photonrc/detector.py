@@ -41,8 +41,6 @@ __all__ = [
     "ELEMENTARY_CHARGE",
     "BOLTZMANN",
     "DetectorConfig",
-    "ReadoutWeights",
-    "ElectricalSignal",
     "SampledBasis",
     "noise_variance",
     "readout_forward",
@@ -82,49 +80,6 @@ class DetectorConfig:
             raise ValueError("temperature must be positive")
         if not self.load_ohm > 0:
             raise ValueError("load impedance must be positive")
-
-
-@dataclass(frozen=True)
-class ReadoutWeights:
-    """Complex weights applied to the state channels before detection."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise ValueError("weights must be one-dimensional")
-        if values.size and not np.isfinite(values).all():
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class ElectricalSignal:
-    """Real photocurrent samples in Ampere on a uniform grid.
-
-    ``samples`` is one output of N samples, or a K x N block holding the
-    outputs of K presentations, one per row.
-    """
-
-    samples: np.ndarray
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim not in (1, 2):
-            raise ValueError("samples must be one output or a block of outputs, one per row")
-        if samples.size and not np.isfinite(samples).all():
-            raise ValueError("electrical samples must be finite")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return int(self.samples.shape[-1])
 
 
 def noise_variance(mean_current_a: float, cfg: DetectorConfig) -> float:
@@ -236,9 +191,9 @@ def _detect(
     return current
 
 
-def _weight_matrix(weights: ReadoutWeights | np.ndarray, n_channels: int) -> np.ndarray:
+def _weight_matrix(weights: np.ndarray, n_channels: int) -> np.ndarray:
     """Checked complex weights: one vector, or an ``n_channels x K`` matrix."""
-    w = weights.values if isinstance(weights, ReadoutWeights) else np.asarray(weights, dtype=np.complex128)
+    w = np.asarray(weights, dtype=np.complex128)
     if w.ndim not in (1, 2) or w.shape[0] != n_channels:
         raise ValueError(
             f"weights of shape {w.shape} do not match a state matrix with {n_channels} channels"
@@ -246,6 +201,13 @@ def _weight_matrix(weights: ReadoutWeights | np.ndarray, n_channels: int) -> np.
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
     return w
+
+
+def _checked_output(y: np.ndarray) -> np.ndarray:
+    """``y``, the photocurrent of one presentation or a K x N block, once it is finite."""
+    if not np.isfinite(y).all():
+        raise ValueError("electrical samples must be finite")
+    return y
 
 
 # Rows of the state matrix per product in ``readout_forward``.  The complex
@@ -257,13 +219,15 @@ _CHUNK_ROWS = 4096
 
 def readout_forward(
     states: StateMatrix,
-    weights: ReadoutWeights | np.ndarray,
+    weights: np.ndarray,
     cfg: DetectorConfig,
     rng: np.random.Generator | None = None,
-) -> ElectricalSignal:
+) -> np.ndarray:
     """Detector output of the weighted optical sum ``X @ w``, batched over columns.
 
-    ``weights`` is one vector of ``n_channels`` entries, or an
+    Returns the photocurrent in ampere, N samples on the grid of
+    ``states``; an output that is not finite raises ``ValueError``.
+    ``weights`` is one complex vector of ``n_channels`` entries, or an
     ``n_channels x K`` matrix whose K columns are presented in order; the
     result then holds K outputs as the rows of a K x N block, and row k
     equals what a separate call with column k would return after the
@@ -282,7 +246,7 @@ def readout_forward(
         part += np.square(field.imag)
         part *= cfg.responsivity
     _detect(current, states.sample_period, cfg, rng)
-    return ElectricalSignal(current if w.ndim == 2 else current[0], states.sample_period)
+    return _checked_output(current if w.ndim == 2 else current[0])
 
 
 @dataclass(frozen=True)
@@ -474,12 +438,12 @@ def sampled_basis(
 
 def readout_sampled(
     basis: SampledBasis,
-    weights: ReadoutWeights | np.ndarray,
+    weights: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> ElectricalSignal:
+) -> np.ndarray:
     """Detector output at one instant per bit, batched over weight columns.
 
-    Row k stands for ``readout_forward(states, W, cfg).samples[k,
+    Row k stands for ``readout_forward(states, W, cfg)[k,
     sample_offset::samples_per_bit]``.  The clean part is that output to
     rounding: ``responsivity * products^T c(w)`` with ``c(w)`` the F^2
     coefficients ``|w_f|^2``, ``2 Re(w_i conj(w_j))`` and ``-2 Im(w_i
@@ -490,7 +454,8 @@ def readout_sampled(
     filter is off).  Both start from rest, so they differ only in the
     start-up transient, which decays as ``|p|^(2 * samples_per_bit * b)``
     at bit b for the filter's largest pole p.  Without ``rng`` the noise
-    comes from a fresh, unseeded generator.
+    comes from a fresh, unseeded generator.  The output is checked as in
+    :func:`readout_forward`.
     """
     cfg = basis.detector
     f = basis.gram.shape[0]
@@ -511,5 +476,4 @@ def readout_sampled(
             noise = lfilter(num, den, noise, axis=1)
             sigma *= gain
         y += sigma[:, None] * noise
-    period = basis.sample_period * basis.samples_per_bit
-    return ElectricalSignal(y if w.ndim == 2 else y[0], period)
+    return _checked_output(y if w.ndim == 2 else y[0])

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .cmaes import decode_weights, train_cmaes
-from .config import ALL_3BIT_HEADERS, ExperimentConfig, config_to_dict
-from .detector import ReadoutWeights, readout_forward
+from .config import ExperimentConfig, config_to_dict
+from .detector import readout_forward
 from .reservoir import (
     TWO_PI,
-    PerturbationSpec,
     ReservoirTopology,
     StateMatrix,
     build_swirl,
@@ -52,7 +51,6 @@ __all__ = [
     "best_sampling_point",
     "run_single",
     "run_bitrate_sweep",
-    "run_all_headers",
     "run_perturbation",
     "run_convergence",
     "aggregate_records",
@@ -257,7 +255,7 @@ class _Fit:
 
     header: str
     trainer: str
-    weights: ReadoutWeights
+    weights: np.ndarray
     presentations: int
     detail: str
     threshold: float
@@ -321,11 +319,11 @@ def _targets(cfg: ExperimentConfig, cell: _Cell, header: str) -> tuple[DesiredSi
     )
 
 
-def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: ReadoutWeights, *seed_key) -> np.ndarray:
+def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: np.ndarray, *seed_key) -> np.ndarray:
     """Detector output past the warm-up, its noise seeded by ``seed_key``."""
     rng = np.random.default_rng(derive_seed(cfg.master_seed, *seed_key))
     y = readout_forward(states, weights, cfg.detector, rng=rng)
-    return y.samples[cfg.warmup_bits * cfg.samples_per_bit :]
+    return y[cfg.warmup_bits * cfg.samples_per_bit :]
 
 
 def _nlinv_round(cfg: ExperimentConfig, cell: _Cell) -> StateMatrix:
@@ -354,7 +352,7 @@ def _train(
     header: str,
     trainer: str,
     d_train: DesiredSignal,
-) -> tuple[ReadoutWeights, int, str]:
+) -> tuple[np.ndarray, int, str]:
     """Run the selected trainer; returns weights, presentations used, detail.
 
     ``cmaes`` trains through the detector as a black box.  ``ridge`` and
@@ -506,15 +504,6 @@ def run_bitrate_sweep(
     return records, summary
 
 
-def run_all_headers(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-) -> tuple[list[ExperimentRecord], list[SummaryRow]]:
-    """Bitrate sweep over every possible 3-bit header."""
-    cfg_all = replace(cfg, headers=ALL_3BIT_HEADERS)
-    return run_bitrate_sweep(cfg_all, out_dir=out_dir)
-
-
 def _geo_mean(bers) -> float:
     """Geometric mean with each BER clamped at ``GEO_MEAN_CLAMP``."""
     clamped = np.maximum(np.asarray(bers), GEO_MEAN_CLAMP)
@@ -602,16 +591,13 @@ def run_perturbation(
         # 8k, and about 7 % more time.  Each draw's states are dropped before
         # the next is asked for, so no two draws are alive together.
         draws = [
-            (b_idx, draw, PerturbationSpec(b, seed=derive_seed(cfg.master_seed, "perturb", instance, b_idx, draw)))
+            (b_idx, draw, derive_seed(cfg.master_seed, "perturb", instance, b_idx, draw))
             for b_idx, b in enumerate(b_list)
             if b != 0.0
             for draw in range(cfg.n_perturbation_draws)
         ]
-        sims = simulate_each(
-            [cell.topology] + [perturb_phases(cell.topology, spec) for _, _, spec in draws],
-            cell.sig_test,
-            cfg.bias_power_w,
-        )
+        perturbed = [perturb_phases(cell.topology, b_list[b_idx], seed) for b_idx, _, seed in draws]
+        sims = simulate_each([cell.topology] + perturbed, cell.sig_test, cfg.bias_power_w)
         states_test = next(sims)
         baseline_ber = _test_score(cfg, cell, fit, states_test, d_test)[0]
         for b_idx, b in enumerate(b_list):

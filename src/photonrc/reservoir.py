@@ -45,7 +45,6 @@ __all__ = [
     "Edge",
     "InputPort",
     "ReservoirTopology",
-    "PerturbationSpec",
     "StateMatrix",
     "build_swirl",
     "perturb_phases",
@@ -97,10 +96,10 @@ class ReservoirTopology:
         for e in self.edges:
             if not (0 <= e.src < self.n_nodes and 0 <= e.dst < self.n_nodes):
                 raise ValueError(f"edge {e.src}->{e.dst} references a missing node")
-            if not e.delay > 0:
-                raise ValueError("edge delays must be positive")
-            if e.loss_db < 0:
-                raise ValueError("edge loss must be non-negative")
+            if not 0 < e.delay < math.inf:
+                raise ValueError(f"edge delays must be positive and finite, got {e.delay!r}")
+            if not 0 <= e.loss_db < math.inf:
+                raise ValueError(f"edge loss must be non-negative and finite, got {e.loss_db!r}")
             if not (0.0 <= e.phase < TWO_PI):
                 raise ValueError("edge phases must lie in [0, 2*pi)")
         for p in self.input_ports:
@@ -123,28 +122,16 @@ class ReservoirTopology:
 
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """Uniform random phase perturbation U(0, b) applied per waveguide."""
-
-    b: float
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.b < 0:
-            raise ValueError("maximum phase perturbation must be non-negative")
-
-
-@dataclass(frozen=True)
 class StateMatrix:
     """N samples x F channels of complex node amplitudes plus optional bias.
 
-    ``channel_roles`` names each column, e.g. ``node0`` .. ``node15`` and
-    ``bias`` for the constant power line feeding the readout directly.
+    ``bias_index`` is the column of the constant power line feeding the
+    readout directly, or ``None`` without one.
     """
 
     samples: np.ndarray
     sample_period: float
-    channel_roles: tuple[str, ...]
+    bias_index: int | None = None
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -154,11 +141,9 @@ class StateMatrix:
             raise ValueError("state samples must be finite")
         if not self.sample_period > 0:
             raise ValueError("sample_period must be positive")
-        roles = tuple(self.channel_roles)
-        if len(roles) != samples.shape[1]:
-            raise ValueError("channel_roles must name every column")
+        if self.bias_index is not None and not 0 <= self.bias_index < samples.shape[1]:
+            raise ValueError(f"bias index {self.bias_index} is not a column of {samples.shape[1]}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "channel_roles", roles)
 
     @property
     def n_samples(self) -> int:
@@ -167,13 +152,6 @@ class StateMatrix:
     @property
     def n_channels(self) -> int:
         return int(self.samples.shape[1])
-
-    @property
-    def bias_index(self) -> int | None:
-        try:
-            return self.channel_roles.index("bias")
-        except ValueError:
-            return None
 
 
 def _swirl_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -266,15 +244,18 @@ def with_phases(topology: ReservoirTopology, edge_phases: np.ndarray, port_phase
     return replace(topology, edges=edges, input_ports=ports)
 
 
-def perturb_phases(topology: ReservoirTopology, spec: PerturbationSpec) -> ReservoirTopology:
+def perturb_phases(topology: ReservoirTopology, b: float, seed: int | None = None) -> ReservoirTopology:
     """Return a copy with every waveguide and feed phase shifted by U(0, b).
 
-    Each phase receives an independent draw; results are wrapped back to
-    [0, 2*pi).  The original topology is left untouched.
+    Each phase receives an independent draw from a generator seeded by
+    ``seed``; results are wrapped back to [0, 2*pi).  ``b`` must be finite
+    and at least 0.  The original topology is left untouched.
     """
-    rng = np.random.default_rng(spec.seed)
-    edge_shift = rng.uniform(0.0, spec.b, size=len(topology.edges))
-    port_shift = rng.uniform(0.0, spec.b, size=len(topology.input_ports))
+    if not 0 <= b < math.inf:
+        raise ValueError(f"maximum phase perturbation must be non-negative and finite, got {b!r}")
+    rng = np.random.default_rng(seed)
+    edge_shift = rng.uniform(0.0, b, size=len(topology.edges))
+    port_shift = rng.uniform(0.0, b, size=len(topology.input_ports))
     return with_phases(
         topology,
         (np.array([e.phase for e in topology.edges]) + edge_shift) % TWO_PI,
@@ -642,11 +623,10 @@ def _propagate(
 
     # The node columns and the bias line form one C-ordered matrix: the
     # buffer itself on the input grid, or resampled straight back onto it.
-    roles = [f"node{i}" for i in range(n_nodes)]
-    if bias_power is not None:
-        roles.append("bias")
+    bias = None if bias_power is None else n_nodes
+    n_cols = n_nodes if bias is None else n_nodes + 1
     if back is None:
-        full = flat.reshape(n_rows, len(roles))
+        full = flat.reshape(n_rows, n_cols)
         if spread:
             # A row's destination never lies below its source, so the
             # chunks go last first: the chunks spread before one wrote only
@@ -657,11 +637,11 @@ def _propagate(
         out = full[pad:]
     else:
         t_in, t_sim, bracket = back
-        out = np.empty((len(t_in), len(roles)), dtype=np.complex128)
+        out = np.empty((len(t_in), n_cols), dtype=np.complex128)
         _resample_into(out[:, :n_nodes], t_in, t_sim, buf[pad:], bracket)
-    if bias_power is not None:
-        out[:, n_nodes] = np.sqrt(bias_power)
-    return StateMatrix(out, period, tuple(roles))
+    if bias is not None:
+        out[:, bias] = np.sqrt(bias_power)
+    return StateMatrix(out, period, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import logging
 
 import numpy as np
 
-from .detector import ReadoutWeights
 from .reservoir import StateMatrix
 from .signals import DesiredSignal
 
@@ -74,7 +73,7 @@ def ridge_problem(
     target = invert_target(np.repeat(desired.scaled, samples_per_bit), responsivity)
     skip = skip_bits * samples_per_bit
     n = min(states.n_samples, target.size)
-    trimmed = StateMatrix(states.samples[skip:n], states.sample_period, states.channel_roles)
+    trimmed = StateMatrix(states.samples[skip:n], states.sample_period, states.bias_index)
     return trimmed, target[skip:n]
 
 
@@ -86,7 +85,7 @@ def _penalty_diag(states: StateMatrix) -> np.ndarray:
     return diag
 
 
-def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarray) -> ReadoutWeights:
+def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarray) -> np.ndarray:
     system = gram + np.diag(penalty_diag).astype(gram.dtype)
     try:
         w = np.linalg.solve(system, rhs)
@@ -96,7 +95,7 @@ def _solve_regularized(gram: np.ndarray, rhs: np.ndarray, penalty_diag: np.ndarr
     bound = 1e-8 * (np.linalg.norm(system) * np.linalg.norm(w) + np.linalg.norm(rhs))
     if not np.isfinite(w).all() or residual > bound + 1e-300:
         raise np.linalg.LinAlgError("ridge system is numerically singular")
-    return ReadoutWeights(w)
+    return w
 
 
 def _score_chunks(n: int) -> list[slice]:
@@ -112,12 +111,13 @@ def _score_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, ReadoutWeights]:
+def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Fit the readout by ridge, its strength picked by blocked cross validation.
 
     The candidates are :func:`candidate_alphas`; the bias line is exempt
     from the penalty.  The curve of :func:`_cv_curve` scores each alpha;
-    the winning alpha (smallest on ties) is refit on all data.
+    the winning alpha (smallest on ties) is refit on all data.  Returns
+    that alpha and the complex weight vector of its refit.
     """
     grid, mean_errors, (gram_total, rhs_total, pen_diag) = _cv_curve(states, target)
     alpha_star = float(grid[int(np.argmin(mean_errors))])
@@ -180,7 +180,7 @@ def _cv_curve(
     for i, alpha in enumerate(grid):
         try:
             weights = [
-                _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag).values
+                _solve_regularized(gram_total - gram_b, rhs_total - rhs_b, alpha**2 * pen_diag)
                 for gram_b, rhs_b in zip(grams, rhss)
             ]
         except np.linalg.LinAlgError as exc:

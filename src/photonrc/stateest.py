@@ -30,8 +30,6 @@ import numpy as np
 
 from .detector import (
     DetectorConfig,
-    ElectricalSignal,
-    ReadoutWeights,
     SampledBasis,
     _check_sampling_point,
     _weight_matrix,
@@ -92,10 +90,10 @@ class SimulatedReadout:
         return self._states.sample_period
 
     @property
-    def channel_roles(self) -> tuple[str, ...]:
-        return self._states.channel_roles
+    def bias_index(self) -> int | None:
+        return self._states.bias_index
 
-    def _counted(self, weights: ReadoutWeights | np.ndarray) -> np.ndarray:
+    def _counted(self, weights: np.ndarray) -> np.ndarray:
         """The checked weights, counting one presentation per column.
 
         Weights that fail the check raise before anything is counted.
@@ -104,29 +102,25 @@ class SimulatedReadout:
         self.presentations += w.shape[1] if w.ndim == 2 else 1
         return w
 
-    def present(self, weights: ReadoutWeights | np.ndarray) -> ElectricalSignal:
+    def present(self, weights: np.ndarray) -> np.ndarray:
         """Present one weight vector, or each column of an F x K matrix in order.
 
-        A matrix counts as K presentations and yields a K x N block of
-        outputs, one row per column.
+        Returns the N photocurrent samples of the output.  A matrix counts
+        as K presentations and yields a K x N block of outputs, one row
+        per column.
         """
         return readout_forward(self._states, self._counted(weights), self.detector, rng=self._rng)
 
-    def present_sampled(
-        self, weights: ReadoutWeights | np.ndarray, samples_per_bit: int, sample_offset: int
-    ) -> ElectricalSignal:
+    def present_sampled(self, weights: np.ndarray, samples_per_bit: int, sample_offset: int) -> np.ndarray:
         """Present as :meth:`present` does, keeping the samples ``sample_offset + b * samples_per_bit``.
 
-        Their statistics are those of ``present(weights).samples[...,
+        Their statistics are those of ``present(weights)[...,
         sample_offset::samples_per_bit]``, and they count the same
         presentations.
         """
         _check_sampling_point(samples_per_bit, sample_offset)
         if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
-            y = self.present(weights)
-            return ElectricalSignal(
-                y.samples[..., sample_offset::samples_per_bit], y.sample_period * samples_per_bit
-            )
+            return self.present(weights)[..., sample_offset::samples_per_bit]
         key = (samples_per_bit, sample_offset)
         if key not in self._bases:
             self._bases[key] = sampled_basis(self._states, self.detector, *key)
@@ -229,7 +223,7 @@ def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel:
     """
     n_channels = readout.n_channels
     probes = build_probe_schedule(n_channels, ref_channel)
-    powers = readout.present(probes[:, :n_channels]).samples.reshape(n_channels, -1)
+    powers = readout.present(probes[:, :n_channels]).reshape(n_channels, -1)
     n = powers.shape[1]
     mod_ref = np.sqrt(np.maximum(powers[ref_channel], 0.0) / responsivity)
     n_dark = np.count_nonzero(mod_ref == 0.0)
@@ -251,7 +245,7 @@ def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel:
         couples = probes[:, first : first + 2 * len(batch)]
         # Pair and quad rows alternate per channel, at most 8 rows (15 MB
         # at paper length); all 2(F-1) at once would cost about 61 MB.
-        block = readout.present(couples).samples.reshape(len(batch), 2, n)
+        block = readout.present(couples).reshape(len(batch), 2, n)
         # A batch that straddles the reference is two runs of consecutive channels.
         below = sum(q < ref_channel for q in batch)
         for i, run in ((0, batch[:below]), (below, batch[below:])):
@@ -260,4 +254,4 @@ def estimate_states(readout: SimulatedReadout, responsivity: float, ref_channel:
         del block  # before the next call allocates its own
 
     samples[:, ref_channel] = mod_ref
-    return StateMatrix(samples, readout.sample_period, readout.channel_roles)
+    return StateMatrix(samples, readout.sample_period, readout.bias_index)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from photonrc.detector import DetectorConfig, ElectricalSignal, _detect
+from photonrc.detector import DetectorConfig, _detect
 from photonrc.signals import OpticalSignal
 
 
@@ -12,7 +12,7 @@ def photodiode(
     a: OpticalSignal,
     cfg: DetectorConfig,
     rng: np.random.Generator | None = None,
-) -> ElectricalSignal:
+) -> np.ndarray:
     """Square-law detection of one optical signal: the one-signal oracle of ``readout_forward``.
 
     The photocurrent is ``responsivity * |a|^2``.  Zero-mean Gaussian
@@ -25,4 +25,4 @@ def photodiode(
     current = np.square(a.samples.real)[None, :]
     current += np.square(a.samples.imag)
     current *= cfg.responsivity
-    return ElectricalSignal(_detect(current, a.sample_period, cfg, rng)[0], a.sample_period)
+    return _detect(current, a.sample_period, cfg, rng)[0]

@@ -61,7 +61,7 @@ def test_phase_estimation_exactness():
         p_l = rng.uniform(0.1, 2.0, size=angles.size)
         xk = p_k.astype(complex)
         xl = p_l * np.exp(1j * angles)
-        readout = SimulatedReadout(StateMatrix(np.stack([xk, xl], axis=1), 1e-11, ("k", "l")), RAW)
+        readout = SimulatedReadout(StateMatrix(np.stack([xk, xl], axis=1), 1e-11), RAW)
         z = estimate_states(readout, RAW.responsivity, 0).samples[:, 1]
         worst = max(worst, float(np.max(np.abs(np.angle(z) - angles))))
     elapsed = time.perf_counter() - start
@@ -130,22 +130,22 @@ def test_ridge_oracle():
         x = rng.normal(size=(50, 5)) + 1j * rng.normal(size=(50, 5))
         w_true = rng.normal(size=5) + 1j * rng.normal(size=5)
         t = np.abs(x @ w_true) * 10.0 ** (-trial / 4) + rng.normal(size=50)
-        roles = tuple(f"node{i}" for i in range(5))
+        bias_index = None
         mask = np.ones(5)
         if trial == 10:
             x[:, 4] = 0.14
-            roles = roles[:4] + ("bias",)
+            bias_index = 4
             mask[4] = 0.0
-        alpha, w = cv_alpha(StateMatrix(x, 1e-11, roles), t)
+        alpha, w = cv_alpha(StateMatrix(x, 1e-11, bias_index), t)
         stacked = np.vstack([x, alpha * np.diag(mask)])
         rhs = np.concatenate([t, np.zeros(5)])
         w_oracle, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        rel = np.linalg.norm(w.values - w_oracle) / np.linalg.norm(w_oracle)
+        rel = np.linalg.norm(w - w_oracle) / np.linalg.norm(w_oracle)
         assert rel <= 1e-10, f"trial {trial}: relative deviation {rel:.3e}"
 
     d = np.array([0.0, 0.1, 0.02, 0.1, 0.0])
     amp = invert_target(d, 0.5)
-    recovered = photodiode(OpticalSignal(amp.astype(complex), 1e-11), RAW).samples
+    recovered = photodiode(OpticalSignal(amp.astype(complex), 1e-11), RAW)
     assert np.max(np.abs(recovered - d)) <= 1e-15
 
 
@@ -155,8 +155,8 @@ def test_detector_noise_variance():
     expected = noise_variance(0.02, cfg)
     assert np.isclose(expected, 1.602e-10, rtol=1e-3)
     sig = OpticalSignal(np.full(100_000, 0.2 + 0j), 1.0 / (24 * 10e9))
-    clean = photodiode(sig, RAW).samples
-    noisy = photodiode(sig, cfg, rng=np.random.default_rng(99)).samples
+    clean = photodiode(sig, RAW)
+    noisy = photodiode(sig, cfg, rng=np.random.default_rng(99))
     measured = float(np.var(noisy - clean))
     assert abs(measured - expected) <= 0.05 * expected, (
         f"measured {measured:.4e} vs expected {expected:.4e}"

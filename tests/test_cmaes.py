@@ -28,10 +28,10 @@ def _rowwise(f):
 
 class TestEncoding:
     def test_explicit_example(self):
-        assert decode_weights(np.array([1.0, 3.0, 2.0, -1.0])).values.tolist() == [1 + 2j, 3 - 1j]
+        assert decode_weights(np.array([1.0, 3.0, 2.0, -1.0])).tolist() == [1 + 2j, 3 - 1j]
 
     def test_zero_vector(self):
-        w = decode_weights(np.zeros(10)).values
+        w = decode_weights(np.zeros(10))
         assert w.size == 5 and np.all(w == 0.0)
 
     def test_odd_length_rejected(self):
@@ -45,7 +45,7 @@ class TestEncoding:
             values = values + [0.0]
         half = len(values) // 2
         w = np.asarray(values[:half]) + 1j * np.asarray(values[half:])
-        assert np.array_equal(decode_weights(np.concatenate([w.real, w.imag])).values, w)
+        assert np.array_equal(decode_weights(np.concatenate([w.real, w.imag])), w)
 
 
 class TestPopulation:
@@ -59,7 +59,7 @@ class TestPopulation:
 class TestSseObjective:
     def _held_states(self, per_bit, spb=8):
         col = np.repeat(per_bit, spb).astype(complex)
-        return StateMatrix(col[:, None], 1e-11, ("ch0",))
+        return StateMatrix(col[:, None], 1e-11)
 
     def test_perfect_match_zero(self):
         # p_total = 0.125 keeps every intermediate value an exact binary
@@ -67,7 +67,7 @@ class TestSseObjective:
         d = DesiredSignal(np.array([1, 0, 1, 1]), p_total=0.125)
         amp = np.sqrt(d.scaled / RAW.responsivity)
         states = self._held_states(amp)
-        y = readout_forward(states, np.ones(1, complex), RAW).samples
+        y = readout_forward(states, np.ones(1, complex), RAW)
         assert bit_sse(y, d, 8, 4, 0) == 0.0
 
     def test_constant_offset(self):
@@ -75,7 +75,7 @@ class TestSseObjective:
         d = DesiredSignal(np.zeros(n, dtype=int), p_total=0.1)
         eps = 0.003
         states = self._held_states(np.full(n, np.sqrt(eps / RAW.responsivity)))
-        y = readout_forward(states, np.ones(1, complex), RAW).samples
+        y = readout_forward(states, np.ones(1, complex), RAW)
         assert np.isclose(bit_sse(y, d, 8, 4, 0), n * eps**2, rtol=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -84,12 +84,11 @@ class TestSseObjective:
         states = StateMatrix(
             rng.normal(size=(n_bits * spb, 3)) + 1j * rng.normal(size=(n_bits * spb, 3)),
             1e-11,
-            ("a", "b", "c"),
         )
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
         offset = 4
-        got = bit_sse(readout_forward(states, w, RAW).samples, d, spb, offset, 2)
+        got = bit_sse(readout_forward(states, w, RAW), d, spb, offset, 2)
         total = 0.0
         for m in range(2, n_bits):
             y = RAW.responsivity * abs(states.samples[offset + m * spb] @ w) ** 2
@@ -306,13 +305,13 @@ class TestTrainCmaes:
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
         good = np.repeat(np.sqrt(d.scaled / RAW.responsivity), spb)
         decoy = np.repeat(rng.normal(size=n_bits), spb) * 0.05
-        states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10, ("a", "b"))
+        states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10)
         return states, SimulatedReadout(states, RAW), d, spb
 
     def test_separable_toy_reaches_zero_ber(self):
         states, readout, d, spb = self._toy_problem()
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
-        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x).values) ** 2
+        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
 
@@ -366,7 +365,7 @@ class TestTrainCmaes:
         states, readout, d, spb = self._toy_problem()
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         assert built == [(spb, spb // 2)]
-        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x).values) ** 2
+        y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
 

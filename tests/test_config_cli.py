@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from dataclasses import replace
@@ -129,6 +130,12 @@ class TestConfigIO:
         # Each of these used to fail only once a cell ran, or to write NaN.
         with pytest.raises(ValueError, match=re.escape(key)):
             config_from_dict(data, base=ci_profile())
+
+    @pytest.mark.parametrize("b", [-0.1, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_perturbation_b_checked_at_construction(self, b):
+        # Each of these used to fail only after a perturbation run had trained.
+        with pytest.raises(ValueError, match="perturbation_b_over_pi"):
+            replace(ci_profile(), perturbation_b_over_pi=(0.0, b))
 
     @pytest.mark.parametrize(
         "data, key",
@@ -426,6 +433,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "photonrc sweep: error: smoothing must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-0.1", ".nan", ".inf"], ids=["negative", "nan", "inf"])
+    def test_bad_perturbation_b_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the perturbations were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "b.yaml"
+        path.write_text(f"perturbation_b_over_pi: [0.0, {value}]\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", "--profile", "ci", "--seeds", "1", "--config", str(path), "--out", str(out), "--quiet"])
+        assert exc.value.code == 2
+        assert "photonrc perturb: error: perturbation_b_over_pi" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", ".nan", ".inf"], ids=["zero", "negative", "nan", "inf"])
     def test_bad_sigma_sweep_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
         def no_simulation(*args, **kwargs):
@@ -645,8 +667,10 @@ class TestCli:
             ]
         )
         assert code == 0
-        records = (tmp_path / "hdrs" / "records.csv").read_text().splitlines()
-        assert len(records) == 1 + 8  # header row + one record per 3-bit pattern
+        with open(tmp_path / "hdrs" / "records.csv") as fh:
+            headers = [r["header"] for r in csv.DictReader(fh)]
+        # one record per 3-bit pattern, whatever headers the profile names
+        assert headers == ["000", "001", "010", "011", "100", "101", "110", "111"]
 
     def test_converge_command(self, tmp_path, capsys):
         cfg_file = tmp_path / "conv.yaml"

@@ -9,7 +9,6 @@ from photonrc.detector import (
     BOLTZMANN,
     DetectorConfig,
     ELEMENTARY_CHARGE,
-    ReadoutWeights,
     _BASIS_BITS,
     _BASIS_ROWS,
     _CHUNK_ROWS,
@@ -41,18 +40,18 @@ class TestPhotodiode:
     def test_square_law_dc(self):
         # |0.2|^2 = 0.04 W at 0.5 A/W -> 0.02 A; DC passes the low-pass.
         y = photodiode(_constant_signal(0.2 + 0j), QUIET)
-        assert np.allclose(y.samples[-100:], 0.02, rtol=1e-6)
+        assert np.allclose(y[-100:], 0.02, rtol=1e-6)
         y_raw = photodiode(_constant_signal(0.2 + 0j), RAW)
-        assert np.allclose(y_raw.samples, 0.02, rtol=1e-13)
+        assert np.allclose(y_raw, 0.02, rtol=1e-13)
 
     def test_zero_in_zero_out(self):
         y = photodiode(_constant_signal(0.0), QUIET)
-        assert np.all(y.samples == 0.0)
+        assert np.all(y == 0.0)
 
     def test_phase_blind(self):
         a = _constant_signal(0.1 * np.exp(0.7j))
         b = _constant_signal(0.1 + 0j)
-        assert np.allclose(photodiode(a, RAW).samples, photodiode(b, RAW).samples, rtol=1e-12)
+        assert np.allclose(photodiode(a, RAW), photodiode(b, RAW), rtol=1e-12)
 
     def test_noise_variance_formula(self):
         cfg = DetectorConfig()
@@ -69,24 +68,24 @@ class TestPhotodiode:
         # samples must sit within 5% of the configured variance.
         cfg = DetectorConfig(noise_enabled=True, filter_enabled=False)
         sig = _constant_signal(0.2 + 0j, n=100_000)
-        clean = photodiode(sig, RAW).samples
-        noisy = photodiode(sig, cfg, rng=np.random.default_rng(42)).samples
+        clean = photodiode(sig, RAW)
+        noisy = photodiode(sig, cfg, rng=np.random.default_rng(42))
         measured = np.var(noisy - clean)
         assert np.isclose(measured, noise_variance(0.02, cfg), rtol=0.05)
 
     def test_noise_reproducible_from_seed(self):
         cfg = DetectorConfig(filter_enabled=False)
         sig = _constant_signal(0.1, n=256)
-        a = photodiode(sig, cfg, rng=np.random.default_rng(7)).samples
-        b = photodiode(sig, cfg, rng=np.random.default_rng(7)).samples
+        a = photodiode(sig, cfg, rng=np.random.default_rng(7))
+        b = photodiode(sig, cfg, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_noise_independent_with_external_rng(self):
         cfg = DetectorConfig(filter_enabled=False)
         sig = _constant_signal(0.1, n=256)
         rng = np.random.default_rng(3)
-        a = photodiode(sig, cfg, rng=rng).samples
-        b = photodiode(sig, cfg, rng=rng).samples
+        a = photodiode(sig, cfg, rng=rng)
+        b = photodiode(sig, cfg, rng=rng)
         assert not np.array_equal(a, b)
 
 
@@ -117,15 +116,13 @@ class TestButterworth:
     def test_filter_stable_at_low_sample_rate(self):
         sig = OpticalSignal(np.ones(2000, complex) * 0.1, 1.0 / (24 * 1e9))
         y = photodiode(sig, QUIET)
-        assert np.isfinite(y.samples).all()
-        assert np.allclose(y.samples[-50:], 0.005, rtol=1e-3)
+        assert np.isfinite(y).all()
+        assert np.allclose(y[-50:], 0.005, rtol=1e-3)
 
 
 class TestReadoutForward:
     def _states(self, columns):
-        arr = np.stack(columns, axis=1).astype(complex)
-        roles = tuple(f"ch{i}" for i in range(arr.shape[1]))
-        return StateMatrix(arr, 1e-11, roles)
+        return StateMatrix(np.stack(columns, axis=1).astype(complex), 1e-11)
 
     def test_one_hot_selects_channel(self):
         rng = np.random.default_rng(0)
@@ -134,47 +131,40 @@ class TestReadoutForward:
         w[1] = 1.0
         direct = photodiode(OpticalSignal(x.samples[:, 1], x.sample_period), RAW)
         via_readout = readout_forward(x, w, RAW)
-        assert np.allclose(via_readout.samples, direct.samples, rtol=1e-12)
+        assert np.allclose(via_readout, direct, rtol=1e-12)
 
     def test_zero_weights_zero_output(self):
         x = self._states([np.ones(32), np.ones(32)])
         y = readout_forward(x, np.zeros(2, complex), QUIET)
-        assert np.all(y.samples == 0.0)
+        assert np.all(y == 0.0)
 
     def test_coherent_cancellation(self):
         x = self._states([np.ones(32), -np.ones(32)])
         y = readout_forward(x, np.array([1.0, 1.0], complex), RAW)
-        assert np.allclose(y.samples, 0.0, atol=1e-15)
+        assert np.allclose(y, 0.0, atol=1e-15)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(1)
         x = self._states([rng.normal(size=128) + 1j * rng.normal(size=128) for _ in range(4)])
         w = rng.normal(size=4) + 1j * rng.normal(size=4)
-        base = readout_forward(x, w, QUIET).samples
+        base = readout_forward(x, w, QUIET)
         for theta in (0.3, 1.7, np.pi):
-            rotated = readout_forward(x, np.exp(1j * theta) * w, QUIET).samples
+            rotated = readout_forward(x, np.exp(1j * theta) * w, QUIET)
             assert np.allclose(rotated, base, rtol=1e-12, atol=1e-18)
 
     def test_per_sample_row_phase_invariance(self):
         rng = np.random.default_rng(2)
         x = self._states([rng.normal(size=128) + 1j * rng.normal(size=128) for _ in range(4)])
         w = rng.normal(size=4) + 1j * rng.normal(size=4)
-        base = readout_forward(x, w, RAW).samples
+        base = readout_forward(x, w, RAW)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=128))
-        rotated = StateMatrix(x.samples * phases[:, None], x.sample_period, x.channel_roles)
-        assert np.allclose(readout_forward(rotated, w, RAW).samples, base, rtol=1e-12)
+        rotated = StateMatrix(x.samples * phases[:, None], x.sample_period, x.bias_index)
+        assert np.allclose(readout_forward(rotated, w, RAW), base, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         x = self._states([np.ones(8)])
         with pytest.raises(ValueError):
             readout_forward(x, np.ones(3, complex), QUIET)
-
-    def test_readout_weights_wrapper(self):
-        x = self._states([np.ones(8), np.zeros(8)])
-        w = ReadoutWeights(np.array([1.0, 0.0], complex))
-        assert len(w) == 2
-        y = readout_forward(x, w, RAW)
-        assert np.allclose(y.samples, 0.5)
 
 
 def _reference_readout_forward(states, w, cfg, rng):
@@ -198,7 +188,7 @@ class TestBatchedPresentation:
         rng = np.random.default_rng(seed)
         x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
         w = rng.normal(size=(f, k)) + 1j * rng.normal(size=(f, k))
-        return StateMatrix(x, self.PERIOD, tuple(f"ch{i}" for i in range(f))), w
+        return StateMatrix(x, self.PERIOD), w
 
     @pytest.mark.parametrize(
         "n", [_CHUNK_ROWS // 3, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 123, 0], ids=["sub", "one", "ragged", "empty"]
@@ -206,7 +196,7 @@ class TestBatchedPresentation:
     @pytest.mark.parametrize("cfg", [DetectorConfig(), RAW], ids=["physical", "raw"])
     def test_rows_match_single_vector_oracle(self, n, cfg):
         states, w = self._problem(n, 6)
-        got = readout_forward(states, w, cfg, rng=np.random.default_rng(9)).samples
+        got = readout_forward(states, w, cfg, rng=np.random.default_rng(9))
         assert got.shape == (6, n)
         rng = np.random.default_rng(9)
         for k in range(w.shape[1]):
@@ -222,13 +212,13 @@ class TestBatchedPresentation:
         cfg = DetectorConfig(filter_enabled=filtered)
         states, w = self._problem(2 * _CHUNK_ROWS + 123, k)
         w = w[:, 0] if k == 1 else w
-        current = readout_forward(states, w, RAW).samples.reshape(k, -1)
+        current = readout_forward(states, w, RAW).reshape(k, -1)
         rng = np.random.default_rng(11)
         for row in current:
             row += rng.normal(0.0, np.sqrt(noise_variance(row.mean(), cfg)), size=row.size)
             if filtered:
                 row[:] = lfilter(*_butterworth(cfg, 1.0 / self.PERIOD), row)
-        got = readout_forward(states, w, cfg, rng=np.random.default_rng(11)).samples
+        got = readout_forward(states, w, cfg, rng=np.random.default_rng(11))
         assert got.shape == ((k, current.shape[1]) if k > 1 else (current.shape[1],))
         assert got.tobytes() == current.tobytes()
 
@@ -236,9 +226,9 @@ class TestBatchedPresentation:
         states, w = self._problem(1000, 1)
         one = SimulatedReadout(states, DetectorConfig(), seed=4)
         vec = SimulatedReadout(states, DetectorConfig(), seed=4)
-        block = one.present(w).samples
+        block = one.present(w)
         assert block.shape == (1, 1000)
-        assert np.array_equal(block[0], vec.present(w[:, 0]).samples)
+        assert np.array_equal(block[0], vec.present(w[:, 0]))
 
     def test_presentations_grow_by_columns(self):
         states, w = self._problem(64, 7)
@@ -247,7 +237,7 @@ class TestBatchedPresentation:
         assert readout.presentations == 7
         readout.present(w[:, 2])
         assert readout.presentations == 8
-        readout.present(ReadoutWeights(w[:, 3]))
+        readout.present(w[:, 3].tolist())
         assert readout.presentations == 9
 
     def test_non_finite_weights_rejected(self):
@@ -264,6 +254,19 @@ class TestBatchedPresentation:
             readout_forward(states, w[None], QUIET)
         with pytest.raises(ValueError):
             readout_forward(states, w[:-1], QUIET)
+        readout = SimulatedReadout(states, QUIET)
+        with pytest.raises(ValueError):
+            readout.present(w[None])
+        assert readout.presentations == 0
+
+    def test_non_finite_output_rejected(self):
+        # Finite weights whose square law overflows give an infinite photocurrent.
+        states, w = self._problem(64, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="electrical samples must be finite"):
+                readout_forward(states, 1e200 * w, RAW)
+            with pytest.raises(ValueError, match="electrical samples must be finite"):
+                SimulatedReadout(states, RAW).present(1e200 * w[:, 0])
 
 
 class TestSampledPresentation:
@@ -279,7 +282,7 @@ class TestSampledPresentation:
         x = 0.3 * (rng.normal(size=(self.N, f)) + 1j * rng.normal(size=(self.N, f)))
         w = rng.normal(size=(f, k)) + 1j * rng.normal(size=(f, k))
         period = 1.0 / (spb * bitrate_gbps * 1e9)
-        return StateMatrix(x, period, tuple(f"ch{i}" for i in range(f))), w
+        return StateMatrix(x, period), w
 
     @pytest.mark.parametrize("k", [1, 14], ids=["vector", "block"])
     @pytest.mark.parametrize("cfg", [QUIET, RAW], ids=["filter", "no-filter"])
@@ -288,15 +291,14 @@ class TestSampledPresentation:
         states, w = self._problem(bitrate_gbps, k=k)
         w = w[:, 0] if k == 1 else w
         got = readout_sampled(sampled_basis(states, cfg, self.SPB, self.OFFSET), w)
-        want = readout_forward(states, w, cfg).samples[..., self.OFFSET :: self.SPB]
-        assert got.samples.shape == want.shape
-        assert got.sample_period == states.sample_period * self.SPB
-        np.testing.assert_allclose(got.samples, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        want = readout_forward(states, w, cfg)[..., self.OFFSET :: self.SPB]
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_mean_current_sets_full_grid_sigma(self):
         states, w = self._problem()
         basis = sampled_basis(states, DetectorConfig(), self.SPB, self.OFFSET)
-        rows = readout_forward(states, w, RAW).samples  # the current _detect adds noise to
+        rows = readout_forward(states, w, RAW)  # the current _detect adds noise to
         cfg = DetectorConfig()
         for got, row in zip(basis.mean_current(w), rows):
             assert noise_variance(got, cfg) == pytest.approx(noise_variance(row.mean(), cfg), rel=1e-12)
@@ -308,10 +310,10 @@ class TestSampledPresentation:
         states, w = self._problem()
         basis = sampled_basis(states, cfg, self.SPB, self.OFFSET)
         quiet = replace(cfg, noise_enabled=False)
-        clean = readout_sampled(sampled_basis(states, quiet, self.SPB, self.OFFSET), w).samples
-        noise = readout_sampled(basis, w, rng=np.random.default_rng(3)).samples - clean
+        clean = readout_sampled(sampled_basis(states, quiet, self.SPB, self.OFFSET), w)
+        noise = readout_sampled(basis, w, rng=np.random.default_rng(3)) - clean
         draws = np.random.default_rng(3).standard_normal(clean.shape)
-        sigma = np.sqrt([noise_variance(r.mean(), cfg) for r in readout_forward(states, w, RAW).samples])
+        sigma = np.sqrt([noise_variance(r.mean(), cfg) for r in readout_forward(states, w, RAW)])
         if cfg.filter_enabled:
             num, den, gain = _sampled_noise(cfg, 1.0 / states.sample_period, self.SPB)
             draws = gain * lfilter(num, den, draws, axis=1)
@@ -356,21 +358,42 @@ class TestSampledPresentation:
         sampled = SimulatedReadout(states, DetectorConfig(), seed=8)
         full = SimulatedReadout(states, DetectorConfig(), seed=8)
         got = sampled.present_sampled(w, spb, offset)
-        assert np.array_equal(got.samples, full.present(w).samples[..., offset::spb])
-        assert got.sample_period == states.sample_period * spb
+        assert np.array_equal(got, full.present(w)[..., offset::spb])
         assert sampled.presentations == 3
-        assert sampled.present_sampled(w[:, 0], spb, offset).samples.ndim == 1
+        assert sampled.present_sampled(w[:, 0], spb, offset).ndim == 1
         assert sampled.presentations == 4
 
     def test_sampled_presentations_count_columns(self):
         states, w = self._problem(k=7)
         readout = SimulatedReadout(states, DetectorConfig(), seed=1)
-        assert readout.present_sampled(w, self.SPB, self.OFFSET).samples.shape[0] == 7
+        assert readout.present_sampled(w, self.SPB, self.OFFSET).shape[0] == 7
         assert readout.presentations == 7
-        assert readout.present_sampled(w[:, 2], self.SPB, self.OFFSET).samples.ndim == 1
+        assert readout.present_sampled(w[:, 2], self.SPB, self.OFFSET).ndim == 1
         assert readout.presentations == 8
-        readout.present_sampled(ReadoutWeights(w[:, 3]), self.SPB, self.OFFSET)
+        readout.present_sampled(w[:, 3].tolist(), self.SPB, self.OFFSET)
         assert readout.presentations == 9
+
+    def test_bad_weights_rejected(self):
+        states, w = self._problem(k=3)
+        basis = sampled_basis(states, QUIET, self.SPB, self.OFFSET)
+        readout = SimulatedReadout(states, QUIET)
+        infinite = w.copy()
+        infinite[0, 1] = np.inf
+        for weights, match in ((infinite, "weights must be finite"), (w[None], "do not match")):
+            with pytest.raises(ValueError, match=match):
+                readout_sampled(basis, weights)
+            with pytest.raises(ValueError, match=match):
+                readout.present_sampled(weights, self.SPB, self.OFFSET)
+        assert readout.presentations == 0
+
+    def test_non_finite_output_rejected(self):
+        states, w = self._problem(k=3)
+        basis = sampled_basis(states, QUIET, self.SPB, self.OFFSET)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="electrical samples must be finite"):
+                readout_sampled(basis, 1e200 * w)
+            with pytest.raises(ValueError, match="electrical samples must be finite"):
+                SimulatedReadout(states, QUIET).present_sampled(1e200 * w, self.SPB, self.OFFSET)
 
     def test_basis_built_once_per_sampling_point(self, monkeypatch):
         import photonrc.stateest as stateest_mod
@@ -438,7 +461,7 @@ class TestSampledBasisOracle:
     def _states(self, n, bitrate_gbps, spb, f=4, seed=0):
         rng = np.random.default_rng(seed)
         x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
-        return StateMatrix(x, 1.0 / (spb * bitrate_gbps * 1e9), tuple(f"ch{k}" for k in range(f)))
+        return StateMatrix(x, 1.0 / (spb * bitrate_gbps * 1e9))
 
     @staticmethod
     def _grid_lengths(spb, offset):

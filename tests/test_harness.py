@@ -16,7 +16,6 @@ from photonrc.harness import (
     decide_bits,
     derive_seed,
     format_ber,
-    run_all_headers,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
@@ -223,13 +222,6 @@ class TestSweeps:
             assert np.isclose(row.mean_test_ber, np.mean(cell))
             clamped = np.maximum(cell, 1e-4)
             assert np.isclose(row.geo_mean_test_ber, np.exp(np.mean(np.log(clamped))))
-
-    def test_all_headers_enumerates_eight(self):
-        cfg = tiny_cfg()
-        records, summary = run_all_headers(cfg)
-        headers = sorted({r.header for r in records})
-        assert headers == ["000", "001", "010", "011", "100", "101", "110", "111"]
-        assert len(records) == 8
 
     def test_progress_goes_to_logging(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="photonrc.harness"):

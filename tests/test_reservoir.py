@@ -11,9 +11,9 @@ import photonrc.reservoir as reservoir_mod
 from photonrc.reservoir import (
     Edge,
     InputPort,
-    PerturbationSpec,
     ReservoirTopology,
     SPEED_OF_LIGHT,
+    StateMatrix,
     build_swirl,
     central_input_nodes,
     load_topology,
@@ -214,23 +214,22 @@ class TestBuildSwirl:
 class TestPerturbPhases:
     def test_zero_perturbation_is_identity(self):
         t = build_swirl(seed=5)
-        assert perturb_phases(t, PerturbationSpec(0.0, seed=1)) == t
+        assert perturb_phases(t, 0.0, seed=1) == t
 
     def test_original_unmodified(self):
         t = build_swirl(seed=5)
         phases = [e.phase for e in t.edges]
-        perturb_phases(t, PerturbationSpec(np.pi, seed=1))
+        perturb_phases(t, np.pi, seed=1)
         assert [e.phase for e in t.edges] == phases
 
     def test_determinism(self):
         t = build_swirl(seed=5)
-        spec = PerturbationSpec(0.3, seed=77)
-        assert perturb_phases(t, spec) == perturb_phases(t, spec)
+        assert perturb_phases(t, 0.3, seed=77) == perturb_phases(t, 0.3, seed=77)
 
     def test_mean_increment_of_uniform_draws(self):
         # Large grid for enough edges; mean of U(0, pi) is pi/2.
         t = build_swirl(20, 20, seed=2)
-        p = perturb_phases(t, PerturbationSpec(np.pi, seed=3))
+        p = perturb_phases(t, np.pi, seed=3)
         delta = np.array(
             [(pe.phase - e.phase) % (2 * np.pi) for e, pe in zip(t.edges, p.edges)]
         )
@@ -238,9 +237,25 @@ class TestPerturbPhases:
 
     def test_wrapped_to_principal_range(self):
         t = build_swirl(seed=5)
-        p = perturb_phases(t, PerturbationSpec(6.0, seed=8))
+        p = perturb_phases(t, 6.0, seed=8)
         for e in p.edges:
             assert 0.0 <= e.phase < 2 * np.pi
+
+    @pytest.mark.parametrize("b", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="maximum phase perturbation"):
+            perturb_phases(build_swirl(seed=5), b, seed=1)
+
+
+class TestStateMatrix:
+    @pytest.mark.parametrize("bias_index", [-1, 3])
+    def test_bias_index_outside_the_columns_rejected(self, bias_index):
+        with pytest.raises(ValueError, match="bias index"):
+            StateMatrix(np.ones((4, 3), complex), 1e-11, bias_index)
+
+    def test_bias_index_defaults_to_none(self):
+        assert StateMatrix(np.ones((4, 3), complex), 1e-11).bias_index is None
+        assert StateMatrix(np.ones((4, 3), complex), 1e-11, 2).bias_index == 2
 
 
 class TestSimulate:
@@ -248,7 +263,7 @@ class TestSimulate:
         t = build_swirl(seed=0)
         sig = OpticalSignal(np.zeros(200, complex), 1e-11)
         x = simulate(t, sig, bias_power=0.02)
-        assert x.channel_roles[-1] == "bias"
+        assert x.bias_index == 16
         assert np.all(x.samples[:, :16] == 0)
         assert np.allclose(x.samples[:, 16], np.sqrt(0.02))
         assert np.isclose(np.sqrt(0.02), 0.14142, atol=1e-5)
@@ -381,7 +396,7 @@ class TestSimulate:
         sig = _random_input(20, seed=7)
         x = simulate(t, sig, 0.02)
         ref = _reference_simulate(t, sig, 0.02)
-        assert x.channel_roles[-1] == "bias"
+        assert x.bias_index == 16
         assert np.max(np.abs(x.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_edgeless_topology_returns_scaled_injection(self, tmp_path):
@@ -667,7 +682,7 @@ def test_bias_layout_holds_no_second_state_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert states.channel_roles[-1] == "bias"
+    assert states.bias_index == 16
     assert peak <= states.samples.nbytes + 2_000_000
 
 
@@ -681,7 +696,7 @@ class TestSimulateEach:
     def test_matches_simulate_per_topology(self, mixed, bitrate, bias_power, ports):
         # 10 Gbps runs on the input grid, 5 and 15 Gbps off it
         base = _mixed_delay_swirl(seed=12) if mixed else build_swirl(seed=12)
-        copies = [perturb_phases(base, PerturbationSpec(b, seed=s)) for s, b in enumerate((0.3, 3.0))]
+        copies = [perturb_phases(base, b, seed=s) for s, b in enumerate((0.3, 3.0))]
         topologies = [base] + copies
         if ports == "shared":
             inputs = _random_input(30, bitrate=bitrate, seed=5)
@@ -693,7 +708,7 @@ class TestSimulateEach:
             alone = simulate(topology, inputs, bias_power)
             assert states.samples.flags["C_CONTIGUOUS"]
             assert states.samples.tobytes() == alone.samples.tobytes()
-            assert (states.sample_period, states.channel_roles) == (alone.sample_period, alone.channel_roles)
+            assert (states.sample_period, states.bias_index) == (alone.sample_period, alone.bias_index)
 
     @pytest.mark.parametrize(
         "second, inputs, bias_power, match",
@@ -724,7 +739,7 @@ class TestSimulateEach:
 
         monkeypatch.setattr(reservoir_mod, "_simulation_step", counting_step)
         base = _chain_with_second_delay(90e-12)
-        topologies = [base] + [perturb_phases(base, PerturbationSpec(1.0, seed=s)) for s in range(3)]
+        topologies = [base] + [perturb_phases(base, 1.0, seed=s) for s in range(3)]
         with caplog.at_level(logging.WARNING, logger="photonrc.reservoir"):
             got = list(reservoir_mod.simulate_each(topologies, _random_input(10, bitrate=10e9), None))
         assert len(got) == 4
@@ -736,7 +751,7 @@ class TestSimulateEach:
     def test_keeps_no_yielded_matrix(self, bitrate):
         # on the input grid the samples are a view of the recursion buffer
         base = _mixed_delay_swirl(seed=3)
-        topologies = [base, perturb_phases(base, PerturbationSpec(1.0, seed=0))]
+        topologies = [base, perturb_phases(base, 1.0, seed=0)]
         sims = reservoir_mod.simulate_each(topologies, _random_input(20, bitrate=bitrate), 0.02)
         first = next(sims)
         owner = first.samples if first.samples.base is None else first.samples.base
@@ -791,4 +806,15 @@ class TestTopologyFiles:
         path = tmp_path / "bad.topo"
         path.write_text("nodes 4\nedge 0 zz 1e-12 0.5 0.1\n")
         with pytest.raises(ValueError):
+            load_topology(path)
+
+    @pytest.mark.parametrize(
+        "edge, match",
+        [("edge 0 1 inf 0.5 0.1", "edge delays"), ("edge 0 1 1e-12 nan 0.1", "edge loss")],
+        ids=["inf-delay", "nan-loss"],
+    )
+    def test_non_finite_edge_rejected(self, tmp_path, edge, match):
+        path = tmp_path / "bad.topo"
+        path.write_text(f"nodes 2\n{edge}\ninput 0 0.0\n")
+        with pytest.raises(ValueError, match=match):
             load_topology(path)

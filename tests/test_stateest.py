@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from photonrc.config import ci_profile
-from photonrc.detector import DetectorConfig, ElectricalSignal, sampled_basis
+from photonrc.detector import DetectorConfig, sampled_basis
 from photonrc.harness import _prepare_cell  # test-only access to the cell builder
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
 from photonrc.ridge import cv_alpha, ridge_problem
@@ -23,8 +23,7 @@ NOISY_FILTERED = DetectorConfig(noise_enabled=True, filter_enabled=True)
 
 def _readout_from_columns(columns, detector=RAW, seed=0, period=1e-11):
     arr = np.stack([np.asarray(c, dtype=complex) for c in columns], axis=1)
-    roles = tuple(f"ch{i}" for i in range(arr.shape[1]))
-    return SimulatedReadout(StateMatrix(arr, period, roles), detector, seed=seed)
+    return SimulatedReadout(StateMatrix(arr, period), detector, seed=seed)
 
 
 class RecordingReadout(SimulatedReadout):
@@ -63,20 +62,20 @@ class ScriptedReadout:
     def __init__(self, n_channels, blocks):
         self.n_channels = n_channels
         self.sample_period = 1e-11
-        self.channel_roles = tuple(f"ch{i}" for i in range(n_channels))
+        self.bias_index = None
         self.presentations = 0
         self._blocks = iter(blocks)
 
     def present(self, weights):
         self.presentations += np.asarray(weights).shape[1]
-        return ElectricalSignal(np.array(next(self._blocks), dtype=float), 1e-11)
+        return np.array(next(self._blocks), dtype=float)
 
 
 def _reference_estimate_states(readout, responsivity, ref_channel):
     """The linear probing round on N x F arrays, one probe per ``present`` call."""
     f = readout.n_channels
     schedule = build_probe_schedule(f, ref_channel).T
-    powers = np.stack([readout.present(w).samples for w in schedule[:f]], axis=1)
+    powers = np.stack([readout.present(w) for w in schedule[:f]], axis=1)
     p_ref = powers[:, ref_channel]
     mod_ref = np.sqrt(np.maximum(p_ref, 0.0) / responsivity)
     scale = 1.0 / (2.0 * responsivity * mod_ref)
@@ -85,7 +84,7 @@ def _reference_estimate_states(readout, responsivity, ref_channel):
         # a pair probe is 1 on the reference, a quadrature probe j
         (q,) = [j for j in np.flatnonzero(w) if j != ref_channel]
         part = samples.real if w[ref_channel] == 1.0 else samples.imag
-        part[:, q] = (readout.present(w).samples - (p_ref + powers[:, q])) * scale
+        part[:, q] = (readout.present(w) - (p_ref + powers[:, q])) * scale
     samples[:, ref_channel] = mod_ref
     return samples
 
@@ -167,7 +166,7 @@ class TestProbeSchedule:
         rng = np.random.default_rng(6)
         arr = 0.1 * (rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
         arr[:, strong] = 0.5
-        readout = RecordingReadout(StateMatrix(arr, 1e-11, ("a", "b", "c", "d")), RAW)
+        readout = RecordingReadout(StateMatrix(arr, 1e-11), RAW)
         estimate_states(readout, RAW.responsivity, strong)
         assert len(readout.calls) == 2
         _assert_round_calls(readout, 4, strong)
@@ -292,17 +291,15 @@ class TestTrainNlinv:
             np.full(n, 0.14 + 0j),
         ]
         arr = np.stack(cols, axis=1)
-        states = StateMatrix(arr, 1e-11, ("a", "b", "bias"))
+        states = StateMatrix(arr, 1e-11, bias_index=2)
         readout = SimulatedReadout(states, RAW, seed=1)
         d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
         estimated = estimate_states(readout, RAW.responsivity, states.bias_index)
         assert readout.presentations == 7
         _, weights = cv_alpha(*ridge_problem(estimated, d, RAW.responsivity, spb))
 
-        w = weights.values
-        est = estimated.samples
-        true_out = np.abs(arr @ w) ** 2
-        est_out = np.abs(est @ w) ** 2
+        true_out = np.abs(arr @ weights) ** 2
+        est_out = np.abs(estimated.samples @ weights) ** 2
         assert np.max(np.abs(true_out - est_out)) <= 1e-9 * np.max(true_out)
 
 
@@ -324,15 +321,14 @@ class TestEstimationReference:
         if bias_at is not None:
             order = list(range(states.n_channels - 1))
             order.insert(bias_at, states.n_channels - 1)
-            roles = tuple(states.channel_roles[i] for i in order)
-            states = StateMatrix(states.samples[:, order], states.sample_period, roles)
+            states = StateMatrix(states.samples[:, order], states.sample_period, bias_at)
         ref = states.bias_index
         readout = RecordingReadout(states, NOISY_FILTERED, seed=seed)
         est = estimate_states(readout, NOISY_FILTERED.responsivity, ref)
         ref_readout = SimulatedReadout(states, NOISY_FILTERED, seed=seed)
         samples = _reference_estimate_states(ref_readout, NOISY_FILTERED.responsivity, ref)
         assert est.samples.flags["C_CONTIGUOUS"]
-        assert est.channel_roles == states.channel_roles
+        assert est.bias_index == states.bias_index
         # bytes, so signed zeros count too
         assert est.samples.tobytes() == samples.tobytes()
         assert readout.presentations == ref_readout.presentations == probe_count(17)
