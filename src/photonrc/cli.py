@@ -17,6 +17,7 @@ from .harness import (
     run_convergence,
     run_perturbation,
 )
+from .reservoir import load_topology
 from .stateest import build_probe_schedule
 
 
@@ -67,12 +68,26 @@ def _instance_index(text: str) -> int:
     return value
 
 
+def _check_topology_file(cfg: ExperimentConfig) -> None:
+    """Load ``reservoir.topology_file``, if set, so that a missing or malformed file raises ``ValueError``."""
+    path = cfg.reservoir.topology_file
+    if not path:
+        return
+    try:
+        load_topology(path)
+    except OSError as exc:
+        raise ValueError(f"reservoir.topology_file {path!r} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"reservoir.topology_file {path!r}: {exc}") from None
+
+
 def _resolve_config(args: argparse.Namespace, *checks) -> ExperimentConfig:
     """The profile with the YAML overlay and the flags applied.
 
-    A configuration that the checks of its construction, or the command's
-    own ``checks`` (each called with it), reject ends the command as an
-    argparse error, with its message and exit status 2.
+    A configuration that the checks of its construction, the topology file
+    check, or the command's own ``checks`` (each called with it), reject
+    ends the command as an argparse error, with its message and exit
+    status 2.
     """
     try:
         cfg = profile_by_name(args.profile)
@@ -91,7 +106,7 @@ def _resolve_config(args: argparse.Namespace, *checks) -> ExperimentConfig:
             cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=args.noise == "on"))
         if args.master_seed is not None:
             cfg = replace(cfg, master_seed=args.master_seed)
-        for check in checks:
+        for check in (_check_topology_file, *checks):
             check(cfg)
     except ValueError as exc:
         args.parser.error(str(exc))

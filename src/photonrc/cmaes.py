@@ -83,10 +83,16 @@ def bit_sse(
     K scores.
     """
     y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
-    d = desired.scaled[skip_bits:]
-    n = min(y_bits.shape[-1], d.size)
-    sse = np.sum((y_bits[..., :n] - d[:n]) ** 2, axis=-1)
+    sse = _sse(y_bits, desired.scaled[skip_bits:])
     return float(sse) if y.ndim == 1 else sse
+
+
+def _sse(y_bits: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover."""
+    n = min(y_bits.shape[-1], d.size)
+    err = y_bits[..., :n] - d[:n]
+    np.square(err, out=err)
+    return np.sum(err, axis=-1)
 
 
 def cmaes_minimize(
@@ -129,6 +135,12 @@ def cmaes_minimize(
     cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
+    # Update factors that stay fixed over the generations.
+    ps_gain = math.sqrt(cs * (2.0 - cs) * mueff)
+    pc_gain = math.sqrt(cc * (2.0 - cc) * mueff)
+    hsig_limit = 1.4 + 2.0 / (n + 1.0)
+    cov_keep = 1.0 - c1 - cmu
+    sigma_rate = cs / damps
 
     # Mutation-distribution state: mean, covariance, step size, paths.
     rng = np.random.default_rng(seed)
@@ -149,8 +161,9 @@ def cmaes_minimize(
         eigvals = np.maximum(eigvals, _EIGENVALUE_FLOOR)
         if not eigvals.min() > 0.0:
             raise RuntimeError(f"covariance eigenvalue floor violated at iteration {iteration}")
-        scale = eigvecs * np.sqrt(eigvals)  # B * diag(sqrt(d))
-        inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        root = np.sqrt(eigvals)
+        scale = eigvecs * root  # B * diag(sqrt(d))
+        inv_sqrt = (eigvecs / root) @ eigvecs.T
 
         # ask: the whole generation, scored by one objective call
         z = rng.standard_normal((lam, n))
@@ -179,15 +192,11 @@ def cmaes_minimize(
         mean = weights @ selected
 
         y_mean = (mean - mean_old) / sigma
-        p_sigma = (1.0 - cs) * p_sigma + math.sqrt(
-            cs * (2.0 - cs) * mueff
-        ) * (inv_sqrt @ y_mean)
+        p_sigma = (1.0 - cs) * p_sigma + ps_gain * (inv_sqrt @ y_mean)
         ps_norm = float(np.linalg.norm(p_sigma))
         denom = math.sqrt(1.0 - (1.0 - cs) ** (2.0 * iteration))
-        hsig = ps_norm / denom / chi_n < 1.4 + 2.0 / (n + 1.0)
-        p_c = (1.0 - cc) * p_c + (
-            math.sqrt(cc * (2.0 - cc) * mueff) * y_mean if hsig else 0.0
-        )
+        hsig = ps_norm / denom / chi_n < hsig_limit
+        p_c = (1.0 - cc) * p_c + (pc_gain * y_mean if hsig else 0.0)
 
         y_sel = (selected - mean_old) / sigma
         rank_mu = (weights[:, None] * y_sel).T @ y_sel
@@ -195,12 +204,12 @@ def cmaes_minimize(
         # missing variance so the update stays unbiased.
         delta_hsig = (0.0 if hsig else 1.0) * cc * (2.0 - cc)
         cov = (
-            (1.0 - c1 - cmu) * cov
+            cov_keep * cov
             + c1 * (np.outer(p_c, p_c) + delta_hsig * cov)
             + cmu * rank_mu
         )
         cov = 0.5 * (cov + cov.T)
-        sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
+        sigma *= math.exp(sigma_rate * (ps_norm / chi_n - 1.0))
 
         history.append(best_f)
         history_x.append(best_x)
@@ -222,19 +231,20 @@ class _ReadoutObjective:
 
     The lambda candidates go to the readout as the columns of one weight
     matrix in one ``present_sampled`` call, which returns only the sample
-    ``bit_sse`` reads from each bit; the lambda outputs are scored together.
+    ``bit_sse`` reads from each bit; the lambda outputs are scored together
+    against the target, sliced once past the skipped bits.
     """
 
     def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
         self._readout = readout
-        self._desired = desired
+        self._target = desired.scaled[skip_bits:]
         self._spb = samples_per_bit
         self._offset = sample_offset
         self._skip = skip_bits
 
     def __call__(self, candidates: np.ndarray) -> np.ndarray:
         y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset)
-        return bit_sse(y, self._desired, 1, 0, self._skip)
+        return _sse(y[..., self._skip :], self._target)
 
 
 def train_cmaes(

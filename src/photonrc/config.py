@@ -110,6 +110,8 @@ class ExperimentConfig:
         for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if not self.perturbation_b_over_pi:
+            raise ValueError("perturbation_b_over_pi needs at least one entry")
         for b in self.perturbation_b_over_pi:
             if not 0 <= b < math.inf:
                 raise ValueError(f"perturbation_b_over_pi entries must be non-negative and finite, got {b!r}")

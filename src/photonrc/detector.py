@@ -82,9 +82,13 @@ class DetectorConfig:
             raise ValueError("load impedance must be positive")
 
 
-def noise_variance(mean_current_a: float, cfg: DetectorConfig) -> float:
-    """Stationary detector noise power: shot noise plus thermal noise."""
-    mean_current_a = max(float(mean_current_a), 0.0)
+def noise_variance(mean_current_a: float | np.ndarray, cfg: DetectorConfig) -> float | np.ndarray:
+    """Stationary detector noise power: shot noise plus thermal noise.
+
+    Takes one mean current or an array of them, entry by entry; a negative
+    mean current counts as 0.
+    """
+    mean_current_a = np.maximum(mean_current_a, 0.0)
     shot = 2.0 * ELEMENTARY_CHARGE * cfg.bandwidth_hz * (mean_current_a + cfg.dark_current_a)
     thermal = 4.0 * BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz / cfg.load_ohm
     return shot + thermal
@@ -292,6 +296,15 @@ def _check_sampling_point(samples_per_bit: int, sample_offset: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _channel_pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(f, 1)``: the channel pairs ``i < j`` of the basis layout."""
+    i, j = np.triu_indices(f, 1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def _channel_products(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The F^2 real products of :class:`SampledBasis` for rows ``x`` of the states."""
     t = x.T
@@ -410,7 +423,7 @@ def sampled_basis(
     _check_sampling_point(samples_per_bit, sample_offset)
     x = np.ascontiguousarray(states.samples)  # free for the C-ordered matrices simulate returns
     n, f = x.shape
-    i, j = np.triu_indices(f, 1)
+    i, j = _channel_pairs(f)
     gram = np.zeros((f, f), dtype=np.complex128)
     for start in range(0, n, _BASIS_ROWS):
         chunk = x[start : start + _BASIS_ROWS]
@@ -461,7 +474,7 @@ def readout_sampled(
     f = basis.gram.shape[0]
     w = _weight_matrix(weights, f)
     columns = w.reshape(f, -1)
-    i, j = np.triu_indices(f, 1)
+    i, j = _channel_pairs(f)
     coef = _channel_products(columns.T, i, j)  # the basis layout, scaled below
     coef[f:] *= 2.0
     coef[f + i.size :] *= -1.0
@@ -469,11 +482,12 @@ def readout_sampled(
     if cfg.noise_enabled and y.size:
         if rng is None:
             rng = np.random.default_rng()
-        sigma = np.sqrt([noise_variance(m, cfg) for m in basis.mean_current(columns)])
+        sigma = np.sqrt(noise_variance(basis.mean_current(columns), cfg))
         noise = rng.standard_normal(y.shape)
         if cfg.filter_enabled:
             num, den, gain = _sampled_noise(cfg, 1.0 / basis.sample_period, basis.samples_per_bit)
             noise = lfilter(num, den, noise, axis=1)
             sigma *= gain
-        y += sigma[:, None] * noise
+        noise *= sigma[:, None]
+        y += noise
     return _checked_output(y if w.ndim == 2 else y[0])

@@ -18,6 +18,8 @@ from photonrc.reservoir import StateMatrix
 from photonrc.signals import DesiredSignal
 from photonrc.stateest import SimulatedReadout
 
+from oracles import bit_sse_direct, readout_sampled_loop
+
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
 
 
@@ -94,6 +96,17 @@ class TestSseObjective:
             y = RAW.responsivity * abs(states.samples[offset + m * spb] @ w) ** 2
             total += (y - d.scaled[m]) ** 2
         assert np.isclose(got, total, rtol=1e-12)
+
+    @pytest.mark.parametrize("skip", [0, 10])
+    @pytest.mark.parametrize("shape", [(40 * 6,), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
+    def test_bytes_match_direct_oracle(self, shape, skip):
+        rng = np.random.default_rng(11)
+        d = DesiredSignal(rng.integers(0, 2, 40), p_total=0.1)
+        y = rng.normal(scale=0.05, size=shape)
+        got = bit_sse(y, d, 6, 2, skip)
+        want = bit_sse_direct(y, d, 6, 2, skip)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_block_scores_each_row(self):
         rng = np.random.default_rng(3)
@@ -396,6 +409,52 @@ class TestTrainCmaes:
         readout.present(np.zeros(readout.n_channels, complex))
         _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
         assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
+
+    def test_ci_cell_matches_loop_oracles(self, monkeypatch):
+        # The package path against the loop forms of readout_sampled and
+        # bit_sse on a ci cell: same noise stream, same scores, same run.
+        import photonrc.cmaes as cmaes_mod
+        from photonrc.config import ci_profile
+        from photonrc.detector import sampled_basis
+        from photonrc.harness import _prepare_cell, _targets
+
+        cfg = ci_profile()
+        cell = _prepare_cell(cfg, 10.0, 0)
+        d, _ = _targets(cfg, cell, "101")
+        spb, skip = cfg.samples_per_bit, cfg.warmup_bits
+        sweep, iterations, population = (1e-3, 1e-1), 4, 14
+
+        class LoopReadout:
+            n_channels = cell.states_train.n_channels
+
+            def __init__(self):
+                self._basis = sampled_basis(cell.states_train, cfg.detector, spb, spb // 2)
+                self._rng = np.random.default_rng(77)
+                self.presentations = 0
+
+            def present_sampled(self, weights, samples_per_bit, sample_offset):
+                assert (samples_per_bit, sample_offset) == (spb, spb // 2)
+                self.presentations += weights.shape[1]
+                return readout_sampled_loop(self._basis, weights, rng=self._rng)
+
+        class DirectObjective:
+            def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
+                self._args = readout, desired, samples_per_bit, sample_offset, skip_bits
+
+            def __call__(self, candidates):
+                readout, desired, samples_per_bit, sample_offset, skip_bits = self._args
+                y = readout.present_sampled(cmaes_mod._decode(candidates).T, samples_per_bit, sample_offset)
+                return bit_sse_direct(y, desired, 1, 0, skip_bits)
+
+        readout = SimulatedReadout(cell.states_train, cfg.detector, seed=77)
+        got_sigma, got = train_cmaes(readout, d, sweep, iterations, population, 5, spb, skip)
+        monkeypatch.setattr(cmaes_mod, "_ReadoutObjective", DirectObjective)
+        loop = LoopReadout()
+        want_sigma, want = train_cmaes(loop, d, sweep, iterations, population, 5, spb, skip)
+        assert got_sigma == want_sigma
+        for field in ("history", "history_x", "best_x", "mean", "cov"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert readout.presentations == loop.presentations == len(sweep) * iterations * population
 
     def test_history_monotone(self):
         _, readout, d, spb = self._toy_problem(seed=7)

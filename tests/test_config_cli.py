@@ -210,10 +210,14 @@ class TestConfigIO:
             ({"cmaes": {"sigma_sweep": None}}, "sigma_sweep"),
             ({"cmaes": {"sigma_sweep": 0.1}}, "sigma_sweep"),
             ({"cmaes": {"sigma_sweep": []}}, "sigma_sweep"),
+            ({"perturbation_b_over_pi": []}, "perturbation_b_over_pi needs at least one entry"),
             ({"cmaes": 5}, "cmaes"),
             ({"detector": ["noise_enabled"]}, "detector"),
         ],
-        ids=["str", "scalar", "null", "scalar-b", "sweep-null", "sweep-scalar", "sweep-empty", "section-int", "section-list"],
+        ids=[
+            "str", "scalar", "null", "scalar-b", "sweep-null", "sweep-scalar", "sweep-empty", "b-empty",
+            "section-int", "section-list",
+        ],
     )
     def test_list_keys_and_sections_need_their_shape(self, data, key):
         # A string would split into one-bit headers and a scalar or null would
@@ -462,6 +466,31 @@ class TestCli:
         assert "photonrc sweep: error: cmaes.sigma_sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodes 2\nedge 0 1 inf 0.5 0.1\ninput 0 0.0\n", "edge delays must be positive and finite, got inf"),
+            (None, "cannot be read: No such file or directory"),
+        ],
+        ids=["inf-delay", "missing"],
+    )
+    def test_bad_topology_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch, text, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the topology file was checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        topo = tmp_path / "net.topo"
+        if text is not None:
+            topo.write_text(text)
+        path = tmp_path / "topo.yaml"
+        path.write_text(yaml.safe_dump({"reservoir": {"topology_file": str(topo)}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "photonrc sweep: error: reservoir.topology_file" in err and message in err
+        assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--bitrate", "-5", "argument --bitrate: must be a positive number, got '-5'"),
@@ -484,8 +513,15 @@ class TestCli:
             (["sweep", "--bitrates", ","], "photonrc sweep: error: bitrates_gbps needs at least one entry"),
             (["sweep", "--trainer", "ridge", "ridge"], "photonrc sweep: error: trainers must not repeat"),
             (["probe-dump", "--config", "empty.yaml"], "photonrc probe-dump: error: bitrates_gbps needs"),
+            (
+                ["perturb", "--seeds", "1", "--config", "no_b.yaml"],
+                "photonrc perturb: error: perturbation_b_over_pi needs at least one entry",
+            ),
         ],
-        ids=["sweep-repeated-bitrate", "sweep-no-bitrate", "sweep-repeated-trainer", "probe-dump-no-bitrate"],
+        ids=[
+            "sweep-repeated-bitrate", "sweep-no-bitrate", "sweep-repeated-trainer", "probe-dump-no-bitrate",
+            "perturb-no-b",
+        ],
     )
     def test_empty_or_repeated_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args, message):
         def no_simulation(*args, **kwargs):
@@ -494,6 +530,7 @@ class TestCli:
         monkeypatch.setattr(harness_mod, "simulate", no_simulation)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.yaml").write_text("bitrates_gbps: []\n")
+        (tmp_path / "no_b.yaml").write_text("perturbation_b_over_pi: []\n")
         with pytest.raises(SystemExit) as exc:
             main([*args, "--profile", "ci", "--out", str(tmp_path / "run"), "--quiet"])
         assert exc.value.code == 2

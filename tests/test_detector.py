@@ -13,6 +13,7 @@ from photonrc.detector import (
     _BASIS_ROWS,
     _CHUNK_ROWS,
     _butterworth,
+    _channel_pairs,
     _channel_products,
     _sampled_modes,
     _sampled_noise,
@@ -26,7 +27,7 @@ from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 from photonrc.stateest import SimulatedReadout
 
-from oracles import photodiode
+from oracles import noise_variance_scalar, photodiode, readout_sampled_loop
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -62,6 +63,22 @@ class TestPhotodiode:
         )
         assert got == expected
         assert np.isclose(got, 1.602e-10, rtol=1e-3)
+
+    @pytest.mark.parametrize(
+        "cfg", [DetectorConfig(), DetectorConfig(dark_current_a=0.0, temperature_k=77.0, load_ohm=50.0)]
+    )
+    def test_noise_variance_array_matches_scalar(self, cfg):
+        rng = np.random.default_rng(4)
+        means = np.concatenate(
+            [[-1.0, -1e-12, -0.0, 0.0, 1e-15, 3.3e-7, 0.02, 0.5, 17.0], 10.0 ** rng.uniform(-15, 1, 200)]
+        )
+        got = noise_variance(means, cfg)
+        want = np.array([noise_variance_scalar(m, cfg) for m in means])
+        assert got.tobytes() == want.tobytes()
+        for m, v in zip(means, want):
+            assert np.float64(noise_variance(m, cfg)).tobytes() == v.tobytes()
+        # negative mean currents are clamped to 0
+        assert np.all(got[:4] == noise_variance(0.0, cfg))
 
     def test_noise_variance_empirical(self):
         # Pre-filter noise on a constant signal: sample variance over 1e5
@@ -338,6 +355,22 @@ class TestSampledPresentation:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
         assert _sampled_noise(cfg, rate, spb)[0] is num and not num.flags.writeable
 
+    @pytest.mark.parametrize("k", [1, 14], ids=["vector", "block"])
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "quiet"])
+    def test_bytes_match_loop_oracle(self, noisy, filtered, k):
+        states, w = self._problem(f=17, k=k)
+        w = w[:, 0] if k == 1 else w
+        cfg = DetectorConfig(noise_enabled=noisy, filter_enabled=filtered)
+        basis = sampled_basis(states, cfg, self.SPB, self.OFFSET)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):  # one generator across calls, as a training run uses it
+            got = readout_sampled(basis, w, rng=rng)
+            want = readout_sampled_loop(basis, w, rng=ref_rng)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_noise_off_draws_nothing(self):
         states, w = self._problem()
         rng = np.random.default_rng(5)
@@ -502,6 +535,13 @@ class TestSampledBasisOracle:
         weights, phi = _sampled_modes(QUIET, 1.0 / states.sample_period, 24)
         assert _sampled_modes(QUIET, 1.0 / states.sample_period, 24)[0] is weights
         assert not weights.flags.writeable and not phi.flags.writeable
+
+    def test_channel_pairs_cached_and_read_only(self):
+        i, j = _channel_pairs(17)
+        assert _channel_pairs(17)[0] is i
+        assert not i.flags.writeable and not j.flags.writeable
+        want_i, want_j = np.triu_indices(17, 1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is a double here"
