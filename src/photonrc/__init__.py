@@ -13,7 +13,7 @@ Subsystems:
 
 __version__ = "0.1.0"
 
-from .signals import BitSignal, DesiredSignal, HeaderPattern, OpticalSignal, desired_signal, gen_bits, modulate
+from .signals import OpticalSignal, desired_signal, gen_bits, header_bits, modulate
 from .reservoir import (
     Edge,
     InputPort,

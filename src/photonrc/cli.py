@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,8 +54,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
 

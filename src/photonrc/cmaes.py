@@ -20,8 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .signals import DesiredSignal
-
 __all__ = [
     "CmaResult",
     "default_population",
@@ -70,12 +68,12 @@ def decode_weights(vector: np.ndarray) -> np.ndarray:
 
 def bit_sse(
     y: np.ndarray,
-    desired: DesiredSignal,
+    target_w: np.ndarray,
     samples_per_bit: int,
     sample_offset: int,
     skip_bits: int,
 ) -> float | np.ndarray:
-    """Sum of squared errors between a per-bit detector output and the target.
+    """Sum of squared errors between a per-bit detector output and the power target in W.
 
     The detector output ``y`` is sampled once per bit at ``sample_offset``;
     the first ``skip_bits`` bits are excluded so the reservoir transient
@@ -83,7 +81,7 @@ def bit_sse(
     K scores.
     """
     y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
-    sse = _sse(y_bits, desired.scaled[skip_bits:])
+    sse = _sse(y_bits, np.asarray(target_w, dtype=np.float64)[skip_bits:])
     return float(sse) if y.ndim == 1 else sse
 
 
@@ -235,9 +233,9 @@ class _ReadoutObjective:
     against the target, sliced once past the skipped bits.
     """
 
-    def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
+    def __init__(self, readout, target_w, samples_per_bit, sample_offset, skip_bits):
         self._readout = readout
-        self._target = desired.scaled[skip_bits:]
+        self._target = np.asarray(target_w, dtype=np.float64)[skip_bits:]
         self._spb = samples_per_bit
         self._offset = sample_offset
         self._skip = skip_bits
@@ -249,7 +247,7 @@ class _ReadoutObjective:
 
 def train_cmaes(
     readout,
-    desired: DesiredSignal,
+    target_w: np.ndarray,
     sigma_sweep: Sequence[float],
     iterations: int,
     population: int | None,
@@ -271,7 +269,7 @@ def train_cmaes(
     member; ``decode_weights(run.best_x)`` are its weights, and
     ``run.history_x`` holds its best point after each generation.
     """
-    objective = _ReadoutObjective(readout, desired, samples_per_bit, samples_per_bit // 2, skip_bits)
+    objective = _ReadoutObjective(readout, target_w, samples_per_bit, samples_per_bit // 2, skip_bits)
     dim = 2 * readout.n_channels
     sweep = tuple(sigma_sweep)
     if not sweep:

@@ -13,7 +13,7 @@ import yaml
 
 from .cmaes import DEFAULT_SIGMA_SWEEP
 from .detector import DetectorConfig
-from .signals import HeaderPattern
+from .signals import header_bits
 
 __all__ = [
     "ReservoirSettings",
@@ -40,6 +40,14 @@ class ReservoirSettings:
     loss_db_per_cm: float = 3.0
     group_index: float = 4.2
     topology_file: str | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.delay_s < math.inf:
+            raise ValueError(f"reservoir.delay_s must be positive and finite, got {self.delay_s!r}")
+        if not 0 <= self.loss_db_per_cm < math.inf:
+            raise ValueError(
+                f"reservoir.loss_db_per_cm must be non-negative and finite, got {self.loss_db_per_cm!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,22 +111,19 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         for h in self.headers:
-            HeaderPattern.from_string(h)
+            header_bits(h)
         for b in self.bitrates_gbps:
-            if not b > 0:
-                raise ValueError("bitrates must be positive")
-        for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+            if not 0 < b < math.inf:
+                raise ValueError(f"bitrates must be positive and finite, got {b!r}")
+        # bias_power_w is positive because the bias line is the nlinv reference.
+        for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps", "p_total_w", "bias_power_w"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
         if not self.perturbation_b_over_pi:
             raise ValueError("perturbation_b_over_pi needs at least one entry")
         for b in self.perturbation_b_over_pi:
             if not 0 <= b < math.inf:
                 raise ValueError(f"perturbation_b_over_pi entries must be non-negative and finite, got {b!r}")
-        # The bias line is the nlinv reference, so it must be bright.
-        for key in ("p_total_w", "bias_power_w"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         for key, least in (
             ("n_perturbation_draws", 1),
             ("samples_per_bit", 1),
@@ -218,7 +223,8 @@ def _values(cls, data: dict) -> dict:
     and each element of a float list, is cast with ``float()``: PyYAML
     reads ``1e-3`` or ``2.5e10`` as a string, since it wants a dot and a
     signed exponent.  Each int field, and each ``int | None`` field that
-    is not null, must hold an integer (:func:`_int`).
+    is not null, must hold an integer (:func:`_int`), each bool field
+    true or false, and each ``str | None`` field a string or null.
     """
     hints = typing.get_type_hints(cls)
     fixed = dict(data)
@@ -232,6 +238,10 @@ def _values(cls, data: dict) -> dict:
             fixed[k] = _float(k, v)
         elif hint is int or (hint == int | None and v is not None):
             fixed[k] = _int(k, v)
+        elif hint is bool and not isinstance(v, bool):
+            raise ValueError(f"{k} must be true or false, got {v!r}")
+        elif hint == str | None and not (v is None or isinstance(v, str)):
+            raise ValueError(f"{k} must be a string or null, got {v!r}")
     return fixed
 
 

@@ -28,6 +28,7 @@ most 1.8 times ``lfilter``'s own at 31 Gbps and 24 samples per bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,14 +71,15 @@ class DetectorConfig:
     filter_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if not self.responsivity > 0:
-            raise ValueError("responsivity must be positive")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth must be positive")
-        if self.dark_current_a < 0:
-            raise ValueError("dark current must be non-negative")
-        if not self.temperature_k > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.responsivity < math.inf:
+            raise ValueError(f"responsivity must be positive and finite, got {self.responsivity!r}")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz!r}")
+        if not 0 <= self.dark_current_a < math.inf:
+            raise ValueError(f"dark current must be non-negative and finite, got {self.dark_current_a!r}")
+        if not 0 < self.temperature_k < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature_k!r}")
+        # an infinite load is a detector without thermal noise
         if not self.load_ohm > 0:
             raise ValueError("load impedance must be positive")
 

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .reservoir import (
     with_phases,
 )
 from .ridge import cv_alpha, ridge_problem
-from .signals import BitSignal, DesiredSignal, HeaderPattern, desired_signal, gen_bits, modulate
+from .signals import OpticalSignal, desired_signal, gen_bits, modulate
 from .stateest import SimulatedReadout, estimate_states, probe_count
 
 __all__ = [
@@ -238,9 +238,9 @@ class _Cell:
     instance: int
     topology: ReservoirTopology
     topology_seed: int
-    bits_train: BitSignal
-    bits_test: BitSignal
-    sig_test: object
+    bits_train: np.ndarray
+    bits_test: np.ndarray
+    sig_test: OpticalSignal
     states_train: StateMatrix
     states_nlinv: StateMatrix | None = None
 
@@ -292,11 +292,11 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
     bitrate_gbps = float(bitrate_gbps)  # an int would seed differently
     bitrate = bitrate_gbps * 1e9
     topo, topo_seed = _instance_topology(cfg, instance)
-    bits_train = gen_bits(cfg.n_train_bits, derive_seed(cfg.master_seed, "train-bits"), bitrate)
-    bits_test = gen_bits(cfg.n_test_bits, derive_seed(cfg.master_seed, "test-bits"), bitrate)
+    bits_train = gen_bits(cfg.n_train_bits, derive_seed(cfg.master_seed, "train-bits"))
+    bits_test = gen_bits(cfg.n_test_bits, derive_seed(cfg.master_seed, "test-bits"))
     p_node = cfg.p_total_w / len(topo.input_ports)
-    sig_train = modulate(bits_train, cfg.samples_per_bit, p_node, cfg.smoothing)
-    sig_test = modulate(bits_test, cfg.samples_per_bit, p_node, cfg.smoothing)
+    sig_train = modulate(bits_train, bitrate, cfg.samples_per_bit, p_node, cfg.smoothing)
+    sig_test = modulate(bits_test, bitrate, cfg.samples_per_bit, p_node, cfg.smoothing)
     states_train = simulate(topo, sig_train, cfg.bias_power_w)
     return _Cell(
         bitrate_gbps=bitrate_gbps,
@@ -310,13 +310,14 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
     )
 
 
-def _targets(cfg: ExperimentConfig, cell: _Cell, header: str) -> tuple[DesiredSignal, DesiredSignal]:
-    """Train and test targets of one header."""
-    pattern = HeaderPattern.from_string(header)
-    return (
-        desired_signal(cell.bits_train, pattern, cfg.p_total_w),
-        desired_signal(cell.bits_test, pattern, cfg.p_total_w),
-    )
+def _targets(cell: _Cell, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 train and test targets of one header, one per bit."""
+    return desired_signal(cell.bits_train, header), desired_signal(cell.bits_test, header)
+
+
+def _power_target(cfg: ExperimentConfig, ideal: np.ndarray) -> np.ndarray:
+    """Per-bit power target in W: what the trained readout should reproduce at the detector."""
+    return ideal.astype(np.float64) * cfg.p_total_w
 
 
 def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: np.ndarray, *seed_key) -> np.ndarray:
@@ -351,14 +352,16 @@ def _train(
     cell: _Cell,
     header: str,
     trainer: str,
-    d_train: DesiredSignal,
+    d_train: np.ndarray,
 ) -> tuple[np.ndarray, int, str]:
     """Run the selected trainer; returns weights, presentations used, detail.
 
     ``cmaes`` trains through the detector as a black box.  ``ridge`` and
     ``nlinv`` are one fit on different states: the full states, or those
-    the cell's probing round recovered.
+    the cell's probing round recovered.  Each trainer fits the power
+    target of ``d_train``.
     """
+    target_w = _power_target(cfg, d_train)
     if trainer == "cmaes":
         key = (cell.bitrate_gbps, header, cell.instance)
         readout = SimulatedReadout(
@@ -366,7 +369,7 @@ def _train(
         )
         sigma0, run = train_cmaes(
             readout,
-            d_train,
+            target_w,
             cfg.cmaes.sigma_sweep,
             cfg.cmaes.max_iterations,
             cfg.cmaes.population,
@@ -387,31 +390,31 @@ def _train(
     else:
         raise ValueError(f"unknown trainer {trainer!r}")
     x, target = ridge_problem(
-        states, d_train, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
+        states, target_w, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
     )
     alpha, weights = cv_alpha(x, target)
     return weights, presentations, f"alpha={alpha:.6g}"
 
 
-def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train: DesiredSignal) -> _Fit:
+def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train: np.ndarray) -> _Fit:
     """Train one readout, then freeze threshold and sampling point on its train output."""
     weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
     spb = cfg.samples_per_bit
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
     y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
-    d_tr = d_train.ideal[cfg.warmup_bits :]
+    d_tr = d_train[cfg.warmup_bits :]
     threshold, offset = _freeze_decision(y_train, d_tr, spb, cfg.search_bits)
     train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
     return _Fit(header, trainer, weights, presentations, detail, threshold, offset, train_ber, n_train_scored)
 
 
 def _test_score(
-    cfg: ExperimentConfig, cell: _Cell, fit: _Fit, states_test: StateMatrix, d_test: DesiredSignal
+    cfg: ExperimentConfig, cell: _Cell, fit: _Fit, states_test: StateMatrix, d_test: np.ndarray
 ) -> tuple[float, int]:
     """Test BER of a frozen fit and the bits scored."""
     key = (cell.bitrate_gbps, fit.header, fit.trainer, cell.instance)
     y_test = _detected(cfg, states_test, fit.weights, "eval-test", *key)
-    return _score(y_test, d_test.ideal[cfg.warmup_bits :], cfg.samples_per_bit, fit.offset, fit.threshold)
+    return _score(y_test, d_test[cfg.warmup_bits :], cfg.samples_per_bit, fit.offset, fit.threshold)
 
 
 def _run_cell(
@@ -432,7 +435,7 @@ def _run_cell(
     cell = _prepare_cell(cfg, bitrate_gbps, instance)
     if "nlinv" in trainers:
         cell.states_nlinv = _nlinv_round(cfg, cell)
-    targets = {header: _targets(cfg, cell, header) for header in headers}
+    targets = {header: _targets(cell, header) for header in headers}
     fits = [
         _fit(cfg, cell, header, trainer, targets[header][0]) for header in headers for trainer in trainers
     ]
@@ -556,7 +559,6 @@ def _study_header(cfg: ExperimentConfig) -> str:
 
 def run_perturbation(
     cfg: ExperimentConfig,
-    b_list: list[float] | None = None,
     out_dir: str | Path | None = None,
 ) -> list[PerturbationRow]:
     """Degradation of frozen ridge weights under random phase perturbations.
@@ -564,21 +566,21 @@ def run_perturbation(
     For each nominal reservoir instance the readout is trained once; the
     trained weights, threshold, and sampling point are then reapplied to
     perturbed copies of the instance, where every waveguide phase gets an
-    independent U(0, b) shift.  ``b = 0`` is the unperturbed baseline by
-    construction.  As in a sweep cell, the training states are released
-    before the test input is simulated; one ``simulate_each`` call runs it
-    through the instance and all its perturbed copies.  The configuration
-    must name one header.
+    independent U(0, b) shift, for each ``b`` of
+    ``cfg.perturbation_b_over_pi`` times pi.  ``b = 0`` is the unperturbed
+    baseline by construction.  As in a sweep cell, the training states are
+    released before the test input is simulated; one ``simulate_each``
+    call runs it through the instance and all its perturbed copies.  The
+    configuration must name one header.
     """
     header = _study_header(cfg)
-    if b_list is None:
-        b_list = [f * math.pi for f in cfg.perturbation_b_over_pi]
+    b_list = [f * math.pi for f in cfg.perturbation_b_over_pi]
     bitrate = cfg.perturbation_bitrate_gbps
 
     per_b: dict[int, list[float]] = {i: [] for i in range(len(b_list))}
     for instance in range(cfg.n_reservoirs):
         cell = _prepare_cell(cfg, bitrate, instance)
-        d_train, d_test = _targets(cfg, cell, header)
+        d_train, d_test = _targets(cell, header)
         fit = _fit(cfg, cell, header, "ridge", d_train)
         del cell.states_train
         # The instance and its perturbed copies share their delays, so one
@@ -603,7 +605,7 @@ def run_perturbation(
         for b_idx, b in enumerate(b_list):
             if b == 0.0:
                 per_b[b_idx].append(baseline_ber)
-        d_te = d_test.ideal[cfg.warmup_bits :]
+        d_te = d_test[cfg.warmup_bits :]
         for b_idx, draw, _ in draws:
             states = next(sims)
             y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
@@ -625,11 +627,7 @@ def run_perturbation(
             )
         )
     if out_dir is not None:
-        _write_rows_csv(
-            rows,
-            _output_dir(cfg, out_dir) / "perturbation.csv",
-            ["b_over_pi", "b_rad", "mean_ber", "geo_mean_ber", "n_evaluations"],
-        )
+        _write_rows_csv(rows, _output_dir(cfg, out_dir) / "perturbation.csv", _columns(PerturbationRow))
     return rows
 
 
@@ -643,13 +641,13 @@ CONVERGENCE_SIGMA0 = 0.1
 def run_convergence(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    instance: int = 0,
 ) -> list[ConvergenceRow]:
     """Black-box training, then the error rate of its best point after every iteration.
 
-    One run starts at step size :data:`CONVERGENCE_SIGMA0`; each row of its
-    ``history_x`` is scored with detector noise seeded by the iteration, as
-    the training output is scored in a sweep.  One objective
+    The study trains on reservoir instance 0.  One run starts at step size
+    :data:`CONVERGENCE_SIGMA0`; each row of its ``history_x`` is scored
+    with detector noise seeded by the iteration, as the training output is
+    scored in a sweep.  One objective
     evaluation equals one presentation of the training sequence, so the
     presentation column is iterations times population.
     The ``best_ber`` column is the running minimum of the recorded BER.
@@ -660,21 +658,21 @@ def run_convergence(
     spb = cfg.samples_per_bit
     warm = cfg.warmup_bits
 
-    cell = _prepare_cell(cfg, bitrate, instance)
-    d_train, _ = _targets(cfg, cell, header)
-    d_tr = d_train.ideal[warm:]
+    cell = _prepare_cell(cfg, bitrate, 0)
+    d_train, _ = _targets(cell, header)
+    d_tr = d_train[warm:]
     readout = SimulatedReadout(
         cell.states_train,
         cfg.detector,
-        seed=derive_seed(cfg.master_seed, "conv-noise", bitrate, instance),
+        seed=derive_seed(cfg.master_seed, "conv-noise", bitrate, 0),
     )
     _, run = train_cmaes(
         readout,
-        d_train,
+        _power_target(cfg, d_train),
         [CONVERGENCE_SIGMA0],
         cfg.cmaes.convergence_iterations,
         cfg.cmaes.population,
-        derive_seed(cfg.master_seed, "conv", bitrate, instance),
+        derive_seed(cfg.master_seed, "conv", bitrate, 0),
         spb,
         warm,
     )
@@ -682,7 +680,7 @@ def run_convergence(
     rows: list[ConvergenceRow] = []
     best_ber = math.inf
     for iteration, (x, sse) in enumerate(zip(run.history_x, run.history.tolist()), start=1):
-        y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, instance, iteration)
+        y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, 0, iteration)
         threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
         ber = _score(y, d_tr, spb, offset, threshold)[0]
         best_ber = min(best_ber, ber)
@@ -691,11 +689,7 @@ def run_convergence(
         if iteration % 25 == 0:
             logger.info("iteration %d: presentations=%d sse=%.4g ber=%.4g", iteration, presentations, sse, ber)
     if out_dir is not None:
-        _write_rows_csv(
-            rows,
-            _output_dir(cfg, out_dir) / "convergence.csv",
-            ["iteration", "presentations", "best_sse", "ber", "best_ber"],
-        )
+        _write_rows_csv(rows, _output_dir(cfg, out_dir) / "convergence.csv", _columns(ConvergenceRow))
     return rows
 
 
@@ -709,6 +703,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Unlike the row types, whose columns are their fields, a record is written
+# with its report properties and without its train_ber_floor.
 RECORD_COLUMNS = [
     "bitrate_gbps",
     "header",
@@ -739,21 +735,13 @@ def _write_rows_csv(rows, path: str | Path, columns: list[str]) -> None:
             writer.writerow([_fmt(getattr(row, c)) for c in columns])
 
 
+def _columns(row_type) -> list[str]:
+    """A row dataclass's field names, in order: the columns of its CSV file."""
+    return [f.name for f in fields(row_type)]
+
+
 def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
-    _write_rows_csv(
-        rows,
-        path,
-        [
-            "bitrate_gbps",
-            "header",
-            "trainer",
-            "n_instances",
-            "geo_mean_test_ber",
-            "mean_test_ber",
-            "min_test_ber",
-            "max_test_ber",
-        ],
-    )
+    _write_rows_csv(rows, path, _columns(SummaryRow))
 
 
 def write_summary_json(cfg: ExperimentConfig, path: str | Path) -> None:

@@ -17,12 +17,13 @@ at block speed.  The recursion always runs in a node-wide buffer, each
 block of two or more rows with one in-place zgemm per delay; on the input
 grid with a bias line that buffer is the head of the state matrix's own
 memory and is spread out to its F + 1 stride afterwards.  When the
-simulation grid is finer than the input grid, inputs are resampled onto
-it and the recorded node signals back onto the input grid, linearly and
-to the bit of ``np.interp``.
+simulation grid is finer than the input grid, the input is resampled
+onto it and the recorded node signals back onto the input grid, linearly
+and to the bit of ``np.interp``.  One input signal drives every
+injection port, each with its own feed phase.
 
 ``simulate_each`` runs one input through several reservoirs with the same
-delays, such as phase-perturbed copies of one chip: the grid, each
+delays, such as phase-perturbed copies of one chip: the grid, the
 resampled input and both resampling brackets are computed once, and only
 the transfers and the recursion are each topology's own.  ``simulate`` is
 its one-topology case.
@@ -451,14 +452,13 @@ def _advance(full: np.ndarray, pad: int, transfers: dict[int, np.ndarray]) -> No
 
 def simulate(
     topology: ReservoirTopology,
-    inputs: OpticalSignal | list[OpticalSignal] | tuple[OpticalSignal, ...],
+    signal: OpticalSignal,
     bias_power: float | None = None,
 ) -> StateMatrix:
-    """Propagate injected optical inputs through the reservoir.
+    """Propagate one optical input, fed to every injection port, through the reservoir.
 
-    ``inputs`` is one optical signal per injection port (a single signal
-    is broadcast to all ports).  Each port applies its own feed phase.
-    Node ``v`` records the combined amplitude
+    Each port applies its own feed phase to ``signal``.  Node ``v``
+    records the combined amplitude
 
         s_v[n] = (sum of arriving edge amplitudes + injected input) / sqrt(k_in)
 
@@ -468,10 +468,10 @@ def simulate(
     sqrt(bias_power) is appended when ``bias_power`` is given, modelling
     the bias light fed straight into the readout.
 
-    Off the input grid, each distinct signal object is resampled onto the
-    simulation grid once, and the node signals are resampled back straight
-    into the returned C-ordered matrix; both passes give the bytes of
-    per-channel ``np.interp``.
+    Off the input grid, the input is resampled onto the simulation grid
+    once, and the node signals are resampled back straight into the
+    returned C-ordered matrix; both passes give the bytes of per-channel
+    ``np.interp``.
 
     The block recursion (``_advance``) adds each block's arrivals in
     place with one zgemm per block and delay in a node-wide buffer, and a
@@ -483,105 +483,86 @@ def simulate(
 
     This is ``simulate_each`` with one topology.
     """
-    [states] = simulate_each([topology], inputs, bias_power)
+    [states] = simulate_each([topology], signal, bias_power)
     return states
 
 
 def simulate_each(
     topologies: Iterable[ReservoirTopology],
-    inputs: OpticalSignal | list[OpticalSignal] | tuple[OpticalSignal, ...],
+    signal: OpticalSignal,
     bias_power: float | None = None,
 ) -> Iterator[StateMatrix]:
     """``simulate`` of one input through each of several reservoirs with identical edge delays.
 
     Yields one ``StateMatrix`` per topology, in order, each with the bytes
-    of ``simulate(topology, inputs, bias_power)``.  Equal delays give the
+    of ``simulate(topology, signal, bias_power)``.  Equal delays give the
     topologies, phase-perturbed copies of one chip for instance, one
-    simulation grid, so the grid, each distinct input signal resampled
-    onto it and the bracket search of the back-resampling are computed
-    once, and a delay off the grid is warned about once.  Each topology's
-    transfers and recursion run when its matrix is asked for, and the
-    iterator keeps no reference to a matrix it has yielded: a caller that
-    drops each one before asking for the next holds one at a time.
+    simulation grid, so the grid, the input resampled onto it and the
+    bracket search of the back-resampling are computed once, and a delay
+    off the grid is warned about once.  Each topology's transfers and
+    recursion run when its matrix is asked for, and the iterator keeps no
+    reference to a matrix it has yielded: a caller that drops each one
+    before asking for the next holds one at a time.
 
     Every argument is checked before the first topology is simulated:
     topologies whose edge delays differ, in edge order, raise
     ``ValueError``, as does any input that ``simulate`` rejects.
     """
     topologies = tuple(topologies)
-    broadcast = isinstance(inputs, OpticalSignal)
-    signals = [inputs] if broadcast else list(inputs)
     delays = [e.delay for e in topologies[0].edges] if topologies else []
     for topology in topologies:
-        ports = topology.input_ports
-        if not ports:
+        if not topology.input_ports:
             raise ValueError("topology has no input ports")
-        if not broadcast and len(signals) != len(ports):
-            raise ValueError(f"expected {len(ports)} input signals, got {len(signals)}")
         if [e.delay for e in topology.edges] != delays:
             raise ValueError("simulate_each needs topologies with identical edge delays")
     if not topologies:
         return iter(())
-    n_in = len(signals[0])
-    period = signals[0].sample_period
-    for sig in signals[1:]:
-        if len(sig) != n_in:
-            raise ValueError("all input signals must have the same length")
-        if not np.isclose(sig.sample_period, period, rtol=1e-12, atol=0.0):
-            raise ValueError("all input signals must share one sample period")
     if bias_power is not None and not bias_power > 0:
         raise ValueError("bias_power must be positive when the bias line is enabled")
-    if n_in == 0:
-        raise ValueError("input signals are empty")
-    return _simulate_each(topologies, signals, broadcast, bias_power)
+    if len(signal) == 0:
+        raise ValueError("input signal is empty")
+    return _simulate_each(topologies, signal, bias_power)
 
 
 def _simulate_each(
     topologies: tuple[ReservoirTopology, ...],
-    signals: list[OpticalSignal],
-    broadcast: bool,
+    signal: OpticalSignal,
     bias_power: float | None,
 ) -> Iterator[StateMatrix]:
     """The generator behind ``simulate_each``, on checked arguments."""
-    n_in, period = len(signals[0]), signals[0].sample_period
+    n_in, period = len(signal), signal.sample_period
     step, delay_steps = _simulation_step(topologies[0], period)
     if abs(step - period) <= 1e-9 * period:
         n_sim, back = n_in, None
-        drives = [sig.samples for sig in signals]
+        drive = signal.samples
     else:
         # cover the final input sample time so the back-resampling never
         # extrapolates
         n_sim = int(math.ceil((n_in - 1) * period / step - 1e-9)) + 1
         t_in = np.arange(n_in) * period
         t_sim = np.arange(n_sim) * step
-        # each distinct signal object is resampled onto the simulation grid once
-        distinct = list({id(sig): sig for sig in signals}.values())
-        resampled = np.empty((n_sim, len(distinct)), dtype=np.complex128)
-        fp = np.stack([sig.samples for sig in distinct], axis=1)
-        _resample_into(resampled, t_sim, t_in, fp, _bracket(t_sim, t_in))
-        del fp  # the generator's frame outlives the call
-        column = {id(sig): c for c, sig in enumerate(distinct)}
-        drives = [resampled[:, column[id(sig)]] for sig in signals]
+        resampled = np.empty((n_sim, 1), dtype=np.complex128)
+        _resample_into(resampled, t_sim, t_in, signal.samples.reshape(n_in, 1), _bracket(t_sim, t_in))
+        drive = resampled[:, 0]
         back = (t_in, t_sim, _bracket(t_in, t_sim))
     for topology in topologies:
-        port_drives = drives * len(topology.input_ports) if broadcast else drives
-        yield _propagate(topology, port_drives, delay_steps, n_sim, back, bias_power, period)
+        yield _propagate(topology, drive, delay_steps, n_sim, back, bias_power, period)
 
 
 def _propagate(
     topology: ReservoirTopology,
-    drives: list[np.ndarray],
+    drive: np.ndarray,
     delay_steps: np.ndarray,
     n_sim: int,
     back: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None,
     bias_power: float | None,
     period: float,
 ) -> StateMatrix:
-    """One topology's states from its ports' drives on the simulation grid.
+    """One topology's states from ``drive``, the input on the simulation grid.
 
-    ``drives`` holds each port's input on the simulation grid and ``back``
-    the input grid, the simulation grid and the bracket to resample the
-    node signals back onto the former, or ``None`` on the input grid.
+    ``back`` holds the input grid, the simulation grid and the bracket to
+    resample the node signals back onto the former, or ``None`` on the
+    input grid.
 
     ``_advance`` runs in a node-wide buffer in every layout.  On the input
     grid with a bias line that buffer is the head of the flat memory of
@@ -616,7 +597,7 @@ def _propagate(
     spread = back is None and bias_power is not None
     flat = np.zeros(n_rows * (n_nodes + spread), dtype=np.complex128)
     buf = flat[: n_rows * n_nodes].reshape(n_rows, n_nodes)
-    for port, drive in zip(topology.input_ports, drives):
+    for port in topology.input_ports:
         buf[pad:, port.node] += drive * np.exp(1j * port.phase) * combine[port.node]
 
     _advance(buf, pad, transfers)

@@ -14,7 +14,6 @@ import logging
 import numpy as np
 
 from .reservoir import StateMatrix
-from .signals import DesiredSignal
 
 __all__ = [
     "candidate_alphas",
@@ -59,18 +58,18 @@ def invert_target(d: np.ndarray, responsivity: float) -> np.ndarray:
 
 def ridge_problem(
     states: StateMatrix,
-    desired: DesiredSignal,
+    target_w: np.ndarray,
     responsivity: float,
     samples_per_bit: int,
     skip_bits: int = 0,
 ) -> tuple[StateMatrix, np.ndarray]:
     """States and detector-inverted target of one readout ridge fit.
 
-    The per-bit power targets are expanded to the sample grid and passed
-    through :func:`invert_target`; both sides drop the first ``skip_bits``
-    transient bits and end at the shorter of the two.
+    The per-bit power targets ``target_w`` (W) are expanded to the sample
+    grid and passed through :func:`invert_target`; both sides drop the
+    first ``skip_bits`` transient bits and end at the shorter of the two.
     """
-    target = invert_target(np.repeat(desired.scaled, samples_per_bit), responsivity)
+    target = invert_target(np.repeat(target_w, samples_per_bit), responsivity)
     skip = skip_bits * samples_per_bit
     n = min(states.n_samples, target.size)
     trimmed = StateMatrix(states.samples[skip:n], states.sample_period, states.bias_index)

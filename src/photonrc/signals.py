@@ -1,7 +1,8 @@
 """Bit streams, optical intensity modulation, and header-detection targets.
 
-Signals are value objects: bit sequences carry their bit rate, optical
-signals carry complex amplitudes in sqrt(Watt) on a uniform sample grid.
+Bits, headers and targets are plain ``uint8`` arrays of 0 and 1; an
+optical signal carries complex amplitudes in sqrt(Watt) on a uniform
+sample grid together with its sample period.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 __all__ = [
-    "BitSignal",
-    "HeaderPattern",
     "OpticalSignal",
-    "DesiredSignal",
+    "header_bits",
     "gen_bits",
     "modulate",
     "desired_signal",
@@ -32,52 +31,15 @@ def _as_binary_array(values, name: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class BitSignal:
-    """Binary symbol stream with an associated bit rate in bits/second."""
-
-    bits: np.ndarray
-    bitrate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _as_binary_array(self.bits, "bits"))
-        if not self.bitrate > 0:
-            raise ValueError("bitrate must be positive")
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    @property
-    def bit_period(self) -> float:
-        return 1.0 / self.bitrate
-
-
-@dataclass(frozen=True)
-class HeaderPattern:
-    """Fixed bit pattern to be detected at every stream position."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = _as_binary_array(self.bits, "header bits")
-        if bits.size < 1:
-            raise ValueError("header must contain at least one bit")
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def from_string(cls, pattern: str) -> "HeaderPattern":
-        """Build a pattern from a string such as ``"101"``."""
-        try:
-            bits = [int(ch) for ch in pattern.strip()]
-        except ValueError as exc:
-            raise ValueError(f"invalid header string {pattern!r}") from exc
-        return cls(np.asarray(bits))
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    def __str__(self) -> str:
-        return "".join(str(int(b)) for b in self.bits)
+def header_bits(text: str) -> np.ndarray:
+    """The bits of a header string such as ``"101"``, at least one."""
+    try:
+        bits = [int(ch) for ch in text.strip()]
+    except ValueError as exc:
+        raise ValueError(f"invalid header string {text!r}") from exc
+    if not bits:
+        raise ValueError("header must contain at least one bit")
+    return _as_binary_array(bits, "header bits")
 
 
 @dataclass(frozen=True)
@@ -101,50 +63,25 @@ class OpticalSignal:
         return int(self.samples.size)
 
 
-@dataclass(frozen=True)
-class DesiredSignal:
-    """Per-bit detection target.
-
-    ``ideal`` holds the 0/1 indicator per bit; ``scaled`` holds the power
-    target ``ideal * p_total`` in Watt that the trained readout should
-    reproduce at the detector.
-    """
-
-    ideal: np.ndarray
-    p_total: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ideal", _as_binary_array(self.ideal, "ideal targets"))
-        if not self.p_total > 0:
-            raise ValueError("p_total must be positive")
-
-    @property
-    def scaled(self) -> np.ndarray:
-        return self.ideal.astype(np.float64) * self.p_total
-
-    def __len__(self) -> int:
-        return int(self.ideal.size)
-
-
-def gen_bits(n: int, seed: int | None, bitrate: float = 1e9) -> BitSignal:
-    """Generate ``n`` independent equiprobable bits.
+def gen_bits(n: int, seed: int | None) -> np.ndarray:
+    """``n`` independent equiprobable bits as a ``uint8`` array.
 
     The same seed always yields the same sequence.
     """
     if n < 0:
         raise ValueError("bit count must be non-negative")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    return BitSignal(bits, bitrate)
+    return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
 def modulate(
-    bits: BitSignal,
+    bits,
+    bitrate: float,
     samples_per_bit: int,
     p_node: float,
     smoothing: float | str | None = "auto",
 ) -> OpticalSignal:
-    """Intensity-modulate a bit stream into an optical amplitude signal.
+    """Intensity-modulate a bit stream at ``bitrate`` (bits/s) into an optical amplitude signal.
 
     A one-bit maps to amplitude sqrt(p_node), a zero-bit to 0 (full
     extinction), each held for ``samples_per_bit`` samples.  The staircase
@@ -157,16 +94,19 @@ def modulate(
         period), a float selects an explicit pole frequency in Hz, and
         ``None`` disables smoothing.
     """
+    bits = _as_binary_array(bits, "bits")
+    if not bitrate > 0:
+        raise ValueError("bitrate must be positive")
     if samples_per_bit < 1:
         raise ValueError("samples_per_bit must be at least 1")
     if not p_node > 0:
         raise ValueError("p_node must be positive")
 
-    amplitude = np.sqrt(p_node) * np.repeat(bits.bits.astype(np.float64), samples_per_bit)
-    sample_period = bits.bit_period / samples_per_bit
+    amplitude = np.sqrt(p_node) * np.repeat(bits.astype(np.float64), samples_per_bit)
+    sample_period = 1.0 / bitrate / samples_per_bit
 
     if smoothing is not None:
-        pole_hz = bits.bitrate if smoothing == "auto" else float(smoothing)
+        pole_hz = bitrate if smoothing == "auto" else float(smoothing)
         if not pole_hz > 0:
             raise ValueError("smoothing pole frequency must be positive")
         # Exact discrete equivalent of the first-order response
@@ -177,18 +117,19 @@ def modulate(
     return OpticalSignal(amplitude.astype(np.complex128), sample_period)
 
 
-def desired_signal(bits: BitSignal, header: HeaderPattern, p_total: float) -> DesiredSignal:
-    """Mark every bit position at which the header just completed.
+def desired_signal(bits, header: str) -> np.ndarray:
+    """Mark with a 1 every bit position at which the header just completed.
 
     Position ``n`` is flagged when the ``M`` most recent bits ending at
     ``n`` equal the header.  The first ``M - 1`` positions are defined as
     0 because no full window exists there.
     """
-    m = len(header)
-    n = len(bits)
+    pattern = header_bits(header)
+    bits = _as_binary_array(bits, "bits")
+    m, n = pattern.size, bits.size
     if n < m:
         raise ValueError(f"need at least {m} bits to match a {m}-bit header")
     ideal = np.zeros(n, dtype=np.uint8)
-    windows = sliding_window_view(bits.bits, m)
-    ideal[m - 1 :] = (windows == header.bits).all(axis=1)
-    return DesiredSignal(ideal, p_total)
+    windows = sliding_window_view(bits, m)
+    ideal[m - 1 :] = (windows == pattern).all(axis=1)
+    return ideal

@@ -16,7 +16,7 @@ from photonrc.detector import (
     _sampled_noise,
     _weight_matrix,
 )
-from photonrc.signals import DesiredSignal, OpticalSignal
+from photonrc.signals import OpticalSignal
 
 
 def photodiode(
@@ -81,14 +81,14 @@ def readout_sampled_loop(
 
 def bit_sse_direct(
     y: np.ndarray,
-    desired: DesiredSignal,
+    target_w: np.ndarray,
     samples_per_bit: int,
     sample_offset: int,
     skip_bits: int,
 ) -> float | np.ndarray:
     """``bit_sse`` as ``np.sum((y_bits - d) ** 2)``, with the difference and its square as two temporaries."""
     y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
-    d = desired.scaled[skip_bits:]
+    d = np.asarray(target_w, dtype=np.float64)[skip_bits:]
     n = min(y_bits.shape[-1], d.size)
     sse = np.sum((y_bits[..., :n] - d[:n]) ** 2, axis=-1)
     return float(sse) if y.ndim == 1 else sse

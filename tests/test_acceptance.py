@@ -177,14 +177,14 @@ def test_passivity_and_linearity():
     for name, topo in (("uniform", uniform), ("mixed-delay", mixed)):
         rng = np.random.default_rng(5)
         for trial in range(100):
-            bits = gen_bits(30, int(rng.integers(0, 2**31)), 10e9)
-            sig = modulate(bits, 24, 0.025)
+            bits = gen_bits(30, int(rng.integers(0, 2**31)))
+            sig = modulate(bits, 10e9, 24, 0.025)
             x = simulate(topo, sig, None)
             node_power = np.sum(np.abs(x.samples) ** 2, axis=1)
             injected = 4 * np.cumsum(np.abs(sig.samples) ** 2)
             assert np.all(node_power <= injected * (1 + 1e-9) + 1e-30), f"{name} trial {trial}"
 
-        sig = modulate(gen_bits(40, 17, 10e9), 24, 0.025)
+        sig = modulate(gen_bits(40, 17), 10e9, 24, 0.025)
         base = simulate(topo, sig, None)
         a = -0.83 + 0.42j
         scaled = simulate(topo, OpticalSignal(a * sig.samples, sig.sample_period), None)

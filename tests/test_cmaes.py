@@ -15,12 +15,16 @@ from photonrc.cmaes import (
 from photonrc.detector import DetectorConfig, readout_forward
 from photonrc.harness import bit_error_rate, decide_bits, threshold_level
 from photonrc.reservoir import StateMatrix
-from photonrc.signals import DesiredSignal
 from photonrc.stateest import SimulatedReadout
 
 from oracles import bit_sse_direct, readout_sampled_loop
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
+
+
+def _power(ideal, p_total=0.1):
+    """The per-bit power target in W of a 0/1 indicator, formed as the harness forms it."""
+    return np.asarray(ideal).astype(np.float64) * p_total
 
 
 def _rowwise(f):
@@ -66,15 +70,15 @@ class TestSseObjective:
     def test_perfect_match_zero(self):
         # p_total = 0.125 keeps every intermediate value an exact binary
         # fraction, so the identity holds with zero floating-point slack.
-        d = DesiredSignal(np.array([1, 0, 1, 1]), p_total=0.125)
-        amp = np.sqrt(d.scaled / RAW.responsivity)
+        d = _power([1, 0, 1, 1], p_total=0.125)
+        amp = np.sqrt(d / RAW.responsivity)
         states = self._held_states(amp)
         y = readout_forward(states, np.ones(1, complex), RAW)
         assert bit_sse(y, d, 8, 4, 0) == 0.0
 
     def test_constant_offset(self):
         n = 50
-        d = DesiredSignal(np.zeros(n, dtype=int), p_total=0.1)
+        d = _power(np.zeros(n, dtype=int))
         eps = 0.003
         states = self._held_states(np.full(n, np.sqrt(eps / RAW.responsivity)))
         y = readout_forward(states, np.ones(1, complex), RAW)
@@ -88,20 +92,20 @@ class TestSseObjective:
             1e-11,
         )
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
-        d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
+        d = _power(rng.integers(0, 2, n_bits))
         offset = 4
         got = bit_sse(readout_forward(states, w, RAW), d, spb, offset, 2)
         total = 0.0
         for m in range(2, n_bits):
             y = RAW.responsivity * abs(states.samples[offset + m * spb] @ w) ** 2
-            total += (y - d.scaled[m]) ** 2
+            total += (y - d[m]) ** 2
         assert np.isclose(got, total, rtol=1e-12)
 
     @pytest.mark.parametrize("skip", [0, 10])
     @pytest.mark.parametrize("shape", [(40 * 6,), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
     def test_bytes_match_direct_oracle(self, shape, skip):
         rng = np.random.default_rng(11)
-        d = DesiredSignal(rng.integers(0, 2, 40), p_total=0.1)
+        d = _power(rng.integers(0, 2, 40))
         y = rng.normal(scale=0.05, size=shape)
         got = bit_sse(y, d, 6, 2, skip)
         want = bit_sse_direct(y, d, 6, 2, skip)
@@ -110,7 +114,7 @@ class TestSseObjective:
 
     def test_block_scores_each_row(self):
         rng = np.random.default_rng(3)
-        d = DesiredSignal(rng.integers(0, 2, 40), p_total=0.1)
+        d = _power(rng.integers(0, 2, 40))
         y = rng.normal(scale=0.05, size=(5, 40 * 6))
         got = bit_sse(y, d, 6, 2, 3)
         assert got.shape == (5,)
@@ -315,8 +319,8 @@ class TestTrainCmaes:
         # Channel 0 carries exactly the detector-inverted target; channel 1
         # is a decoy.  Weight (1, 0) solves the task with zero error.
         rng = np.random.default_rng(seed)
-        d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
-        good = np.repeat(np.sqrt(d.scaled / RAW.responsivity), spb)
+        d = _power(rng.integers(0, 2, n_bits))
+        good = np.repeat(np.sqrt(d / RAW.responsivity), spb)
         decoy = np.repeat(rng.normal(size=n_bits), spb) * 0.05
         states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10)
         return states, SimulatedReadout(states, RAW), d, spb
@@ -326,7 +330,7 @@ class TestTrainCmaes:
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
-        assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
+        assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
 
     def test_sweep_returns_minimum_sse_member(self, monkeypatch):
         # Stub the optimizer so each sweep member lands on a known value;
@@ -380,7 +384,7 @@ class TestTrainCmaes:
         assert built == [(spb, spb // 2)]
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
-        assert bit_error_rate(sampled[: len(d)], d.ideal) == 0.0
+        assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
 
     def test_one_dimensional_candidate_is_one_presentation(self):
         # An objective called with a single encoded vector (as a stubbed
@@ -392,7 +396,7 @@ class TestTrainCmaes:
         value = objective(np.zeros(2 * readout.n_channels))
         assert readout.presentations == 1
         assert np.ndim(value) == 0
-        assert value == pytest.approx(float(np.sum(d.scaled**2)))
+        assert value == pytest.approx(float(np.sum(d**2)))
         assert objective(np.zeros((3, 2 * readout.n_channels))).shape == (3,)
         assert readout.presentations == 4
 
@@ -416,11 +420,11 @@ class TestTrainCmaes:
         import photonrc.cmaes as cmaes_mod
         from photonrc.config import ci_profile
         from photonrc.detector import sampled_basis
-        from photonrc.harness import _prepare_cell, _targets
+        from photonrc.harness import _power_target, _prepare_cell, _targets
 
         cfg = ci_profile()
         cell = _prepare_cell(cfg, 10.0, 0)
-        d, _ = _targets(cfg, cell, "101")
+        d = _power_target(cfg, _targets(cell, "101")[0])
         spb, skip = cfg.samples_per_bit, cfg.warmup_bits
         sweep, iterations, population = (1e-3, 1e-1), 4, 14
 
@@ -438,13 +442,13 @@ class TestTrainCmaes:
                 return readout_sampled_loop(self._basis, weights, rng=self._rng)
 
         class DirectObjective:
-            def __init__(self, readout, desired, samples_per_bit, sample_offset, skip_bits):
-                self._args = readout, desired, samples_per_bit, sample_offset, skip_bits
+            def __init__(self, readout, target_w, samples_per_bit, sample_offset, skip_bits):
+                self._args = readout, target_w, samples_per_bit, sample_offset, skip_bits
 
             def __call__(self, candidates):
-                readout, desired, samples_per_bit, sample_offset, skip_bits = self._args
+                readout, target_w, samples_per_bit, sample_offset, skip_bits = self._args
                 y = readout.present_sampled(cmaes_mod._decode(candidates).T, samples_per_bit, sample_offset)
-                return bit_sse_direct(y, desired, 1, 0, skip_bits)
+                return bit_sse_direct(y, target_w, 1, 0, skip_bits)
 
         readout = SimulatedReadout(cell.states_train, cfg.detector, seed=77)
         got_sigma, got = train_cmaes(readout, d, sweep, iterations, population, 5, spb, skip)

@@ -11,6 +11,7 @@ import photonrc.cli as cli_mod
 import photonrc.harness as harness_mod
 from photonrc.cli import main
 from photonrc.cmaes import DEFAULT_SIGMA_SWEEP
+from photonrc.detector import ELEMENTARY_CHARGE, noise_variance
 from photonrc.config import (
     ALL_3BIT_HEADERS,
     ci_profile,
@@ -136,6 +137,57 @@ class TestConfigIO:
         # Each of these used to fail only after a perturbation run had trained.
         with pytest.raises(ValueError, match="perturbation_b_over_pi"):
             replace(ci_profile(), perturbation_b_over_pi=(0.0, b))
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"bitrates_gbps": [10, float("inf")]}, "bitrates"),
+            ({"perturbation_bitrate_gbps": float("inf")}, "perturbation_bitrate_gbps"),
+            ({"convergence_bitrate_gbps": float("inf")}, "convergence_bitrate_gbps"),
+            ({"p_total_w": float("inf")}, "p_total_w"),
+            ({"bias_power_w": float("inf")}, "bias_power_w"),
+            ({"detector": {"responsivity": float("inf")}}, "responsivity"),
+            ({"detector": {"bandwidth_hz": float("inf")}}, "bandwidth"),
+            ({"detector": {"dark_current_a": float("inf")}}, "dark current"),
+            ({"detector": {"temperature_k": float("inf")}}, "temperature"),
+            ({"reservoir": {"delay_s": float("inf")}}, "reservoir.delay_s"),
+            ({"reservoir": {"loss_db_per_cm": float("inf")}}, "reservoir.loss_db_per_cm"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_infinite_setting_rejected_at_construction(self, data, key):
+        # Each of these used to pass and fail inside the first cell.
+        with pytest.raises(ValueError, match=re.escape(key) + ".* finite, got inf"):
+            config_from_dict(data, base=ci_profile())
+
+    def test_infinite_load_is_a_detector_without_thermal_noise(self):
+        cfg = config_from_dict({"detector": {"load_ohm": float("inf")}}, base=ci_profile())
+        assert cfg.detector.load_ohm == float("inf")
+        d = cfg.detector
+        shot = 2.0 * ELEMENTARY_CHARGE * d.bandwidth_hz * (1e-3 + d.dark_current_a)
+        assert noise_variance(1e-3, d) == shot
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"detector": {"noise_enabled": "off"}}, "noise_enabled must be true or false, got 'off'"),
+            ({"detector": {"noise_enabled": 0}}, "noise_enabled must be true or false, got 0"),
+            ({"detector": {"filter_enabled": None}}, "filter_enabled must be true or false, got None"),
+            ({"reservoir": {"topology_file": 5}}, "topology_file must be a string or null, got 5"),
+            ({"reservoir": {"topology_file": ["a.topo"]}}, "topology_file must be a string or null"),
+        ],
+        ids=["noise-string", "noise-int", "filter-null", "topology-int", "topology-list"],
+    )
+    def test_bool_and_string_settings_take_only_their_type(self, data, message):
+        # The string "off" used to run with noise on, and a number as the
+        # topology file to end in a TypeError traceback.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(data, base=ci_profile())
+
+    def test_bool_and_string_settings_accept_their_type(self):
+        data = {"detector": {"noise_enabled": False}, "reservoir": {"topology_file": None}}
+        cfg = config_from_dict(data, base=ci_profile())
+        assert cfg.detector.noise_enabled is False and cfg.reservoir.topology_file is None
 
     @pytest.mark.parametrize(
         "data, key",
@@ -452,6 +504,34 @@ class TestCli:
         assert "photonrc perturb: error: perturbation_b_over_pi" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "yaml_text, flags, message",
+        [
+            ('detector: {noise_enabled: "off"}\n', [], "noise_enabled must be true or false, got 'off'"),
+            ("reservoir: {topology_file: 5}\n", [], "topology_file must be a string or null, got 5"),
+            ("", ["--bitrates", "inf"], "bitrates must be positive and finite, got inf"),
+            ("p_total_w: .inf\n", [], "p_total_w must be positive and finite, got inf"),
+            ("detector: {temperature_k: .inf}\n", [], "temperature must be positive and finite, got inf"),
+            ("reservoir: {delay_s: .inf}\n", [], "reservoir.delay_s must be positive and finite, got inf"),
+        ],
+        ids=["noise-off-string", "topology-int", "bitrates-inf", "power-inf", "temperature-inf", "delay-inf"],
+    )
+    def test_wrongly_typed_or_infinite_setting_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, yaml_text, flags, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the settings were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml_text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--profile", "ci", "--config", str(path), *flags, "--out", str(out), "--quiet"])
+        assert exc.value.code == 2
+        assert f"photonrc sweep: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", ".nan", ".inf"], ids=["zero", "negative", "nan", "inf"])
     def test_bad_sigma_sweep_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
         def no_simulation(*args, **kwargs):
@@ -493,11 +573,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--bitrate", "-5", "argument --bitrate: must be a positive number, got '-5'"),
-            ("--bitrate", "0", "argument --bitrate: must be a positive number, got '0'"),
+            ("--bitrate", "-5", "argument --bitrate: must be a positive finite number, got '-5'"),
+            ("--bitrate", "0", "argument --bitrate: must be a positive finite number, got '0'"),
+            ("--bitrate", "inf", "argument --bitrate: must be a positive finite number, got 'inf'"),
             ("--instance", "-1", "argument --instance: must be a whole number of at least 0, got '-1'"),
         ],
-        ids=["bitrate-negative", "bitrate-zero", "instance-negative"],
+        ids=["bitrate-negative", "bitrate-zero", "bitrate-inf", "instance-negative"],
     )
     def test_probe_dump_bad_cell_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ import photonrc.harness as harness_mod
 
 from photonrc.config import ci_profile, config_from_dict
 from photonrc.detector import DetectorConfig
+from photonrc.signals import desired_signal
 from photonrc.harness import (
     aggregate_records,
     best_sampling_point,
@@ -282,9 +283,12 @@ class TestPerturbation:
         assert rows[1].n_evaluations == 2
 
     def test_rows_cover_b_list(self):
-        cfg = tiny_cfg(n_perturbation_draws=1, perturbation_bitrate_gbps=10.0)
-        rows = run_perturbation(cfg, b_list=[0.0, 0.1 * np.pi, np.pi])
+        cfg = tiny_cfg(
+            n_perturbation_draws=1, perturbation_bitrate_gbps=10.0, perturbation_b_over_pi=(0.0, 0.1, 1.0)
+        )
+        rows = run_perturbation(cfg)
         assert [r.b_rad for r in rows] == [0.0, 0.1 * np.pi, np.pi]
+        assert [r.b_over_pi for r in rows] == [0.0, 0.1, 1.0]
 
 
 @pytest.mark.parametrize("study", [run_perturbation, run_convergence], ids=["perturb", "converge"])
@@ -558,6 +562,13 @@ class TestEvaluationNoiseStreams:
         rows = run_convergence(cfg)
         assert len(rows) == 2
         assert rng_states == self._expected(cfg, *[("conv-eval", 10.0, 0, row.iteration) for row in rows])
+
+
+def test_power_target_is_the_indicator_times_p_total():
+    # the bytes the trainers fit: the 0/1 target per bit as float64 times p_total_w
+    got = harness_mod._power_target(tiny_cfg(p_total_w=0.1), desired_signal([1, 0, 1, 1, 0, 1], "101"))
+    assert got.dtype == np.float64
+    assert got.tolist() == [0.0, 0.0, 0.1, 0.0, 0.0, 0.1]
 
 
 class TestRecordsCsv:

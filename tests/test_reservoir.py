@@ -32,7 +32,7 @@ from photonrc.signals import OpticalSignal, gen_bits, modulate
 
 
 def _random_input(n_bits=40, bitrate=10e9, seed=0, p_node=0.025):
-    return modulate(gen_bits(n_bits, seed, bitrate), 24, p_node)
+    return modulate(gen_bits(n_bits, seed), bitrate, 24, p_node)
 
 
 def _mixed_delay_swirl(seed):
@@ -59,18 +59,17 @@ def _interp_complex(t_new, t_old, values):
     return np.interp(t_new, t_old, values.real) + 1j * np.interp(t_new, t_old, values.imag)
 
 
-def _reference_block_simulate(topology, inputs, bias_power=None):
+def _reference_block_simulate(topology, sig, bias_power=None):
     """Oracle for ``simulate`` with the same arithmetic, laid out the plain way.
 
-    The block recursion with a fresh product per block and delay, every
-    port's input resampled on its own, every node column resampled back
-    on its own through ``np.interp``, and the bias line appended by
-    ``np.hstack``.  ``simulate`` must return these bytes.
+    The block recursion with a fresh product per block and delay, the
+    input resampled through ``np.interp`` and fed to every port, every
+    node column resampled back on its own through ``np.interp``, and the
+    bias line appended by ``np.hstack``.  ``simulate`` must return these
+    bytes.
     """
     ports = topology.input_ports
-    if isinstance(inputs, OpticalSignal):
-        inputs = [inputs] * len(ports)
-    n_in, period = len(inputs[0]), inputs[0].sample_period
+    n_in, period = len(sig), sig.sample_period
     n_nodes = topology.n_nodes
     step, delay_steps = _simulation_step(topology, period)
     same_grid = abs(step - period) <= 1e-9 * period
@@ -92,8 +91,8 @@ def _reference_block_simulate(topology, inputs, bias_power=None):
 
     buf = np.zeros((pad + n_sim, n_nodes), dtype=np.complex128)
     t_in = np.arange(n_in) * period
-    for port, sig in zip(ports, inputs):
-        resampled = sig.samples if same_grid else _interp_complex(t_sim, t_in, sig.samples)
+    resampled = sig.samples if same_grid else _interp_complex(t_sim, t_in, sig.samples)
+    for port in ports:
         buf[pad:, port.node] += resampled * np.exp(1j * port.phase) * combine[port.node]
     for start in range(pad, pad + n_sim, d_min):
         stop = min(start + d_min, pad + n_sim)
@@ -288,7 +287,8 @@ class TestSimulate:
 
     def test_impulse_with_injection_counting(self):
         # Node 1 receives the edge plus an injection port, so k_in = 2 and
-        # arriving amplitudes are combined with 1/sqrt(2).
+        # arriving amplitudes are combined with 1/sqrt(2).  The impulse
+        # reaches node 1 directly at step 0 and through the edge at step 4.
         period = 1e-11
         t = ReservoirTopology(
             2,
@@ -297,8 +297,8 @@ class TestSimulate:
         )
         impulse = np.zeros(16, complex)
         impulse[0] = 1.0
-        zero = np.zeros(16, complex)
-        x = simulate(t, [OpticalSignal(impulse, period), OpticalSignal(zero, period)], None)
+        x = simulate(t, OpticalSignal(impulse, period), None)
+        assert np.allclose(x.samples[0, 1], 1.0 / np.sqrt(2.0), rtol=1e-12)
         assert np.allclose(x.samples[4, 1], 1.0 / np.sqrt(2.0), rtol=1e-12)
 
     def test_passivity_random_inputs(self):
@@ -353,13 +353,6 @@ class TestSimulate:
             x = simulate(t, sig, 0.02)
             assert x.n_samples == len(sig)
             assert x.sample_period == sig.sample_period
-
-    def test_mismatched_lengths_rejected(self):
-        t = build_swirl(seed=0)
-        a = OpticalSignal(np.zeros(10, complex), 1e-11)
-        b = OpticalSignal(np.zeros(11, complex), 1e-11)
-        with pytest.raises(ValueError):
-            simulate(t, [a, b, a, a], None)
 
     def test_nonpositive_bias_rejected(self):
         t = build_swirl(seed=0)
@@ -520,14 +513,15 @@ class TestSimulateMatchesBlockReference:
         self._check(_mixed_delay_swirl(seed=4), _random_input(30, bitrate=5e9, seed=2), bias_power)
 
     @pytest.mark.parametrize("bitrate", [5e9, 10e9, 15e9])
-    def test_distinct_port_signals(self, bitrate):
-        signals = [_random_input(20, bitrate=bitrate, seed=s) for s in range(4)]
-        self._check(build_swirl(seed=5), signals, 0.02)
-
-    @pytest.mark.parametrize("bitrate", [5e9, 15e9])
-    def test_list_repeating_one_signal(self, bitrate):
-        a, b = (_random_input(20, bitrate=bitrate, seed=s) for s in (6, 7))
-        self._check(build_swirl(seed=5), [a, b, a, a], None)
+    def test_strided_input(self, bitrate):
+        # every other sample of a signal at 48 samples per bit: a strided view
+        fine = modulate(gen_bits(20, 6), bitrate, 48, 0.025)
+        sig = OpticalSignal(fine.samples[::2], fine.sample_period * 2)
+        assert not sig.samples.flags["C_CONTIGUOUS"]
+        self._check(build_swirl(seed=5), sig, 0.02)
+        contiguous = OpticalSignal(sig.samples.copy(), sig.sample_period)
+        want = simulate(build_swirl(seed=5), contiguous, 0.02).samples
+        assert simulate(build_swirl(seed=5), sig, 0.02).samples.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_every_last_block_length(self, n):
@@ -689,19 +683,15 @@ def test_bias_layout_holds_no_second_state_matrix():
 class TestSimulateEach:
     """``simulate_each`` yields the bytes of one ``simulate`` per topology."""
 
-    @pytest.mark.parametrize("ports", ["shared", "per-port"])
     @pytest.mark.parametrize("bias_power", [None, 0.02])
     @pytest.mark.parametrize("bitrate", [5e9, 10e9, 15e9])
     @pytest.mark.parametrize("mixed", [False, True], ids=["swirl", "mixed-delay"])
-    def test_matches_simulate_per_topology(self, mixed, bitrate, bias_power, ports):
+    def test_matches_simulate_per_topology(self, mixed, bitrate, bias_power):
         # 10 Gbps runs on the input grid, 5 and 15 Gbps off it
         base = _mixed_delay_swirl(seed=12) if mixed else build_swirl(seed=12)
         copies = [perturb_phases(base, b, seed=s) for s, b in enumerate((0.3, 3.0))]
         topologies = [base] + copies
-        if ports == "shared":
-            inputs = _random_input(30, bitrate=bitrate, seed=5)
-        else:
-            inputs = [_random_input(30, bitrate=bitrate, seed=s) for s in range(4)]
+        inputs = _random_input(30, bitrate=bitrate, seed=5)
         got = list(reservoir_mod.simulate_each(topologies, inputs, bias_power))
         assert len(got) == len(topologies)
         for states, topology in zip(got, topologies):
@@ -711,23 +701,22 @@ class TestSimulateEach:
             assert (states.sample_period, states.bias_index) == (alone.sample_period, alone.bias_index)
 
     @pytest.mark.parametrize(
-        "second, inputs, bias_power, match",
+        "second, n_bits, bias_power, match",
         [
-            (_mixed_delay_swirl(seed=1), None, None, "identical edge delays"),
-            (build_swirl(seed=2), None, 0.0, "bias_power must be positive"),
-            (build_swirl(seed=2), 3, None, "expected 4 input signals"),
+            (_mixed_delay_swirl(seed=1), 10, None, "identical edge delays"),
+            (build_swirl(seed=2), 10, 0.0, "bias_power must be positive"),
+            (build_swirl(seed=2), 0, None, "input signal is empty"),
         ],
-        ids=["delays", "bias", "port-count"],
+        ids=["delays", "bias", "empty"],
     )
-    def test_bad_arguments_rejected_before_any_simulation(self, monkeypatch, second, inputs, bias_power, match):
+    def test_bad_arguments_rejected_before_any_simulation(self, monkeypatch, second, n_bits, bias_power, match):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before the arguments were checked")
 
         monkeypatch.setattr(reservoir_mod, "_simulation_step", no_simulation)
-        sig = _random_input(10, bitrate=5e9)
-        inputs = sig if inputs is None else [sig] * inputs
+        sig = _random_input(n_bits, bitrate=5e9)
         with pytest.raises(ValueError, match=match):
-            reservoir_mod.simulate_each([build_swirl(seed=1), second], inputs, bias_power)
+            reservoir_mod.simulate_each([build_swirl(seed=1), second], sig, bias_power)
 
     def test_off_grid_delay_warns_once_per_call(self, caplog, monkeypatch):
         steps = []

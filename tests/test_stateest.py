@@ -9,7 +9,7 @@ from photonrc.detector import DetectorConfig, sampled_basis
 from photonrc.harness import _prepare_cell  # test-only access to the cell builder
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
 from photonrc.ridge import cv_alpha, ridge_problem
-from photonrc.signals import DesiredSignal, gen_bits, modulate
+from photonrc.signals import gen_bits, modulate
 from photonrc.stateest import (
     SimulatedReadout,
     build_probe_schedule,
@@ -259,7 +259,7 @@ class TestReconstruction:
         # Noiseless probing of a simulated reservoir recovers each row up
         # to one global phase, which the detector cannot see anyway.
         topo = build_swirl(seed=12)
-        sig = modulate(gen_bits(120, 3, 10e9), 24, 0.025)
+        sig = modulate(gen_bits(120, 3), 10e9, 24, 0.025)
         states = simulate(topo, sig, 0.02)
         readout = SimulatedReadout(states, RAW, seed=0)
         est = estimate_states(readout, RAW.responsivity, states.bias_index)
@@ -293,7 +293,7 @@ class TestTrainNlinv:
         arr = np.stack(cols, axis=1)
         states = StateMatrix(arr, 1e-11, bias_index=2)
         readout = SimulatedReadout(states, RAW, seed=1)
-        d = DesiredSignal(rng.integers(0, 2, n_bits), p_total=0.1)
+        d = rng.integers(0, 2, n_bits) * 0.1
         estimated = estimate_states(readout, RAW.responsivity, states.bias_index)
         assert readout.presentations == 7
         _, weights = cv_alpha(*ridge_problem(estimated, d, RAW.responsivity, spb))
@@ -309,7 +309,7 @@ class TestEstimationReference:
     @pytest.fixture(scope="class")
     def states(self):
         topo = build_swirl(seed=12)
-        sig = modulate(gen_bits(120, 3, 10e9), 24, 0.025)
+        sig = modulate(gen_bits(120, 3), 10e9, 24, 0.025)
         return simulate(topo, sig, 0.02)
 
     @pytest.mark.parametrize("seed", [1, 3])
