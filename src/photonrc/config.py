@@ -31,23 +31,20 @@ TRAINERS = ("ridge", "cmaes", "nlinv")
 
 ALL_3BIT_HEADERS = tuple(format(v, "03b") for v in range(8))
 
+# Leading bits of every sequence that no trainer fits and no score counts.
+WARMUP_BITS = 10
+
 
 @dataclass(frozen=True)
 class ReservoirSettings:
     rows: int = 4
     cols: int = 4
-    delay_s: float = 62.5e-12
-    loss_db_per_cm: float = 3.0
-    group_index: float = 4.2
     topology_file: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.delay_s < math.inf:
-            raise ValueError(f"reservoir.delay_s must be positive and finite, got {self.delay_s!r}")
-        if not 0 <= self.loss_db_per_cm < math.inf:
-            raise ValueError(
-                f"reservoir.loss_db_per_cm must be non-negative and finite, got {self.loss_db_per_cm!r}"
-            )
+        for key in ("rows", "cols"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"reservoir.{key} must be at least 2, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +76,14 @@ class ExperimentConfig:
     trainers: tuple[str, ...] = ("ridge",)
     n_train_bits: int = 10010
     n_test_bits: int = 10010
-    warmup_bits: int = 10
     n_reservoirs: int = 10
     samples_per_bit: int = 24
     p_total_w: float = 0.1
     bias_power_w: float = 0.02
-    smoothing: str | float | None = "auto"
     master_seed: int = 1234
-    ber_floor_errors: int = 10
-    search_bits: int = 2
     perturbation_bitrate_gbps: float = 5.0
     perturbation_b_over_pi: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     n_perturbation_draws: int = 10
-    convergence_bitrate_gbps: float = 10.0
     reservoir: ReservoirSettings = field(default_factory=ReservoirSettings)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     cmaes: CmaesSettings = field(default_factory=CmaesSettings)
@@ -100,11 +92,9 @@ class ExperimentConfig:
         object.__setattr__(self, "bitrates_gbps", tuple(float(b) for b in self.bitrates_gbps))
         # Seeds hash a bitrate by type, so YAML 10 must draw what 10.0 draws.
         object.__setattr__(self, "perturbation_bitrate_gbps", float(self.perturbation_bitrate_gbps))
-        object.__setattr__(self, "convergence_bitrate_gbps", float(self.convergence_bitrate_gbps))
-        object.__setattr__(self, "smoothing", _smoothing(self.smoothing))
-        object.__setattr__(self, "headers", tuple(str(h) for h in self.headers))
+        object.__setattr__(self, "headers", tuple(self.headers))
         object.__setattr__(self, "trainers", tuple(self.trainers))
-        for key in ("bitrates_gbps", "headers", "trainers"):
+        for key in ("bitrates_gbps", "headers", "trainers", "perturbation_b_over_pi"):
             values = getattr(self, key)
             if not values:
                 raise ValueError(f"{key} needs at least one entry")
@@ -116,47 +106,22 @@ class ExperimentConfig:
             if not 0 < b < math.inf:
                 raise ValueError(f"bitrates must be positive and finite, got {b!r}")
         # bias_power_w is positive because the bias line is the nlinv reference.
-        for key in ("perturbation_bitrate_gbps", "convergence_bitrate_gbps", "p_total_w", "bias_power_w"):
+        for key in ("perturbation_bitrate_gbps", "p_total_w", "bias_power_w"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
-        if not self.perturbation_b_over_pi:
-            raise ValueError("perturbation_b_over_pi needs at least one entry")
         for b in self.perturbation_b_over_pi:
             if not 0 <= b < math.inf:
                 raise ValueError(f"perturbation_b_over_pi entries must be non-negative and finite, got {b!r}")
-        for key, least in (
-            ("n_perturbation_draws", 1),
-            ("samples_per_bit", 1),
-            ("search_bits", 1),
-            ("warmup_bits", 0),
-            ("ber_floor_errors", 0),
-        ):
+        for key, least in (("n_perturbation_draws", 1), ("samples_per_bit", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
         for t in self.trainers:
             if t not in TRAINERS:
                 raise ValueError(f"unknown trainer {t!r}; expected one of {TRAINERS}")
-        if self.warmup_bits >= min(self.n_train_bits, self.n_test_bits):
+        if WARMUP_BITS >= min(self.n_train_bits, self.n_test_bits):
             raise ValueError("warm-up must be shorter than the bit sequences")
         if self.n_reservoirs < 1:
             raise ValueError("need at least one reservoir instance")
-
-
-def _smoothing(value):
-    """``"auto"``, ``None`` or a positive pole frequency cast with ``float()``.
-
-    PyYAML reads ``5e-1`` as a string; the cast keeps it a number in the
-    saved configuration.
-    """
-    if value is None or value == "auto":
-        return value
-    try:
-        pole_hz = _float("smoothing", value)
-    except ValueError:
-        pole_hz = math.nan
-    if not (math.isfinite(pole_hz) and pole_hz > 0):
-        raise ValueError(f"smoothing must be 'auto', null or a positive number, got {value!r}")
-    return pole_hz
 
 
 def paper_profile() -> ExperimentConfig:
@@ -222,9 +187,12 @@ def _values(cls, data: dict) -> dict:
     Each list-valued field's sequence becomes a tuple.  Each float field,
     and each element of a float list, is cast with ``float()``: PyYAML
     reads ``1e-3`` or ``2.5e10`` as a string, since it wants a dot and a
-    signed exponent.  Each int field, and each ``int | None`` field that
-    is not null, must hold an integer (:func:`_int`), each bool field
-    true or false, and each ``str | None`` field a string or null.
+    signed exponent.  Each element of a string list must be a string:
+    PyYAML reads an unquoted header ``001`` as the integer 1, and no cast
+    can bring back the leading zeros.  Each int field, and each
+    ``int | None`` field that is not null, must hold an integer
+    (:func:`_int`), each bool field true or false, and each
+    ``str | None`` field a string or null.
     """
     hints = typing.get_type_hints(cls)
     fixed = dict(data)
@@ -233,7 +201,12 @@ def _values(cls, data: dict) -> dict:
         if typing.get_origin(hint) is tuple:
             if not isinstance(v, (list, tuple)):
                 raise ValueError(f"{k} must be a list, got {v!r}")
-            fixed[k] = tuple(_float(k, x) for x in v) if hint == tuple[float, ...] else tuple(v)
+            if hint == tuple[float, ...]:
+                fixed[k] = tuple(_float(k, x) for x in v)
+            elif all(isinstance(x, str) for x in v):
+                fixed[k] = tuple(v)
+            else:
+                raise ValueError(f"{k} entries must be quoted strings, got {list(v)!r}")
         elif hint is float:
             fixed[k] = _float(k, v)
         elif hint is int or (hint == int | None and v is not None):

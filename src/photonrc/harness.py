@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cmaes import decode_weights, train_cmaes
-from .config import ExperimentConfig, config_to_dict
+from .config import WARMUP_BITS, ExperimentConfig, config_to_dict
 from .detector import readout_forward
 from .reservoir import (
     TWO_PI,
@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 GEO_MEAN_CLAMP = 1e-4
+
+# A BER is reported as below the floor of this many errors over the bits scored.
+BER_FLOOR_ERRORS = 10
+
+# The sampling offset is searched over this many leading bit periods.
+SEARCH_BITS = 2
 
 logger = logging.getLogger(__name__)
 
@@ -110,29 +116,22 @@ def _score(samples, d_ideal, samples_per_bit, offset, threshold) -> tuple[float,
     return bit_error_rate(decided[:n], np.asarray(d_ideal)[:n]), n
 
 
-def best_sampling_point(
-    y,
-    d_ideal,
-    samples_per_bit: int,
-    search_bits: int = 2,
-    *,
-    threshold: float,
-) -> int:
-    """Offset within the first ``search_bits`` bit periods minimizing BER.
+def best_sampling_point(y, d_ideal, samples_per_bit: int, *, threshold: float) -> int:
+    """Offset within the first :data:`SEARCH_BITS` bit periods minimizing BER.
 
     Offsets of a whole bit period or more absorb integer-bit latency of
     the reservoir: the decided stream simply pairs with the target
     shifted by that many bits.  Ties go to the smallest offset.
     """
-    offsets = range(search_bits * samples_per_bit)
+    offsets = range(SEARCH_BITS * samples_per_bit)
     bers = [_score(y, d_ideal, samples_per_bit, o, threshold)[0] for o in offsets]
     return int(np.argmin(bers))
 
 
-def _freeze_decision(y, d_ideal, samples_per_bit: int, search_bits: int) -> tuple[float, int]:
+def _freeze_decision(y, d_ideal, samples_per_bit: int) -> tuple[float, int]:
     """Threshold and sampling offset chosen on one (training) output."""
     threshold = threshold_level(y)
-    return threshold, best_sampling_point(y, d_ideal, samples_per_bit, search_bits, threshold=threshold)
+    return threshold, best_sampling_point(y, d_ideal, samples_per_bit, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +275,7 @@ def _instance_topology(cfg: ExperimentConfig, instance: int) -> tuple[ReservoirT
             port_phases = rng.uniform(0.0, TWO_PI, size=len(topo.input_ports))
             topo = replace(with_phases(topo, edge_phases, port_phases), seed=seed)
         return topo, seed
-    topo = build_swirl(
-        res.rows,
-        res.cols,
-        delay=res.delay_s,
-        loss_db_per_cm=res.loss_db_per_cm,
-        group_index=res.group_index,
-        seed=seed,
-    )
-    return topo, seed
+    return build_swirl(res.rows, res.cols, seed=seed), seed
 
 
 def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> _Cell:
@@ -295,8 +286,8 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
     bits_train = gen_bits(cfg.n_train_bits, derive_seed(cfg.master_seed, "train-bits"))
     bits_test = gen_bits(cfg.n_test_bits, derive_seed(cfg.master_seed, "test-bits"))
     p_node = cfg.p_total_w / len(topo.input_ports)
-    sig_train = modulate(bits_train, bitrate, cfg.samples_per_bit, p_node, cfg.smoothing)
-    sig_test = modulate(bits_test, bitrate, cfg.samples_per_bit, p_node, cfg.smoothing)
+    sig_train = modulate(bits_train, bitrate, cfg.samples_per_bit, p_node)
+    sig_test = modulate(bits_test, bitrate, cfg.samples_per_bit, p_node)
     states_train = simulate(topo, sig_train, cfg.bias_power_w)
     return _Cell(
         bitrate_gbps=bitrate_gbps,
@@ -324,7 +315,7 @@ def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: np.ndarray, *
     """Detector output past the warm-up, its noise seeded by ``seed_key``."""
     rng = np.random.default_rng(derive_seed(cfg.master_seed, *seed_key))
     y = readout_forward(states, weights, cfg.detector, rng=rng)
-    return y[cfg.warmup_bits * cfg.samples_per_bit :]
+    return y[WARMUP_BITS * cfg.samples_per_bit :]
 
 
 def _nlinv_round(cfg: ExperimentConfig, cell: _Cell) -> StateMatrix:
@@ -375,7 +366,7 @@ def _train(
             cfg.cmaes.population,
             derive_seed(cfg.master_seed, "cmaes", *key),
             cfg.samples_per_bit,
-            cfg.warmup_bits,
+            WARMUP_BITS,
         )
         return decode_weights(run.best_x), readout.presentations, f"sigma0={sigma0:g}"
 
@@ -389,9 +380,7 @@ def _train(
         presentations = probe_count(states.n_channels)
     else:
         raise ValueError(f"unknown trainer {trainer!r}")
-    x, target = ridge_problem(
-        states, target_w, cfg.detector.responsivity, cfg.samples_per_bit, cfg.warmup_bits
-    )
+    x, target = ridge_problem(states, target_w, cfg.detector.responsivity, cfg.samples_per_bit, WARMUP_BITS)
     alpha, weights = cv_alpha(x, target)
     return weights, presentations, f"alpha={alpha:.6g}"
 
@@ -402,8 +391,8 @@ def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train:
     spb = cfg.samples_per_bit
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
     y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
-    d_tr = d_train[cfg.warmup_bits :]
-    threshold, offset = _freeze_decision(y_train, d_tr, spb, cfg.search_bits)
+    d_tr = d_train[WARMUP_BITS:]
+    threshold, offset = _freeze_decision(y_train, d_tr, spb)
     train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
     return _Fit(header, trainer, weights, presentations, detail, threshold, offset, train_ber, n_train_scored)
 
@@ -414,7 +403,7 @@ def _test_score(
     """Test BER of a frozen fit and the bits scored."""
     key = (cell.bitrate_gbps, fit.header, fit.trainer, cell.instance)
     y_test = _detected(cfg, states_test, fit.weights, "eval-test", *key)
-    return _score(y_test, d_test[cfg.warmup_bits :], cfg.samples_per_bit, fit.offset, fit.threshold)
+    return _score(y_test, d_test[WARMUP_BITS:], cfg.samples_per_bit, fit.offset, fit.threshold)
 
 
 def _run_cell(
@@ -455,8 +444,8 @@ def _run_cell(
                 sampling_offset=fit.offset,
                 train_ber=fit.train_ber,
                 test_ber=test_ber,
-                train_ber_floor=cfg.ber_floor_errors / max(fit.n_train_scored, 1),
-                test_ber_floor=cfg.ber_floor_errors / max(n_test_scored, 1),
+                train_ber_floor=BER_FLOOR_ERRORS / max(fit.n_train_scored, 1),
+                test_ber_floor=BER_FLOOR_ERRORS / max(n_test_scored, 1),
                 presentations=fit.presentations,
                 detail=fit.detail,
             )
@@ -605,7 +594,7 @@ def run_perturbation(
         for b_idx, b in enumerate(b_list):
             if b == 0.0:
                 per_b[b_idx].append(baseline_ber)
-        d_te = d_test[cfg.warmup_bits :]
+        d_te = d_test[WARMUP_BITS:]
         for b_idx, draw, _ in draws:
             states = next(sims)
             y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
@@ -634,7 +623,8 @@ def run_perturbation(
 # ---------------------------------------------------------------------------
 # Convergence study
 
-# Initial CMA-ES step size of the convergence study's single run.
+# Bitrate in Gbps and initial CMA-ES step size of the convergence study's single run.
+CONVERGENCE_BITRATE_GBPS = 10.0
 CONVERGENCE_SIGMA0 = 0.1
 
 
@@ -644,7 +634,8 @@ def run_convergence(
 ) -> list[ConvergenceRow]:
     """Black-box training, then the error rate of its best point after every iteration.
 
-    The study trains on reservoir instance 0.  One run starts at step size
+    The study trains on reservoir instance 0 at
+    :data:`CONVERGENCE_BITRATE_GBPS`.  One run starts at step size
     :data:`CONVERGENCE_SIGMA0`; each row of its ``history_x`` is scored
     with detector noise seeded by the iteration, as the training output is
     scored in a sweep.  One objective
@@ -654,13 +645,12 @@ def run_convergence(
     The configuration must name one header.
     """
     header = _study_header(cfg)
-    bitrate = cfg.convergence_bitrate_gbps
+    bitrate = CONVERGENCE_BITRATE_GBPS
     spb = cfg.samples_per_bit
-    warm = cfg.warmup_bits
 
     cell = _prepare_cell(cfg, bitrate, 0)
     d_train, _ = _targets(cell, header)
-    d_tr = d_train[warm:]
+    d_tr = d_train[WARMUP_BITS:]
     readout = SimulatedReadout(
         cell.states_train,
         cfg.detector,
@@ -674,14 +664,14 @@ def run_convergence(
         cfg.cmaes.population,
         derive_seed(cfg.master_seed, "conv", bitrate, 0),
         spb,
-        warm,
+        WARMUP_BITS,
     )
     population = run.evaluations // run.iterations
     rows: list[ConvergenceRow] = []
     best_ber = math.inf
     for iteration, (x, sse) in enumerate(zip(run.history_x, run.history.tolist()), start=1):
         y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, 0, iteration)
-        threshold, offset = _freeze_decision(y, d_tr, spb, cfg.search_bits)
+        threshold, offset = _freeze_decision(y, d_tr, spb)
         ber = _score(y, d_tr, spb, offset, threshold)[0]
         best_ber = min(best_ber, ber)
         presentations = iteration * population

@@ -74,25 +74,13 @@ def gen_bits(n: int, seed: int | None) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
-def modulate(
-    bits,
-    bitrate: float,
-    samples_per_bit: int,
-    p_node: float,
-    smoothing: float | str | None = "auto",
-) -> OpticalSignal:
+def modulate(bits, bitrate: float, samples_per_bit: int, p_node: float) -> OpticalSignal:
     """Intensity-modulate a bit stream at ``bitrate`` (bits/s) into an optical amplitude signal.
 
     A one-bit maps to amplitude sqrt(p_node), a zero-bit to 0 (full
     extinction), each held for ``samples_per_bit`` samples.  The staircase
-    is then smoothed with a single-pole low-pass filter.
-
-    Parameters
-    ----------
-    smoothing:
-        ``"auto"`` places the filter pole at the bit rate (one inverse bit
-        period), a float selects an explicit pole frequency in Hz, and
-        ``None`` disables smoothing.
+    is then smoothed with a single-pole low-pass filter whose pole sits at
+    the bit rate (one inverse bit period).
     """
     bits = _as_binary_array(bits, "bits")
     if not bitrate > 0:
@@ -104,16 +92,10 @@ def modulate(
 
     amplitude = np.sqrt(p_node) * np.repeat(bits.astype(np.float64), samples_per_bit)
     sample_period = 1.0 / bitrate / samples_per_bit
-
-    if smoothing is not None:
-        pole_hz = bitrate if smoothing == "auto" else float(smoothing)
-        if not pole_hz > 0:
-            raise ValueError("smoothing pole frequency must be positive")
-        # Exact discrete equivalent of the first-order response
-        # 1 - exp(-2*pi*f_pole*t).
-        decay = np.exp(-2.0 * np.pi * pole_hz * sample_period)
-        amplitude = lfilter([1.0 - decay], [1.0, -decay], amplitude)
-
+    # Exact discrete equivalent of the first-order response
+    # 1 - exp(-2*pi*bitrate*t).
+    decay = np.exp(-2.0 * np.pi * bitrate * sample_period)
+    amplitude = lfilter([1.0 - decay], [1.0, -decay], amplitude)
     return OpticalSignal(amplitude.astype(np.complex128), sample_period)
 
 

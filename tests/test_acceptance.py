@@ -12,9 +12,11 @@ from dataclasses import replace
 import numpy as np
 
 from photonrc.cmaes import cmaes_minimize
-from photonrc.config import ci_profile
+from photonrc.config import WARMUP_BITS, ci_profile
 from photonrc.detector import DetectorConfig, noise_variance
 from photonrc.harness import (
+    BER_FLOOR_ERRORS,
+    CONVERGENCE_BITRATE_GBPS,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
@@ -80,7 +82,7 @@ def test_state_reconstruction_oracle():
     est = estimate_states(readout, RAW.responsivity, ref)
     assert readout.presentations == 3 * states.n_channels - 2
 
-    warm = cfg.warmup_bits * cfg.samples_per_bit
+    warm = WARMUP_BITS * cfg.samples_per_bit
     true = states.samples[warm:]
     got = est.samples[warm:]
 
@@ -198,7 +200,7 @@ def test_task_performance_ci():
     cfg = replace(ci_profile(), bitrates_gbps=(5.0, 10.0), trainers=("ridge", "nlinv"))
     records, summary = run_bitrate_sweep(cfg)
     by = {(s.bitrate_gbps, s.trainer): s for s in summary}
-    test_floor = cfg.ber_floor_errors / (cfg.n_test_bits - cfg.warmup_bits)
+    test_floor = BER_FLOOR_ERRORS / (cfg.n_test_bits - WARMUP_BITS)
     for bitrate in (5.0, 10.0):
         ridge = by[(bitrate, "ridge")].geo_mean_test_ber
         nlinv = by[(bitrate, "nlinv")].geo_mean_test_ber
@@ -243,7 +245,7 @@ def test_convergence_presentations():
     assert sphere.best_f < 1e-10, f"sphere converged only to {sphere.best_f:.3e}"
 
     cfg = ci_profile()
-    ridge = run_single(cfg, cfg.convergence_bitrate_gbps, cfg.headers[0], "ridge", instance=0)
+    ridge = run_single(cfg, CONVERGENCE_BITRATE_GBPS, cfg.headers[0], "ridge", instance=0)
     target = 10.0 * max(ridge.train_ber, ridge.train_ber_floor)
 
     rows = run_convergence(cfg)
@@ -256,7 +258,7 @@ def test_convergence_presentations():
         f"reached 10x of ridge after only {first.presentations} presentations"
     )
 
-    nlinv = run_single(cfg, cfg.convergence_bitrate_gbps, cfg.headers[0], "nlinv", instance=0)
+    nlinv = run_single(cfg, CONVERGENCE_BITRATE_GBPS, cfg.headers[0], "nlinv", instance=0)
     assert nlinv.presentations == 49
     assert first.presentations > nlinv.presentations
 

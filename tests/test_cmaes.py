@@ -418,14 +418,14 @@ class TestTrainCmaes:
         # The package path against the loop forms of readout_sampled and
         # bit_sse on a ci cell: same noise stream, same scores, same run.
         import photonrc.cmaes as cmaes_mod
-        from photonrc.config import ci_profile
+        from photonrc.config import WARMUP_BITS, ci_profile
         from photonrc.detector import sampled_basis
         from photonrc.harness import _power_target, _prepare_cell, _targets
 
         cfg = ci_profile()
         cell = _prepare_cell(cfg, 10.0, 0)
         d = _power_target(cfg, _targets(cell, "101")[0])
-        spb, skip = cfg.samples_per_bit, cfg.warmup_bits
+        spb, skip = cfg.samples_per_bit, WARMUP_BITS
         sweep, iterations, population = (1e-3, 1e-1), 4, 14
 
         class LoopReadout:

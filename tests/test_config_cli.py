@@ -12,8 +12,11 @@ import photonrc.harness as harness_mod
 from photonrc.cli import main
 from photonrc.cmaes import DEFAULT_SIGMA_SWEEP
 from photonrc.detector import ELEMENTARY_CHARGE, noise_variance
+from photonrc.harness import BER_FLOOR_ERRORS, CONVERGENCE_BITRATE_GBPS, SEARCH_BITS, _instance_topology
+from photonrc.reservoir import SPEED_OF_LIGHT
 from photonrc.config import (
     ALL_3BIT_HEADERS,
+    WARMUP_BITS,
     ci_profile,
     config_from_dict,
     config_to_dict,
@@ -28,7 +31,10 @@ class TestProfiles:
         cfg = paper_profile()
         assert cfg.bitrates_gbps == tuple(float(r) for r in range(1, 32))
         assert cfg.n_train_bits == cfg.n_test_bits == 10010
-        assert cfg.warmup_bits == 10
+        assert WARMUP_BITS == 10
+        assert SEARCH_BITS == 2
+        assert BER_FLOOR_ERRORS == 10
+        assert CONVERGENCE_BITRATE_GBPS == 10.0
         assert cfg.n_reservoirs == 10
         assert cfg.samples_per_bit == 24
         assert cfg.p_total_w == 0.1
@@ -38,8 +44,18 @@ class TestProfiles:
         assert cfg.detector.dark_current_a == 1e-10
         assert cfg.detector.temperature_k == 300.0
         assert cfg.detector.load_ohm == 1e6
-        assert cfg.reservoir.delay_s == 62.5e-12
-        assert cfg.reservoir.loss_db_per_cm == 3.0
+        # 62.5 ps waveguides at 3 dB/cm and group index 4.2
+        edges = _instance_topology(cfg, 0)[0].edges
+        assert {e.delay for e in edges} == {62.5e-12}
+        assert {e.loss_db for e in edges} == {3.0 * (62.5e-12 * SPEED_OF_LIGHT / 4.2 * 100.0)}
+
+    def test_fixed_protocol_is_not_configuration(self):
+        # The warm-up, offset search, BER floor, convergence bitrate, input
+        # smoothing and swirl waveguides are constants, not settings.
+        d = config_to_dict(paper_profile())
+        deleted = {"warmup_bits", "search_bits", "ber_floor_errors", "convergence_bitrate_gbps", "smoothing"}
+        assert not deleted & set(d)
+        assert set(d["reservoir"]) == {"rows", "cols", "topology_file"}
 
     def test_ci_profile_scales_down(self):
         cfg = ci_profile()
@@ -101,7 +117,6 @@ class TestConfigIO:
             ({"bias_power_w": True}, "bias_power_w"),
             ({"detector": {"bandwidth_hz": "wide"}}, "bandwidth_hz"),
             ({"cmaes": {"sigma_sweep": [0.1, "big"]}}, "sigma_sweep"),
-            ({"reservoir": {"delay_s": [1.0]}}, "delay_s"),
         ],
     )
     def test_non_number_float_rejected(self, data, key):
@@ -111,17 +126,16 @@ class TestConfigIO:
     @pytest.mark.parametrize(
         "data, key",
         [
-            ({"smoothing": "fast"}, "smoothing"),
             ({"perturbation_bitrate_gbps": 0}, "perturbation_bitrate_gbps"),
-            ({"convergence_bitrate_gbps": -5}, "convergence_bitrate_gbps"),
             ({"n_perturbation_draws": 0}, "n_perturbation_draws"),
             ({"cmaes": {"population": 3}}, "cmaes.population"),
             ({"cmaes": {"max_iterations": 0}}, "cmaes.max_iterations"),
             ({"cmaes": {"convergence_iterations": 0}}, "cmaes.convergence_iterations"),
-            ({"warmup_bits": -1}, "warmup_bits"),
-            ({"ber_floor_errors": -2}, "ber_floor_errors"),
             ({"samples_per_bit": 0}, "samples_per_bit"),
-            ({"search_bits": 0}, "search_bits"),
+            ({"reservoir": {"rows": 1}}, "reservoir.rows must be at least 2"),
+            ({"reservoir": {"cols": 0}}, "reservoir.cols must be at least 2"),
+            ({"n_train_bits": WARMUP_BITS}, "warm-up must be shorter than the bit sequences"),
+            ({"n_test_bits": WARMUP_BITS}, "warm-up must be shorter than the bit sequences"),
             ({"p_total_w": -1}, "p_total_w"),
             ({"bias_power_w": 0}, "bias_power_w"),
         ],
@@ -143,15 +157,12 @@ class TestConfigIO:
         [
             ({"bitrates_gbps": [10, float("inf")]}, "bitrates"),
             ({"perturbation_bitrate_gbps": float("inf")}, "perturbation_bitrate_gbps"),
-            ({"convergence_bitrate_gbps": float("inf")}, "convergence_bitrate_gbps"),
             ({"p_total_w": float("inf")}, "p_total_w"),
             ({"bias_power_w": float("inf")}, "bias_power_w"),
             ({"detector": {"responsivity": float("inf")}}, "responsivity"),
             ({"detector": {"bandwidth_hz": float("inf")}}, "bandwidth"),
             ({"detector": {"dark_current_a": float("inf")}}, "dark current"),
             ({"detector": {"temperature_k": float("inf")}}, "temperature"),
-            ({"reservoir": {"delay_s": float("inf")}}, "reservoir.delay_s"),
-            ({"reservoir": {"loss_db_per_cm": float("inf")}}, "reservoir.loss_db_per_cm"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -218,19 +229,11 @@ class TestConfigIO:
         cfg = config_from_dict({"cmaes": {"population": 6.0}})
         assert cfg.cmaes.population == 6 and type(cfg.cmaes.population) is int
 
-    @pytest.mark.parametrize("value", [0, -1.0, "0", "nan", True, [1.0]])
-    def test_smoothing_must_be_auto_null_or_positive(self, value):
-        with pytest.raises(ValueError, match="smoothing must be 'auto', null or a positive number"):
-            config_from_dict({"smoothing": value})
-
-    def test_numeric_smoothing_is_a_number(self, tmp_path):
-        # PyYAML reads 5e-1 as a string; the configuration holds the float.
-        path = tmp_path / "cfg.yaml"
-        path.write_text("smoothing: 5e-1\n")
-        cfg = load_config(path, base=ci_profile())
-        assert cfg.smoothing == 0.5 and type(cfg.smoothing) is float
-        assert config_from_dict({"smoothing": None}).smoothing is None
-        assert config_from_dict({"smoothing": "auto"}).smoothing == "auto"
+    def test_quoted_yaml_header_keeps_its_zeros(self, tmp_path):
+        # unquoted, the same header is the integer 1 (see the usage-error tests)
+        path = tmp_path / "headers.yaml"
+        path.write_text('headers: ["001"]\n')
+        assert load_config(path).headers == ("001",)
 
     def test_ridge_section_rejected(self, tmp_path):
         # The ridge fit has no settings: a leftover section is an error.
@@ -300,8 +303,12 @@ class TestConfigIO:
             ("headers", ("101", "110", "101")),
             ("trainers", ()),
             ("trainers", ("ridge", "nlinv", "ridge")),
+            ("perturbation_b_over_pi", (0.0, 0.5, 0.5)),
         ],
-        ids=["bitrates-empty", "bitrates-repeated", "headers-repeated", "trainers-empty", "trainers-repeated"],
+        ids=[
+            "bitrates-empty", "bitrates-repeated", "headers-repeated", "trainers-empty", "trainers-repeated",
+            "b-repeated",
+        ],
     )
     def test_empty_or_repeated_list_rejected(self, key, values):
         # A repeated entry would run a cell twice and count it as two.
@@ -309,12 +316,9 @@ class TestConfigIO:
             replace(ci_profile(), **{key: values})
 
     def test_int_bitrates_become_floats(self):
-        cfg = config_from_dict(
-            {"bitrates_gbps": [10], "perturbation_bitrate_gbps": 5, "convergence_bitrate_gbps": 10}
-        )
+        cfg = config_from_dict({"bitrates_gbps": [10], "perturbation_bitrate_gbps": 5})
         assert type(cfg.bitrates_gbps[0]) is float
         assert type(cfg.perturbation_bitrate_gbps) is float
-        assert type(cfg.convergence_bitrate_gbps) is float
 
     def test_validation_applies(self):
         with pytest.raises(ValueError):
@@ -432,13 +436,33 @@ class TestCli:
         assert "photonrc sweep: error: invalid header string '1x1'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
-    def test_unknown_yaml_key_is_a_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "bogus.yaml"
-        path.write_text("bogus: 1\n")
+    # A key the configuration never had, then the keys that took one value
+    # everywhere and are now constants, each set to that value: an old
+    # configuration fails loudly instead of running with a value ignored.
+    UNKNOWN_KEYS = [
+        ("bogus: 1\n", "unknown config keys: ['bogus']"),
+        ("warmup_bits: 10\n", "unknown config keys: ['warmup_bits']"),
+        ("search_bits: 2\n", "unknown config keys: ['search_bits']"),
+        ("ber_floor_errors: 10\n", "unknown config keys: ['ber_floor_errors']"),
+        ("convergence_bitrate_gbps: 10.0\n", "unknown config keys: ['convergence_bitrate_gbps']"),
+        ("smoothing: auto\n", "unknown config keys: ['smoothing']"),
+        ("reservoir: {delay_s: 62.5e-12}\n", "unknown ReservoirSettings keys: ['delay_s']"),
+        ("reservoir: {loss_db_per_cm: 3.0}\n", "unknown ReservoirSettings keys: ['loss_db_per_cm']"),
+        ("reservoir: {group_index: 4.2}\n", "unknown ReservoirSettings keys: ['group_index']"),
+    ]
+
+    @pytest.mark.parametrize("yaml_text, message", UNKNOWN_KEYS, ids=[m.split("'")[1] for _, m in UNKNOWN_KEYS])
+    def test_unknown_yaml_key_is_a_usage_error(self, tmp_path, capsys, monkeypatch, yaml_text, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated with an unknown key")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml_text)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
         assert exc.value.code == 2
-        assert "photonrc sweep: error: unknown config keys: ['bogus']" in capsys.readouterr().err
+        assert f"photonrc sweep: error: {message}" in capsys.readouterr().err
 
     def test_non_number_yaml_float_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -477,18 +501,6 @@ class TestCli:
         assert f"photonrc {command}: error: this study trains on one header, got 2: 101, 110" in err
         assert not out.exists()
 
-    def test_bad_smoothing_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before the smoothing was checked")
-
-        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
-        path = tmp_path / "fast.yaml"
-        path.write_text("smoothing: fast\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", *_cli_args(tmp_path, "--config", str(path))])
-        assert exc.value.code == 2
-        assert "photonrc sweep: error: smoothing must be" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", ["-0.1", ".nan", ".inf"], ids=["negative", "nan", "inf"])
     def test_bad_perturbation_b_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
         def no_simulation(*args, **kwargs):
@@ -512,9 +524,19 @@ class TestCli:
             ("", ["--bitrates", "inf"], "bitrates must be positive and finite, got inf"),
             ("p_total_w: .inf\n", [], "p_total_w must be positive and finite, got inf"),
             ("detector: {temperature_k: .inf}\n", [], "temperature must be positive and finite, got inf"),
-            ("reservoir: {delay_s: .inf}\n", [], "reservoir.delay_s must be positive and finite, got inf"),
+            # YAML reads 001 as the integer 1, which used to train the header
+            # "1", and 010 as the octal 8, which used to fail as the header "8"
+            ("headers: [001]\n", [], "headers entries must be quoted strings, got [1]"),
+            ("headers: [010]\n", [], "headers entries must be quoted strings, got [8]"),
+            ("headers: [101]\n", [], "headers entries must be quoted strings, got [101]"),
+            # a one-row swirl used to end in a traceback inside the first cell
+            ("reservoir: {rows: 1}\n", [], "reservoir.rows must be at least 2, got 1"),
+            ("reservoir: {cols: 1}\n", [], "reservoir.cols must be at least 2, got 1"),
         ],
-        ids=["noise-off-string", "topology-int", "bitrates-inf", "power-inf", "temperature-inf", "delay-inf"],
+        ids=[
+            "noise-off-string", "topology-int", "bitrates-inf", "power-inf", "temperature-inf",
+            "headers-001", "headers-010", "headers-101", "rows-1", "cols-1",
+        ],
     )
     def test_wrongly_typed_or_infinite_setting_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, yaml_text, flags, message
@@ -598,10 +620,14 @@ class TestCli:
                 ["perturb", "--seeds", "1", "--config", "no_b.yaml"],
                 "photonrc perturb: error: perturbation_b_over_pi needs at least one entry",
             ),
+            (
+                ["perturb", "--seeds", "1", "--config", "repeated_b.yaml"],
+                "photonrc perturb: error: perturbation_b_over_pi must not repeat an entry, got [0.5, 0.5]",
+            ),
         ],
         ids=[
             "sweep-repeated-bitrate", "sweep-no-bitrate", "sweep-repeated-trainer", "probe-dump-no-bitrate",
-            "perturb-no-b",
+            "perturb-no-b", "perturb-repeated-b",
         ],
     )
     def test_empty_or_repeated_list_is_a_usage_error(self, tmp_path, capsys, monkeypatch, args, message):
@@ -612,6 +638,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.yaml").write_text("bitrates_gbps: []\n")
         (tmp_path / "no_b.yaml").write_text("perturbation_b_over_pi: []\n")
+        (tmp_path / "repeated_b.yaml").write_text("perturbation_b_over_pi: [0.5, 0.5]\n")
         with pytest.raises(SystemExit) as exc:
             main([*args, "--profile", "ci", "--out", str(tmp_path / "run"), "--quiet"])
         assert exc.value.code == 2

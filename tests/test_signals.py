@@ -43,12 +43,6 @@ class TestGenBits:
 
 
 class TestModulate:
-    def test_single_one_no_smoothing(self):
-        sig = modulate([1], 10e9, 24, p_node=0.025, smoothing=None)
-        assert len(sig) == 24
-        assert np.allclose(sig.samples, np.sqrt(0.025))
-        assert np.isclose(np.sqrt(0.025), 0.15811, atol=1e-5)
-
     def test_zero_bits_zero_signal(self):
         sig = modulate([0, 0], 5e9, 24, p_node=0.025)
         assert np.all(sig.samples == 0)
@@ -71,7 +65,7 @@ class TestModulate:
         # First-order response with the pole at the bit frequency rises to
         # 1 - exp(-2*pi) of the final value after one bit period.
         spb = 24
-        sig = modulate([1] * 4, 10e9, spb, p_node=0.025, smoothing="auto")
+        sig = modulate([1] * 4, 10e9, spb, p_node=0.025)
         level = np.sqrt(0.025)
         end_of_first_bit = sig.samples[spb - 1].real
         assert end_of_first_bit >= 0.95 * level
