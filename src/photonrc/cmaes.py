@@ -10,13 +10,23 @@ sequence: scoring a generation sets each candidate's weights on the
 readout, plays the input once per candidate, and compares the detector
 output, read by a receiver sampling once per bit, with the desired
 signal bit by bit.
+
+A search is a generator (:func:`_search`) that yields each generation's
+candidates and takes their values back.  One loop, :func:`_lockstep`,
+advances a list of searches side by side: per generation it stacks the
+candidates of all of them, in list order, into one objective call.
+:func:`cmaes_minimize` is that loop with one search; :func:`train_cmaes`
+runs its whole sigma sweep in it, so the readout presents all the sweep's
+candidates of a generation in one call and draws their noise in that
+order: run ``i``'s after those of runs 0 .. i - 1.  Each search's own
+arithmetic is that of a search run alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -81,14 +91,18 @@ def bit_sse(
     K scores.
     """
     y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
-    sse = _sse(y_bits, np.asarray(target_w, dtype=np.float64)[skip_bits:])
+    sse = _sse(y_bits.copy(), np.asarray(target_w, dtype=np.float64)[skip_bits:])
     return float(sse) if y.ndim == 1 else sse
 
 
 def _sse(y_bits: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover."""
+    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover.
+
+    The squared errors are formed in place: ``y_bits`` is overwritten.
+    """
     n = min(y_bits.shape[-1], d.size)
-    err = y_bits[..., :n] - d[:n]
+    err = y_bits[..., :n]
+    err -= d[:n]
     np.square(err, out=err)
     return np.sum(err, axis=-1)
 
@@ -111,6 +125,25 @@ def cmaes_minimize(
     (:func:`default_population` by default).  Deterministic given ``seed``.
     Non-finite objective values abort with a diagnostic because they
     poison the ranking.
+    """
+    (result,) = _lockstep(objective, [_search(dim, sigma0, iterations, seed, population, x0)])
+    return result
+
+
+def _search(
+    dim: int,
+    sigma0: float,
+    iterations: int,
+    seed: int,
+    population: int | None,
+    x0: np.ndarray | None,
+) -> Generator[np.ndarray, np.ndarray, CmaResult]:
+    """One CMA-ES search in ask/tell form, as a generator.
+
+    Each generation yields its lambda x dim candidates and takes their
+    lambda values back through ``send``; the search returns its
+    :class:`CmaResult`.  The settings are checked when the generator is
+    first advanced, before the first candidate is yielded.
     """
     if dim < 1:
         raise ValueError("search dimension must be at least 1")
@@ -163,12 +196,10 @@ def cmaes_minimize(
         scale = eigvecs * root  # B * diag(sqrt(d))
         inv_sqrt = (eigvecs / root) @ eigvecs.T
 
-        # ask: the whole generation, scored by one objective call
+        # ask: the whole generation, scored by one objective call in _lockstep
         z = rng.standard_normal((lam, n))
         candidates = mean + sigma * z @ scale.T
-        values = np.asarray(objective(candidates), dtype=np.float64)
-        if values.shape != (lam,):
-            raise ValueError(f"objective returned shape {values.shape} for {lam} candidates")
+        values = yield candidates
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             k = int(bad[0])
@@ -224,13 +255,45 @@ def cmaes_minimize(
     )
 
 
+def _lockstep(
+    objective: Callable[[np.ndarray], np.ndarray],
+    searches: list[Generator[np.ndarray, np.ndarray, CmaResult]],
+) -> list[CmaResult]:
+    """Run :func:`_search` generators side by side; returns their results in order.
+
+    Every search is advanced to its first generation, which checks its
+    settings, before the objective is called.  Then each round stacks the
+    candidates of the searches still running, in list order, scores them
+    with one objective call, and sends each search its own rows' values.
+    """
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    results: dict[int, CmaResult] = {}
+    while asks:
+        batch = np.concatenate(list(asks.values()))
+        values = np.asarray(objective(batch), dtype=np.float64)
+        if values.shape != (len(batch),):
+            raise ValueError(f"objective returned shape {values.shape} for {len(batch)} candidates")
+        start = 0
+        for i, candidates in list(asks.items()):
+            stop = start + len(candidates)
+            try:
+                asks[i] = searches[i].send(values[start:stop])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            start = stop
+    return [results[i] for i in range(len(searches))]
+
+
 class _ReadoutObjective:
     """Scores a generation of encoded weight vectors, one presentation each.
 
-    The lambda candidates go to the readout as the columns of one weight
-    matrix in one ``present_sampled`` call, which returns only the sample
-    ``bit_sse`` reads from each bit; the lambda outputs are scored together
-    against the target, sliced once past the skipped bits.
+    The candidates go to the readout as the columns of one weight matrix
+    in one ``present_sampled`` call, which returns only the sample
+    ``bit_sse`` reads from each bit; the outputs are scored together
+    against the target, sliced once past the skipped bits, in place in the
+    output block the call returned: ``present_sampled`` must return an
+    array of its own, as ``SimulatedReadout`` does.
     """
 
     def __init__(self, readout, target_w, samples_per_bit, sample_offset, skip_bits):
@@ -242,7 +305,7 @@ class _ReadoutObjective:
 
     def __call__(self, candidates: np.ndarray) -> np.ndarray:
         y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset)
-        return _sse(y[..., self._skip :], self._target)
+        return _sse(y[..., self._skip :], self._target)  # the output is this call's own
 
 
 def train_cmaes(
@@ -265,22 +328,30 @@ def train_cmaes(
     weight vector and runs once for each initial step size in
     ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
     1e-5 .. 1e2), run ``i`` seeded from ``SeedSequence([seed, i])``.  The
-    run with the lowest final SSE wins, ties going to the earlier sweep
-    member; ``decode_weights(run.best_x)`` are its weights, and
-    ``run.history_x`` holds its best point after each generation.
+    runs go in lockstep: each generation stacks the candidates of all runs,
+    run 0's first, into one ``present_sampled`` call, so the readout draws
+    the noise of run ``i``'s presentations after those of runs 0 .. i - 1
+    in the same generation.  Every run's settings are checked before the
+    first presentation.  The run with the lowest final SSE wins, ties going
+    to the earlier sweep member; ``decode_weights(run.best_x)`` are its
+    weights, and ``run.history_x`` holds its best point after each
+    generation.
     """
     objective = _ReadoutObjective(readout, target_w, samples_per_bit, samples_per_bit // 2, skip_bits)
     dim = 2 * readout.n_channels
-    sweep = tuple(sigma_sweep)
+    sweep = tuple(float(sigma0) for sigma0 in sigma_sweep)
     if not sweep:
         raise ValueError("sigma sweep is empty")
 
+    seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(len(sweep))]
+    searches = [
+        _search(dim, sigma0, iterations, run_seed, population, np.zeros(dim))
+        for sigma0, run_seed in zip(sweep, seeds)
+    ]
     best: tuple[float, CmaResult] | None = None
-    for i, sigma0 in enumerate(sweep):
-        run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        run = cmaes_minimize(objective, dim, float(sigma0), iterations, run_seed, population, x0=np.zeros(dim))
+    for sigma0, run in zip(sweep, _lockstep(objective, searches)):
         if best is None or run.best_f < best[1].best_f:
-            best = (float(sigma0), run)
+            best = (sigma0, run)
 
     assert best is not None
     return best

@@ -101,6 +101,8 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {list(values)!r}")
         for h in self.headers:
+            if not isinstance(h, str):
+                raise ValueError(f"headers entries must be strings, got {h!r}")
             header_bits(h)
         for b in self.bitrates_gbps:
             if not 0 < b < math.inf:

@@ -451,6 +451,14 @@ def sampled_basis(
     return SampledBasis(products, gram, cfg, samples_per_bit, states.sample_period)
 
 
+# Output rows per noise block in ``readout_sampled``.  The rows draw their
+# normals in order and are filtered one by one, so the blocks leave the
+# output's bytes as one draw would; the noise and its filtered copy stay
+# one block in size whatever the number of weight columns (the CMA-ES
+# sweep presents 112 at a time).
+_NOISE_ROWS = 16
+
+
 def readout_sampled(
     basis: SampledBasis,
     weights: np.ndarray,
@@ -485,11 +493,14 @@ def readout_sampled(
         if rng is None:
             rng = np.random.default_rng()
         sigma = np.sqrt(noise_variance(basis.mean_current(columns), cfg))
-        noise = rng.standard_normal(y.shape)
         if cfg.filter_enabled:
             num, den, gain = _sampled_noise(cfg, 1.0 / basis.sample_period, basis.samples_per_bit)
-            noise = lfilter(num, den, noise, axis=1)
             sigma *= gain
-        noise *= sigma[:, None]
-        y += noise
+        for start in range(0, y.shape[0], _NOISE_ROWS):
+            rows = y[start : start + _NOISE_ROWS]
+            noise = rng.standard_normal(rows.shape)
+            if cfg.filter_enabled:
+                noise = lfilter(num, den, noise, axis=1)
+            noise *= sigma[start : start + _NOISE_ROWS, None]
+            rows += noise
     return _checked_output(y if w.ndim == 2 else y[0])

@@ -32,14 +32,16 @@ def _as_binary_array(values, name: str) -> np.ndarray:
 
 
 def header_bits(text: str) -> np.ndarray:
-    """The bits of a header string such as ``"101"``, at least one."""
-    try:
-        bits = [int(ch) for ch in text.strip()]
-    except ValueError as exc:
-        raise ValueError(f"invalid header string {text!r}") from exc
-    if not bits:
+    """The bits of a header string such as ``"101"``, at least one.
+
+    Only the ASCII characters ``0`` and ``1`` are bits: whitespace or
+    another script's digits would give one header a second name.
+    """
+    if not text:
         raise ValueError("header must contain at least one bit")
-    return _as_binary_array(bits, "header bits")
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"invalid header string {text!r}: header bits may contain only the symbols 0 and 1")
+    return np.array([ch == "1" for ch in text], dtype=np.uint8)
 
 
 @dataclass(frozen=True)

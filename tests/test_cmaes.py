@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,7 +108,9 @@ class TestSseObjective:
         rng = np.random.default_rng(11)
         d = _power(rng.integers(0, 2, 40))
         y = rng.normal(scale=0.05, size=shape)
+        given = y.copy()
         got = bit_sse(y, d, 6, 2, skip)
+        assert np.array_equal(y, given)  # the caller's output is left as it was
         want = bit_sse_direct(y, d, 6, 2, skip)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -314,26 +317,27 @@ class TestCmaesMinimize:
         assert calls == []
 
 
-class TestTrainCmaes:
-    def _toy_problem(self, n_bits=60, spb=4, seed=0):
-        # Channel 0 carries exactly the detector-inverted target; channel 1
-        # is a decoy.  Weight (1, 0) solves the task with zero error.
-        rng = np.random.default_rng(seed)
-        d = _power(rng.integers(0, 2, n_bits))
-        good = np.repeat(np.sqrt(d / RAW.responsivity), spb)
-        decoy = np.repeat(rng.normal(size=n_bits), spb) * 0.05
-        states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10)
-        return states, SimulatedReadout(states, RAW), d, spb
+def _toy_problem(n_bits=60, spb=4, seed=0):
+    # Channel 0 carries exactly the detector-inverted target; channel 1
+    # is a decoy.  Weight (1, 0) solves the task with zero error.
+    rng = np.random.default_rng(seed)
+    d = _power(rng.integers(0, 2, n_bits))
+    good = np.repeat(np.sqrt(d / RAW.responsivity), spb)
+    decoy = np.repeat(rng.normal(size=n_bits), spb) * 0.05
+    states = StateMatrix(np.stack([good, decoy], axis=1).astype(complex), 1e-10)
+    return states, SimulatedReadout(states, RAW), d, spb
 
+
+class TestTrainCmaes:
     def test_separable_toy_reaches_zero_ber(self):
-        states, readout, d, spb = self._toy_problem()
+        states, readout, d, spb = _toy_problem()
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
         sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
         assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
 
     def test_sweep_returns_minimum_sse_member(self, monkeypatch):
-        # Stub the optimizer so each sweep member lands on a known value;
+        # Stub the searches so each sweep member lands on a known value;
         # the per-member outcome includes a tie to check the tie-break,
         # which keeps the earlier member in either sweep order.
         import photonrc.cmaes as cmaes_mod
@@ -341,9 +345,9 @@ class TestTrainCmaes:
         outcomes = {1e-4: 3.0, 1e-2: 1.0, 1.0: 1.0, 10.0: 2.0}
         seen = []
 
-        def fake_minimize(objective, dim, sigma0, iterations, seed, population=None, x0=None):
-            objective(np.zeros(dim))  # consume one presentation
+        def fake_search(dim, sigma0, iterations, seed, population, x0):
             seen.append(sigma0)
+            yield np.zeros((1, dim))  # consume one presentation
             f = outcomes[sigma0]
             return cmaes_mod.CmaResult(
                 best_x=np.zeros(dim),
@@ -356,9 +360,9 @@ class TestTrainCmaes:
                 cov=np.eye(dim),
             )
 
-        monkeypatch.setattr(cmaes_mod, "cmaes_minimize", fake_minimize)
+        monkeypatch.setattr(cmaes_mod, "_search", fake_search)
         for sweep, winner in ((sorted(outcomes), 1e-2), (sorted(outcomes, reverse=True), 1.0)):
-            _, readout, d, spb = self._toy_problem(seed=3)
+            _, readout, d, spb = _toy_problem(seed=3)
             seen.clear()
             sigma0, run = cmaes_mod.train_cmaes(readout, d, sweep, 1000, None, 4, spb, 0)
             assert seen == sweep
@@ -379,7 +383,7 @@ class TestTrainCmaes:
             return original(states, cfg, spb, offset)
 
         monkeypatch.setattr(stateest_mod, "sampled_basis", counting)
-        states, readout, d, spb = self._toy_problem()
+        states, readout, d, spb = _toy_problem()
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         assert built == [(spb, spb // 2)]
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
@@ -391,7 +395,7 @@ class TestTrainCmaes:
         # optimizer may do) presents once and returns one score.
         from photonrc.cmaes import _ReadoutObjective
 
-        _, readout, d, spb = self._toy_problem(seed=12)
+        _, readout, d, spb = _toy_problem(seed=12)
         objective = _ReadoutObjective(readout, d, spb, spb // 2, 0)
         value = objective(np.zeros(2 * readout.n_channels))
         assert readout.presentations == 1
@@ -401,7 +405,7 @@ class TestTrainCmaes:
         assert readout.presentations == 4
 
     def test_presentation_accounting(self):
-        _, readout, d, spb = self._toy_problem(seed=5)
+        _, readout, d, spb = _toy_problem(seed=5)
         _, run = train_cmaes(readout, d, (0.1, 1.0), 10, 6, 6, spb, 0)
         assert run.evaluations == 10 * 6
         assert readout.presentations == 2 * 10 * 6
@@ -409,7 +413,7 @@ class TestTrainCmaes:
     def test_presentations_on_reused_readout(self):
         # The readout counts every presentation: the sweep adds exactly its
         # own evaluations to the one made before it.
-        _, readout, d, spb = self._toy_problem(seed=10)
+        _, readout, d, spb = _toy_problem(seed=10)
         readout.present(np.zeros(readout.n_channels, complex))
         _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
         assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
@@ -461,6 +465,88 @@ class TestTrainCmaes:
         assert readout.presentations == loop.presentations == len(sweep) * iterations * population
 
     def test_history_monotone(self):
-        _, readout, d, spb = self._toy_problem(seed=7)
+        _, readout, d, spb = _toy_problem(seed=7)
         _, run = train_cmaes(readout, d, (0.5,), 30, None, 8, spb, 0)
         assert np.all(np.diff(run.history) <= 0.0)
+
+
+class _RecordingReadout:
+    """A readout that keeps a copy of every weight matrix it is shown."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    @property
+    def n_channels(self):
+        return self._inner.n_channels
+
+    @property
+    def presentations(self):
+        return self._inner.presentations
+
+    def present_sampled(self, weights, samples_per_bit, sample_offset):
+        self.calls.append(np.array(weights))
+        return self._inner.present_sampled(weights, samples_per_bit, sample_offset)
+
+
+class TestLockstep:
+    def test_searches_match_separate_runs(self):
+        # Searches of different settings, lengths and populations, run side
+        # by side on a deterministic objective, each end exactly as alone.
+        from photonrc.cmaes import _lockstep, _search
+
+        def objective(c):
+            return np.sum(100.0 * (c[:, 1:] - c[:, :-1] ** 2) ** 2 + (1 - c[:, :-1]) ** 2, axis=1)
+
+        dim = 5
+        runs = [
+            dict(sigma0=0.5, iterations=40, seed=3, population=None, x0=np.full(dim, 0.4)),
+            dict(sigma0=1e-3, iterations=40, seed=8, population=None, x0=np.zeros(dim)),
+            dict(sigma0=2.0, iterations=25, seed=8, population=9, x0=None),
+        ]
+        got = _lockstep(objective, [_search(dim, **kw) for kw in runs])
+        for run, kw in zip(got, runs):
+            want = cmaes_minimize(objective, dim, **kw)
+            for field in dataclasses.fields(want):
+                a, b = getattr(run, field.name), getattr(want, field.name)
+                assert type(a) is type(b), field.name
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    def test_readout_sees_one_run_major_call_per_generation(self):
+        # Noise-free, so every candidate scores as in a run of its own: the
+        # readout's call of generation g holds run 0's candidates of that
+        # generation, then run 1's, and so on.
+        from photonrc.cmaes import _ReadoutObjective
+
+        sweep, iterations, population, seed = (1e-2, 0.1, 1.0), 6, 5, 17
+        _, inner, d, spb = _toy_problem(seed=4)
+        readout = _RecordingReadout(inner)
+        train_cmaes(readout, d, sweep, iterations, population, seed, spb, 0)
+        dim = 2 * readout.n_channels
+        assert [w.shape for w in readout.calls] == [(dim // 2, len(sweep) * population)] * iterations
+        assert readout.presentations == len(sweep) * iterations * population
+
+        alone = []
+        for i, sigma0 in enumerate(sweep):
+            _, solo, _, _ = _toy_problem(seed=4)
+            solo = _RecordingReadout(solo)
+            run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+            objective = _ReadoutObjective(solo, d, spb, spb // 2, 0)
+            cmaes_minimize(objective, dim, sigma0, iterations, run_seed, population, x0=np.zeros(dim))
+            alone.append(solo.calls)
+        for g, weights in enumerate(readout.calls):
+            assert np.array_equal(weights, np.concatenate([calls[g] for calls in alone], axis=1)), g
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [(-1.0, 0.1, 1.0), (0.1, math.nan, 1.0), (0.1, 1.0, 0.0), (0.1, 1.0, math.inf)],
+        ids=["first-negative", "middle-nan", "last-zero", "last-inf"],
+    )
+    def test_bad_sigma_anywhere_rejected_before_any_presentation(self, sweep):
+        _, inner, d, spb = _toy_problem(seed=2)
+        readout = _RecordingReadout(inner)
+        with pytest.raises(ValueError, match="step size"):
+            train_cmaes(readout, d, sweep, 5, None, 1, spb, 0)
+        assert readout.calls == []
+        assert readout.presentations == 0

@@ -296,6 +296,24 @@ class TestConfigIO:
             replace(ci_profile(), headers=headers)
 
     @pytest.mark.parametrize(
+        "headers, bad",
+        [(("101", " 101"), " 101"), (("101", "101 "), "101 "), (("101", "\uff11\uff10\uff11"), "\uff11\uff10\uff11")],
+        ids=["leading-space", "trailing-space", "full-width"],
+    )
+    def test_second_spelling_of_a_header_rejected(self, headers, bad):
+        # each would train header 101 under another name in the records
+        message = f"invalid header string {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            replace(ci_profile(), headers=headers)
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"headers": list(headers)})
+
+    @pytest.mark.parametrize("header", [1, None, b"101"], ids=["int", "none", "bytes"])
+    def test_non_string_header_rejected(self, header):
+        with pytest.raises(ValueError, match=f"headers entries must be strings, got {re.escape(repr(header))}"):
+            replace(ci_profile(), headers=("101", header))
+
+    @pytest.mark.parametrize(
         "key, values",
         [
             ("bitrates_gbps", ()),
@@ -435,6 +453,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "photonrc sweep: error: invalid header string '1x1'" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_header_with_whitespace_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # " 101" used to train header 101 and write " 101" to records.csv
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the header was checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *_cli_args(tmp_path, "--header", " 101")])
+        assert exc.value.code == 2
+        assert "photonrc sweep: error: invalid header string ' 101'" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
 
     # A key the configuration never had, then the keys that took one value
     # everywhere and are now constants, each set to that value: an old

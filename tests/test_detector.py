@@ -12,6 +12,7 @@ from photonrc.detector import (
     _BASIS_BITS,
     _BASIS_ROWS,
     _CHUNK_ROWS,
+    _NOISE_ROWS,
     _butterworth,
     _channel_pairs,
     _channel_products,
@@ -355,7 +356,7 @@ class TestSampledPresentation:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
         assert _sampled_noise(cfg, rate, spb)[0] is num and not num.flags.writeable
 
-    @pytest.mark.parametrize("k", [1, 14], ids=["vector", "block"])
+    @pytest.mark.parametrize("k", [1, 14, 2 * _NOISE_ROWS + 5], ids=["vector", "block", "noise-blocks"])
     @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no-filter"])
     @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "quiet"])
     def test_bytes_match_loop_oracle(self, noisy, filtered, k):

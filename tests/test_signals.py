@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,16 @@ class TestHeaderBits:
     )
     def test_bad_strings_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
+            header_bits(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [" 101", "101 ", "\t101\n", "\uff11\uff10\uff11", "1\u0660"],
+        ids=["leading-space", "trailing-space", "tab-newline", "full-width", "arabic-indic-zero"],
+    )
+    def test_second_spellings_of_a_header_rejected(self, text):
+        # int() reads these as the bits of another header; only ASCII 0 and 1 are bits
+        with pytest.raises(ValueError, match=f"invalid header string {re.escape(repr(text))}"):
             header_bits(text)
 
 
