@@ -28,7 +28,6 @@ from .reservoir import (
 from .detector import DetectorConfig, noise_variance, readout_forward
 from .ridge import cv_alpha, invert_target, ridge_problem
 from .cmaes import (
-    bit_sse,
     cmaes_minimize,
     decode_weights,
     default_population,

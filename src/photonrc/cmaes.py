@@ -6,10 +6,10 @@ plus rank-mu covariance update, run in the ask/tell form: each generation
 samples all lambda candidates, scores them with one objective call, and
 updates the distribution from the ranking.  It is used to train readout
 weights through nothing but repeated presentations of the training
-sequence: scoring a generation sets each candidate's weights on the
-readout, plays the input once per candidate, and compares the detector
-output, read by a receiver sampling once per bit, with the desired
-signal bit by bit.
+sequence: a generation is one ``score_sampled`` call on the readout,
+which sets each candidate's weights, plays the input once per candidate,
+and returns the sum of squared errors between the detector output, read
+by a receiver sampling once per bit, and the desired signal.
 
 A search is a generator (:func:`_search`) that yields each generation's
 candidates and takes their values back.  One loop, :func:`_lockstep`,
@@ -34,7 +34,6 @@ __all__ = [
     "CmaResult",
     "default_population",
     "decode_weights",
-    "bit_sse",
     "cmaes_minimize",
     "train_cmaes",
     "DEFAULT_SIGMA_SWEEP",
@@ -74,37 +73,6 @@ def decode_weights(vector: np.ndarray) -> np.ndarray:
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("encoded weight vector must have even length")
     return _decode(v)
-
-
-def bit_sse(
-    y: np.ndarray,
-    target_w: np.ndarray,
-    samples_per_bit: int,
-    sample_offset: int,
-    skip_bits: int,
-) -> float | np.ndarray:
-    """Sum of squared errors between a per-bit detector output and the power target in W.
-
-    The detector output ``y`` is sampled once per bit at ``sample_offset``;
-    the first ``skip_bits`` bits are excluded so the reservoir transient
-    does not enter the score.  A K x N block of outputs, one per row, gets
-    K scores.
-    """
-    y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
-    sse = _sse(y_bits.copy(), np.asarray(target_w, dtype=np.float64)[skip_bits:])
-    return float(sse) if y.ndim == 1 else sse
-
-
-def _sse(y_bits: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover.
-
-    The squared errors are formed in place: ``y_bits`` is overwritten.
-    """
-    n = min(y_bits.shape[-1], d.size)
-    err = y_bits[..., :n]
-    err -= d[:n]
-    np.square(err, out=err)
-    return np.sum(err, axis=-1)
 
 
 def cmaes_minimize(
@@ -285,29 +253,6 @@ def _lockstep(
     return [results[i] for i in range(len(searches))]
 
 
-class _ReadoutObjective:
-    """Scores a generation of encoded weight vectors, one presentation each.
-
-    The candidates go to the readout as the columns of one weight matrix
-    in one ``present_sampled`` call, which returns only the sample
-    ``bit_sse`` reads from each bit; the outputs are scored together
-    against the target, sliced once past the skipped bits, in place in the
-    output block the call returned: ``present_sampled`` must return an
-    array of its own, as ``SimulatedReadout`` does.
-    """
-
-    def __init__(self, readout, target_w, samples_per_bit, sample_offset, skip_bits):
-        self._readout = readout
-        self._target = np.asarray(target_w, dtype=np.float64)[skip_bits:]
-        self._spb = samples_per_bit
-        self._offset = sample_offset
-        self._skip = skip_bits
-
-    def __call__(self, candidates: np.ndarray) -> np.ndarray:
-        y = self._readout.present_sampled(_decode(candidates).T, self._spb, self._offset)
-        return _sse(y[..., self._skip :], self._target)  # the output is this call's own
-
-
 def train_cmaes(
     readout,
     target_w: np.ndarray,
@@ -320,16 +265,16 @@ def train_cmaes(
 ) -> tuple[float, CmaResult]:
     """Train readout weights as a pure black box; returns ``(sigma0, run)``.
 
-    ``readout`` is any object exposing ``n_channels``/``present_sampled``,
+    ``readout`` is any object exposing ``n_channels``/``score_sampled``,
     such as a ``SimulatedReadout`` over a state matrix, whose
     ``presentations`` count is the cost of the sweep; each candidate is one
-    presentation, of which the objective reads the detector output once per
-    bit, in the middle of the bit.  Optimization starts from the zero
-    weight vector and runs once for each initial step size in
-    ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
+    presentation, scored on the detector output read once per bit, in the
+    middle of the bit, past the first ``skip_bits`` bits.  Optimization
+    starts from the zero weight vector and runs once for each initial step
+    size in ``sigma_sweep`` (:data:`DEFAULT_SIGMA_SWEEP` holds the decades
     1e-5 .. 1e2), run ``i`` seeded from ``SeedSequence([seed, i])``.  The
     runs go in lockstep: each generation stacks the candidates of all runs,
-    run 0's first, into one ``present_sampled`` call, so the readout draws
+    run 0's first, into one ``score_sampled`` call, so the readout draws
     the noise of run ``i``'s presentations after those of runs 0 .. i - 1
     in the same generation.  Every run's settings are checked before the
     first presentation.  The run with the lowest final SSE wins, ties going
@@ -337,7 +282,10 @@ def train_cmaes(
     weights, and ``run.history_x`` holds its best point after each
     generation.
     """
-    objective = _ReadoutObjective(readout, target_w, samples_per_bit, samples_per_bit // 2, skip_bits)
+    def objective(candidates: np.ndarray) -> np.ndarray:
+        weights = _decode(candidates).T
+        return readout.score_sampled(weights, target_w, samples_per_bit, samples_per_bit // 2, skip_bits)
+
     dim = 2 * readout.n_channels
     sweep = tuple(float(sigma0) for sigma0 in sigma_sweep)
     if not sweep:

@@ -94,6 +94,8 @@ class ReservoirTopology:
             raise ValueError("topology needs at least one node")
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "input_ports", tuple(self.input_ports))
+        if not self.input_ports:
+            raise ValueError("topology has no input ports")
         for e in self.edges:
             if not (0 <= e.src < self.n_nodes and 0 <= e.dst < self.n_nodes):
                 raise ValueError(f"edge {e.src}->{e.dst} references a missing node")
@@ -511,8 +513,6 @@ def simulate_each(
     topologies = tuple(topologies)
     delays = [e.delay for e in topologies[0].edges] if topologies else []
     for topology in topologies:
-        if not topology.input_ports:
-            raise ValueError("topology has no input ports")
         if [e.delay for e in topology.edges] != delays:
             raise ValueError("simulate_each needs topologies with identical edge delays")
     if not topologies:

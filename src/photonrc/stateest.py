@@ -22,6 +22,11 @@ folded into the estimate before the first pair probe is presented.  The
 module only estimates: the harness fits the reconstructed states by the
 same ridge path as the full states, and the resulting weights can be
 written back to the readout.
+
+The readout also scores: :meth:`SimulatedReadout.score_sampled` presents
+a block of weight columns, reads the detector once per bit and returns
+each column's sum of squared errors against a power target, the whole of
+a CMA-ES generation's work on the readout.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class SimulatedReadout:
     reproducible from the seed.  Presenting K weight columns in one call
     draws the same noise as K single calls in column order.
 
-    :meth:`present_sampled` builds a :class:`~photonrc.detector.SampledBasis`
+    :meth:`score_sampled` builds a :class:`~photonrc.detector.SampledBasis`
     once per ``(samples_per_bit, sample_offset)`` and keeps it, when that
     basis is no larger than the state matrix: F^2 real products per bit
     against ``samples_per_bit`` complex samples of F channels, that is
@@ -111,20 +116,47 @@ class SimulatedReadout:
         """
         return readout_forward(self._states, self._counted(weights), self.detector, rng=self._rng)
 
-    def present_sampled(self, weights: np.ndarray, samples_per_bit: int, sample_offset: int) -> np.ndarray:
-        """Present as :meth:`present` does, keeping the samples ``sample_offset + b * samples_per_bit``.
+    def score_sampled(
+        self,
+        weights: np.ndarray,
+        target_w: np.ndarray,
+        samples_per_bit: int,
+        sample_offset: int,
+        skip_bits: int,
+    ) -> float | np.ndarray:
+        """Present as :meth:`present` does and score the output read once per bit.
 
-        Their statistics are those of ``present(weights)[...,
-        sample_offset::samples_per_bit]``, and they count the same
-        presentations.
+        The receiver keeps the samples ``sample_offset + b * samples_per_bit``,
+        with the statistics of ``present(weights)[...,
+        sample_offset::samples_per_bit]``, and the call counts the same
+        presentations.  The score is the sum of squared errors between those
+        samples and the per-bit power target ``target_w`` in W, past the
+        first ``skip_bits`` bits, so the reservoir transient does not enter
+        it, and over the bits both cover: one score per weight column, or a
+        float for one vector.
         """
         _check_sampling_point(samples_per_bit, sample_offset)
         if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
-            return self.present(weights)[..., sample_offset::samples_per_bit]
-        key = (samples_per_bit, sample_offset)
-        if key not in self._bases:
-            self._bases[key] = sampled_basis(self._states, self.detector, *key)
-        return readout_sampled(self._bases[key], self._counted(weights), rng=self._rng)
+            y = self.present(weights)[..., sample_offset::samples_per_bit]
+        else:
+            key = (samples_per_bit, sample_offset)
+            if key not in self._bases:
+                self._bases[key] = sampled_basis(self._states, self.detector, *key)
+            y = readout_sampled(self._bases[key], self._counted(weights), rng=self._rng)
+        sse = _sse(y[..., skip_bits:], np.asarray(target_w, dtype=np.float64)[skip_bits:])
+        return float(sse) if y.ndim == 1 else sse
+
+
+def _sse(y_bits: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover.
+
+    The squared errors are formed in place: ``y_bits`` is overwritten.
+    """
+    n = min(y_bits.shape[-1], d.size)
+    err = y_bits[..., :n]
+    err -= d[:n]
+    np.square(err, out=err)
+    return np.sum(err, axis=-1)
 
 
 def probe_count(n_channels: int) -> int:
@@ -139,8 +171,11 @@ def build_probe_schedule(n_channels: int, ref_channel: int) -> np.ndarray:
 
     The F one-hot probes come first, then for each channel ``q !=
     ref_channel`` in order its pair probe (1 on the reference and on q) and
-    its quadrature probe (j on the reference, 1 on q).
+    its quadrature probe (j on the reference, 1 on q).  ``ref_channel``
+    may not be ``None``, the ``bias_index`` of states without a bias line.
     """
+    if ref_channel is None:
+        raise ValueError("the probing round needs a reference channel, got None")
     if not 0 <= ref_channel < n_channels:
         raise ValueError("reference channel out of range")
     probes = np.zeros((n_channels, probe_count(n_channels)), dtype=np.complex128)

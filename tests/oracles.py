@@ -86,7 +86,12 @@ def bit_sse_direct(
     sample_offset: int,
     skip_bits: int,
 ) -> float | np.ndarray:
-    """``bit_sse`` as ``np.sum((y_bits - d) ** 2)``, with the difference and its square as two temporaries."""
+    """The SSE of ``SimulatedReadout.score_sampled`` as ``np.sum((y_bits - d) ** 2)``, with two temporaries.
+
+    ``y`` is a full detector output or a K x N block of them, read at
+    ``sample_offset::samples_per_bit``; the difference and its square are
+    the temporaries.
+    """
     y_bits = y[..., sample_offset::samples_per_bit][..., skip_bits:]
     d = np.asarray(target_w, dtype=np.float64)[skip_bits:]
     n = min(y_bits.shape[-1], d.size)

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc.cmaes import (
-    bit_sse,
     cmaes_minimize,
     decode_weights,
     default_population,
     train_cmaes,
 )
-from photonrc.detector import DetectorConfig, readout_forward
+from photonrc.detector import DetectorConfig, sampled_basis
 from photonrc.harness import bit_error_rate, decide_bits, threshold_level
 from photonrc.reservoir import StateMatrix
 from photonrc.stateest import SimulatedReadout
@@ -64,6 +63,8 @@ class TestPopulation:
 
 
 class TestSseObjective:
+    """``SimulatedReadout.score_sampled``, the score of every CMA-ES candidate."""
+
     def _held_states(self, per_bit, spb=8):
         col = np.repeat(per_bit, spb).astype(complex)
         return StateMatrix(col[:, None], 1e-11)
@@ -73,55 +74,72 @@ class TestSseObjective:
         # fraction, so the identity holds with zero floating-point slack.
         d = _power([1, 0, 1, 1], p_total=0.125)
         amp = np.sqrt(d / RAW.responsivity)
-        states = self._held_states(amp)
-        y = readout_forward(states, np.ones(1, complex), RAW)
-        assert bit_sse(y, d, 8, 4, 0) == 0.0
+        readout = SimulatedReadout(self._held_states(amp), RAW)
+        assert readout.score_sampled(np.ones(1, complex), d, 8, 4, 0) == 0.0
 
     def test_constant_offset(self):
         n = 50
         d = _power(np.zeros(n, dtype=int))
         eps = 0.003
-        states = self._held_states(np.full(n, np.sqrt(eps / RAW.responsivity)))
-        y = readout_forward(states, np.ones(1, complex), RAW)
-        assert np.isclose(bit_sse(y, d, 8, 4, 0), n * eps**2, rtol=1e-12)
+        readout = SimulatedReadout(self._held_states(np.full(n, np.sqrt(eps / RAW.responsivity))), RAW)
+        assert np.isclose(readout.score_sampled(np.ones(1, complex), d, 8, 4, 0), n * eps**2, rtol=1e-12)
 
-    def test_matches_loop_oracle(self):
+    @pytest.mark.parametrize("spb, offset", [(6, 4), (1, 0)], ids=["sampled", "fallback"])
+    def test_matches_loop_oracle(self, spb, offset):
         rng = np.random.default_rng(0)
-        n_bits, spb = 20, 6
+        n_bits = 20
         states = StateMatrix(
             rng.normal(size=(n_bits * spb, 3)) + 1j * rng.normal(size=(n_bits * spb, 3)),
             1e-11,
         )
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
         d = _power(rng.integers(0, 2, n_bits))
-        offset = 4
-        got = bit_sse(readout_forward(states, w, RAW), d, spb, offset, 2)
+        got = SimulatedReadout(states, RAW).score_sampled(w, d, spb, offset, 2)
         total = 0.0
         for m in range(2, n_bits):
             y = RAW.responsivity * abs(states.samples[offset + m * spb] @ w) ** 2
             total += (y - d[m]) ** 2
         assert np.isclose(got, total, rtol=1e-12)
 
+    @pytest.mark.parametrize("path", ["sampled", "fallback"])
     @pytest.mark.parametrize("skip", [0, 10])
-    @pytest.mark.parametrize("shape", [(40 * 6,), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
-    def test_bytes_match_direct_oracle(self, shape, skip):
+    @pytest.mark.parametrize("k, n", [(None, 40 * 6), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
+    def test_bytes_match_direct_oracle(self, k, n, skip, path):
+        # Noise and filter on: the score has the bytes of the direct SSE of
+        # the oracle output drawn from the same generator, readout_sampled's
+        # loop form on the sampled path and the full-grid presentation on
+        # the fallback path, which 13 channels at 6 samples per bit take.
+        f = 3 if path == "sampled" else 13
         rng = np.random.default_rng(11)
         d = _power(rng.integers(0, 2, 40))
-        y = rng.normal(scale=0.05, size=shape)
-        given = y.copy()
-        got = bit_sse(y, d, 6, 2, skip)
-        assert np.array_equal(y, given)  # the caller's output is left as it was
-        want = bit_sse_direct(y, d, 6, 2, skip)
+        x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
+        w = rng.normal(size=(f, k or 1)) + 1j * rng.normal(size=(f, k or 1))
+        w = w[:, 0] if k is None else w
+        states, cfg = StateMatrix(x, 1.0 / (6 * 10e9)), DetectorConfig()
+        given_d, given_w = d.copy(), w.copy()
+        got = SimulatedReadout(states, cfg, seed=4).score_sampled(w, d, 6, 2, skip)
+        # the caller's arrays are left as they were
+        assert np.array_equal(d, given_d) and np.array_equal(w, given_w)
+        if path == "sampled":
+            y = readout_sampled_loop(sampled_basis(states, cfg, 6, 2), w, rng=np.random.default_rng(4))
+            want = bit_sse_direct(y, d, 1, 0, skip)
+        else:
+            want = bit_sse_direct(SimulatedReadout(states, cfg, seed=4).present(w), d, 6, 2, skip)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_block_scores_each_row(self):
+    @pytest.mark.parametrize("spb, offset", [(6, 2), (1, 0)], ids=["sampled", "fallback"])
+    def test_block_scores_each_row(self, spb, offset):
+        # One channel, so every product is a single multiply: a block of 5
+        # columns scores as 5 single calls on a readout of the same seed.
         rng = np.random.default_rng(3)
         d = _power(rng.integers(0, 2, 40))
-        y = rng.normal(scale=0.05, size=(5, 40 * 6))
-        got = bit_sse(y, d, 6, 2, 3)
+        states = StateMatrix(0.3 * rng.normal(size=(40 * spb, 1)) + 0j, 1.0 / (spb * 10e9))
+        w = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
+        got = SimulatedReadout(states, DetectorConfig(), seed=9).score_sampled(w, d, spb, offset, 3)
         assert got.shape == (5,)
-        assert np.array_equal(got, [bit_sse(row, d, 6, 2, 3) for row in y])
+        single = SimulatedReadout(states, DetectorConfig(), seed=9)
+        assert np.array_equal(got, [single.score_sampled(col, d, spb, offset, 3) for col in w.T])
 
 
 def _reference_minimize(f, dim, sigma0, iterations, seed, population=None, x0=None):
@@ -391,17 +409,13 @@ class TestTrainCmaes:
         assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
 
     def test_one_dimensional_candidate_is_one_presentation(self):
-        # An objective called with a single encoded vector (as a stubbed
-        # optimizer may do) presents once and returns one score.
-        from photonrc.cmaes import _ReadoutObjective
-
+        # A single decoded candidate presents once and returns one score.
         _, readout, d, spb = _toy_problem(seed=12)
-        objective = _ReadoutObjective(readout, d, spb, spb // 2, 0)
-        value = objective(np.zeros(2 * readout.n_channels))
+        value = readout.score_sampled(decode_weights(np.zeros(2 * readout.n_channels)), d, spb, spb // 2, 0)
         assert readout.presentations == 1
         assert np.ndim(value) == 0
         assert value == pytest.approx(float(np.sum(d**2)))
-        assert objective(np.zeros((3, 2 * readout.n_channels))).shape == (3,)
+        assert readout.score_sampled(np.zeros((readout.n_channels, 3)), d, spb, spb // 2, 0).shape == (3,)
         assert readout.presentations == 4
 
     def test_presentation_accounting(self):
@@ -418,12 +432,10 @@ class TestTrainCmaes:
         _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
         assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
 
-    def test_ci_cell_matches_loop_oracles(self, monkeypatch):
+    def test_ci_cell_matches_loop_oracles(self):
         # The package path against the loop forms of readout_sampled and
-        # bit_sse on a ci cell: same noise stream, same scores, same run.
-        import photonrc.cmaes as cmaes_mod
+        # the SSE on a ci cell: same noise stream, same scores, same run.
         from photonrc.config import WARMUP_BITS, ci_profile
-        from photonrc.detector import sampled_basis
         from photonrc.harness import _power_target, _prepare_cell, _targets
 
         cfg = ci_profile()
@@ -440,23 +452,14 @@ class TestTrainCmaes:
                 self._rng = np.random.default_rng(77)
                 self.presentations = 0
 
-            def present_sampled(self, weights, samples_per_bit, sample_offset):
+            def score_sampled(self, weights, target_w, samples_per_bit, sample_offset, skip_bits):
                 assert (samples_per_bit, sample_offset) == (spb, spb // 2)
                 self.presentations += weights.shape[1]
-                return readout_sampled_loop(self._basis, weights, rng=self._rng)
-
-        class DirectObjective:
-            def __init__(self, readout, target_w, samples_per_bit, sample_offset, skip_bits):
-                self._args = readout, target_w, samples_per_bit, sample_offset, skip_bits
-
-            def __call__(self, candidates):
-                readout, target_w, samples_per_bit, sample_offset, skip_bits = self._args
-                y = readout.present_sampled(cmaes_mod._decode(candidates).T, samples_per_bit, sample_offset)
+                y = readout_sampled_loop(self._basis, weights, rng=self._rng)
                 return bit_sse_direct(y, target_w, 1, 0, skip_bits)
 
         readout = SimulatedReadout(cell.states_train, cfg.detector, seed=77)
         got_sigma, got = train_cmaes(readout, d, sweep, iterations, population, 5, spb, skip)
-        monkeypatch.setattr(cmaes_mod, "_ReadoutObjective", DirectObjective)
         loop = LoopReadout()
         want_sigma, want = train_cmaes(loop, d, sweep, iterations, population, 5, spb, skip)
         assert got_sigma == want_sigma
@@ -485,9 +488,9 @@ class _RecordingReadout:
     def presentations(self):
         return self._inner.presentations
 
-    def present_sampled(self, weights, samples_per_bit, sample_offset):
+    def score_sampled(self, weights, *args):
         self.calls.append(np.array(weights))
-        return self._inner.present_sampled(weights, samples_per_bit, sample_offset)
+        return self._inner.score_sampled(weights, *args)
 
 
 class TestLockstep:
@@ -517,7 +520,7 @@ class TestLockstep:
         # Noise-free, so every candidate scores as in a run of its own: the
         # readout's call of generation g holds run 0's candidates of that
         # generation, then run 1's, and so on.
-        from photonrc.cmaes import _ReadoutObjective
+        from photonrc.cmaes import _decode
 
         sweep, iterations, population, seed = (1e-2, 0.1, 1.0), 6, 5, 17
         _, inner, d, spb = _toy_problem(seed=4)
@@ -532,7 +535,9 @@ class TestLockstep:
             _, solo, _, _ = _toy_problem(seed=4)
             solo = _RecordingReadout(solo)
             run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-            objective = _ReadoutObjective(solo, d, spb, spb // 2, 0)
+            def objective(c, solo=solo):
+                return solo.score_sampled(_decode(c).T, d, spb, spb // 2, 0)
+
             cmaes_minimize(objective, dim, sigma0, iterations, run_seed, population, x0=np.zeros(dim))
             alone.append(solo.calls)
         for g, weights in enumerate(readout.calls):

@@ -601,9 +601,10 @@ class TestCli:
         "text, message",
         [
             ("nodes 2\nedge 0 1 inf 0.5 0.1\ninput 0 0.0\n", "edge delays must be positive and finite, got inf"),
+            ("nodes 2\nedge 0 1 1e-11 0.5 0.1\n", "topology has no input ports"),
             (None, "cannot be read: No such file or directory"),
         ],
-        ids=["inf-delay", "missing"],
+        ids=["inf-delay", "no-inputs", "missing"],
     )
     def test_bad_topology_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch, text, message):
         def no_simulation(*args, **kwargs):

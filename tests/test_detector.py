@@ -28,7 +28,7 @@ from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 from photonrc.stateest import SimulatedReadout
 
-from oracles import noise_variance_scalar, photodiode, readout_sampled_loop
+from oracles import bit_sse_direct, noise_variance_scalar, photodiode, readout_sampled_loop
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -302,6 +302,10 @@ class TestSampledPresentation:
         period = 1.0 / (spb * bitrate_gbps * 1e9)
         return StateMatrix(x, period), w
 
+    def _target(self, spb=SPB, seed=0):
+        """A per-bit power target in W with a bit more than the grid holds at ``spb``."""
+        return 0.1 * np.random.default_rng(seed).integers(0, 2, self.N // spb + 2).astype(np.float64)
+
     @pytest.mark.parametrize("k", [1, 14], ids=["vector", "block"])
     @pytest.mark.parametrize("cfg", [QUIET, RAW], ids=["filter", "no-filter"])
     @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
@@ -388,23 +392,24 @@ class TestSampledPresentation:
 
         monkeypatch.setattr(stateest_mod, "sampled_basis", no_basis)
         states, w = self._problem(f=f, k=3, spb=spb)
-        offset = spb // 2
+        d, offset = self._target(spb), spb // 2
         sampled = SimulatedReadout(states, DetectorConfig(), seed=8)
         full = SimulatedReadout(states, DetectorConfig(), seed=8)
-        got = sampled.present_sampled(w, spb, offset)
-        assert np.array_equal(got, full.present(w)[..., offset::spb])
+        got = sampled.score_sampled(w, d, spb, offset, 2)
+        assert got.tobytes() == bit_sse_direct(full.present(w), d, spb, offset, 2).tobytes()
         assert sampled.presentations == 3
-        assert sampled.present_sampled(w[:, 0], spb, offset).ndim == 1
+        assert type(sampled.score_sampled(w[:, 0], d, spb, offset, 2)) is float
         assert sampled.presentations == 4
 
     def test_sampled_presentations_count_columns(self):
         states, w = self._problem(k=7)
         readout = SimulatedReadout(states, DetectorConfig(), seed=1)
-        assert readout.present_sampled(w, self.SPB, self.OFFSET).shape[0] == 7
+        d = self._target()
+        assert readout.score_sampled(w, d, self.SPB, self.OFFSET, 0).shape == (7,)
         assert readout.presentations == 7
-        assert readout.present_sampled(w[:, 2], self.SPB, self.OFFSET).ndim == 1
+        assert type(readout.score_sampled(w[:, 2], d, self.SPB, self.OFFSET, 0)) is float
         assert readout.presentations == 8
-        readout.present_sampled(w[:, 3].tolist(), self.SPB, self.OFFSET)
+        readout.score_sampled(w[:, 3].tolist(), d, self.SPB, self.OFFSET, 0)
         assert readout.presentations == 9
 
     def test_bad_weights_rejected(self):
@@ -417,7 +422,7 @@ class TestSampledPresentation:
             with pytest.raises(ValueError, match=match):
                 readout_sampled(basis, weights)
             with pytest.raises(ValueError, match=match):
-                readout.present_sampled(weights, self.SPB, self.OFFSET)
+                readout.score_sampled(weights, self._target(), self.SPB, self.OFFSET, 0)
         assert readout.presentations == 0
 
     def test_non_finite_output_rejected(self):
@@ -427,7 +432,7 @@ class TestSampledPresentation:
             with pytest.raises(ValueError, match="electrical samples must be finite"):
                 readout_sampled(basis, 1e200 * w)
             with pytest.raises(ValueError, match="electrical samples must be finite"):
-                SimulatedReadout(states, QUIET).present_sampled(1e200 * w, self.SPB, self.OFFSET)
+                SimulatedReadout(states, QUIET).score_sampled(1e200 * w, self._target(), self.SPB, self.OFFSET, 0)
 
     def test_basis_built_once_per_sampling_point(self, monkeypatch):
         import photonrc.stateest as stateest_mod
@@ -442,7 +447,7 @@ class TestSampledPresentation:
         states, w = self._problem()
         readout = SimulatedReadout(states, DetectorConfig(), seed=2)
         for offset in (12, 12, 5, 12, 5):
-            readout.present_sampled(w, self.SPB, offset)
+            readout.score_sampled(w, self._target(), self.SPB, offset, 0)
         assert built == [(self.SPB, 12), (self.SPB, 5)]
 
     def test_bad_sampling_point_rejected(self):
@@ -450,7 +455,7 @@ class TestSampledPresentation:
         readout = SimulatedReadout(states, DetectorConfig(), seed=2)
         for spb, offset in ((24, 24), (24, -1), (0, 0)):
             with pytest.raises(ValueError, match="offset"):
-                readout.present_sampled(w, spb, offset)
+                readout.score_sampled(w, self._target(), spb, offset, 0)
             with pytest.raises(ValueError, match="offset"):
                 sampled_basis(states, DetectorConfig(), spb, offset)
         assert readout.presentations == 0

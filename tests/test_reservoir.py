@@ -246,6 +246,12 @@ class TestPerturbPhases:
             perturb_phases(build_swirl(seed=5), b, seed=1)
 
 
+class TestTopology:
+    def test_no_input_ports_rejected(self):
+        with pytest.raises(ValueError, match="topology has no input ports"):
+            ReservoirTopology(2, (Edge(0, 1, 1e-11, 0.5, 0.1),), ())
+
+
 class TestStateMatrix:
     @pytest.mark.parametrize("bias_index", [-1, 3])
     def test_bias_index_outside_the_columns_rejected(self, bias_index):
@@ -790,6 +796,13 @@ class TestTopologyFiles:
         assert loaded.n_nodes == t.n_nodes
         assert loaded.edges == t.edges
         assert loaded.input_ports == t.input_ports
+
+    def test_file_without_inputs_rejected(self, tmp_path):
+        # a reservoir that nothing drives would train on all-zero states
+        path = tmp_path / "no_input.topo"
+        path.write_text("nodes 2\nedge 0 1 1e-11 0.5 0.1\n")
+        with pytest.raises(ValueError, match="no input ports"):
+            load_topology(path)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.topo"

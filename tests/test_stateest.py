@@ -158,6 +158,18 @@ class TestProbeSchedule:
         with pytest.raises(ValueError):
             build_probe_schedule(4, ref_channel=7)
 
+    def test_missing_ref_rejected(self):
+        # the bias_index of states without a bias line
+        with pytest.raises(ValueError, match="needs a reference channel"):
+            build_probe_schedule(4, ref_channel=None)
+
+    def test_round_without_bias_line_rejected_before_any_presentation(self):
+        readout = RecordingReadout(StateMatrix(np.ones((16, 3), dtype=complex), 1e-11), RAW)
+        assert readout.bias_index is None
+        with pytest.raises(ValueError, match="needs a reference channel"):
+            estimate_states(readout, RAW.responsivity, readout.bias_index)
+        assert readout.calls == [] and readout.presentations == 0
+
     @pytest.mark.parametrize("strong", [1, 2])
     def test_estimation_presents_the_schedule(self, strong):
         # The pair and quad probes follow the given reference, so they differ
@@ -390,7 +402,7 @@ def test_round_never_holds_the_one_hot_powers_beside_a_couple_block():
 
 
 class TestRejectedWeightsAreNotCounted:
-    def test_present_and_present_sampled(self):
+    def test_present_and_score_sampled(self):
         readout = _readout_from_columns([np.ones(48), 0.5 * np.ones(48)], detector=NOISY_FILTERED)
         readout.present(np.ones((2, 3)))
         assert readout.presentations == 3
@@ -401,5 +413,5 @@ class TestRejectedWeightsAreNotCounted:
             readout.present(np.ones((3, 2)))
         assert readout.presentations == 3
         with pytest.raises(ValueError, match="finite"):
-            readout.present_sampled(np.full((2, 3), np.nan), 4, 1)
+            readout.score_sampled(np.full((2, 3), np.nan), np.zeros(12), 4, 1, 0)
         assert readout.presentations == 3
