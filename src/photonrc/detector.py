@@ -11,11 +11,14 @@ noise and filter row by row in column order, so the noise stream is the
 one K single-vector calls would draw.
 
 A receiver that samples once per bit sees only every ``samples_per_bit``-th
-filtered sample.  :func:`sampled_basis` and :func:`readout_sampled` give
-that output without the full grid: the filter is linear in intensity, so
-the clean part is a fixed basis of filtered channel products times a
-quadratic form in the weights, and the filtered noise at the sampled
-instants is an ARMA process with an exact spectral factor.
+filtered sample.  The filter is linear in intensity, so the clean part of
+that output is a fixed basis of filtered channel products
+(:func:`sampled_basis`) times a quadratic form in the weights, and the
+filtered noise at the sampled instants is an ARMA process with an exact
+spectral factor.  The sum of squared errors of that output against a
+target is then a pair of quadratic forms in the weights' channel products
+plus a noise energy (:func:`sampled_score`): scoring a candidate costs two
+F^2 x F^2 matrix products, whatever the input length.
 
 The basis is filtered only at the sampled instants, in the filter's modal
 (pole-residue) form: per bit, one weighted F x F sum of the bit's own
@@ -44,9 +47,10 @@ __all__ = [
     "DetectorConfig",
     "SampledBasis",
     "noise_variance",
+    "SampledScore",
     "readout_forward",
-    "readout_sampled",
     "sampled_basis",
+    "sampled_score",
 ]
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -276,8 +280,12 @@ class SampledBasis:
 
     def mean_current(self, columns: np.ndarray) -> np.ndarray:
         """Mean clean photocurrent of each column of an F x K weight matrix."""
-        quad = np.einsum("fk,fk->k", columns.conj(), self.gram @ columns).real
-        return self.detector.responsivity * quad
+        return _mean_current(self.gram, columns, self.detector)
+
+
+def _mean_current(gram: np.ndarray, columns: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
+    """``responsivity * w^H gram w`` for each column ``w`` of an F x K weight matrix."""
+    return cfg.responsivity * np.einsum("fk,fk->k", columns.conj(), gram @ columns).real
 
 
 # Rows of the state matrix per Gram product in ``sampled_basis``.  The Gram
@@ -412,7 +420,7 @@ def sampled_basis(
     samples_per_bit: int,
     sample_offset: int,
 ) -> SampledBasis:
-    """Precompute what :func:`readout_sampled` needs for one sampling point.
+    """The filtered channel products of ``states`` at one sampling point.
 
     The filter is evaluated only at the sampled instants ``t_b =
     sample_offset + b * samples_per_bit``, one bit window ``(t_(b-1), t_b]``
@@ -451,56 +459,165 @@ def sampled_basis(
     return SampledBasis(products, gram, cfg, samples_per_bit, states.sample_period)
 
 
-# Output rows per noise block in ``readout_sampled``.  The rows draw their
-# normals in order and are filtered one by one, so the blocks leave the
-# output's bytes as one draw would; the noise and its filtered copy stay
-# one block in size whatever the number of weight columns (the CMA-ES
-# sweep presents 112 at a time).
-_NOISE_ROWS = 16
+# Basis rows per anti-causal filter call in ``sampled_score``.  Each call
+# reads a reversed copy of its rows and returns their filtered copy, so
+# these two are its only temporaries besides the basis, which it rewrites.
+_FILTER_ROWS = 16
+
+# Bits per product of the Grams in ``sampled_score``.  One product over all
+# 2010 ci bits touches about 1.3 MB of OpenBLAS's work buffer, which stays
+# resident for the life of the process; products over 128 bits touch about
+# 0.45 MB.
+_GRAM_BITS = 128
+
+# Tail of the noise factor's impulse energy, relative to the whole, past
+# which ``_noise_energy`` takes the noise autocovariance as 0.  An
+# autocovariance at such a lag is at most 1e-10 of the variance.
+_BAND_TAIL = 1e-20
 
 
-def readout_sampled(
-    basis: SampledBasis,
-    weights: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Detector output at one instant per bit, batched over weight columns.
+@dataclass(frozen=True)
+class SampledScore:
+    """The sum of squared errors of the output read once per bit, as quadratic forms.
 
-    Row k stands for ``readout_forward(states, W, cfg)[k,
-    sample_offset::samples_per_bit]``.  The clean part is that output to
-    rounding: ``responsivity * products^T c(w)`` with ``c(w)`` the F^2
-    coefficients ``|w_f|^2``, ``2 Re(w_i conj(w_j))`` and ``-2 Im(w_i
-    conj(w_j))``.  The noise has the same power, set by the row's mean
-    clean current, and the filtered noise's stationary covariance at the
-    sampled instants: one standard normal per bit and row, drawn row after
-    row, through the ARMA factor of :func:`_sampled_noise` (white when the
-    filter is off).  Both start from rest, so they differ only in the
-    start-up transient, which decays as ``|p|^(2 * samples_per_bit * b)``
-    at bit b for the filter's largest pole p.  Without ``rng`` the noise
-    comes from a fresh, unseeded generator.  The output is checked as in
-    :func:`readout_forward`.
+    The output at the sampled instants is ``R P^T c(w) + sigma(w) L z``:
+    ``P`` the :class:`SampledBasis` products, ``c(w)`` the F^2 channel
+    coefficients of the weights, ``sigma(w)^2`` the noise power of the
+    output's mean clean current, ``L`` the lower triangular Toeplitz matrix
+    of the noise factor's impulse response (the identity with the filter
+    off) and ``z`` standard normal.  Over the scored bits ``S``, with ``e =
+    S (R P^T c - d)`` the clean error, the SSE is ``|e|^2 + 2 sigma e^T L z
+    + sigma^2 z^T L^T S L z``.
+
+    ``forms[t]``, ``linear[t]`` and ``constant[t]`` give
+    ``c^T G_t c - 2 v_t^T c + s_t``: for t = 0 the clean SSE ``|e|^2``, from
+    ``G_0 = R^2 P_S P_S^T``, ``v_0 = R P_S d`` and ``s_0 = |S d|^2``; for t
+    = 1 ``|L^T e|^2``, from ``Q = L^T S P^T`` and ``u = L^T S d`` in the
+    same way, so the cross term is exactly ``2 sigma |L^T e| z1``.
+    ``energy`` holds ``tr(L^T S L)`` and ``sqrt(2 tr((L^T S L)^2))``, the
+    mean and the standard deviation of ``z^T L^T S L z``, whose law is
+    drawn as a Gaussian ``sigma^2 (energy[0] + energy[1] z2)``.  With the
+    noise off there is no t = 1.  ``gram`` is the basis's, which sets
+    ``sigma(w)``.
+    """
+
+    forms: np.ndarray
+    linear: np.ndarray
+    constant: np.ndarray
+    energy: tuple[float, float]
+    gram: np.ndarray
+    detector: DetectorConfig
+
+    def sse(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One SSE per column of checked F x K weights, drawing two normals per column.
+
+        The normals are drawn as ``rng.standard_normal((K, 2))``: column k's
+        ``(z1, z2)`` after those of columns 0 .. k - 1, and none with the
+        noise off.  Weights whose score is not finite raise ``ValueError``
+        before anything is drawn.
+        """
+        cfg = self.detector
+        f = self.gram.shape[0]
+        columns = weights.reshape(f, -1)
+        i, j = _channel_pairs(f)
+        c = _channel_products(columns.T, i, j)  # the basis layout, scaled below
+        c[f:] *= 2.0
+        c[f + i.size :] *= -1.0
+        forms_c = (self.forms.reshape(-1, c.shape[0]) @ c).reshape(len(self.forms), *c.shape)
+        quad = np.einsum("tik,ik->tk", forms_c, c)
+        quad -= 2.0 * (self.linear @ c)
+        quad += self.constant[:, None]
+        _checked_output(quad)
+        sse = quad[0]
+        if cfg.noise_enabled and sse.size:
+            var = noise_variance(_mean_current(self.gram, columns, cfg), cfg)
+            z = rng.standard_normal((sse.size, 2))
+            sse += 2.0 * np.sqrt(var * np.maximum(quad[1], 0.0)) * z[:, 0]
+            sse += var * (self.energy[0] + self.energy[1] * z[:, 1])
+        return sse
+
+
+def _gram(rows: np.ndarray, out: np.ndarray) -> None:
+    """``rows @ rows.T`` into ``out``, summed over ``_GRAM_BITS`` columns at a time."""
+    out[...] = 0.0
+    part = np.empty_like(out)
+    for start in range(0, rows.shape[1], _GRAM_BITS):
+        chunk = rows[:, start : start + _GRAM_BITS]
+        out += np.matmul(chunk, chunk.T, out=part)
+
+
+def _noise_energy(response: np.ndarray, first: int) -> tuple[float, float]:
+    """``tr(L^T S L)`` and ``tr((L^T S L)^2)`` for ``S`` the bits ``first ..`` of ``response``.
+
+    ``L`` is the lower triangular Toeplitz matrix of the impulse response
+    ``h = response``, over as many bits.  ``K = L L^T`` has ``K[a, a + m] =
+    sum_(k <= a) h_k h_(k + m)``; the first trace is ``K``'s diagonal over
+    ``S`` and the second the squared entries of ``S K S``, taken over the
+    lags ``m`` until the tail of ``h``'s energy falls below ``_BAND_TAIL``
+    of the whole.  No bits x bits matrix is formed.
+    """
+    n = response.size
+    if first >= n:
+        return 0.0, 0.0
+    tail = np.cumsum(np.square(response[::-1]))[::-1]
+    band = max(int(np.count_nonzero(tail > _BAND_TAIL * tail[0])), 1)
+    trace = square = 0.0
+    for lag in range(min(band, n - first)):
+        k = np.cumsum(response[: n - lag] * response[lag:])[first:]
+        if lag == 0:
+            trace = float(k.sum())
+        square += (1.0 if lag == 0 else 2.0) * float(k @ k)
+    return trace, square
+
+
+def sampled_score(basis: SampledBasis, target_w: np.ndarray, skip_bits: int) -> SampledScore:
+    """The :class:`SampledScore` of one basis against the per-bit power target ``target_w``.
+
+    The scored bits are those past the first ``skip_bits`` that both the
+    basis and the target cover.  The basis's products are used up: after
+    ``forms[0]`` is formed, the scored part of each row is filtered
+    through ``L^T`` in place, an anti-causal ``lfilter`` with the noise
+    factor of :func:`_sampled_noise`, ``_FILTER_ROWS`` rows at a time, and
+    ``forms[1]`` is formed from the result.  No second F^2 x bits array
+    is made, and the score keeps no array of bits length.
     """
     cfg = basis.detector
-    f = basis.gram.shape[0]
-    w = _weight_matrix(weights, f)
-    columns = w.reshape(f, -1)
-    i, j = _channel_pairs(f)
-    coef = _channel_products(columns.T, i, j)  # the basis layout, scaled below
-    coef[f:] *= 2.0
-    coef[f + i.size :] *= -1.0
-    y = (cfg.responsivity * coef.T) @ basis.products
-    if cfg.noise_enabled and y.size:
-        if rng is None:
-            rng = np.random.default_rng()
-        sigma = np.sqrt(noise_variance(basis.mean_current(columns), cfg))
+    products = basis.products
+    d = np.asarray(target_w, dtype=np.float64)
+    end = min(products.shape[1], d.size)
+    first = min(skip_bits, end)
+    r = cfg.responsivity
+    scored, d = products[:, first:end], d[first:end]
+    blocks = 2 if cfg.noise_enabled else 1
+    forms = np.empty((blocks, products.shape[0], products.shape[0]))
+    linear = np.empty((blocks, products.shape[0]))
+    constant = np.empty(blocks)
+    _gram(scored, forms[0])
+    forms[0] *= r * r
+    linear[0] = r * (scored @ d)
+    constant[0] = d @ d
+    energy = (0.0, 0.0)
+    if cfg.noise_enabled:
         if cfg.filter_enabled:
             num, den, gain = _sampled_noise(cfg, 1.0 / basis.sample_period, basis.samples_per_bit)
-            sigma *= gain
-        for start in range(0, y.shape[0], _NOISE_ROWS):
-            rows = y[start : start + _NOISE_ROWS]
-            noise = rng.standard_normal(rows.shape)
-            if cfg.filter_enabled:
-                noise = lfilter(num, den, noise, axis=1)
-            noise *= sigma[start : start + _NOISE_ROWS, None]
-            rows += noise
-    return _checked_output(y if w.ndim == 2 else y[0])
+        else:
+            num, den, gain = np.ones(1), np.ones(1), 1.0
+        products[:, :first] = 0.0
+        filtered = products[:, :end]  # Q^T / gain, once filtered
+        backward = filtered[:, ::-1]
+        for start in range(0, backward.shape[0], _FILTER_ROWS):
+            rows = backward[start : start + _FILTER_ROWS]
+            rows[...] = lfilter(num, den, rows, axis=1)
+        u = np.zeros(end)
+        u[first:] = d
+        u = lfilter(num, den, u[::-1])[::-1]  # L^T S d / gain
+        g2 = gain * gain
+        _gram(filtered, forms[1])
+        forms[1] *= g2 * r * r
+        linear[1] = g2 * r * (filtered @ u)
+        constant[1] = g2 * (u @ u)
+        impulse = np.zeros(end)
+        impulse[:1] = gain
+        trace, square = _noise_energy(lfilter(num, den, impulse), first)
+        energy = (trace, math.sqrt(2.0 * square))
+    return SampledScore(forms, linear, constant, energy, basis.gram, cfg)

@@ -31,16 +31,18 @@ a CMA-ES generation's work on the readout.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .detector import (
     DetectorConfig,
-    SampledBasis,
+    SampledScore,
     _check_sampling_point,
     _weight_matrix,
     readout_forward,
-    readout_sampled,
     sampled_basis,
+    sampled_score,
 )
 from .reservoir import StateMatrix
 
@@ -65,21 +67,23 @@ class SimulatedReadout:
     reproducible from the seed.  Presenting K weight columns in one call
     draws the same noise as K single calls in column order.
 
-    :meth:`score_sampled` builds a :class:`~photonrc.detector.SampledBasis`
-    once per ``(samples_per_bit, sample_offset)`` and keeps it, when that
-    basis is no larger than the state matrix: F^2 real products per bit
-    against ``samples_per_bit`` complex samples of F channels, that is
-    ``F <= 2 * samples_per_bit``, and when there is more than one sample
-    per bit: at one there is nothing to save, and the Riccati equation of
-    the noise factor is singular.  Otherwise it slices the full-grid output
-    of :meth:`present`.
+    :meth:`score_sampled` builds a :class:`~photonrc.detector.SampledScore`
+    once per ``(samples_per_bit, sample_offset, skip_bits)`` and target and
+    keeps it: two F^2 x F^2 matrices, whatever the length of the input.  It
+    is built from a :class:`~photonrc.detector.SampledBasis`, which is
+    dropped once used, when that basis is no larger than the state matrix:
+    F^2 real products per bit against ``samples_per_bit`` complex samples
+    of F channels, that is ``F <= 2 * samples_per_bit``, and when there is
+    more than one sample per bit: at one there is nothing to save, and the
+    Riccati equation of the noise factor is singular.  Otherwise it slices
+    the full-grid output of :meth:`present`.
     """
 
     def __init__(self, states: StateMatrix, detector: DetectorConfig, seed: int | None = None):
         self._states = states
         self.detector = detector
         self._rng = np.random.default_rng(seed)
-        self._bases: dict[tuple[int, int], SampledBasis] = {}
+        self._scores: dict[tuple[int, int, int, bytes], SampledScore] = {}
         self.presentations = 0
 
     @property
@@ -133,30 +137,25 @@ class SimulatedReadout:
         samples and the per-bit power target ``target_w`` in W, past the
         first ``skip_bits`` bits, so the reservoir transient does not enter
         it, and over the bits both cover: one score per weight column, or a
-        float for one vector.
+        float for one vector.  Weights whose score is not finite raise
+        before they are counted.
         """
         _check_sampling_point(samples_per_bit, sample_offset)
+        d = np.asarray(target_w, dtype=np.float64)
         if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
-            y = self.present(weights)[..., sample_offset::samples_per_bit]
-        else:
-            key = (samples_per_bit, sample_offset)
-            if key not in self._bases:
-                self._bases[key] = sampled_basis(self._states, self.detector, *key)
-            y = readout_sampled(self._bases[key], self._counted(weights), rng=self._rng)
-        sse = _sse(y[..., skip_bits:], np.asarray(target_w, dtype=np.float64)[skip_bits:])
-        return float(sse) if y.ndim == 1 else sse
-
-
-def _sse(y_bits: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of ``(y_bits - d) ** 2``, over the bits both cover.
-
-    The squared errors are formed in place: ``y_bits`` is overwritten.
-    """
-    n = min(y_bits.shape[-1], d.size)
-    err = y_bits[..., :n]
-    err -= d[:n]
-    np.square(err, out=err)
-    return np.sum(err, axis=-1)
+            y = self.present(weights)[..., sample_offset::samples_per_bit][..., skip_bits:]
+            d = d[skip_bits:]
+            n = min(y.shape[-1], d.size)
+            sse = np.sum(np.square(y[..., :n] - d[:n]), axis=-1)
+            return float(sse) if y.ndim == 1 else sse
+        w = _weight_matrix(weights, self.n_channels)
+        key = (samples_per_bit, sample_offset, skip_bits, hashlib.blake2b(d.tobytes()).digest())
+        if key not in self._scores:
+            basis = sampled_basis(self._states, self.detector, samples_per_bit, sample_offset)
+            self._scores[key] = sampled_score(basis, d, skip_bits)
+        sse = self._scores[key].sse(w, self._rng)
+        self.presentations += sse.size
+        return float(sse[0]) if w.ndim == 1 else sse
 
 
 def probe_count(n_channels: int) -> int:

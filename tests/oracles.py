@@ -47,15 +47,26 @@ def noise_variance_scalar(mean_current_a: float, cfg: DetectorConfig) -> float:
     return shot + thermal
 
 
-def readout_sampled_loop(
+def readout_sampled(
     basis: SampledBasis,
     weights: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """``readout_sampled`` with fresh pair indices, a per-column sigma loop and a scaled-noise temporary.
+    """Detector output at one instant per bit, batched over weight columns: the oracle of ``SampledScore``.
 
-    The byte oracle of the package function: the same clean product, noise
-    stream and ARMA filter in the same order of operations.
+    Row k stands for ``readout_forward(states, W, cfg)[k,
+    sample_offset::samples_per_bit]``.  The clean part is that output to
+    rounding: ``responsivity * products^T c(w)`` with ``c(w)`` the F^2
+    coefficients ``|w_f|^2``, ``2 Re(w_i conj(w_j))`` and ``-2 Im(w_i
+    conj(w_j))``.  The noise has the same power, set by the row's mean
+    clean current, and the filtered noise's stationary covariance at the
+    sampled instants: one standard normal per bit and row, drawn in one
+    block, through the ARMA factor of ``_sampled_noise`` (white when the
+    filter is off).  Both start from rest, so they differ only in the
+    start-up transient, which decays as ``|p|^(2 * samples_per_bit * b)``
+    at bit b for the filter's largest pole p.  Without ``rng`` the noise
+    comes from a fresh, unseeded generator.  The output is checked as
+    ``readout_forward``'s is.
     """
     cfg = basis.detector
     f = basis.gram.shape[0]

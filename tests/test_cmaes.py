@@ -12,12 +12,12 @@ from photonrc.cmaes import (
     default_population,
     train_cmaes,
 )
-from photonrc.detector import DetectorConfig, sampled_basis
+from photonrc.detector import DetectorConfig
 from photonrc.harness import bit_error_rate, decide_bits, threshold_level
 from photonrc.reservoir import StateMatrix
 from photonrc.stateest import SimulatedReadout
 
-from oracles import bit_sse_direct, readout_sampled_loop
+from oracles import bit_sse_direct
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
 
@@ -101,15 +101,15 @@ class TestSseObjective:
             total += (y - d[m]) ** 2
         assert np.isclose(got, total, rtol=1e-12)
 
-    @pytest.mark.parametrize("path", ["sampled", "fallback"])
     @pytest.mark.parametrize("skip", [0, 10])
     @pytest.mark.parametrize("k, n", [(None, 40 * 6), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
-    def test_bytes_match_direct_oracle(self, k, n, skip, path):
-        # Noise and filter on: the score has the bytes of the direct SSE of
-        # the oracle output drawn from the same generator, readout_sampled's
-        # loop form on the sampled path and the full-grid presentation on
-        # the fallback path, which 13 channels at 6 samples per bit take.
-        f = 3 if path == "sampled" else 13
+    def test_fallback_bytes_match_direct_oracle(self, k, n, skip):
+        # Noise and filter on: where the score falls back to the full grid
+        # (13 channels at 6 samples per bit), it has the bytes of the
+        # direct SSE of the full-grid presentation drawn from the same
+        # generator.  The sampled path draws its noise as two normals per
+        # column instead (tests/test_detector.py, TestSampledScore).
+        f = 13
         rng = np.random.default_rng(11)
         d = _power(rng.integers(0, 2, 40))
         x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
@@ -120,11 +120,7 @@ class TestSseObjective:
         got = SimulatedReadout(states, cfg, seed=4).score_sampled(w, d, 6, 2, skip)
         # the caller's arrays are left as they were
         assert np.array_equal(d, given_d) and np.array_equal(w, given_w)
-        if path == "sampled":
-            y = readout_sampled_loop(sampled_basis(states, cfg, 6, 2), w, rng=np.random.default_rng(4))
-            want = bit_sse_direct(y, d, 1, 0, skip)
-        else:
-            want = bit_sse_direct(SimulatedReadout(states, cfg, seed=4).present(w), d, 6, 2, skip)
+        want = bit_sse_direct(SimulatedReadout(states, cfg, seed=4).present(w), d, 6, 2, skip)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -432,9 +428,9 @@ class TestTrainCmaes:
         _, run = train_cmaes(readout, d, (0.1,), 3, 4, 1, spb, 0)
         assert readout.presentations == 1 + run.evaluations == 1 + 3 * 4
 
-    def test_ci_cell_matches_loop_oracles(self):
-        # The package path against the loop forms of readout_sampled and
-        # the SSE on a ci cell: same noise stream, same scores, same run.
+    def test_ci_cell_reruns_are_identical(self):
+        # A ci cell trained twice from one seed: same noise stream, same
+        # scores, same run, and one presentation per candidate.
         from photonrc.config import WARMUP_BITS, ci_profile
         from photonrc.harness import _power_target, _prepare_cell, _targets
 
@@ -443,29 +439,15 @@ class TestTrainCmaes:
         d = _power_target(cfg, _targets(cell, "101")[0])
         spb, skip = cfg.samples_per_bit, WARMUP_BITS
         sweep, iterations, population = (1e-3, 1e-1), 4, 14
-
-        class LoopReadout:
-            n_channels = cell.states_train.n_channels
-
-            def __init__(self):
-                self._basis = sampled_basis(cell.states_train, cfg.detector, spb, spb // 2)
-                self._rng = np.random.default_rng(77)
-                self.presentations = 0
-
-            def score_sampled(self, weights, target_w, samples_per_bit, sample_offset, skip_bits):
-                assert (samples_per_bit, sample_offset) == (spb, spb // 2)
-                self.presentations += weights.shape[1]
-                y = readout_sampled_loop(self._basis, weights, rng=self._rng)
-                return bit_sse_direct(y, target_w, 1, 0, skip_bits)
-
-        readout = SimulatedReadout(cell.states_train, cfg.detector, seed=77)
-        got_sigma, got = train_cmaes(readout, d, sweep, iterations, population, 5, spb, skip)
-        loop = LoopReadout()
-        want_sigma, want = train_cmaes(loop, d, sweep, iterations, population, 5, spb, skip)
+        runs, readouts = [], []
+        for _ in range(2):
+            readouts.append(SimulatedReadout(cell.states_train, cfg.detector, seed=77))
+            runs.append(train_cmaes(readouts[-1], d, sweep, iterations, population, 5, spb, skip))
+        (got_sigma, got), (want_sigma, want) = runs
         assert got_sigma == want_sigma
         for field in ("history", "history_x", "best_x", "mean", "cov"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert readout.presentations == loop.presentations == len(sweep) * iterations * population
+        assert [r.presentations for r in readouts] == [len(sweep) * iterations * population] * 2
 
     def test_history_monotone(self):
         _, readout, d, spb = _toy_problem(seed=7)

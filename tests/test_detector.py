@@ -1,8 +1,10 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.signal import butter, freqz, lfilter
 
 from photonrc.detector import (
@@ -12,23 +14,23 @@ from photonrc.detector import (
     _BASIS_BITS,
     _BASIS_ROWS,
     _CHUNK_ROWS,
-    _NOISE_ROWS,
     _butterworth,
     _channel_pairs,
     _channel_products,
+    _noise_energy,
     _sampled_modes,
     _sampled_noise,
     butterworth_cutoff,
     noise_variance,
     readout_forward,
-    readout_sampled,
     sampled_basis,
+    sampled_score,
 )
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 from photonrc.stateest import SimulatedReadout
 
-from oracles import bit_sse_direct, noise_variance_scalar, photodiode, readout_sampled_loop
+from oracles import bit_sse_direct, noise_variance_scalar, photodiode, readout_sampled
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -360,22 +362,6 @@ class TestSampledPresentation:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
         assert _sampled_noise(cfg, rate, spb)[0] is num and not num.flags.writeable
 
-    @pytest.mark.parametrize("k", [1, 14, 2 * _NOISE_ROWS + 5], ids=["vector", "block", "noise-blocks"])
-    @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no-filter"])
-    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "quiet"])
-    def test_bytes_match_loop_oracle(self, noisy, filtered, k):
-        states, w = self._problem(f=17, k=k)
-        w = w[:, 0] if k == 1 else w
-        cfg = DetectorConfig(noise_enabled=noisy, filter_enabled=filtered)
-        basis = sampled_basis(states, cfg, self.SPB, self.OFFSET)
-        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(3):  # one generator across calls, as a training run uses it
-            got = readout_sampled(basis, w, rng=rng)
-            want = readout_sampled_loop(basis, w, rng=ref_rng)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
     def test_noise_off_draws_nothing(self):
         states, w = self._problem()
         rng = np.random.default_rng(5)
@@ -431,24 +417,30 @@ class TestSampledPresentation:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="electrical samples must be finite"):
                 readout_sampled(basis, 1e200 * w)
-            with pytest.raises(ValueError, match="electrical samples must be finite"):
-                SimulatedReadout(states, QUIET).score_sampled(1e200 * w, self._target(), self.SPB, self.OFFSET, 0)
+            for cfg in (QUIET, DetectorConfig()):
+                readout = SimulatedReadout(states, cfg, seed=1)
+                with pytest.raises(ValueError, match="electrical samples must be finite"):
+                    readout.score_sampled(1e200 * w, self._target(), self.SPB, self.OFFSET, 0)
+                assert readout.presentations == 0
 
-    def test_basis_built_once_per_sampling_point(self, monkeypatch):
+    def test_model_built_once_per_key(self, monkeypatch):
+        # One model per (samples_per_bit, sample_offset, skip_bits) and
+        # target, each from one basis.
         import photonrc.stateest as stateest_mod
 
         built = []
 
-        def counting(states, cfg, spb, offset):
-            built.append((spb, offset))
-            return sampled_basis(states, cfg, spb, offset)
+        def counting(basis, target_w, skip_bits):
+            built.append((basis.samples_per_bit, skip_bits, float(target_w[0])))
+            return sampled_score(basis, target_w, skip_bits)
 
-        monkeypatch.setattr(stateest_mod, "sampled_basis", counting)
+        monkeypatch.setattr(stateest_mod, "sampled_score", counting)
         states, w = self._problem()
         readout = SimulatedReadout(states, DetectorConfig(), seed=2)
-        for offset in (12, 12, 5, 12, 5):
-            readout.score_sampled(w, self._target(), self.SPB, offset, 0)
-        assert built == [(self.SPB, 12), (self.SPB, 5)]
+        d, other = self._target(), self._target() + 1.0
+        for offset, skip, target in ((12, 0, d), (12, 0, d.copy()), (5, 0, d), (12, 3, d), (12, 0, other), (5, 0, d), (12, 3, d)):
+            readout.score_sampled(w, target, self.SPB, offset, skip)
+        assert built == [(self.SPB, 0, d[0]), (self.SPB, 0, d[0]), (self.SPB, 3, d[0]), (self.SPB, 0, other[0])]
 
     def test_bad_sampling_point_rejected(self):
         states, w = self._problem()
@@ -459,6 +451,212 @@ class TestSampledPresentation:
             with pytest.raises(ValueError, match="offset"):
                 sampled_basis(states, DetectorConfig(), spb, offset)
         assert readout.presentations == 0
+
+
+class _FixedNormals:
+    """A stand-in generator whose every standard normal is one of a given row ``(z1, z2)``."""
+
+    def __init__(self, z1, z2):
+        self.z = (z1, z2)
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(np.array(self.z, dtype=float), shape).copy()
+
+
+def _dense_noise(cfg, sample_period, spb, n_bits):
+    """The noise factor ``L`` as a dense n_bits x n_bits lower triangular Toeplitz matrix."""
+    impulse = np.zeros(n_bits)
+    impulse[0] = 1.0
+    if not cfg.filter_enabled:
+        return np.eye(n_bits)
+    num, den, gain = _sampled_noise(cfg, 1.0 / sample_period, spb)
+    return toeplitz(gain * lfilter(num, den, impulse), np.zeros(n_bits))
+
+
+@pytest.fixture(scope="module")
+def ci_ridge_cells():
+    """``(cfg, states, target, ridge weights)`` of a ci cell at 10 and 20 Gbps, at both operating points."""
+    from photonrc.config import WARMUP_BITS, ci_profile, load_config
+    from photonrc.harness import _power_target, _prepare_cell, _targets
+    from photonrc.ridge import cv_alpha, ridge_problem
+
+    receiver = load_config(Path(__file__).parent.parent / "configs" / "receiver.yaml", base=ci_profile())
+    cells = {}
+    for point, cfg in (("default", ci_profile()), ("receiver", receiver)):
+        for bitrate in (10.0, 20.0):
+            cell = _prepare_cell(cfg, bitrate, 0)
+            d = _power_target(cfg, _targets(cell, "101")[0])
+            x, target = ridge_problem(cell.states_train, d, cfg.detector.responsivity, cfg.samples_per_bit, WARMUP_BITS)
+            cells[point, bitrate] = (cfg, cell.states_train, d, cv_alpha(x, target)[1])
+    return cells
+
+
+class TestSampledScore:
+    """``SampledScore``, the CMA-ES score, against the sampled output it stands for.
+
+    The oracle is ``bit_sse_direct(readout_sampled(...))``: the output at
+    the sampled instants, with one filtered normal per bit, and its SSE.
+    The clean score must equal it to rounding; with noise, the model's
+    cross term and noise energy must have the oracle's mean and variance.
+    """
+
+    SPB = 24
+    N_BITS = 60
+
+    def _problem(self, bitrate_gbps, f=5, k=6, seed=0, n_bits=N_BITS, spb=SPB):
+        rng = np.random.default_rng(seed)
+        n = n_bits * spb + spb // 3  # the grid ends inside a bit
+        x = 0.3 * (rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f)))
+        w = rng.normal(size=(f, k)) + 1j * rng.normal(size=(f, k))
+        d = 0.05 * rng.integers(0, 2, n_bits - 3).astype(np.float64)  # shorter than the grid
+        return StateMatrix(x, 1.0 / (spb * bitrate_gbps * 1e9)), w, d
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("cfg", [QUIET, RAW], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize("bitrate_gbps", [5.0, 10.0, 15.0])
+    def test_clean_score_equals_oracle(self, bitrate_gbps, cfg, scale):
+        states, w, d = self._problem(bitrate_gbps)
+        w = scale * w
+        for offset in (0, 7, self.SPB // 2, self.SPB - 1):
+            for skip in (0, 10):
+                want = bit_sse_direct(readout_sampled(sampled_basis(states, cfg, self.SPB, offset), w), d, 1, 0, skip)
+                model = sampled_score(sampled_basis(states, cfg, self.SPB, offset), d, skip)
+                np.testing.assert_allclose(model.sse(w, None), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bitrate", [10.0, 20.0])
+    def test_clean_score_near_ridge_weights(self, ci_ridge_cells, bitrate):
+        # At the CV ridge weights a ci score sits at 0.57 (10 Gbps) and 0.97
+        # (20 Gbps) of |d|^2.  Against a target 90 % of the way to the
+        # weights' own output it sits at 0.045 and 0.43 of the target's
+        # energy, where the quadratic form subtracts larger terms.  Its
+        # error grows as |d|^2 / SSE: 1e-14 relative at 0.045, 1e-12 at 6e-4
+        # and 6e-11 at 7e-6 (measured at 10 Gbps).
+        cfg, states, d, ridge = ci_ridge_cells["default", bitrate]
+        spb, quiet = cfg.samples_per_bit, replace(cfg.detector, noise_enabled=False)
+        weights = np.stack([ridge, 1.01 * ridge, ridge + 0.01 * np.abs(ridge).max()], axis=1)
+        y = readout_sampled(sampled_basis(states, quiet, spb, spb // 2), weights)
+        near = 0.1 * d + 0.9 * y[0, : d.size]
+        for target in (d, near):
+            want = bit_sse_direct(y, target, 1, 0, 10)
+            got = sampled_score(sampled_basis(states, quiet, spb, spb // 2), target, 10).sse(weights, None)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        tail = near[10:]
+        assert want[0] < 0.5 * (tail @ tail)
+
+    @pytest.mark.parametrize("first", [0, 10, 199, 200])
+    @pytest.mark.parametrize("bitrate_gbps, spb", [(1.0, 24), (10.0, 24), (31.0, 24), (31.0, 2)])
+    def test_noise_energy_equals_dense_form(self, bitrate_gbps, spb, first):
+        # 200 bits, the traces of L^T S L formed from dense matrices.
+        cfg = DetectorConfig()
+        factor = _dense_noise(cfg, 1.0 / (spb * bitrate_gbps * 1e9), spb, 200)
+        scored = np.zeros(200)
+        scored[first:] = 1.0
+        m = factor.T @ (scored[:, None] * factor)
+        trace, square = _noise_energy(factor[:, 0].copy(), first)
+        assert trace == pytest.approx(np.trace(m), rel=1e-12, abs=0)
+        assert square == pytest.approx(np.trace(m @ m), rel=1e-12, abs=0)
+        if first == 200:
+            assert (trace, square) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("cfg", [DetectorConfig(load_ohm=1e-6), DetectorConfig(load_ohm=1e-6, filter_enabled=False)], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize("skip", [0, 10])
+    def test_drawn_terms_equal_dense_forms(self, cfg, skip):
+        # With z fixed, the score is clean + 2 sigma |L^T e| z1 + sigma^2
+        # (tr(L^T S L) + sqrt(2 tr((L^T S L)^2)) z2), all from dense L.
+        states, w, d = self._problem(10.0)
+        quiet = replace(cfg, noise_enabled=False)
+        basis = sampled_basis(states, quiet, self.SPB, 5)
+        y = readout_sampled(basis, w)
+        n_bits = y.shape[1]
+        error = np.zeros_like(y)
+        error[:, skip : d.size] = y[:, skip : d.size] - d[skip:]
+        factor = _dense_noise(cfg, states.sample_period, self.SPB, n_bits)
+        scored = np.zeros(n_bits)
+        scored[skip : d.size] = 1.0
+        m = factor.T @ (scored[:, None] * factor)
+        var = noise_variance(basis.mean_current(w), cfg)
+        clean = bit_sse_direct(y, d, 1, 0, skip)
+        model = sampled_score(sampled_basis(states, cfg, self.SPB, 5), d, skip)
+        for z1, z2 in ((0.0, 0.0), (1.5, 0.0), (0.0, -2.0)):
+            want = clean + 2.0 * np.sqrt(var) * np.linalg.norm(error @ factor, axis=1) * z1
+            want += var * (np.trace(m) + np.sqrt(2.0 * np.trace(m @ m)) * z2)
+            np.testing.assert_allclose(model.sse(w, _FixedNormals(z1, z2)), want, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("point, bitrate", [("default", 10.0), ("receiver", 10.0), ("receiver", 20.0)])
+    def test_monte_carlo_matches_oracle(self, ci_ridge_cells, point, bitrate):
+        # 2000 seeded draws at the CV ridge weights, for the model and for
+        # the oracle: the noise part of the score (score minus clean score)
+        # has the oracle's mean within 5 standard errors of the difference
+        # and its standard deviation within 10 % (4.5 standard errors of
+        # the ratio for Gaussian draws).  At the default point the noise is
+        # about 1e-6 of a score and its spread is the cross term's; at the
+        # receiver point the noise energy sets the mean (about 3e-3 of a
+        # score at 10 Gbps).
+        cfg, states, d, ridge = ci_ridge_cells[point, bitrate]
+        spb, draws, block = cfg.samples_per_bit, 2000, 250
+        quiet = replace(cfg.detector, noise_enabled=False)
+        clean = sampled_score(sampled_basis(states, quiet, spb, spb // 2), d, 10).sse(ridge, None)
+        weights = np.repeat(ridge[:, None], block, axis=1)
+        model = sampled_score(sampled_basis(states, cfg.detector, spb, spb // 2), d, 10)
+        basis = sampled_basis(states, cfg.detector, spb, spb // 2)
+        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(22)
+        got = np.concatenate([model.sse(weights, rng) for _ in range(draws // block)]) - clean
+        want = np.concatenate(
+            [bit_sse_direct(readout_sampled(basis, weights, oracle_rng), d, 1, 0, 10) for _ in range(draws // block)]
+        ) - clean
+        error = np.sqrt((got.var() + want.var()) / draws)
+        assert abs(got.mean() - want.mean()) <= 5.0 * error
+        assert got.std() == pytest.approx(want.std(), rel=0.1)
+
+    def test_keeps_no_array_of_bits_length(self):
+        states, w, d = self._problem(10.0, f=3, n_bits=400)
+        model = sampled_score(sampled_basis(states, DetectorConfig(), self.SPB, 12), d, 10)
+        arrays = [model.forms, model.linear, model.constant, model.gram]
+        assert [a.shape for a in arrays] == [(2, 9, 9), (2, 9), (2,), (3, 3)]
+
+    def test_ci_length_adds_no_second_basis(self):
+        # ci length: 48240 x 17 states, 24 samples a bit at 10 Gbps, filter
+        # and noise on.  The basis is 289 x 2010 floats, 4,647,120 bytes.
+        # On top of it the build peaked at 2,028,118 bytes: the model's two
+        # 289 x 289 matrices (1,336,336), one partial Gram of that size, and
+        # vectors.
+        rng = np.random.default_rng(0)
+        n = 2010 * 24
+        x = 0.3 * (rng.normal(size=(n, 17)) + 1j * rng.normal(size=(n, 17)))
+        states = StateMatrix(x, 1.0 / (24 * 10e9))
+        d = 0.05 * rng.integers(0, 2, 2010).astype(np.float64)
+        sampled_score(sampled_basis(states, DetectorConfig(), 24, 12), d, 10)  # the designs cache
+        basis = sampled_basis(states, DetectorConfig(), 24, 12)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sampled_score(basis, d, 10)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.products.nbytes // 2
+
+    def test_noise_off_draws_nothing(self):
+        states, w, d = self._problem(10.0)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        sampled_score(sampled_basis(states, QUIET, self.SPB, 12), d, 0).sse(w, rng)
+        assert rng.bit_generator.state == before
+
+    def test_two_normals_per_column_in_column_order(self):
+        states, w, d = self._problem(10.0)
+        model = sampled_score(sampled_basis(states, DetectorConfig(), self.SPB, 12), d, 0)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        model.sse(w, rng)
+        ref.standard_normal((w.shape[1], 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_skip_at_or_past_the_target_scores_zero(self):
+        states, w, d = self._problem(10.0, k=4)
+        readout = SimulatedReadout(states, DetectorConfig(), seed=3)
+        for skip in (d.size, d.size + 5):
+            assert np.array_equal(readout.score_sampled(w, d, self.SPB, 12, skip), np.zeros(4))
+        assert readout.presentations == 8
 
 
 def _reference_sampled_basis(states, cfg, samples_per_bit, sample_offset, dtype=np.float64):
