@@ -127,7 +127,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_headers(args: argparse.Namespace) -> int:
-    cfg = replace(_resolve_config(args), headers=ALL_3BIT_HEADERS)
+    profile_headers = profile_by_name(args.profile).headers
+
+    def profile_headers_only(cfg: ExperimentConfig) -> None:
+        # the command trains all eight headers: configured ones would be replaced in silence
+        if cfg.headers != profile_headers:
+            raise ValueError(
+                f"headers is set by this command to the eight 3-bit headers, "
+                f"got headers {', '.join(cfg.headers)} from the configuration"
+            )
+
+    cfg = replace(_resolve_config(args, profile_headers_only), headers=ALL_3BIT_HEADERS)
     records, summary = run_bitrate_sweep(cfg, out_dir=args.out)
     print(f"wrote {len(records)} records ({len(summary)} summary rows) to {args.out}")
     return 0

@@ -8,7 +8,9 @@ noise, and band-limits the result with a fourth-order Butterworth filter.
 One kernel serves every full-grid presentation.  A weight matrix with K
 columns is K presentations in a single pass: one matrix product, then
 noise and filter row by row in column order, so the noise stream is the
-one K single-vector calls would draw.
+one K single-vector calls would draw.  The probes of a state-estimation
+round weight one or two channels each, with parts of 0, 1 or -1; their
+product runs over only the channels they weight, with the same bytes.
 
 A receiver that samples once per bit sees only every ``samples_per_bit``-th
 filtered sample.  The filter is linear in intensity, so the clean part of
@@ -178,9 +180,10 @@ def _detect(
     Row k draws its noise after row k - 1 and is filtered before row
     k + 1 is touched, so the rows see the same generator stream as K
     separate detections would.  The noise of every row is drawn into one
-    reused buffer as ``0.0 + sigma * z``, numpy's own arithmetic for
-    ``rng.normal(0.0, sigma)``, so it has the same bytes, signed zeros
-    included.
+    reused buffer as ``sigma * z``.  ``rng.normal(0.0, sigma)`` draws
+    ``0.0 + sigma * z``, whose only other byte is a +0.0 where ``sigma *
+    z`` is -0.0; added to a square-law row, which is never -0.0, either
+    gives the same sum, so the rows have the bytes of that draw.
     """
     if not current.shape[1]:
         return current
@@ -194,7 +197,6 @@ def _detect(
             sigma = np.sqrt(noise_variance(row.mean(), cfg))
             rng.standard_normal(out=noise)
             noise *= sigma
-            noise += 0.0
             row += noise
         if ba is not None:
             row[:] = lfilter(*ba, row)
@@ -227,6 +229,22 @@ def _checked_output(y: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 4096
 
 
+def _probe_support(columns: np.ndarray) -> np.ndarray | None:
+    """The channels that the K x F ``columns`` weight, if they are probe weights; else ``None``.
+
+    Probe weights have real and imaginary parts of 0, 1 or -1, at most two
+    of them nonzero in each column.  Every term of the sum ``w . x`` for
+    such a column is exact (a zero or a part of ``x``), and each part of
+    the sum has at most two nonzero terms, so it is the same rounded sum
+    in whatever order and by whatever kernel it is formed, fused or not.
+    """
+    parts = np.concatenate([columns.real, columns.imag], axis=1)
+    nonzero = parts != 0.0
+    if (np.abs(parts[nonzero]) != 1.0).any() or (nonzero.sum(axis=1) > 2).any():
+        return None
+    return np.flatnonzero(columns.any(axis=0))
+
+
 def readout_forward(
     states: StateMatrix,
     weights: np.ndarray,
@@ -244,13 +262,33 @@ def readout_forward(
     first k calls on the same ``rng``.  The products run in row chunks
     straight into the real output block, so memory stays at the output
     plus one chunk whatever K is.
+
+    Probe weights (see :func:`_probe_support`) are presented over only the
+    channels they weight: when each column weights at most one channel,
+    each output reads its channel times its weight, and otherwise the
+    product runs over the channels that some column weights.  The channels
+    left out add exact zeros, and the sums of the rest are exact or one
+    rounding of two exact terms, so these outputs have the bytes of the
+    product over all F channels.  Other weights take that product.
     """
     w = _weight_matrix(weights, states.n_channels)
     columns = w.reshape(states.n_channels, -1).T  # K x F
+    used = _probe_support(columns)
+    one_each = used is not None and (np.count_nonzero(columns, axis=1) <= 1).all()
+    if one_each:
+        channel = np.argmax(columns != 0, axis=1)  # channel 0 for an all-zero column
+        scale = columns[np.arange(columns.shape[0]), channel][:, None]
+    elif used is not None:
+        columns = columns[:, used]
     x = states.samples
     current = np.empty((columns.shape[0], x.shape[0]))
     for start in range(0, x.shape[0], _CHUNK_ROWS):
-        field = columns @ x[start : start + _CHUNK_ROWS].T
+        rows = x[start : start + _CHUNK_ROWS].T  # F x chunk
+        if one_each:
+            field = rows[channel]
+            field *= scale
+        else:
+            field = columns @ (rows if used is None else rows[used])
         part = current[:, start : start + _CHUNK_ROWS]
         np.square(field.real, out=part)
         part += np.square(field.imag)

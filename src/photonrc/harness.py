@@ -122,9 +122,19 @@ def best_sampling_point(y, d_ideal, samples_per_bit: int, *, threshold: float) -
     Offsets of a whole bit period or more absorb integer-bit latency of
     the reservoir: the decided stream simply pairs with the target
     shifted by that many bits.  Ties go to the smallest offset.
+
+    Each offset's BER is its count of mismatched bits over the bits
+    scored, read from one thresholded copy of ``y``: the float that
+    :func:`bit_error_rate` returns for the decided stream.  An offset
+    with no bit to score has BER 1.
     """
-    offsets = range(SEARCH_BITS * samples_per_bit)
-    bers = [_score(y, d_ideal, samples_per_bit, o, threshold)[0] for o in offsets]
+    decided = np.asarray(y, dtype=np.float64) > threshold
+    ideal = np.asarray(d_ideal)
+    bers = []
+    for offset in range(SEARCH_BITS * samples_per_bit):
+        bits = decided[offset::samples_per_bit]
+        n = min(bits.size, ideal.size)
+        bers.append(np.count_nonzero(bits[:n] != ideal[:n]) / n if n else 1.0)
     return int(np.argmin(bers))
 
 

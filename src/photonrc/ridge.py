@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .reservoir import StateMatrix
 
@@ -33,13 +34,43 @@ _SCORE_ROWS = 2048
 
 
 def candidate_alphas(states: np.ndarray) -> tuple[float, ...]:
-    """Decades 1e-12 .. 1e2 scaled by the mean channel power of ``states``."""
-    # |x| is a fresh array, so it is squared in place: no second temporary.
-    magnitudes = np.abs(states)
-    scale = float(np.mean(np.square(magnitudes, out=magnitudes)))
+    """Decades 1e-12 .. 1e2 scaled by the mean channel power of ``states``.
+
+    The mean has the bytes of ``np.mean(np.square(np.abs(states)))``
+    without its N x F ``|x|``: for a contiguous ``states`` the sum is taken
+    on numpy's own pairwise-summation tree (:func:`_sum_squared_moduli`),
+    so only one leaf of the tree is squared at a time.
+    """
+    x = np.asarray(states)
+    if x.size and (x.flags.c_contiguous or x.flags.f_contiguous):
+        flat = x.ravel(order="K")  # a view, in the order numpy's reduction reads it
+        scale = float(_sum_squared_moduli(flat) / flat.size)
+    else:
+        scale = float(np.mean(np.square(np.abs(x))))
     if scale <= 0:
         scale = 1.0
     return tuple(scale * 10.0 ** k for k in range(-12, 3))
+
+
+# Largest leaf of ``_sum_squared_moduli``: 0.5 MB of squared moduli.
+_LEAF = 1 << 16
+
+
+def _sum_squared_moduli(flat: np.ndarray) -> np.floating:
+    """``np.add.reduce(np.square(np.abs(flat)))`` of a 1-d array, squaring one leaf at a time.
+
+    numpy sums a contiguous run of more than 128 elements pairwise: the
+    sum of its first ``n // 2`` elements, rounded down to a multiple of 8,
+    plus the sum of the rest.  This splits the same way down to leaves of
+    at most ``_LEAF`` elements and reduces each leaf on its own, which is
+    the same subtree, so the total has the same bytes.
+    """
+    n = flat.size
+    if n <= _LEAF:
+        return np.add.reduce(np.square(np.abs(flat)))
+    half = n // 2
+    half -= half % 8
+    return _sum_squared_moduli(flat[:half]) + _sum_squared_moduli(flat[half:])
 
 
 def invert_target(d: np.ndarray, responsivity: float) -> np.ndarray:
@@ -110,6 +141,19 @@ def _score_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
+def _block_system(xb: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``xb^H xb`` and ``xb^H tb`` of a C-ordered block of rows, without a conjugate copy of it.
+
+    zgemm conjugates its second operand as it reads it, and the
+    right-hand side is the conjugate of ``tb @ xb``; both have the bytes
+    of the products over ``xb.conj().T``.  A one-row Gram takes numpy's
+    product: there the two kernels round differently.
+    """
+    if xb.shape[0] == 1:
+        return xb.conj().T @ xb, xb.conj().T @ tb
+    return zgemm(1.0, xb.T, xb.T, trans_b=2).T, (tb @ xb).conj()
+
+
 def cv_alpha(states: StateMatrix, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Fit the readout by ridge, its strength picked by blocked cross validation.
 
@@ -161,15 +205,7 @@ def _cv_curve(
     blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     # Per-block Gram pieces; a fold's training Gram is the total minus its block.
-    # Each block is conjugated once, for its Gram and its right-hand side,
-    # and released before the next is conjugated, so at most one conjugate
-    # (13 MB at paper length) is held and none once the folds are scored.
-    grams, rhss = [], []
-    for b in blocks:
-        xh = x[b].conj().T
-        grams.append(xh @ x[b])
-        rhss.append(xh @ t[b])
-        del xh
+    grams, rhss = zip(*(_block_system(x[b], t[b]) for b in blocks))
     gram_total = np.sum(grams, axis=0)
     rhs_total = np.sum(rhss, axis=0)
     pen_diag = _penalty_diag(states)

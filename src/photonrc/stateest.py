@@ -189,11 +189,13 @@ def build_probe_schedule(n_channels: int, ref_channel: int) -> np.ndarray:
 
 
 # Pair/quad couples per presentation call in ``estimate_states``.  Each call
-# reads the whole state matrix once, and its K x N output is live until the
-# call's couples are reduced.  Per output, the product and square law cost
-# 11.1 ms at one output per call, 8.4 ms at 2, 5.3 ms at 4, 3.6 ms at 8 and
-# 3.1 ms at 17 (paper length, 240240 x 17 states, medians of 7, one BLAS
-# thread, 2-vCPU host), so wider calls gain little; they cost peak memory.
+# reads the whole state matrix once and multiplies the channels its couples
+# weight, the reference and one per couple, and its K x N output is live
+# until the call's couples are reduced.  Per output, the product and square
+# law cost 2.5 ms at one output per call, 1.8 ms at 2, 1.6 ms at 4, 1.5 ms
+# at 8, 1.8 ms at 16 and 2.4 ms at 32 (paper length, 240240 x 17 states,
+# medians of 7, one BLAS thread, 2-vCPU host), so wider calls gain
+# nothing; they cost peak memory.
 _COUPLES_PER_CALL = 4
 
 # Sample rows per step of the fold and of each couple reduction in

@@ -10,12 +10,16 @@ from photonrc.detector import (
     ELEMENTARY_CHARGE,
     DetectorConfig,
     SampledBasis,
+    _butterworth,
     _channel_products,
     _checked_output,
     _detect,
     _sampled_noise,
     _weight_matrix,
+    noise_variance,
 )
+from photonrc.harness import SEARCH_BITS, bit_error_rate, decide_bits
+from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 
 
@@ -108,3 +112,54 @@ def bit_sse_direct(
     n = min(y_bits.shape[-1], d.size)
     sse = np.sum((y_bits[..., :n] - d[:n]) ** 2, axis=-1)
     return float(sse) if y.ndim == 1 else sse
+
+
+def readout_forward_dense(
+    states: StateMatrix,
+    weights: np.ndarray,
+    cfg: DetectorConfig,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """``readout_forward`` as the product over all F channels: the oracle of its probe paths.
+
+    Every block forms ``columns @ x.T`` over every channel, 4096 rows at
+    a time; each row then gets ``rng.normal(0.0, sigma)`` noise at the
+    power of its mean and the Butterworth filter, in row order.
+    """
+    w = _weight_matrix(weights, states.n_channels)
+    columns = w.reshape(states.n_channels, -1).T
+    x = states.samples
+    current = np.empty((columns.shape[0], x.shape[0]))
+    for start in range(0, x.shape[0], 4096):
+        field = columns @ x[start : start + 4096].T
+        current[:, start : start + 4096] = cfg.responsivity * (np.square(field.real) + np.square(field.imag))
+    if x.shape[0]:
+        if cfg.noise_enabled and rng is None:
+            rng = np.random.default_rng()
+        for row in current:
+            if cfg.noise_enabled:
+                row += rng.normal(0.0, np.sqrt(noise_variance(row.mean(), cfg)), size=row.size)
+            if cfg.filter_enabled:
+                row[:] = lfilter(*_butterworth(cfg, 1.0 / states.sample_period), row)
+    return _checked_output(current if w.ndim == 2 else current[0])
+
+
+def block_system_conjugated(xb: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A fold block's Gram ``xb^H xb`` and right-hand side ``xb^H tb`` through a conjugate copy."""
+    xh = xb.conj().T
+    return xh @ xb, xh @ tb
+
+
+def mean_squared_modulus(states: np.ndarray) -> float:
+    """The scale of ``candidate_alphas`` as one whole-array mean over ``|x|^2``."""
+    return float(np.mean(np.square(np.abs(states))))
+
+
+def best_sampling_point_loop(y, d_ideal, samples_per_bit: int, threshold: float) -> int:
+    """``best_sampling_point`` as one decided stream and BER per offset: its oracle."""
+    bers = []
+    for offset in range(SEARCH_BITS * samples_per_bit):
+        decided = decide_bits(y, samples_per_bit, offset, threshold)
+        n = min(decided.size, len(d_ideal))
+        bers.append(bit_error_rate(decided[:n], np.asarray(d_ideal)[:n]) if n else 1.0)
+    return int(np.argmin(bers))

@@ -531,6 +531,25 @@ class TestCli:
         assert f"photonrc {command}: error: this study trains on one header, got 2: 101, 110" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("headers", ['["1111"]', '["101", "110"]', '["000"]'])
+    def test_headers_command_with_configured_headers_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, headers
+    ):
+        # The command trains all eight 3-bit headers; it would replace these in silence.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the headers were checked")
+
+        monkeypatch.setattr(harness_mod, "simulate", no_simulation)
+        path = tmp_path / "headers.yaml"
+        path.write_text(f"headers: {headers}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["headers", "--profile", "ci", "--config", str(path), "--out", str(out), "--quiet"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "photonrc headers: error: headers is set by this command" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-0.1", ".nan", ".inf"], ids=["negative", "nan", "inf"])
     def test_bad_perturbation_b_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
         def no_simulation(*args, **kwargs):

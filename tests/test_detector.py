@@ -15,6 +15,7 @@ from photonrc.detector import (
     _BASIS_ROWS,
     _CHUNK_ROWS,
     _butterworth,
+    _probe_support,
     _channel_pairs,
     _channel_products,
     _noise_energy,
@@ -28,9 +29,9 @@ from photonrc.detector import (
 )
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
-from photonrc.stateest import SimulatedReadout
+from photonrc.stateest import SimulatedReadout, build_probe_schedule, estimate_states
 
-from oracles import bit_sse_direct, noise_variance_scalar, photodiode, readout_sampled
+from oracles import bit_sse_direct, noise_variance_scalar, photodiode, readout_forward_dense, readout_sampled
 
 QUIET = DetectorConfig(noise_enabled=False)
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
@@ -287,6 +288,99 @@ class TestBatchedPresentation:
                 readout_forward(states, 1e200 * w, RAW)
             with pytest.raises(ValueError, match="electrical samples must be finite"):
                 SimulatedReadout(states, RAW).present(1e200 * w[:, 0])
+
+
+def _probe_blocks(f=17, ref=16, seed=0):
+    """Weight blocks by support, each an F x K matrix; all but the last two are probe weights."""
+    rng = np.random.default_rng(seed)
+    schedule = build_probe_schedule(f, ref)
+    units = np.array([1.0, -1.0, 1.0j, -1.0j, 1.0 + 1.0j, 1.0 - 1.0j, -1.0 + 1.0j])
+    one_channel = np.zeros((f, 9), complex)
+    one_channel[rng.integers(0, f, 9), np.arange(9)] = rng.choice(units, 9)
+    two_channel = np.zeros((f, 6), complex)
+    for k in range(6):
+        two_channel[rng.choice(f, 2, replace=False), k] = rng.choice(units[:4], 2)
+    mixed = np.concatenate([schedule[:, [0, 5]], schedule[:, f : f + 4], two_channel[:, :2]], axis=1)
+    zero_column = mixed.copy()
+    zero_column[:, 3] = 0.0
+    one_zero_column = one_channel.copy()
+    one_zero_column[:, 1] = 0.0
+    # Sparse but not probe weights, and a column of three nonzero parts: the full product.
+    scaled = one_channel * 0.5
+    three_parts = np.zeros((f, 2), complex)
+    three_parts[[0, 1, 2], 0] = 1.0
+    three_parts[[3, 4], 1] = [1.0 + 1.0j, -1.0j]
+    return {
+        "one-hots": schedule[:, :f],
+        "couples": schedule[:, f : f + 8],
+        "couples-past-ref": schedule[:, f + 8 * 3 :],
+        "one-channel": one_channel,
+        "one-channel-vector": one_channel[:, 4],
+        "two-channel": two_channel,
+        "mixed": mixed,
+        "zero-column": zero_column,
+        "one-channel-zero-column": one_zero_column,
+        "all-zero": np.zeros((f, 3), complex),
+        "scaled": scaled,
+        "three-parts": three_parts,
+    }
+
+
+class TestProbePresentation:
+    """Probe weights are presented over the channels they weight, with the bytes of the full product."""
+
+    PERIOD = 1.0 / (24 * 15e9)
+    BLOCKS = _probe_blocks()
+
+    def _states(self, n, f=17, seed=1):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, f)) + 1j * rng.normal(size=(n, f))
+        x *= 10.0 ** rng.uniform(-3.0, 0.0, size=f)  # channels of unequal power
+        return StateMatrix(x, self.PERIOD, f - 1)
+
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @pytest.mark.parametrize("cfg", [DetectorConfig(), RAW], ids=["noise-filter", "raw"])
+    @pytest.mark.parametrize("n", [2 * _CHUNK_ROWS + 123, 7, 0], ids=["ragged", "short", "empty"])
+    def test_bytes_match_full_product(self, block, cfg, n):
+        states, w = self._states(n), self.BLOCKS[block]
+        got = readout_forward(states, w, cfg, rng=np.random.default_rng(3))
+        want = readout_forward_dense(states, w, cfg, rng=np.random.default_rng(3))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_round_blocks_are_probe_weights(self):
+        f, ref = 17, 16
+        schedule = build_probe_schedule(f, ref)
+        assert np.array_equal(_probe_support(schedule[:, :f].T), np.arange(f))
+        # each four-couple block weights its four channels and the reference
+        for start in range(f, 3 * f - 2, 8):
+            block = schedule[:, start : start + 8]
+            want = np.flatnonzero(block.any(axis=1))
+            assert np.array_equal(_probe_support(block.T), want)
+            assert ref in want and want.size == 1 + block.shape[1] // 2
+
+    @pytest.mark.parametrize("block", ["scaled", "three-parts"])
+    def test_other_weights_take_the_full_product(self, block):
+        assert _probe_support(self.BLOCKS[block].T) is None
+        rng = np.random.default_rng(4)
+        assert _probe_support((rng.normal(size=(17, 3)) + 1j * rng.normal(size=(17, 3))).T) is None
+
+    def test_round_estimate_keeps_its_bytes(self):
+        # The whole probing round through the probe paths, against one through the full product.
+        states = self._states(3 * _CHUNK_ROWS + 5)
+        states = StateMatrix(
+            np.concatenate([states.samples[:, :-1], np.full((states.n_samples, 1), 0.3 + 0j)], axis=1),
+            self.PERIOD,
+            16,
+        )
+        got = estimate_states(SimulatedReadout(states, DetectorConfig(), seed=8), 0.5, 16)
+
+        class DenseReadout(SimulatedReadout):
+            def present(self, weights):
+                return readout_forward_dense(self._states, self._counted(weights), self.detector, self._rng)
+
+        want = estimate_states(DenseReadout(states, DetectorConfig(), seed=8), 0.5, 16)
+        assert got.samples.tobytes() == want.samples.tobytes()
 
 
 class TestSampledPresentation:

@@ -26,6 +26,8 @@ from photonrc.harness import (
     write_records_csv,
 )
 
+from oracles import best_sampling_point_loop
+
 
 def tiny_cfg(**overrides):
     base = replace(
@@ -106,6 +108,31 @@ class TestBestSamplingPoint:
         y = np.ones(8 * 24)  # constant signal: every offset equally bad
         offset = best_sampling_point(y, np.ones(8, int), 24, threshold=2.0)
         assert offset == 0
+
+    @pytest.mark.parametrize(
+        "n_samples, n_bits",
+        [(40 * 24, 40), (40 * 24 - 5, 40), (40 * 24, 33), (30 * 24 + 7, 45), (24 + 5, 3), (7, 3)],
+        ids=["equal", "ragged", "longer-output", "shorter-output", "offsets-past-the-output", "under-a-bit"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_offset_oracle(self, n_samples, n_bits, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 2, n_bits).astype(np.uint8)
+        y = np.repeat(d.astype(float), 24)[:n_samples]
+        y = np.concatenate([np.zeros(rng.integers(0, 30)), y])[:n_samples]
+        y = y + rng.normal(0.0, 0.4, y.size)
+        for threshold in (0.5, -10.0, 10.0, float(np.median(y))):
+            want = best_sampling_point_loop(y, d, 24, threshold)
+            assert best_sampling_point(y, d, 24, threshold=threshold) == want
+
+    def test_ties_match_per_offset_oracle(self):
+        # Bits held for whole periods: many offsets share the least BER.
+        d = np.array([1, 0, 1, 1, 0, 0, 1, 0] * 3, dtype=np.uint8)
+        y = np.repeat(d.astype(float), 24)
+        for shift in (0, 5, 23, 24, 30):
+            shifted = np.concatenate([np.zeros(shift), y])[: y.size]
+            want = best_sampling_point_loop(shifted, d, 24, 0.5)
+            assert best_sampling_point(shifted, d, 24, threshold=0.5) == want
 
 
 class TestFormatBer:
