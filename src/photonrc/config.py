@@ -34,6 +34,9 @@ ALL_3BIT_HEADERS = tuple(format(v, "03b") for v in range(8))
 # Leading bits of every sequence that no trainer fits and no score counts.
 WARMUP_BITS = 10
 
+# Samples of the input grid per bit.
+SAMPLES_PER_BIT = 24
+
 
 @dataclass(frozen=True)
 class ReservoirSettings:
@@ -77,7 +80,6 @@ class ExperimentConfig:
     n_train_bits: int = 10010
     n_test_bits: int = 10010
     n_reservoirs: int = 10
-    samples_per_bit: int = 24
     p_total_w: float = 0.1
     bias_power_w: float = 0.02
     master_seed: int = 1234
@@ -114,9 +116,8 @@ class ExperimentConfig:
         for b in self.perturbation_b_over_pi:
             if not 0 <= b < math.inf:
                 raise ValueError(f"perturbation_b_over_pi entries must be non-negative and finite, got {b!r}")
-        for key, least in (("n_perturbation_draws", 1), ("samples_per_bit", 1)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)!r}")
+        if self.n_perturbation_draws < 1:
+            raise ValueError(f"n_perturbation_draws must be at least 1, got {self.n_perturbation_draws!r}")
         for t in self.trainers:
             if t not in TRAINERS:
                 raise ValueError(f"unknown trainer {t!r}; expected one of {TRAINERS}")

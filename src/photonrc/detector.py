@@ -141,11 +141,15 @@ def _sampled_noise(
     filtering DARE.  Its steady-state innovations form maps unit white
     noise to ``y`` through ``gain * num / den`` with ``num = poly(Phi - K
     C)`` and ``den = poly(Phi)``, so ``gain * lfilter(num, den, e)`` has
-    the stationary autocovariance of the sampled noise exactly.  Needs
-    ``samples_per_bit > 1``: at one sample per bit the joint noise of
-    ``(v, D n)`` is singular.  Cached like :func:`_butterworth`.
+    the stationary autocovariance of the sampled noise exactly.  At one
+    sample per bit the sampled noise is the filtered noise itself, so the
+    factor is ``b[0] * (b / b[0]) / a``.  Cached like :func:`_butterworth`.
     """
     b, a = _butterworth(cfg, sample_rate)  # a[0] == 1
+    if samples_per_bit == 1:
+        num = b / b[0]
+        num.flags.writeable = False
+        return num, a, float(b[0])
     order = a.size - 1
     trans = np.zeros((order, order))
     trans[:, 0] = -a[1:]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cmaes import decode_weights, train_cmaes
-from .config import WARMUP_BITS, ExperimentConfig, config_to_dict
+from .config import SAMPLES_PER_BIT, WARMUP_BITS, ExperimentConfig, config_to_dict
 from .detector import readout_forward
 from .reservoir import (
     TWO_PI,
@@ -107,9 +107,9 @@ def bit_error_rate(decided, ideal) -> float:
     return float(np.mean(decided != ideal))
 
 
-def _score(samples, d_ideal, samples_per_bit, offset, threshold) -> tuple[float, int]:
+def _score(samples, d_ideal, offset, threshold) -> tuple[float, int]:
     """BER of the decided stream against ``d_ideal`` and the bits scored."""
-    decided = decide_bits(samples, samples_per_bit, offset, threshold)
+    decided = decide_bits(samples, SAMPLES_PER_BIT, offset, threshold)
     n = min(decided.size, len(d_ideal))
     if n == 0:
         return 1.0, 0
@@ -138,10 +138,10 @@ def best_sampling_point(y, d_ideal, samples_per_bit: int, *, threshold: float) -
     return int(np.argmin(bers))
 
 
-def _freeze_decision(y, d_ideal, samples_per_bit: int) -> tuple[float, int]:
+def _freeze_decision(y, d_ideal) -> tuple[float, int]:
     """Threshold and sampling offset chosen on one (training) output."""
     threshold = threshold_level(y)
-    return threshold, best_sampling_point(y, d_ideal, samples_per_bit, threshold=threshold)
+    return threshold, best_sampling_point(y, d_ideal, SAMPLES_PER_BIT, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +296,8 @@ def _prepare_cell(cfg: ExperimentConfig, bitrate_gbps: float, instance: int) -> 
     bits_train = gen_bits(cfg.n_train_bits, derive_seed(cfg.master_seed, "train-bits"))
     bits_test = gen_bits(cfg.n_test_bits, derive_seed(cfg.master_seed, "test-bits"))
     p_node = cfg.p_total_w / len(topo.input_ports)
-    sig_train = modulate(bits_train, bitrate, cfg.samples_per_bit, p_node)
-    sig_test = modulate(bits_test, bitrate, cfg.samples_per_bit, p_node)
+    sig_train = modulate(bits_train, bitrate, SAMPLES_PER_BIT, p_node)
+    sig_test = modulate(bits_test, bitrate, SAMPLES_PER_BIT, p_node)
     states_train = simulate(topo, sig_train, cfg.bias_power_w)
     return _Cell(
         bitrate_gbps=bitrate_gbps,
@@ -325,7 +325,7 @@ def _detected(cfg: ExperimentConfig, states: StateMatrix, weights: np.ndarray, *
     """Detector output past the warm-up, its noise seeded by ``seed_key``."""
     rng = np.random.default_rng(derive_seed(cfg.master_seed, *seed_key))
     y = readout_forward(states, weights, cfg.detector, rng=rng)
-    return y[WARMUP_BITS * cfg.samples_per_bit :]
+    return y[WARMUP_BITS * SAMPLES_PER_BIT :]
 
 
 def _nlinv_round(cfg: ExperimentConfig, cell: _Cell) -> StateMatrix:
@@ -375,7 +375,7 @@ def _train(
             cfg.cmaes.max_iterations,
             cfg.cmaes.population,
             derive_seed(cfg.master_seed, "cmaes", *key),
-            cfg.samples_per_bit,
+            SAMPLES_PER_BIT,
             WARMUP_BITS,
         )
         return decode_weights(run.best_x), readout.presentations, f"sigma0={sigma0:g}"
@@ -390,7 +390,7 @@ def _train(
         presentations = probe_count(states.n_channels)
     else:
         raise ValueError(f"unknown trainer {trainer!r}")
-    x, target = ridge_problem(states, target_w, cfg.detector.responsivity, cfg.samples_per_bit, WARMUP_BITS)
+    x, target = ridge_problem(states, target_w, cfg.detector.responsivity, SAMPLES_PER_BIT, WARMUP_BITS)
     alpha, weights = cv_alpha(x, target)
     return weights, presentations, f"alpha={alpha:.6g}"
 
@@ -398,12 +398,11 @@ def _train(
 def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train: np.ndarray) -> _Fit:
     """Train one readout, then freeze threshold and sampling point on its train output."""
     weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
-    spb = cfg.samples_per_bit
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
     y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
     d_tr = d_train[WARMUP_BITS:]
-    threshold, offset = _freeze_decision(y_train, d_tr, spb)
-    train_ber, n_train_scored = _score(y_train, d_tr, spb, offset, threshold)
+    threshold, offset = _freeze_decision(y_train, d_tr)
+    train_ber, n_train_scored = _score(y_train, d_tr, offset, threshold)
     return _Fit(header, trainer, weights, presentations, detail, threshold, offset, train_ber, n_train_scored)
 
 
@@ -413,7 +412,7 @@ def _test_score(
     """Test BER of a frozen fit and the bits scored."""
     key = (cell.bitrate_gbps, fit.header, fit.trainer, cell.instance)
     y_test = _detected(cfg, states_test, fit.weights, "eval-test", *key)
-    return _score(y_test, d_test[WARMUP_BITS:], cfg.samples_per_bit, fit.offset, fit.threshold)
+    return _score(y_test, d_test[WARMUP_BITS:], fit.offset, fit.threshold)
 
 
 def _run_cell(
@@ -609,7 +608,7 @@ def run_perturbation(
             states = next(sims)
             y = _detected(cfg, states, fit.weights, "perturb-eval", instance, b_idx, draw)
             del states
-            per_b[b_idx].append(_score(y, d_te, cfg.samples_per_bit, fit.offset, fit.threshold)[0])
+            per_b[b_idx].append(_score(y, d_te, fit.offset, fit.threshold)[0])
         del states_test, sims  # before the next instance simulates its training states
         logger.info("perturbation instance %d: baseline test BER %.3g", instance, baseline_ber)
 
@@ -656,7 +655,6 @@ def run_convergence(
     """
     header = _study_header(cfg)
     bitrate = CONVERGENCE_BITRATE_GBPS
-    spb = cfg.samples_per_bit
 
     cell = _prepare_cell(cfg, bitrate, 0)
     d_train, _ = _targets(cell, header)
@@ -673,7 +671,7 @@ def run_convergence(
         cfg.cmaes.convergence_iterations,
         cfg.cmaes.population,
         derive_seed(cfg.master_seed, "conv", bitrate, 0),
-        spb,
+        SAMPLES_PER_BIT,
         WARMUP_BITS,
     )
     population = run.evaluations // run.iterations
@@ -681,8 +679,8 @@ def run_convergence(
     best_ber = math.inf
     for iteration, (x, sse) in enumerate(zip(run.history_x, run.history.tolist()), start=1):
         y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, 0, iteration)
-        threshold, offset = _freeze_decision(y, d_tr, spb)
-        ber = _score(y, d_tr, spb, offset, threshold)[0]
+        threshold, offset = _freeze_decision(y, d_tr)
+        ber = _score(y, d_tr, offset, threshold)[0]
         best_ber = min(best_ber, ber)
         presentations = iteration * population
         rows.append(ConvergenceRow(iteration, presentations, sse, ber, best_ber))
@@ -745,7 +743,11 @@ def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
 
 
 def write_summary_json(cfg: ExperimentConfig, path: str | Path) -> None:
-    payload = {"package": "photonrc", "version": __version__, "config": config_to_dict(cfg)}
+    """Echo the configuration, the package version and the protocol's constants."""
+    protocol = dict(
+        samples_per_bit=SAMPLES_PER_BIT, warmup_bits=WARMUP_BITS, search_bits=SEARCH_BITS, ber_floor_errors=BER_FLOOR_ERRORS
+    )
+    payload = {"package": "photonrc", "version": __version__, "config": config_to_dict(cfg), "protocol": protocol}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -626,10 +626,12 @@ def _propagate(
 
 
 # ---------------------------------------------------------------------------
-# Topology file format: plain text, one record per line.
+# Topology file format: plain text, one record per line, each with exactly
+# its fields, and one ``nodes`` record.
 #   nodes <count>
 #   edge <src> <dst> <delay_s> <loss_db> <phase_rad>
 #   input <node> <phase_rad>
+_FIELD_COUNTS = {"nodes": 1, "edge": 5, "input": 2}
 
 
 def save_topology(topology: ReservoirTopology, path: str | Path) -> None:
@@ -650,21 +652,22 @@ def load_topology(path: str | Path) -> ReservoirTopology:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind = fields[0]
+        kind, *fields = line.split()
         try:
-            if kind == "nodes":
-                n_nodes = int(fields[1])
-            elif kind == "edge":
-                edges.append(
-                    Edge(int(fields[1]), int(fields[2]), float(fields[3]), float(fields[4]), float(fields[5]))
-                )
-            elif kind == "input":
-                ports.append(InputPort(int(fields[1]), float(fields[2])))
-            else:
+            if kind not in _FIELD_COUNTS:
                 raise ValueError(f"unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad topology record {raw!r}") from exc
+            if len(fields) != _FIELD_COUNTS[kind]:
+                raise ValueError(f"{kind!r} takes {_FIELD_COUNTS[kind]} fields, got {len(fields)}")
+            if kind == "nodes":
+                if n_nodes is not None:
+                    raise ValueError("a second 'nodes' record")
+                n_nodes = int(fields[0])
+            elif kind == "edge":
+                edges.append(Edge(int(fields[0]), int(fields[1]), *map(float, fields[2:])))
+            else:
+                ports.append(InputPort(int(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad topology record {raw!r}: {exc}") from exc
     if n_nodes is None:
         raise ValueError(f"{path}: missing 'nodes' record")
     return ReservoirTopology(n_nodes, tuple(edges), tuple(ports))

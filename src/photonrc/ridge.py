@@ -100,6 +100,8 @@ def ridge_problem(
     grid and passed through :func:`invert_target`; both sides drop the
     first ``skip_bits`` transient bits and end at the shorter of the two.
     """
+    if skip_bits < 0:
+        raise ValueError(f"skip_bits must be non-negative, got {skip_bits!r}")
     target = invert_target(np.repeat(target_w, samples_per_bit), responsivity)
     skip = skip_bits * samples_per_bit
     n = min(states.n_samples, target.size)

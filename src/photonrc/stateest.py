@@ -67,16 +67,14 @@ class SimulatedReadout:
     reproducible from the seed.  Presenting K weight columns in one call
     draws the same noise as K single calls in column order.
 
-    :meth:`score_sampled` builds a :class:`~photonrc.detector.SampledScore`
-    once per ``(samples_per_bit, sample_offset, skip_bits)`` and target and
-    keeps it: two F^2 x F^2 matrices, whatever the length of the input.  It
-    is built from a :class:`~photonrc.detector.SampledBasis`, which is
-    dropped once used, when that basis is no larger than the state matrix:
-    F^2 real products per bit against ``samples_per_bit`` complex samples
-    of F channels, that is ``F <= 2 * samples_per_bit``, and when there is
-    more than one sample per bit: at one there is nothing to save, and the
-    Riccati equation of the noise factor is singular.  Otherwise it slices
-    the full-grid output of :meth:`present`.
+    While two F^2 x F^2 matrices are no larger than the N x F complex
+    states, ``F^3 <= N``, :meth:`score_sampled` builds a
+    :class:`~photonrc.detector.SampledScore` of that size once per
+    ``(samples_per_bit, sample_offset, skip_bits)`` and target and keeps
+    it, whatever the length of the input; the
+    :class:`~photonrc.detector.SampledBasis` it is built from is dropped
+    once used.  Past that it slices the full-grid output of
+    :meth:`present`, which holds one K x N block a call.
     """
 
     def __init__(self, states: StateMatrix, detector: DetectorConfig, seed: int | None = None):
@@ -137,16 +135,19 @@ class SimulatedReadout:
         samples and the per-bit power target ``target_w`` in W, past the
         first ``skip_bits`` bits, so the reservoir transient does not enter
         it, and over the bits both cover: one score per weight column, or a
-        float for one vector.  Weights whose score is not finite raise
-        before they are counted.
+        float for one vector.  A negative ``skip_bits``, a target that is
+        not one-dimensional and finite, and weights whose score is not
+        finite raise before anything is counted.
         """
         _check_sampling_point(samples_per_bit, sample_offset)
+        if skip_bits < 0:
+            raise ValueError(f"skip_bits must be non-negative, got {skip_bits!r}")
         d = np.asarray(target_w, dtype=np.float64)
-        if samples_per_bit == 1 or self.n_channels > 2 * samples_per_bit:
-            y = self.present(weights)[..., sample_offset::samples_per_bit][..., skip_bits:]
-            d = d[skip_bits:]
-            n = min(y.shape[-1], d.size)
-            sse = np.sum(np.square(y[..., :n] - d[:n]), axis=-1)
+        if d.ndim != 1 or not np.isfinite(d).all():
+            raise ValueError("target_w must be a one-dimensional array of finite powers")
+        if self.n_channels**3 > self.n_samples:
+            y = self.present(weights)[..., sample_offset::samples_per_bit][..., skip_bits : d.size]
+            sse = np.sum(np.square(y - d[skip_bits : skip_bits + y.shape[-1]]), axis=-1)
             return float(sse) if y.ndim == 1 else sse
         w = _weight_matrix(weights, self.n_channels)
         key = (samples_per_bit, sample_offset, skip_bits, hashlib.blake2b(d.tobytes()).digest())

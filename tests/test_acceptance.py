@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from photonrc.cmaes import cmaes_minimize
-from photonrc.config import WARMUP_BITS, ci_profile
+from photonrc.config import SAMPLES_PER_BIT, WARMUP_BITS, ci_profile
 from photonrc.detector import DetectorConfig, noise_variance
 from photonrc.harness import (
     BER_FLOOR_ERRORS,
@@ -82,7 +82,7 @@ def test_state_reconstruction_oracle():
     est = estimate_states(readout, RAW.responsivity, ref)
     assert readout.presentations == 3 * states.n_channels - 2
 
-    warm = WARMUP_BITS * cfg.samples_per_bit
+    warm = WARMUP_BITS * SAMPLES_PER_BIT
     true = states.samples[warm:]
     got = est.samples[warm:]
 

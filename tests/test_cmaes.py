@@ -105,10 +105,10 @@ class TestSseObjective:
     @pytest.mark.parametrize("k, n", [(None, 40 * 6), (14, 40 * 6), (3, 37 * 6 + 2)], ids=["1-D", "block", "short"])
     def test_fallback_bytes_match_direct_oracle(self, k, n, skip):
         # Noise and filter on: where the score falls back to the full grid
-        # (13 channels at 6 samples per bit), it has the bytes of the
-        # direct SSE of the full-grid presentation drawn from the same
-        # generator.  The sampled path draws its noise as two normals per
-        # column instead (tests/test_detector.py, TestSampledScore).
+        # (13 channels over at most 240 samples, F^3 > N), it has the bytes
+        # of the direct SSE of the full-grid presentation drawn from the
+        # same generator.  The sampled path draws its noise as two normals
+        # per column instead (tests/test_detector.py, TestSampledScore).
         f = 13
         rng = np.random.default_rng(11)
         d = _power(rng.integers(0, 2, 40))
@@ -124,7 +124,7 @@ class TestSseObjective:
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("spb, offset", [(6, 2), (1, 0)], ids=["sampled", "fallback"])
+    @pytest.mark.parametrize("spb, offset", [(6, 2), (1, 0)], ids=["sampled", "one-sample"])
     def test_block_scores_each_row(self, spb, offset):
         # One channel, so every product is a single multiply: a block of 5
         # columns scores as 5 single calls on a readout of the same seed.
@@ -385,8 +385,8 @@ class TestTrainCmaes:
             assert readout.presentations == len(outcomes)
 
     def test_toy_trains_on_the_sampled_path(self, monkeypatch):
-        # The toy's 2 channels at 4 samples per bit are within F <= 2 * spb,
-        # so training reads one sample per bit from one basis, built once.
+        # The toy's 2 channels over 240 samples are within F^3 <= N, so
+        # training reads one sample per bit from one basis, built once.
         import photonrc.stateest as stateest_mod
 
         built = []
@@ -431,13 +431,13 @@ class TestTrainCmaes:
     def test_ci_cell_reruns_are_identical(self):
         # A ci cell trained twice from one seed: same noise stream, same
         # scores, same run, and one presentation per candidate.
-        from photonrc.config import WARMUP_BITS, ci_profile
+        from photonrc.config import SAMPLES_PER_BIT, WARMUP_BITS, ci_profile
         from photonrc.harness import _power_target, _prepare_cell, _targets
 
         cfg = ci_profile()
         cell = _prepare_cell(cfg, 10.0, 0)
         d = _power_target(cfg, _targets(cell, "101")[0])
-        spb, skip = cfg.samples_per_bit, WARMUP_BITS
+        spb, skip = SAMPLES_PER_BIT, WARMUP_BITS
         sweep, iterations, population = (1e-3, 1e-1), 4, 14
         runs, readouts = [], []
         for _ in range(2):
@@ -448,6 +448,12 @@ class TestTrainCmaes:
         for field in ("history", "history_x", "best_x", "mean", "cov"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         assert [r.presentations for r in readouts] == [len(sweep) * iterations * population] * 2
+
+    def test_negative_skip_presents_nothing(self):
+        _, readout, d, spb = _toy_problem(seed=4)
+        with pytest.raises(ValueError, match="skip_bits must be non-negative, got -5"):
+            train_cmaes(readout, d, (0.1, 1.0), 3, 4, 1, spb, -5)
+        assert readout.presentations == 0
 
     def test_history_monotone(self):
         _, readout, d, spb = _toy_problem(seed=7)

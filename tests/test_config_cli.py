@@ -16,6 +16,7 @@ from photonrc.harness import BER_FLOOR_ERRORS, CONVERGENCE_BITRATE_GBPS, SEARCH_
 from photonrc.reservoir import SPEED_OF_LIGHT
 from photonrc.config import (
     ALL_3BIT_HEADERS,
+    SAMPLES_PER_BIT,
     WARMUP_BITS,
     ci_profile,
     config_from_dict,
@@ -36,7 +37,7 @@ class TestProfiles:
         assert BER_FLOOR_ERRORS == 10
         assert CONVERGENCE_BITRATE_GBPS == 10.0
         assert cfg.n_reservoirs == 10
-        assert cfg.samples_per_bit == 24
+        assert SAMPLES_PER_BIT == 24
         assert cfg.p_total_w == 0.1
         assert cfg.bias_power_w == 0.02
         assert cfg.detector.responsivity == 0.5
@@ -50,10 +51,18 @@ class TestProfiles:
         assert {e.loss_db for e in edges} == {3.0 * (62.5e-12 * SPEED_OF_LIGHT / 4.2 * 100.0)}
 
     def test_fixed_protocol_is_not_configuration(self):
-        # The warm-up, offset search, BER floor, convergence bitrate, input
-        # smoothing and swirl waveguides are constants, not settings.
+        # The warm-up, sampling rate, offset search, BER floor, convergence
+        # bitrate, input smoothing and swirl waveguides are constants, not
+        # settings.
         d = config_to_dict(paper_profile())
-        deleted = {"warmup_bits", "search_bits", "ber_floor_errors", "convergence_bitrate_gbps", "smoothing"}
+        deleted = {
+            "warmup_bits",
+            "samples_per_bit",
+            "search_bits",
+            "ber_floor_errors",
+            "convergence_bitrate_gbps",
+            "smoothing",
+        }
         assert not deleted & set(d)
         assert set(d["reservoir"]) == {"rows", "cols", "topology_file"}
 
@@ -131,7 +140,6 @@ class TestConfigIO:
             ({"cmaes": {"population": 3}}, "cmaes.population"),
             ({"cmaes": {"max_iterations": 0}}, "cmaes.max_iterations"),
             ({"cmaes": {"convergence_iterations": 0}}, "cmaes.convergence_iterations"),
-            ({"samples_per_bit": 0}, "samples_per_bit"),
             ({"reservoir": {"rows": 1}}, "reservoir.rows must be at least 2"),
             ({"reservoir": {"cols": 0}}, "reservoir.cols must be at least 2"),
             ({"n_train_bits": WARMUP_BITS}, "warm-up must be shorter than the bit sequences"),
@@ -207,7 +215,6 @@ class TestConfigIO:
             ({"n_train_bits": True}, "n_train_bits"),
             ({"n_reservoirs": 2.5}, "n_reservoirs"),
             ({"master_seed": "7"}, "master_seed"),
-            ({"samples_per_bit": float("inf")}, "samples_per_bit"),
             ({"reservoir": {"rows": 4.5}}, "rows"),
             ({"cmaes": {"max_iterations": "ten"}}, "max_iterations"),
             ({"cmaes": {"population": 4.5}}, "population"),
@@ -472,6 +479,7 @@ class TestCli:
     UNKNOWN_KEYS = [
         ("bogus: 1\n", "unknown config keys: ['bogus']"),
         ("warmup_bits: 10\n", "unknown config keys: ['warmup_bits']"),
+        ("samples_per_bit: 24\n", "unknown config keys: ['samples_per_bit']"),
         ("search_bits: 2\n", "unknown config keys: ['search_bits']"),
         ("ber_floor_errors: 10\n", "unknown config keys: ['ber_floor_errors']"),
         ("convergence_bitrate_gbps: 10.0\n", "unknown config keys: ['convergence_bitrate_gbps']"),
@@ -621,9 +629,10 @@ class TestCli:
         [
             ("nodes 2\nedge 0 1 inf 0.5 0.1\ninput 0 0.0\n", "edge delays must be positive and finite, got inf"),
             ("nodes 2\nedge 0 1 1e-11 0.5 0.1\n", "topology has no input ports"),
+            ("nodes 2\nedge 0 1 1e-11 0.5 0.1 junk\ninput 0 0.0\n", "'edge' takes 5 fields, got 6"),
             (None, "cannot be read: No such file or directory"),
         ],
-        ids=["inf-delay", "no-inputs", "missing"],
+        ids=["inf-delay", "no-inputs", "trailing-field", "missing"],
     )
     def test_bad_topology_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch, text, message):
         def no_simulation(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.signal import butter, freqz, lfilter
 
+from photonrc.config import SAMPLES_PER_BIT
 from photonrc.detector import (
     BOLTZMANN,
     DetectorConfig,
@@ -438,7 +439,7 @@ class TestSampledPresentation:
         want = sigma[:, None] * draws
         np.testing.assert_allclose(noise, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
-    @pytest.mark.parametrize("spb", [2, 4, 8, 24])
+    @pytest.mark.parametrize("spb", [1, 2, 4, 8, 24])
     @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
     def test_noise_factor_autocovariance(self, bitrate_gbps, spb):
         # Stationary autocovariance at lags of m bits: the filter's impulse
@@ -454,7 +455,8 @@ class TestSampledPresentation:
         want = np.array([h[: h.size - m * spb] @ h[m * spb :] for m in range(6)])
         got = np.array([g[: g.size - m] @ g[m:] for m in range(6)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want[0])
-        assert _sampled_noise(cfg, rate, spb)[0] is num and not num.flags.writeable
+        assert _sampled_noise(cfg, rate, spb)[0] is num
+        assert not num.flags.writeable and not den.flags.writeable
 
     def test_noise_off_draws_nothing(self):
         states, w = self._problem()
@@ -463,8 +465,9 @@ class TestSampledPresentation:
         readout_sampled(sampled_basis(states, QUIET, self.SPB, self.OFFSET), w, rng=rng)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("f, spb", [(2 * SPB + 1, SPB), (5, 1)], ids=["wide", "one-sample"])
+    @pytest.mark.parametrize("f, spb", [(2 * SPB + 1, SPB), (10, 1)], ids=["wide", "one-sample"])
     def test_fallback_slices_the_full_grid(self, f, spb, monkeypatch):
+        # F^3 > N = 775 samples: the score's forms would outgrow the states.
         import photonrc.stateest as stateest_mod
 
         def no_basis(*args):
@@ -480,6 +483,24 @@ class TestSampledPresentation:
         assert sampled.presentations == 3
         assert type(sampled.score_sampled(w[:, 0], d, spb, offset, 2)) is float
         assert sampled.presentations == 4
+
+    @pytest.mark.parametrize("n, sampled", [(729, True), (728, False)])
+    @pytest.mark.parametrize("spb", [1, 2, 24])
+    def test_score_kept_while_no_larger_than_the_states(self, spb, n, sampled, monkeypatch):
+        # Nine channels: the sampled score at N >= 9^3 samples, whether or
+        # not F > 2 * spb, and the full-grid slice below.
+        import photonrc.stateest as stateest_mod
+
+        built = []
+        monkeypatch.setattr(stateest_mod, "sampled_basis", lambda *args: built.append(args) or sampled_basis(*args))
+        rng = np.random.default_rng(5)
+        states = StateMatrix(0.3 * (rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))), 1.0 / (spb * 10e9))
+        w = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+        d = self._target(spb)[: n // spb]
+        got = SimulatedReadout(states, QUIET).score_sampled(w, d, spb, spb - 1, 2)
+        assert len(built) == int(sampled)
+        want = bit_sse_direct(readout_forward(states, w, QUIET), d, spb, spb - 1, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_sampled_presentations_count_columns(self):
         states, w = self._problem(k=7)
@@ -536,6 +557,35 @@ class TestSampledPresentation:
             readout.score_sampled(w, target, self.SPB, offset, skip)
         assert built == [(self.SPB, 0, d[0]), (self.SPB, 0, d[0]), (self.SPB, 3, d[0]), (self.SPB, 0, other[0])]
 
+    @pytest.mark.parametrize("f", [5, 10], ids=["sampled", "full-grid"])
+    def test_negative_skip_rejected(self, f):
+        # It used to score only the last 5 bits.  Ten channels over 775
+        # samples are scored from the full-grid output (F^3 > N).
+        states, w = self._problem(f=f)
+        readout = SimulatedReadout(states, QUIET)
+        with pytest.raises(ValueError, match="skip_bits must be non-negative, got -5"):
+            readout.score_sampled(w, self._target(), self.SPB, self.OFFSET, -5)
+        assert readout.presentations == 0 and not readout._scores
+
+    @pytest.mark.parametrize("f", [5, 10], ids=["sampled", "full-grid"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2-D"])
+    def test_bad_target_rejected_before_a_score_is_built(self, bad, f, monkeypatch):
+        # A NaN target used to build and cache a score, then be reported as
+        # a non-finite detector output; the full-grid slice presented first.
+        import photonrc.stateest as stateest_mod
+
+        def no_basis(*args):
+            raise AssertionError("built a basis for a bad target")
+
+        monkeypatch.setattr(stateest_mod, "sampled_basis", no_basis)
+        states, w = self._problem(f=f)
+        d = self._target()
+        d = d.reshape(2, -1) if bad == "2-D" else np.full(d.size, float(bad))
+        readout = SimulatedReadout(states, DetectorConfig(), seed=1)
+        with pytest.raises(ValueError, match="target_w must be a one-dimensional array of finite powers"):
+            readout.score_sampled(w, d, self.SPB, self.OFFSET, 0)
+        assert readout.presentations == 0 and not readout._scores
+
     def test_bad_sampling_point_rejected(self):
         states, w = self._problem()
         readout = SimulatedReadout(states, DetectorConfig(), seed=2)
@@ -567,6 +617,13 @@ def _dense_noise(cfg, sample_period, spb, n_bits):
     return toeplitz(gain * lfilter(num, den, impulse), np.zeros(n_bits))
 
 
+def _assert_same_noise(got, want):
+    """Seeded noise draws with one mean, within 5 standard errors, and one spread, within 10 %."""
+    error = np.sqrt((got.var() + want.var()) / got.size)
+    assert abs(got.mean() - want.mean()) <= 5.0 * error
+    assert got.std() == pytest.approx(want.std(), rel=0.1)
+
+
 @pytest.fixture(scope="module")
 def ci_ridge_cells():
     """``(cfg, states, target, ridge weights)`` of a ci cell at 10 and 20 Gbps, at both operating points."""
@@ -580,7 +637,7 @@ def ci_ridge_cells():
         for bitrate in (10.0, 20.0):
             cell = _prepare_cell(cfg, bitrate, 0)
             d = _power_target(cfg, _targets(cell, "101")[0])
-            x, target = ridge_problem(cell.states_train, d, cfg.detector.responsivity, cfg.samples_per_bit, WARMUP_BITS)
+            x, target = ridge_problem(cell.states_train, d, cfg.detector.responsivity, SAMPLES_PER_BIT, WARMUP_BITS)
             cells[point, bitrate] = (cfg, cell.states_train, d, cv_alpha(x, target)[1])
     return cells
 
@@ -605,17 +662,23 @@ class TestSampledScore:
         d = 0.05 * rng.integers(0, 2, n_bits - 3).astype(np.float64)  # shorter than the grid
         return StateMatrix(x, 1.0 / (spb * bitrate_gbps * 1e9)), w, d
 
+    @pytest.mark.parametrize("f, spb", [(5, SPB), (13, 6), (3, 1)])
     @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
     @pytest.mark.parametrize("cfg", [QUIET, RAW], ids=["filter", "no-filter"])
     @pytest.mark.parametrize("bitrate_gbps", [5.0, 10.0, 15.0])
-    def test_clean_score_equals_oracle(self, bitrate_gbps, cfg, scale):
-        states, w, d = self._problem(bitrate_gbps)
+    def test_clean_score_equals_oracle(self, bitrate_gbps, cfg, scale, f, spb):
+        # Against the sampled output and against the full-grid presentation,
+        # also where F > 2 * spb and at one sample per bit.
+        states, w, d = self._problem(bitrate_gbps, f=f, spb=spb)
         w = scale * w
-        for offset in (0, 7, self.SPB // 2, self.SPB - 1):
+        for offset in sorted({0, min(7, spb - 1), spb // 2, spb - 1}):
             for skip in (0, 10):
-                want = bit_sse_direct(readout_sampled(sampled_basis(states, cfg, self.SPB, offset), w), d, 1, 0, skip)
-                model = sampled_score(sampled_basis(states, cfg, self.SPB, offset), d, skip)
+                want = bit_sse_direct(readout_sampled(sampled_basis(states, cfg, spb, offset), w), d, 1, 0, skip)
+                model = sampled_score(sampled_basis(states, cfg, spb, offset), d, skip)
                 np.testing.assert_allclose(model.sse(w, None), want, rtol=1e-12, atol=0)
+                direct = bit_sse_direct(readout_forward(states, w, cfg), d, spb, offset, skip)
+                got = SimulatedReadout(states, cfg).score_sampled(w, d, spb, offset, skip)
+                np.testing.assert_allclose(got, direct, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bitrate", [10.0, 20.0])
     def test_clean_score_near_ridge_weights(self, ci_ridge_cells, bitrate):
@@ -626,7 +689,7 @@ class TestSampledScore:
         # error grows as |d|^2 / SSE: 1e-14 relative at 0.045, 1e-12 at 6e-4
         # and 6e-11 at 7e-6 (measured at 10 Gbps).
         cfg, states, d, ridge = ci_ridge_cells["default", bitrate]
-        spb, quiet = cfg.samples_per_bit, replace(cfg.detector, noise_enabled=False)
+        spb, quiet = SAMPLES_PER_BIT, replace(cfg.detector, noise_enabled=False)
         weights = np.stack([ridge, 1.01 * ridge, ridge + 0.01 * np.abs(ridge).max()], axis=1)
         y = readout_sampled(sampled_basis(states, quiet, spb, spb // 2), weights)
         near = 0.1 * d + 0.9 * y[0, : d.size]
@@ -687,7 +750,7 @@ class TestSampledScore:
         # receiver point the noise energy sets the mean (about 3e-3 of a
         # score at 10 Gbps).
         cfg, states, d, ridge = ci_ridge_cells[point, bitrate]
-        spb, draws, block = cfg.samples_per_bit, 2000, 250
+        spb, draws, block = SAMPLES_PER_BIT, 2000, 250
         quiet = replace(cfg.detector, noise_enabled=False)
         clean = sampled_score(sampled_basis(states, quiet, spb, spb // 2), d, 10).sse(ridge, None)
         weights = np.repeat(ridge[:, None], block, axis=1)
@@ -698,9 +761,28 @@ class TestSampledScore:
         want = np.concatenate(
             [bit_sse_direct(readout_sampled(basis, weights, oracle_rng), d, 1, 0, 10) for _ in range(draws // block)]
         ) - clean
-        error = np.sqrt((got.var() + want.var()) / draws)
-        assert abs(got.mean() - want.mean()) <= 5.0 * error
-        assert got.std() == pytest.approx(want.std(), rel=0.1)
+        _assert_same_noise(got, want)
+
+    def test_monte_carlo_one_sample_matches_full_grid(self):
+        # At one sample per bit the noise factor is the filter itself, so
+        # the model's noise part has the law of the full-grid presentation's
+        # (2000 seeded draws, the tolerances above).  At the receiver load
+        # and a target near the clean output, the noise part is about 6e-3
+        # of the score, and its mean, the noise energy, about 20 standard
+        # errors.
+        cfg = DetectorConfig(load_ohm=50.0)
+        quiet = replace(cfg, noise_enabled=False)
+        states, w, d = self._problem(10.0, k=1, n_bits=400, spb=1)
+        target = 0.999 * readout_forward(states, w[:, 0], quiet)[: d.size] + 0.001 * d
+        clean = sampled_score(sampled_basis(states, quiet, 1, 0), target, 10).sse(w, None)
+        weights = np.repeat(w, 250, axis=1)
+        model = sampled_score(sampled_basis(states, cfg, 1, 0), target, 10)
+        rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(22)
+        got = np.concatenate([model.sse(weights, rng) for _ in range(8)]) - clean
+        want = np.concatenate(
+            [bit_sse_direct(readout_forward(states, weights, cfg, oracle_rng), target, 1, 0, 10) for _ in range(8)]
+        ) - clean
+        _assert_same_noise(got, want)
 
     def test_keeps_no_array_of_bits_length(self):
         states, w, d = self._problem(10.0, f=3, n_bits=400)
@@ -801,7 +883,7 @@ class TestSampledBasisOracle:
         long = (2 * _BASIS_BITS + 3) * spb + offset + spb // 2 + 1
         return (offset, offset + 1, offset + spb, offset + spb + 1, long)
 
-    @pytest.mark.parametrize("spb", [2, 8, 24])
+    @pytest.mark.parametrize("spb", [1, 2, 8, 24])
     @pytest.mark.parametrize("cfg", [QUIET, WIDE], ids=["25GHz", "100GHz"])
     @pytest.mark.parametrize("bitrate_gbps", [1.0, 10.0, 31.0])
     def test_products_match_full_rate_filter(self, bitrate_gbps, cfg, spb):
@@ -815,7 +897,7 @@ class TestSampledBasisOracle:
                 np.testing.assert_allclose(got.products, want, rtol=0, atol=1e-12 * scale)
                 assert got.gram.tobytes() == gram.tobytes()
 
-    @pytest.mark.parametrize("spb, offset", [(24, 12), (8, 0), (2, 1)])
+    @pytest.mark.parametrize("spb, offset", [(24, 12), (8, 0), (2, 1), (1, 0)])
     def test_filter_off_and_gram_bytes(self, spb, offset):
         states = self._states((2 * _BASIS_BITS + 3) * spb + 5, 10.0, spb, f=5)
         got = sampled_basis(states, RAW, spb, offset)

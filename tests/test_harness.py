@@ -1,3 +1,4 @@
+import json
 import logging
 import weakref
 
@@ -7,7 +8,7 @@ from dataclasses import replace
 
 import photonrc.harness as harness_mod
 
-from photonrc.config import ci_profile
+from photonrc.config import SAMPLES_PER_BIT, WARMUP_BITS, ci_profile
 from photonrc.detector import DetectorConfig
 from photonrc.signals import desired_signal
 from photonrc.harness import (
@@ -24,6 +25,7 @@ from photonrc.harness import (
     run_single,
     threshold_level,
     write_records_csv,
+    write_summary_json,
 )
 
 from oracles import best_sampling_point_loop
@@ -265,6 +267,19 @@ class TestSweeps:
         assert (tmp_path / "records.csv").exists()
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "summary.json").exists()
+
+    def test_summary_json_echoes_the_protocol(self, tmp_path):
+        # The protocol's values are constants, not keys, so the configuration
+        # echo does not name them.
+        write_summary_json(tiny_cfg(), tmp_path / "summary.json")
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert "samples_per_bit" not in payload["config"]
+        assert payload["protocol"] == {
+            "samples_per_bit": SAMPLES_PER_BIT,
+            "warmup_bits": WARMUP_BITS,
+            "search_bits": harness_mod.SEARCH_BITS,
+            "ber_floor_errors": BER_FLOOR_ERRORS,
+        }
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_cfg()

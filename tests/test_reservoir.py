@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -808,6 +809,25 @@ class TestTopologyFiles:
         path = tmp_path / "bad.topo"
         path.write_text("nodes 4\nedge 0 zz 1e-12 0.5 0.1\n")
         with pytest.raises(ValueError):
+            load_topology(path)
+
+    @pytest.mark.parametrize(
+        "text, line, match",
+        [
+            ("nodes 2\nnodes 3\ninput 0 0.0\n", 2, "a second 'nodes' record"),
+            ("nodes 2\nedge 0 1 1e-11 0.5 0.1 junk\ninput 0 0.0\n", 2, "'edge' takes 5 fields, got 6"),
+            ("nodes 2\ninput 0 0.0 extra\n", 2, "'input' takes 2 fields, got 3"),
+            ("nodes\ninput 0 0.0\n", 1, "'nodes' takes 1 fields, got 0"),
+            ("nodes 2\nport 0 0.0\n", 2, "unknown record 'port'"),
+        ],
+        ids=["second-nodes", "edge-trailing", "input-trailing", "nodes-short", "unknown"],
+    )
+    def test_record_of_other_field_count_rejected(self, tmp_path, text, line, match):
+        # A second nodes record used to replace the first, and trailing
+        # fields to be ignored.
+        path = tmp_path / "bad.topo"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: bad topology record") + ".*" + re.escape(match)):
             load_topology(path)
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from photonrc.ridge import (
     candidate_alphas,
     cv_alpha,
     invert_target,
+    ridge_problem,
 )
 from photonrc.signals import OpticalSignal
 
@@ -122,6 +123,14 @@ class TestInvertTarget:
         cfg = DetectorConfig(noise_enabled=False, filter_enabled=False)
         y = photodiode(OpticalSignal(amp.astype(complex), 1e-11), cfg)
         assert np.allclose(y, d, rtol=1e-12, atol=1e-18)
+
+
+class TestRidgeProblem:
+    def test_negative_skip_rejected(self):
+        # It used to keep the last 2 bits' 48 rows.
+        states = StateMatrix(np.ones((240, 1), dtype=complex), 1e-11)
+        with pytest.raises(ValueError, match="skip_bits must be non-negative, got -2"):
+            ridge_problem(states, np.full(10, 0.1), 0.5, 24, skip_bits=-2)
 
 
 class TestRidgeSolve:

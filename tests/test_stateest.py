@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from photonrc.config import ci_profile
+from photonrc.config import SAMPLES_PER_BIT, ci_profile
 from photonrc.detector import DetectorConfig, sampled_basis
 from photonrc.harness import _prepare_cell  # test-only access to the cell builder
 from photonrc.reservoir import StateMatrix, build_swirl, simulate
@@ -364,7 +364,7 @@ class TestEstimationReference:
         filtered = DetectorConfig(noise_enabled=False, filter_enabled=True)
         cfg = ci_profile()
         states = _prepare_cell(cfg, 10.0, 0).states_train
-        spb, offset = cfg.samples_per_bit, cfg.samples_per_bit // 2
+        spb, offset = SAMPLES_PER_BIT, SAMPLES_PER_BIT // 2
         r, f = states.bias_index, states.n_channels
         est = estimate_states(SimulatedReadout(states, filtered), filtered.responsivity, r)
         basis = sampled_basis(states, filtered, spb, offset)
