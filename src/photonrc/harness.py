@@ -745,7 +745,12 @@ def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
 def write_summary_json(cfg: ExperimentConfig, path: str | Path) -> None:
     """Echo the configuration, the package version and the protocol's constants."""
     protocol = dict(
-        samples_per_bit=SAMPLES_PER_BIT, warmup_bits=WARMUP_BITS, search_bits=SEARCH_BITS, ber_floor_errors=BER_FLOOR_ERRORS
+        samples_per_bit=SAMPLES_PER_BIT,
+        warmup_bits=WARMUP_BITS,
+        search_bits=SEARCH_BITS,
+        ber_floor_errors=BER_FLOOR_ERRORS,
+        convergence_bitrate_gbps=CONVERGENCE_BITRATE_GBPS,
+        convergence_sigma0=CONVERGENCE_SIGMA0,
     )
     payload = {"package": "photonrc", "version": __version__, "config": config_to_dict(cfg), "protocol": protocol}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonrc.cmaes import (
+    DEFAULT_SIGMA_SWEEP,
     cmaes_minimize,
     decode_weights,
     default_population,
@@ -153,16 +154,23 @@ def _reference_minimize(f, dim, sigma0, iterations, seed, population=None, x0=No
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
+    # Decompose in the first generation, then once more than this many
+    # evaluations have passed since the last decomposition.
+    lazy_gap_evals = 0.5 * n * lam / ((c1 + cmu) * n**2)
+
     rng = np.random.default_rng(seed)
     mean = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     cov, sigma = np.eye(n), float(sigma0)
     p_sigma, p_c = np.zeros(n), np.zeros(n)
     best_x, best_f, history, evaluations = mean.copy(), math.inf, [], 0
+    updated_eval = None
     for iteration in range(1, iterations + 1):
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        eigvals = np.maximum(eigvals, 1e-300)
-        scale = eigvecs * np.sqrt(eigvals)
-        inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        if updated_eval is None or evaluations > updated_eval + lazy_gap_evals:
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            eigvals = np.maximum(eigvals, 1e-300)
+            scale = eigvecs * np.sqrt(eigvals)
+            inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+            updated_eval = evaluations
         z = rng.standard_normal((lam, n))
         candidates = mean + sigma * z @ scale.T
         values = np.empty(lam)
@@ -296,9 +304,20 @@ class TestCmaesMinimize:
         with pytest.raises(RuntimeError, match="non-finite .* iteration 1, candidate 2 "):
             cmaes_minimize(objective, 2, 1.0, 10, 0)
 
+    def test_ill_conditioned_ellipsoid_converges(self):
+        # Axis scales 1 .. 1e6 in 10 dimensions: the covariance must learn
+        # the shape, through eigendecompositions made every 2nd generation.
+        scales = 10.0 ** (6.0 * np.arange(10) / 9)
+        for seed in range(5):
+            result = cmaes_minimize(lambda c: c**2 @ scales, 10, 1.0, 700, seed, x0=np.ones(10))
+            assert result.best_f < 1e-10, seed
+
     def test_degenerate_covariance_raises(self):
         # sigma0 near the float limit overflows the samples and turns the
-        # covariance NaN; the eigenvalue check must raise even under -O.
+        # covariance NaN; the eigenvalue check at the next decomposition
+        # must raise even under -O.  At dimension 2 the search decomposes
+        # at generations 1, 3 and 5, so the covariance that turns NaN in
+        # generation 3's update is caught in generation 5.
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match="iteration"):
             cmaes_minimize(lambda c: np.zeros(len(c)), 2, 1e308, 5, 1)
 
@@ -315,8 +334,16 @@ class TestCmaesMinimize:
             (dict(sigma0=math.inf), "step size"),
             (dict(population=3), "population"),
             (dict(iterations=0), "iterations"),
+            (dict(x0=0.5), "x0"),
+            (dict(x0=np.zeros(3)), "x0"),
+            (dict(x0=np.zeros((1, 2))), "x0"),
+            (dict(x0=np.full(2, math.nan)), "x0"),
+            (dict(x0=np.array([0.0, math.inf])), "x0"),
         ],
-        ids=["sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "population-3", "iterations-0"],
+        ids=[
+            "sigma-zero", "sigma-negative", "sigma-nan", "sigma-inf", "population-3", "iterations-0",
+            "x0-scalar", "x0-wrong-length", "x0-2d", "x0-nan", "x0-inf",
+        ],
     )
     def test_bad_setting_rejected_before_any_evaluation(self, kw, message):
         calls = []
@@ -329,6 +356,50 @@ class TestCmaesMinimize:
         with pytest.raises(ValueError, match=message):
             cmaes_minimize(objective, 2, **args)
         assert calls == []
+
+
+class _EighCounter:
+    """Wraps ``np.linalg.eigh``; notes the generation of each call, counted by objective calls."""
+
+    def __init__(self, monkeypatch):
+        self.objective_calls = 0
+        self.generations = []
+        original = np.linalg.eigh
+
+        def counting(a):
+            self.generations.append(self.objective_calls + 1)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+
+    def objective(self, candidates):
+        self.objective_calls += 1
+        return np.sum(candidates**2, axis=1)
+
+
+class TestEigenSchedule:
+    def test_one_search_decomposes_every_third_generation(self, monkeypatch):
+        # n = 34, lambda = 14: a gap of 37.6 evaluations, so 3 generations.
+        counter = _EighCounter(monkeypatch)
+        cmaes_minimize(counter.objective, 34, 0.5, 20, 3, x0=np.ones(34))
+        assert counter.objective_calls == 20
+        assert counter.generations == [1, 4, 7, 10, 13, 16, 19]
+
+    def test_sigma_sweep_decomposes_56_times(self, monkeypatch):
+        # The eight lockstep searches of a 17-channel readout share n and
+        # lambda, so each decomposes 7 times in 20 generations.
+        counter = _EighCounter(monkeypatch)
+
+        class Readout:
+            n_channels = 17
+
+            def score_sampled(self, weights, target_w, spb, offset, skip):
+                return counter.objective(np.concatenate([weights.real, weights.imag]).T)
+
+        _, run = train_cmaes(Readout(), np.zeros(10), DEFAULT_SIGMA_SWEEP, 20, None, 5, 4, 0)
+        assert run.iterations == 20 and counter.objective_calls == 20
+        assert len(counter.generations) == 56
+        assert counter.generations == sorted(8 * [1, 4, 7, 10, 13, 16, 19])
 
 
 def _toy_problem(n_bits=60, spb=4, seed=0):

@@ -279,6 +279,8 @@ class TestSweeps:
             "warmup_bits": WARMUP_BITS,
             "search_bits": harness_mod.SEARCH_BITS,
             "ber_floor_errors": BER_FLOOR_ERRORS,
+            "convergence_bitrate_gbps": harness_mod.CONVERGENCE_BITRATE_GBPS,
+            "convergence_sigma0": harness_mod.CONVERGENCE_SIGMA0,
         }
 
     def test_byte_identical_reruns(self, tmp_path):
