@@ -42,11 +42,8 @@ from .stateest import (
 from .config import ExperimentConfig, ci_profile, load_config, paper_profile
 from .harness import (
     ExperimentRecord,
-    best_sampling_point,
-    bit_error_rate,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
     run_single,
-    threshold_level,
 )

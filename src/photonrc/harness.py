@@ -4,9 +4,9 @@ One experiment cell = (bitrate, header, trainer, reservoir instance).
 The driver generates train/test bit streams, propagates the training
 input through a reservoir instance, trains the readout with the selected
 trainer, and freezes decision threshold and sampling point on the
-training output; only then does it propagate the test input and score
-it.  Everything is reproducible from the configuration and its master
-seed.
+training output (:func:`_freeze_decision`); only then does it propagate
+the test input and score it (:func:`_score`).  Everything is
+reproducible from the configuration and its master seed.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ __all__ = [
     "SummaryRow",
     "PerturbationRow",
     "ConvergenceRow",
-    "threshold_level",
-    "decide_bits",
-    "bit_error_rate",
-    "best_sampling_point",
     "run_single",
     "run_bitrate_sweep",
     "run_perturbation",
@@ -72,76 +68,40 @@ logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Decision chain
+# Decision rule
 
 
-def threshold_level(y) -> float:
-    """Decision threshold in the middle of the robust signal range.
+def _score(y, d_ideal, offset, threshold) -> tuple[float, int]:
+    """BER of ``y`` decided at ``offset`` against ``d_ideal``, and the bits scored.
 
-    Uses the 5th and 95th percentile so isolated noise spikes do not
-    drag the threshold around.
+    The decided stream is ``y`` sampled once per bit from ``offset`` and
+    thresholded.  The BER counts its mismatches over the bits both cover;
+    with no bit to score it is 1.
     """
-    samples = np.asarray(y, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("cannot compute a threshold of an empty signal")
-    p5, p95 = np.percentile(samples, [5.0, 95.0])
-    return float(p5 + (p95 - p5) / 2.0)
-
-
-def decide_bits(y, samples_per_bit: int, offset: int, threshold: float) -> np.ndarray:
-    """Subsample once per bit starting at ``offset`` and threshold."""
-    samples = np.asarray(y, dtype=np.float64)
-    if offset < 0:
-        raise ValueError("sampling offset must be non-negative")
-    return (samples[offset::samples_per_bit] > threshold).astype(np.uint8)
-
-
-def bit_error_rate(decided, ideal) -> float:
-    """Fraction of mismatched bits between two equal-length bit streams."""
-    decided = np.asarray(decided)
-    ideal = np.asarray(ideal)
-    if decided.shape != ideal.shape:
-        raise ValueError(f"length mismatch: {decided.shape} vs {ideal.shape}")
-    if decided.size == 0:
-        raise ValueError("cannot compute a bit error rate over zero bits")
-    return float(np.mean(decided != ideal))
-
-
-def _score(samples, d_ideal, offset, threshold) -> tuple[float, int]:
-    """BER of the decided stream against ``d_ideal`` and the bits scored."""
-    decided = decide_bits(samples, SAMPLES_PER_BIT, offset, threshold)
-    n = min(decided.size, len(d_ideal))
+    bits = y[offset::SAMPLES_PER_BIT] > threshold
+    n = min(bits.size, d_ideal.size)
     if n == 0:
         return 1.0, 0
-    return bit_error_rate(decided[:n], np.asarray(d_ideal)[:n]), n
+    return float(np.count_nonzero(bits[:n] != d_ideal[:n]) / n), n
 
 
-def best_sampling_point(y, d_ideal, samples_per_bit: int, *, threshold: float) -> int:
-    """Offset within the first :data:`SEARCH_BITS` bit periods minimizing BER.
+def _freeze_decision(y, d_ideal) -> tuple[float, int, float, int]:
+    """Threshold, sampling offset, BER and bits scored, chosen on one (training) output.
 
+    The threshold is the middle of the 5th to 95th percentile range, so
+    isolated noise spikes do not drag it around.  The offset is the first
+    minimum of the BER over the first :data:`SEARCH_BITS` bit periods.
     Offsets of a whole bit period or more absorb integer-bit latency of
     the reservoir: the decided stream simply pairs with the target
-    shifted by that many bits.  Ties go to the smallest offset.
-
-    Each offset's BER is its count of mismatched bits over the bits
-    scored, read from one thresholded copy of ``y``: the float that
-    :func:`bit_error_rate` returns for the decided stream.  An offset
-    with no bit to score has BER 1.
+    shifted by that many bits.
     """
-    decided = np.asarray(y, dtype=np.float64) > threshold
-    ideal = np.asarray(d_ideal)
-    bers = []
-    for offset in range(SEARCH_BITS * samples_per_bit):
-        bits = decided[offset::samples_per_bit]
-        n = min(bits.size, ideal.size)
-        bers.append(np.count_nonzero(bits[:n] != ideal[:n]) / n if n else 1.0)
-    return int(np.argmin(bers))
-
-
-def _freeze_decision(y, d_ideal) -> tuple[float, int]:
-    """Threshold and sampling offset chosen on one (training) output."""
-    threshold = threshold_level(y)
-    return threshold, best_sampling_point(y, d_ideal, SAMPLES_PER_BIT, threshold=threshold)
+    if y.size == 0:
+        raise ValueError("cannot freeze a decision on an empty output")
+    p5, p95 = np.percentile(y, [5.0, 95.0])
+    threshold = float(p5 + (p95 - p5) / 2.0)
+    scores = [_score(y, d_ideal, offset, threshold) for offset in range(SEARCH_BITS * SAMPLES_PER_BIT)]
+    offset = min(range(len(scores)), key=lambda k: scores[k][0])
+    return (threshold, offset, *scores[offset])
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +360,7 @@ def _fit(cfg: ExperimentConfig, cell: _Cell, header: str, trainer: str, d_train:
     weights, presentations, detail = _train(cfg, cell, header, trainer, d_train)
     key = (cell.bitrate_gbps, header, trainer, cell.instance)
     y_train = _detected(cfg, cell.states_train, weights, "eval-train", *key)
-    d_tr = d_train[WARMUP_BITS:]
-    threshold, offset = _freeze_decision(y_train, d_tr)
-    train_ber, n_train_scored = _score(y_train, d_tr, offset, threshold)
+    threshold, offset, train_ber, n_train_scored = _freeze_decision(y_train, d_train[WARMUP_BITS:])
     return _Fit(header, trainer, weights, presentations, detail, threshold, offset, train_ber, n_train_scored)
 
 
@@ -679,8 +637,7 @@ def run_convergence(
     best_ber = math.inf
     for iteration, (x, sse) in enumerate(zip(run.history_x, run.history.tolist()), start=1):
         y = _detected(cfg, cell.states_train, decode_weights(x), "conv-eval", bitrate, 0, iteration)
-        threshold, offset = _freeze_decision(y, d_tr)
-        ber = _score(y, d_tr, offset, threshold)[0]
+        ber = _freeze_decision(y, d_tr)[2]
         best_ber = min(best_ber, ber)
         presentations = iteration * population
         rows.append(ConvergenceRow(iteration, presentations, sse, ber, best_ber))
@@ -749,6 +706,7 @@ def write_summary_json(cfg: ExperimentConfig, path: str | Path) -> None:
         warmup_bits=WARMUP_BITS,
         search_bits=SEARCH_BITS,
         ber_floor_errors=BER_FLOOR_ERRORS,
+        geo_mean_clamp=GEO_MEAN_CLAMP,
         convergence_bitrate_gbps=CONVERGENCE_BITRATE_GBPS,
         convergence_sigma0=CONVERGENCE_SIGMA0,
     )

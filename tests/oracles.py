@@ -18,7 +18,7 @@ from photonrc.detector import (
     _weight_matrix,
     noise_variance,
 )
-from photonrc.harness import SEARCH_BITS, bit_error_rate, decide_bits
+from photonrc.harness import SEARCH_BITS
 from photonrc.reservoir import StateMatrix
 from photonrc.signals import OpticalSignal
 
@@ -155,11 +155,15 @@ def mean_squared_modulus(states: np.ndarray) -> float:
     return float(np.mean(np.square(np.abs(states))))
 
 
-def best_sampling_point_loop(y, d_ideal, samples_per_bit: int, threshold: float) -> int:
-    """``best_sampling_point`` as one decided stream and BER per offset: its oracle."""
-    bers = []
+def freeze_decision_loop(y, d_ideal, samples_per_bit: int) -> tuple[float, int, float, int]:
+    """``harness._freeze_decision`` as one decided stream and mean BER per offset: its oracle."""
+    p5, p95 = np.percentile(y, [5.0, 95.0])
+    threshold = float(p5 + (p95 - p5) / 2.0)
+    best = None
     for offset in range(SEARCH_BITS * samples_per_bit):
-        decided = decide_bits(y, samples_per_bit, offset, threshold)
+        decided = (y[offset::samples_per_bit] > threshold).astype(np.uint8)
         n = min(decided.size, len(d_ideal))
-        bers.append(bit_error_rate(decided[:n], np.asarray(d_ideal)[:n]) if n else 1.0)
-    return int(np.argmin(bers))
+        ber = float(np.mean(decided[:n] != d_ideal[:n])) if n else 1.0
+        if best is None or ber < best[2]:
+            best = (threshold, offset, ber, n)
+    return best

@@ -14,11 +14,10 @@ from photonrc.cmaes import (
     train_cmaes,
 )
 from photonrc.detector import DetectorConfig
-from photonrc.harness import bit_error_rate, decide_bits, threshold_level
 from photonrc.reservoir import StateMatrix
 from photonrc.stateest import SimulatedReadout
 
-from oracles import bit_sse_direct
+from oracles import bit_sse_direct, freeze_decision_loop
 
 RAW = DetectorConfig(noise_enabled=False, filter_enabled=False)
 
@@ -418,8 +417,7 @@ class TestTrainCmaes:
         states, readout, d, spb = _toy_problem()
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
-        sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
-        assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
+        assert freeze_decision_loop(y, d > 0, spb)[2:] == (0.0, len(d))
 
     def test_sweep_returns_minimum_sse_member(self, monkeypatch):
         # Stub the searches so each sweep member lands on a known value;
@@ -472,8 +470,7 @@ class TestTrainCmaes:
         _, run = train_cmaes(readout, d, (0.1, 1.0), 150, None, 21, spb, 0)
         assert built == [(spb, spb // 2)]
         y = RAW.responsivity * np.abs(states.samples @ decode_weights(run.best_x)) ** 2
-        sampled = decide_bits(y, spb, spb // 2, threshold_level(y))
-        assert bit_error_rate(sampled[: len(d)], d > 0) == 0.0
+        assert freeze_decision_loop(y, d > 0, spb)[2:] == (0.0, len(d))
 
     def test_one_dimensional_candidate_is_one_presentation(self):
         # A single decoded candidate presents once and returns one score.

@@ -16,8 +16,9 @@ A change that moves outputs on purpose regenerates the goldens with
     PYTHONPATH=src python tests/test_golden.py
 
 and names the moved files in its change notes.  Regeneration rewrites
-only the files that ``compare_csv`` finds different, so the others keep
-their bytes instead of taking the host's last-bit drift; it names both.
+only the rows that ``compare_csv`` finds different, so the other rows
+and files keep their bytes instead of taking the host's last-bit drift;
+it names the files rewritten and the files kept.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ RUNS = (
     ("perturb", ["perturb", "--profile", "ci", "--seeds", "1"]),
     ("converge", ["converge", "--profile", "ci", "--config", str(SHORT_CMAES)]),
     ("probe", ["probe-dump", "--profile", "ci", "--bitrate", "10"]),
+    # the ci profile's full 300 CMA-ES generations, which the short runs above do not reach
+    ("cmaes300", ["sweep", "--profile", "ci", "--trainer", "cmaes", "--bitrates", "18", "--seeds", "1"]),
 )
 
 GOLDEN_FILES = (
@@ -59,6 +62,7 @@ GOLDEN_FILES = (
     "converge/convergence.csv",
     "probe/probes.csv",
     STATES_SLICE,
+    "cmaes300/records.csv",
 )
 
 RTOL = 1e-9
@@ -100,21 +104,21 @@ def _float_part(cell: str) -> tuple[str, float]:
     return (label + "=" if label else ""), float(value)
 
 
-def compare_csv(got_path: Path, want_path: Path) -> list[str]:
-    """Differences between two CSV files, by the rules of this module."""
+def _moved(got_path: Path, want_path: Path) -> list[tuple[int | None, str]]:
+    """Each difference between two CSV files as (row index, message); the row is None for the shape."""
     got_header, got = _read(got_path)
     want_header, want = _read(want_path)
     if got_header != want_header:
-        return [f"columns {got_header} != {want_header}"]
+        return [(None, f"columns {got_header} != {want_header}")]
     if len(got) != len(want):
-        return [f"{len(got)} rows != {len(want)}"]
+        return [(None, f"{len(got)} rows != {len(want)}")]
     problems = []
     for c, column in enumerate(want_header):
         got_col = [row[c] for row in got]
         want_col = [row[c] for row in want]
         if column not in TOLERANT:
             problems += [
-                f"row {r} {column}: {g!r} != {w!r}"
+                (r, f"row {r} {column}: {g!r} != {w!r}")
                 for r, (g, w) in enumerate(zip(got_col, want_col))
                 if g != w
             ]
@@ -122,7 +126,7 @@ def compare_csv(got_path: Path, want_path: Path) -> list[str]:
         got_parts = [_float_part(v) for v in got_col]
         want_parts = [_float_part(v) for v in want_col]
         problems += [
-            f"row {r} {column}: {g!r} != {w!r}"
+            (r, f"row {r} {column}: {g!r} != {w!r}")
             for r, ((gl, _), (wl, _), g, w) in enumerate(zip(got_parts, want_parts, got_col, want_col))
             if gl != wl
         ]
@@ -130,23 +134,49 @@ def compare_csv(got_path: Path, want_path: Path) -> list[str]:
         w = np.array([v for _, v in want_parts])
         scale = np.maximum(np.abs(w), COLUMN_FLOOR * np.abs(w).max(initial=0.0))
         bad = np.flatnonzero(~(np.abs(g - w) <= RTOL * scale))
-        problems += [f"row {r} {column}: {got_col[r]} != {want_col[r]}" for r in bad]
+        problems += [(int(r), f"row {r} {column}: {got_col[r]} != {want_col[r]}") for r in bad]
     return problems
 
 
-def update_goldens(run: Path, golden: Path = GOLDEN, names=GOLDEN_FILES) -> tuple[list[str], list[str]]:
-    """Copy each output of ``run`` that differs from its golden, or has none, over it.
+def compare_csv(got_path: Path, want_path: Path) -> list[str]:
+    """Differences between two CSV files, by the rules of this module."""
+    return [message for _, message in _moved(got_path, want_path)]
 
-    Returns the names rewritten and the names kept.
+
+def _lines(path: Path) -> list[str]:
+    """A CSV file's lines with their own line ends: the header, then one per row."""
+    with open(path, newline="") as fh:
+        return fh.readlines()
+
+
+def update_goldens(run: Path, golden: Path = GOLDEN, names=GOLDEN_FILES) -> tuple[list[str], list[str]]:
+    """Bring each golden to its output in ``run``, row by row.
+
+    A row that ``compare_csv``'s rules pass keeps its committed bytes and
+    a moved row takes the run's.  A file whose columns or row count
+    changed, or that has no golden yet, is copied whole.  Returns the
+    names rewritten and the names kept.
     """
     written, kept = [], []
     for name in names:
-        want = golden / name
-        if want.exists() and not compare_csv(run / name, want):
+        got, want = run / name, golden / name
+        moved = {r for r, _ in _moved(got, want)} if want.exists() else {None}
+        if not moved:
             kept.append(name)
             continue
-        want.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(run / name, want)
+        if None in moved:
+            want.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(got, want)
+        else:
+            lines, got_lines = _lines(want), _lines(got)
+            # A moved row can shrink its column's scale and so move a kept
+            # one: check again until every row passes.
+            while moved:
+                for r in moved:
+                    lines[r + 1] = got_lines[r + 1]
+                with open(want, "w", newline="") as fh:
+                    fh.writelines(lines)
+                moved = {r for r, _ in _moved(got, want)}
         written.append(name)
     return written, kept
 
@@ -190,6 +220,15 @@ def test_update_rewrites_only_moved_files(tmp_path):
         "moved/records.csv": ("test_ber\n0.25\n", "test_ber\n0.5\n"),
         # no golden yet: written
         "new.csv": (None, "test_ber\n0.5\n"),
+        # one drifted row keeps its bytes, one moved row takes the run's
+        "mixed.csv": (
+            "test_ber,threshold_a\r\n0.25,1.0\r\n0.5,3.0\r\n",
+            "test_ber,threshold_a\r\n0.25,1.0000000000000002\r\n0.75,3.0\r\n",
+        ),
+        # a row more: copied whole
+        "longer.csv": ("test_ber\n0.25\n", "test_ber\n0.25\n0.5\n"),
+        # the moved row held the column's scale; without it the second row moves too
+        "rescaled.csv": ("threshold_a\n1000.0\n0.0\n", "threshold_a\n1.0\n1e-13\n"),
     }
     for name, (want, got) in files.items():
         (run / name).parent.mkdir(parents=True, exist_ok=True)
@@ -198,11 +237,15 @@ def test_update_rewrites_only_moved_files(tmp_path):
             (golden / name).parent.mkdir(parents=True, exist_ok=True)
             (golden / name).write_text(want)
     written, kept = update_goldens(run, golden, names=tuple(files))
-    assert written == ["moved/records.csv", "new.csv"]
+    assert written == ["moved/records.csv", "new.csv", "mixed.csv", "longer.csv", "rescaled.csv"]
     assert kept == ["drift.csv"]
     assert (golden / "drift.csv").read_text() == "threshold_a\n1.0\n"
     assert (golden / "moved/records.csv").read_text() == "test_ber\n0.5\n"
     assert (golden / "new.csv").read_text() == "test_ber\n0.5\n"
+    assert (golden / "mixed.csv").read_bytes() == b"test_ber,threshold_a\r\n0.25,1.0\r\n0.75,3.0\r\n"
+    assert (golden / "longer.csv").read_text() == "test_ber\n0.25\n0.5\n"
+    assert (golden / "rescaled.csv").read_text() == "threshold_a\n1.0\n1e-13\n"
+    assert all(compare_csv(run / name, golden / name) == [] for name in files)
 
 
 if __name__ == "__main__":

@@ -14,21 +14,17 @@ from photonrc.signals import desired_signal
 from photonrc.harness import (
     BER_FLOOR_ERRORS,
     aggregate_records,
-    best_sampling_point,
-    bit_error_rate,
-    decide_bits,
     derive_seed,
     format_ber,
     run_bitrate_sweep,
     run_convergence,
     run_perturbation,
     run_single,
-    threshold_level,
     write_records_csv,
     write_summary_json,
 )
 
-from oracles import best_sampling_point_loop
+from oracles import freeze_decision_loop
 
 
 def tiny_cfg(**overrides):
@@ -47,69 +43,73 @@ def tiny_cfg(**overrides):
 QUIET = DetectorConfig(noise_enabled=False)
 
 
-class TestThresholdLevel:
+class TestFrozenThreshold:
+    def _threshold(self, y):
+        return harness_mod._freeze_decision(y, np.zeros(8, np.uint8))[0]
+
     def test_uniform_ramp(self):
         y = np.linspace(0.0, 1.0, 10001)
-        assert np.isclose(threshold_level(y), 0.5, atol=1e-12)
+        assert np.isclose(self._threshold(y), 0.5, atol=1e-12)
 
     def test_constant(self):
-        assert threshold_level(np.full(100, 3.25)) == 3.25
+        assert self._threshold(np.full(100, 3.25)) == 3.25
 
     def test_balanced_binary(self):
         y = np.array([0.0, 1.0] * 500)
-        assert threshold_level(y) == 0.5
+        assert self._threshold(y) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            threshold_level(np.array([]))
+            self._threshold(np.array([]))
 
 
-class TestBitErrorRate:
+class TestScore:
+    def _score(self, decided, ideal):
+        y = np.repeat(np.asarray(decided, float), 24)
+        return harness_mod._score(y, np.asarray(ideal), 0, 0.5)
+
     def test_quarter(self):
-        assert bit_error_rate([1, 0, 1, 1], [1, 0, 0, 1]) == 0.25
+        ber, n = self._score([1, 0, 1, 1], [1, 0, 0, 1])
+        assert (ber, n) == (0.25, 4) and type(ber) is float
 
     def test_identical(self):
-        assert bit_error_rate([1, 0, 1], [1, 0, 1]) == 0.0
+        assert self._score([1, 0, 1], [1, 0, 1]) == (0.0, 3)
 
     def test_complemented(self):
-        assert bit_error_rate([1, 0, 1], [0, 1, 0]) == 1.0
+        assert self._score([1, 0, 1], [0, 1, 0]) == (1.0, 3)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            bit_error_rate([1, 0], [1, 0, 1])
+    def test_scores_the_bits_both_cover(self):
+        assert self._score([1, 0], [1, 1, 1]) == (0.5, 2)
+        assert self._score([1, 0, 0], [0, 0]) == (0.5, 2)
+
+    def test_no_bit_scored_is_ber_one(self):
+        assert harness_mod._score(np.ones(24), np.ones(3, np.uint8), 24, 0.5) == (1.0, 0)
 
 
-class TestBestSamplingPoint:
+class TestFreezeDecision:
     def _held(self, bits, spb):
         return np.repeat(np.asarray(bits, float), spb)
 
     def test_aligned_stream(self):
         d = np.array([1, 0, 1, 1, 0, 0, 1, 0])
         y = self._held(d, 24)
-        offset = best_sampling_point(y, d, 24, threshold=0.5)
-        assert offset == 0
-        assert bit_error_rate(decide_bits(y, 24, offset, 0.5)[: len(d)], d) == 0.0
+        assert harness_mod._freeze_decision(y, d) == (0.5, 0, 0.0, 8)
 
     def test_seven_sample_delay_recovered(self):
         d = np.array([1, 0, 1, 1, 0, 0, 1, 0])
         y = np.concatenate([np.zeros(7), self._held(d, 24)])[: len(d) * 24]
-        offset = best_sampling_point(y, d, 24, threshold=0.5)
-        assert offset == 7
+        assert harness_mod._freeze_decision(y, d)[1:3] == (7, 0.0)
 
     def test_full_bit_delay_shifts_alignment(self):
         d = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
         spb = 24
         y = np.concatenate([np.zeros(spb), self._held(d, spb)])[: len(d) * spb]
-        offset = best_sampling_point(y, d, spb, threshold=0.5)
-        assert offset == spb
-        decided = decide_bits(y, spb, offset, 0.5)
-        n = min(decided.size, d.size)
-        assert bit_error_rate(decided[:n], d[:n]) == 0.0
+        # the delayed stream pairs with the target one bit later: 9 bits scored
+        assert harness_mod._freeze_decision(y, d)[1:] == (spb, 0.0, 9)
 
     def test_tie_breaks_to_smallest_offset(self):
         y = np.ones(8 * 24)  # constant signal: every offset equally bad
-        offset = best_sampling_point(y, np.ones(8, int), 24, threshold=2.0)
-        assert offset == 0
+        assert harness_mod._freeze_decision(y, np.ones(8, int))[1:3] == (0, 1.0)
 
     @pytest.mark.parametrize(
         "n_samples, n_bits",
@@ -123,9 +123,7 @@ class TestBestSamplingPoint:
         y = np.repeat(d.astype(float), 24)[:n_samples]
         y = np.concatenate([np.zeros(rng.integers(0, 30)), y])[:n_samples]
         y = y + rng.normal(0.0, 0.4, y.size)
-        for threshold in (0.5, -10.0, 10.0, float(np.median(y))):
-            want = best_sampling_point_loop(y, d, 24, threshold)
-            assert best_sampling_point(y, d, 24, threshold=threshold) == want
+        assert harness_mod._freeze_decision(y, d) == freeze_decision_loop(y, d, 24)
 
     def test_ties_match_per_offset_oracle(self):
         # Bits held for whole periods: many offsets share the least BER.
@@ -133,8 +131,7 @@ class TestBestSamplingPoint:
         y = np.repeat(d.astype(float), 24)
         for shift in (0, 5, 23, 24, 30):
             shifted = np.concatenate([np.zeros(shift), y])[: y.size]
-            want = best_sampling_point_loop(shifted, d, 24, 0.5)
-            assert best_sampling_point(shifted, d, 24, threshold=0.5) == want
+            assert harness_mod._freeze_decision(shifted, d) == freeze_decision_loop(shifted, d, 24)
 
 
 class TestFormatBer:
@@ -279,6 +276,7 @@ class TestSweeps:
             "warmup_bits": WARMUP_BITS,
             "search_bits": harness_mod.SEARCH_BITS,
             "ber_floor_errors": BER_FLOOR_ERRORS,
+            "geo_mean_clamp": harness_mod.GEO_MEAN_CLAMP,
             "convergence_bitrate_gbps": harness_mod.CONVERGENCE_BITRATE_GBPS,
             "convergence_sigma0": harness_mod.CONVERGENCE_SIGMA0,
         }
